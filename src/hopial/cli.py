@@ -8,7 +8,7 @@ pow:2,0.5, rpow:1, exp:2, pwl:0,0;0.5,1;1,0), inline JSON starting with
 Reports are written as JSON (stable schema), CSV (one row per instance)
 and SVG ratio plots.  Exit status: 0 when every status is Holds, 2 when
 any is Violated, 3 when some are Inconclusive and none Violated, 1 on
-usage errors.  HOPIAL_THREADS overrides sweep parallelism.
+usage errors.
 """
 
 from __future__ import annotations

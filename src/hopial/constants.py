@@ -44,7 +44,6 @@ __all__ = [
     "canonical_id",
     "r_tail",
     "r_head",
-    "WeightIntegral",
     "hardy_constant",
     "beesack_das_K1",
     "beesack_das_K2",
@@ -122,58 +121,18 @@ class ConstantBreakdown:
 # ---------------------------------------------------------------------------
 
 
-class WeightIntegral:
-    """R(x,b) (side="tail") or R(a,x) (side="head") for a weight r.
-
-    Uses the closed antiderivative when the catalog provides one (exact,
-    zero extra error); otherwise a cumulative table whose query error is
-    tracked.
-    """
-
-    def __init__(self, r, interval: fs.Interval, side: str, tol=None):
-        if side not in ("tail", "head"):
-            raise DomainError(f"side must be tail|head, got {side}")
-        self.side = side
-        self.interval = interval
-        if callable(r):
-            self.spec = None
-        else:
-            self.spec = (
-                fs.tail_integral_spec(r, interval)
-                if side == "tail"
-                else fs.head_integral_spec(r, interval)
-            )
-        if self.spec is not None:
-            self._fn = fs.compile_program(self.spec, interval)
-            self.rel_error = 0.0
-        else:
-            table = quad.cumulative(r, interval, 128, tol)
-            total = table.value_at(interval.b)
-            if side == "tail":
-                self._fn = lambda xs: total - table(xs)
-            else:
-                self._fn = table
-            self.rel_error = table.query_error / max(abs(total), 1e-300)
-
-    def __call__(self, xs):
-        return self._fn(np.asarray(xs, dtype=float))
-
-    def value_at(self, x: float) -> float:
-        return float(np.asarray(self._fn(np.array([float(x)])))[0])
-
-
 def r_tail(r, x: float, interval: fs.Interval) -> float:
     """R(x, b) = integral of r from x to b."""
     if not interval.contains(x):
         raise DomainError(f"x={x} outside the interval")
-    return WeightIntegral(r, interval, "tail").value_at(x)
+    return quad.RunningIntegral(r, interval, "tail").value_at(x)
 
 
 def r_head(r, x: float, interval: fs.Interval) -> float:
     """R(a, x) = integral of r from a to x."""
     if not interval.contains(x):
         raise DomainError(f"x={x} outside the interval")
-    return WeightIntegral(r, interval, "head").value_at(x)
+    return quad.RunningIntegral(r, interval, "head").value_at(x)
 
 
 # ---------------------------------------------------------------------------
@@ -181,34 +140,53 @@ def r_head(r, x: float, interval: fs.Interval) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _inner_cumulative(s, gamma: float, interval: fs.Interval, side: str, tol):
-    """Cumulative of s^gamma from the relevant endpoint, with rel error."""
-    spec = None if callable(s) else fs.power_of(s, gamma)
-    if spec is not None:
+def _beesack_integral(r, s, er, es, e_in, gamma, side, sub, full, tol):
+    """int over sub of r^er s^es I^e_in, where I is the running integral
+    of s^gamma over full from its left (side="head") or right ("tail") end.
+
+    Returns the outer QuadResult and the relative error of I.
+    """
+    if callable(s):
+        def target(xs):
+            return np.asarray(s(xs), dtype=float) ** gamma
+    else:
+        target = fs.power_of(s, gamma)
         kappa = fs.endpoint_exponent(
-            spec, interval, "left" if side == "head" else "right"
+            target, full, "left" if side == "head" else "right"
         )
         if kappa <= -1.0:
             raise NonIntegrable(
                 f"inner weight integral diverges (exponent {kappa:.3g})"
             )
-        anti = fs.closed_antiderivative(spec, interval)
-        if anti is not None:
-            if side == "head":
-                return fs.compile_program(anti, interval), 0.0
-            tail = fs.tail_integral_spec(spec, interval)
-            return fs.compile_program(tail, interval), 0.0
-        target = spec
-    else:
-        def target(xs):
-            return np.asarray(s(xs), dtype=float) ** gamma
+    inner = quad.RunningIntegral(target, full, side, tol)
 
-    table = quad.cumulative(target, interval, 128, tol)
-    total = table.value_at(interval.b)
-    rel = table.query_error / max(abs(total), 1e-300)
-    if side == "head":
-        return table, rel
-    return (lambda xs: total - table(xs)), rel
+    r_prog = r if callable(r) else fs.compile_program(r, full)
+    s_prog = s if callable(s) else fs.compile_program(s, full)
+
+    def integrand(xs):
+        inner_vals = np.maximum(np.asarray(inner(xs), dtype=float), 0.0)
+        return (
+            np.asarray(r_prog(xs), float) ** er
+            * np.asarray(s_prog(xs), float) ** es
+            * inner_vals**e_in
+        )
+
+    kappa_l = kappa_r = 0.0
+    for w, ex in ((r, er), (s, es)):
+        if not callable(w):
+            kappa_l += ex * fs.endpoint_exponent(w, full, "left")
+            kappa_r += ex * fs.endpoint_exponent(w, full, "right")
+    # the vanishing inner factor only regularizes; ignore its positive order
+
+    outer = quad.integrate(
+        integrand,
+        sub,
+        tol=tol,
+        home=full,
+        endpoint_exponents=(kappa_l, kappa_r),
+        breakpoints=None if callable(s) else fs.breakpoints(s, full),
+    )
+    return outer, inner.rel_error
 
 
 def _sub_bounds(sub):
@@ -232,38 +210,10 @@ def _beesack_das_core(e, r, s, sub, full: fs.Interval, side: str, tol):
     sub = fs.Interval(lo, hi)
     tol = tol or quad.SMOOTH_TOL
 
-    gamma = -1.0 / (p + q - 1.0)
-    inner, inner_rel = _inner_cumulative(s, gamma, full, side, tol)
-
-    r_prog = r if callable(r) else fs.compile_program(r, full)
-    s_prog = s if callable(s) else fs.compile_program(s, full)
     er, es = (p + q) / p, -q / p
-
-    def integrand(xs):
-        inner_vals = np.maximum(np.asarray(inner(xs), dtype=float), 0.0)
-        return (
-            np.asarray(r_prog(xs), float) ** er
-            * np.asarray(s_prog(xs), float) ** es
-            * inner_vals ** (p + q - 1.0)
-        )
-
-    kappa_l = kappa_r = 0.0
-    if not callable(r):
-        kappa_l += er * fs.endpoint_exponent(r, full, "left")
-        kappa_r += er * fs.endpoint_exponent(r, full, "right")
-    if not callable(s):
-        kappa_l += es * fs.endpoint_exponent(s, full, "left")
-        kappa_r += es * fs.endpoint_exponent(s, full, "right")
-    # the vanishing inner factor only regularizes; ignore its positive order
-
-    outer = quad.integrate(
-        integrand,
-        sub,
-        tol=tol,
-        home=full,
-        endpoint_exponents=(kappa_l, kappa_r),
-        breakpoints=None if callable(s) else fs.breakpoints(s, full),
-    )
+    outer, inner_rel = _beesack_integral(r, s, er, es, p + q - 1.0,
+                                         -1.0 / (p + q - 1.0), side, sub, full,
+                                         tol)
     lead = (q / (p + q)) ** (q / (p + q))
     if outer.value <= 0.0:
         return 0.0, 0.0
@@ -349,37 +299,11 @@ def beesack_K(e: ExponentSet, r, s, interval: fs.Interval, side: str = "left",
     tol = tol or quad.SMOOTH_TOL
     p_eff = p * q if substituted else p
 
-    gamma = -1.0 / (k - 1.0)
-    inner_side = "head" if side == "left" else "tail"
-    inner, inner_rel = _inner_cumulative(s, gamma, interval, inner_side, tol)
-
-    r_prog = r if callable(r) else fs.compile_program(r, interval)
-    s_prog = s if callable(s) else fs.compile_program(s, interval)
     er, es = k / (k - q), -q / (k - q)
     e_in = p_eff * (k - 1.0) / (k - q)
-
-    def integrand(xs):
-        inner_vals = np.maximum(np.asarray(inner(xs), dtype=float), 0.0)
-        return (
-            np.asarray(r_prog(xs), float) ** er
-            * np.asarray(s_prog(xs), float) ** es
-            * inner_vals**e_in
-        )
-
-    kappa_l = kappa_r = 0.0
-    if not callable(r):
-        kappa_l += er * fs.endpoint_exponent(r, interval, "left")
-        kappa_r += er * fs.endpoint_exponent(r, interval, "right")
-    if not callable(s):
-        kappa_l += es * fs.endpoint_exponent(s, interval, "left")
-        kappa_r += es * fs.endpoint_exponent(s, interval, "right")
-
-    outer = quad.integrate(
-        integrand,
-        interval,
-        tol=tol,
-        endpoint_exponents=(kappa_l, kappa_r),
-        breakpoints=None if callable(s) else fs.breakpoints(s, interval),
+    outer, inner_rel = _beesack_integral(
+        r, s, er, es, e_in, -1.0 / (k - 1.0),
+        "head" if side == "left" else "tail", interval, interval, tol,
     )
     lead = (q / (q + p_eff)) ** (q / k)
     value = lead * outer.value ** ((k - q) / k)
@@ -417,89 +341,36 @@ class _Ctx:
     side: str
     exps: dict = field(default_factory=dict)
 
-    _R: Optional[WeightIntegral] = None
+    _R: Optional[quad.RunningIntegral] = None
 
     @property
-    def R(self) -> WeightIntegral:
+    def R(self) -> quad.RunningIntegral:
         if self._R is None:
             side = "tail" if self.side == "left" else "head"
-            self._R = WeightIntegral(self.r, self.interval, side, self.tol)
+            self._R = quad.RunningIntegral(self.r, self.interval, side, self.tol)
         return self._R
 
-    def r_spec(self):
-        return None if callable(self.r) else self.r
+    @property
+    def R_name(self) -> str:
+        return "R_tail" if self.side == "left" else "R_head"
 
-    def s_spec(self):
-        return None if callable(self.s) else self.s
+    def sup_R(self) -> tuple:
+        """The (name, value) factor sup R.  r >= 0 makes R_tail
+        nonincreasing and R_head nondecreasing, so the supremum is R at the
+        end where the running integral is widest."""
+        iv = self.interval
+        if not callable(self.r) and min(
+            fs.endpoint_exponent(self.r, iv, end) for end in ("left", "right")
+        ) <= -1.0:
+            raise NonIntegrable("the weight integral R(a, b) diverges")
+        return (f"sup {self.R_name}",
+                self.R.value_at(iv.a if self.side == "left" else iv.b))
 
-    def integrate_spec(self, spec, tol=None, exponents=None):
-        return quad.integrate(
-            spec,
-            self.interval,
-            tol=tol or self.tol,
-            endpoint_exponents=exponents,
-        )
-
-    def integrate_fn(self, fn, tol=None, exponents=None, breaks=None):
-        return quad.integrate(
-            fn,
-            self.interval,
-            tol=tol or self.tol,
-            endpoint_exponents=exponents,
-            breakpoints=breaks,
-        )
-
-    def sup_R(self) -> quad.SupResult:
-        target = self.R.spec if self.R.spec is not None else self.R
-        return quad.sup_on_interval(target, self.interval)
+    def integral(self, *parts) -> quad.QuadResult:
+        return quad.product_integral(parts, self.interval, self.tol)
 
     def width(self) -> float:
         return self.interval.width
-
-
-def _weight_power_integral(ctx: _Ctx, w, exponent: float, tol=None) -> quad.QuadResult:
-    """integral of w(x)^exponent over the interval, w a spec or callable."""
-    if callable(w):
-        fn = lambda xs: np.asarray(w(xs), float) ** exponent
-        return ctx.integrate_fn(fn, tol=tol)
-    return ctx.integrate_spec(fs.power_of(w, exponent), tol=tol)
-
-
-def _mixed_integral(ctx: _Ctx, parts, tol=None, exponents=None) -> quad.QuadResult:
-    """integral of a product of (spec_or_callable, exponent) factors."""
-    specs = []
-    fns = []
-    breaks: set = set()
-    kappa_l = kappa_r = 0.0
-    for w, ex in parts:
-        if callable(w):
-            fns.append((w, ex))
-        else:
-            specs.append(fs.power_of(w, ex))
-            kappa_l += fs.endpoint_exponent(specs[-1], ctx.interval, "left")
-            kappa_r += fs.endpoint_exponent(specs[-1], ctx.interval, "right")
-            breaks.update(fs.breakpoints(w, ctx.interval))
-    if exponents is not None:
-        kappa_l, kappa_r = exponents
-    specs = fs.merge_product(specs)
-    if not fns:
-        return ctx.integrate_spec(
-            fs.Product(specs) if len(specs) > 1 else specs[0],
-            tol=tol,
-            exponents=(kappa_l, kappa_r),
-        )
-    progs = [fs.compile_program(sp, ctx.interval) for sp in specs]
-
-    def fn(xs):
-        out = np.ones_like(xs)
-        for prog in progs:
-            out = out * prog(xs)
-        for w, ex in fns:
-            out = out * np.asarray(w(xs), float) ** ex
-        return out
-
-    return ctx.integrate_fn(fn, tol=tol, exponents=(kappa_l, kappa_r),
-                            breaks=sorted(breaks))
 
 
 def _breakdown(ctx, factors, rel_err, rhs_weight=None):
@@ -513,54 +384,45 @@ def _breakdown(ctx, factors, rel_err, rhs_weight=None):
 
 
 def _build_t2_1(ctx: _Ctx):
-    res = _mixed_integral(ctx, [(ctx.R.spec if ctx.R.spec is not None else ctx.R, 2.0),
-                                (ctx.s, -1.0)])
-    name = "int R_tail^2/s" if ctx.side == "left" else "int R_head^2/s"
-    return _breakdown(ctx, [(name, res.value)],
+    res = ctx.integral((ctx.R.integrand, 2.0), (ctx.s, -1.0))
+    return _breakdown(ctx, [(f"int {ctx.R_name}^2/s", res.value)],
                       res.rel_error + 2 * ctx.R.rel_error)
 
 
 def _build_t2_3(ctx: _Ctx):
-    sup = ctx.sup_R()
-    name = "sup R_tail" if ctx.side == "left" else "sup R_head"
-    return _breakdown(ctx, [("b-a", ctx.width()), (name, sup.value)],
+    return _breakdown(ctx, [("b-a", ctx.width()), ctx.sup_R()],
                       1e-10 + ctx.R.rel_error)
 
 
 def _build_t2_5(ctx: _Ctx):
     sup = ctx.sup_R()
-    inv = _weight_power_integral(ctx, ctx.s, -1.0)
-    name = "sup R_tail" if ctx.side == "left" else "sup R_head"
-    return _breakdown(ctx, [(name, sup.value), ("int 1/s", inv.value)],
+    inv = ctx.integral((ctx.s, -1.0))
+    return _breakdown(ctx, [sup, ("int 1/s", inv.value)],
                       inv.rel_error + 1e-10 + ctx.R.rel_error)
 
 
 def _build_t2_7(ctx: _Ctx):
     p = ctx.exps["p"]
     sup = ctx.sup_R()
-    base = _weight_power_integral(ctx, ctx.s, -(p - 1.0))
-    name = "sup R_tail" if ctx.side == "left" else "sup R_head"
+    base = ctx.integral((ctx.s, -(p - 1.0)))
     return _breakdown(
         ctx,
-        [(name, sup.value), ("(int (1/s)^(p-1))^(2/p)", base.value ** (2.0 / p))],
+        [sup, ("(int (1/s)^(p-1))^(2/p)", base.value ** (2.0 / p))],
         (2.0 / p) * base.rel_error + 1e-10 + ctx.R.rel_error,
     )
 
 
 def _build_t2_9(ctx: _Ctx):
-    inv = _weight_power_integral(ctx, ctx.s, -1.0)
-    rhs_weight = "R_tail*s" if ctx.side == "left" else "R_head*s"
+    inv = ctx.integral((ctx.s, -1.0))
     return _breakdown(ctx, [("int 1/s", inv.value)], inv.rel_error,
-                      rhs_weight=rhs_weight)
+                      rhs_weight=f"{ctx.R_name}*s")
 
 
 def _build_t2_11(ctx: _Ctx):
     p = ctx.exps["p"]
-    sup = ctx.sup_R()
-    name = "sup R_tail" if ctx.side == "left" else "sup R_head"
     return _breakdown(
         ctx,
-        [("(b-a)^p", ctx.width() ** p), (name, sup.value)],
+        [("(b-a)^p", ctx.width() ** p), ctx.sup_R()],
         1e-10 + ctx.R.rel_error,
     )
 
@@ -575,19 +437,17 @@ def _build_t2_13(ctx: _Ctx):
 def _build_t2_14(ctx: _Ctx):
     p = ctx.exps["p"]
     sup = ctx.sup_R()
-    base = _weight_power_integral(ctx, ctx.s, -1.0 / p)
-    name = "sup R_tail" if ctx.side == "left" else "sup R_head"
+    base = ctx.integral((ctx.s, -1.0 / p))
     return _breakdown(
         ctx,
-        [(name, sup.value), ("(int s^(-1/p))^p", base.value**p)],
+        [sup, ("(int s^(-1/p))^p", base.value**p)],
         p * base.rel_error + 1e-10 + ctx.R.rel_error,
     )
 
 
 def _build_t2_16(ctx: _Ctx):
     p, q = ctx.exps["p"], ctx.exps["q"]
-    Rp = _mixed_integral(ctx, [(ctx.R.spec if ctx.R.spec is not None else ctx.R, p)])
-    rname = "(int R_tail^p)^(1/p)" if ctx.side == "left" else "(int R_head^p)^(1/p)"
+    Rp = ctx.integral((ctx.R.integrand, p))
     if ctx.mode == "as_printed":
         lead_name, lead = "(p+1)^(1/p)", (p + 1.0) ** (1.0 / p)
     else:
@@ -595,26 +455,21 @@ def _build_t2_16(ctx: _Ctx):
     return _breakdown(
         ctx,
         [(lead_name, lead), ("(b-a)^p", ctx.width() ** p),
-         (rname, Rp.value ** (1.0 / p))],
+         (f"(int {ctx.R_name}^p)^(1/p)", Rp.value ** (1.0 / p))],
         (1.0 / p) * (Rp.rel_error + p * ctx.R.rel_error),
     )
 
 
 def _build_c2_1(ctx: _Ctx):
     p = ctx.exps["p"]
-    Rp = _mixed_integral(ctx, [(ctx.R.spec if ctx.R.spec is not None else ctx.R, p)])
-    rname = (
-        "(int R_tail^p)^(1/(p(p+1)))"
-        if ctx.side == "left"
-        else "(int R_head^p)^(1/(p(p+1)))"
-    )
+    Rp = ctx.integral((ctx.R.integrand, p))
     pp1 = p * (p + 1.0)
     return _breakdown(
         ctx,
         [
             ("(p+1)^(1/(p(p+1)))", (p + 1.0) ** (1.0 / pp1)),
             ("(b-a)^(p/(p+1))", ctx.width() ** (p / (p + 1.0))),
-            (rname, Rp.value ** (1.0 / pp1)),
+            (f"(int {ctx.R_name}^p)^(1/(p(p+1)))", Rp.value ** (1.0 / pp1)),
         ],
         (1.0 / pp1) * (Rp.rel_error + p * ctx.R.rel_error),
     )
@@ -622,24 +477,22 @@ def _build_c2_1(ctx: _Ctx):
 
 def _build_t2_18(ctx: _Ctx):
     p = ctx.exps["p"]
-    rhs_weight = "R_tail" if ctx.side == "left" else "R_head"
     return _breakdown(ctx, [("(b-a)^p", ctx.width() ** p)], ctx.R.rel_error,
-                      rhs_weight=rhs_weight)
+                      rhs_weight=ctx.R_name)
 
 
 def _build_t2_20(ctx: _Ctx):
     p, q, s_exp = ctx.exps["p"], ctx.exps["q"], ctx.exps["k"]
     params = special.BoydParams(p * q, q, s_exp)
     n_val, n_rel = special.boyd_N_result(params, tol=1e-10)
-    Rp = _mixed_integral(ctx, [(ctx.R.spec if ctx.R.spec is not None else ctx.R, p)])
-    rname = "(int R_tail^p)^(1/p)" if ctx.side == "left" else "(int R_head^p)^(1/p)"
+    Rp = ctx.integral((ctx.R.integrand, p))
     return _breakdown(
         ctx,
         [
             ("p+1", p + 1.0),
             ("N^(1/q)(pq,q,s)", n_val ** (1.0 / q)),
             ("(b-a)^p", ctx.width() ** p),
-            (rname, Rp.value ** (1.0 / p)),
+            (f"(int {ctx.R_name}^p)^(1/p)", Rp.value ** (1.0 / p)),
         ],
         n_rel / q + (1.0 / p) * Rp.rel_error + ctx.R.rel_error,
     )
@@ -647,60 +500,30 @@ def _build_t2_20(ctx: _Ctx):
 
 def _build_t2_22(ctx: _Ctx):
     p, q = ctx.exps["p"], ctx.exps["q"]
-    l_mode = "as_printed" if ctx.mode == "as_printed" else "as_derived"
-    l_val = special.boyd_L(p * q, q, mode=l_mode)
-    Rp = _mixed_integral(ctx, [(ctx.R.spec if ctx.R.spec is not None else ctx.R, p)])
-    rname = "(int R_tail^p)^(1/p)" if ctx.side == "left" else "(int R_head^p)^(1/p)"
+    l_val = special.boyd_L(p * q, q, mode=ctx.mode)
+    Rp = ctx.integral((ctx.R.integrand, p))
     return _breakdown(
         ctx,
         [
             ("p+1", p + 1.0),
             ("L^(1/q)(pq,q)", l_val ** (1.0 / q)),
             ("(b-a)^p", ctx.width() ** p),
-            (rname, Rp.value ** (1.0 / p)),
+            (f"(int {ctx.R_name}^p)^(1/p)", Rp.value ** (1.0 / p)),
         ],
         (1.0 / p) * Rp.rel_error + ctx.R.rel_error + 1e-12,
     )
 
 
-def _k1_with_mode(ctx: _Ctx, side: str):
+def _k1_with_mode(ctx: _Ctx):
     """K1/K2(a,b,pq,q) with the printed or substitution-consistent
     r-exponent; printed uses (pq+q)/p, derived (pq+q)/(pq)."""
     p, q = ctx.exps["p"], ctx.exps["q"]
     pq = p * q
-    tol = ctx.tol
-    gamma = -1.0 / (pq + q - 1.0)
-    inner_side = "head" if side == "left" else "tail"
-    inner, inner_rel = _inner_cumulative(ctx.s, gamma, ctx.interval, inner_side, tol)
-
     er = (pq + q) / p if ctx.mode == "as_printed" else (pq + q) / pq
-    es = -q / pq
-
-    r_prog = ctx.r if callable(ctx.r) else fs.compile_program(ctx.r, ctx.interval)
-    s_prog = ctx.s if callable(ctx.s) else fs.compile_program(ctx.s, ctx.interval)
-
-    def integrand(xs):
-        inner_vals = np.maximum(np.asarray(inner(xs), dtype=float), 0.0)
-        return (
-            np.asarray(r_prog(xs), float) ** er
-            * np.asarray(s_prog(xs), float) ** es
-            * inner_vals ** (pq + q - 1.0)
-        )
-
-    kappa_l = kappa_r = 0.0
-    if not callable(ctx.r):
-        kappa_l += er * fs.endpoint_exponent(ctx.r, ctx.interval, "left")
-        kappa_r += er * fs.endpoint_exponent(ctx.r, ctx.interval, "right")
-    if not callable(ctx.s):
-        kappa_l += es * fs.endpoint_exponent(ctx.s, ctx.interval, "left")
-        kappa_r += es * fs.endpoint_exponent(ctx.s, ctx.interval, "right")
-
-    outer = quad.integrate(
-        integrand,
-        ctx.interval,
-        tol=tol,
-        endpoint_exponents=(kappa_l, kappa_r),
-        breakpoints=None if callable(ctx.s) else fs.breakpoints(ctx.s, ctx.interval),
+    outer, inner_rel = _beesack_integral(
+        ctx.r, ctx.s, er, -q / pq, pq + q - 1.0, -1.0 / (pq + q - 1.0),
+        "head" if ctx.side == "left" else "tail", ctx.interval, ctx.interval,
+        ctx.tol,
     )
     lead = (q / (pq + q)) ** (q / (pq + q))
     value = lead * outer.value ** (pq / (pq + q))
@@ -708,67 +531,44 @@ def _k1_with_mode(ctx: _Ctx, side: str):
     return value, rel
 
 
-def _build_t2_27(ctx: _Ctx):
+def _beesack_factors(ctx: _Ctx, k_name, kv, k_rel):
+    """(p+1) K^(1/q) (int R^p r^(-1/q))^(1/p), shared by T2.27 and T2.30."""
     p, q = ctx.exps["p"], ctx.exps["q"]
-    k1, k1_rel = _k1_with_mode(ctx, ctx.side)
-    mix = _mixed_integral(
-        ctx,
-        [(ctx.R.spec if ctx.R.spec is not None else ctx.R, p), (ctx.r, -1.0 / q)],
-    )
-    k_name = "K1^(1/q)(a,b,pq,q)" if ctx.side == "left" else "K2^(1/q)(a,b,pq,q)"
-    rname = (
-        "(int R_tail^p/r^(1/q))^(1/p)"
-        if ctx.side == "left"
-        else "(int R_head^p/r^(1/q))^(1/p)"
-    )
-    return _breakdown(
-        ctx,
-        [
-            ("p+1", p + 1.0),
-            (k_name, k1 ** (1.0 / q)),
-            (rname, mix.value ** (1.0 / p)),
-        ],
-        k1_rel / q + (1.0 / p) * (mix.rel_error + p * ctx.R.rel_error),
-    )
-
-
-def _build_t2_30(ctx: _Ctx):
-    p, q = ctx.exps["p"], ctx.exps["q"]
-    k = ctx.exps["k"]
-    if ctx.mode == "as_printed":
-        raise PreconditionFailed(
-            "as printed this constant sets k = q, which violates 0 < q < k; "
-            "the k-free as_derived form is the supported reading"
-        )
-    side = "left" if ctx.side == "left" else "right"
-    kv, k_rel = beesack_K(
-        ExponentSet(p=p, q=q, k=k, conjugate_check=False),
-        ctx.r,
-        ctx.s,
-        ctx.interval,
-        side=side,
-        substituted=True,
-        tol=ctx.tol,
-    )
-    mix = _mixed_integral(
-        ctx,
-        [(ctx.R.spec if ctx.R.spec is not None else ctx.R, p), (ctx.r, -1.0 / q)],
-    )
-    k_name = "K1^(1/q)(pq,q,k)" if ctx.side == "left" else "K2^(1/q)(pq,q,k)"
-    rname = (
-        "(int R_tail^p/r^(1/q))^(1/p)"
-        if ctx.side == "left"
-        else "(int R_head^p/r^(1/q))^(1/p)"
-    )
+    mix = ctx.integral((ctx.R.integrand, p), (ctx.r, -1.0 / q))
+    k_name = ("K1" if ctx.side == "left" else "K2") + k_name
     return _breakdown(
         ctx,
         [
             ("p+1", p + 1.0),
             (k_name, kv ** (1.0 / q)),
-            (rname, mix.value ** (1.0 / p)),
+            (f"(int {ctx.R_name}^p/r^(1/q))^(1/p)", mix.value ** (1.0 / p)),
         ],
         k_rel / q + (1.0 / p) * (mix.rel_error + p * ctx.R.rel_error),
     )
+
+
+def _build_t2_27(ctx: _Ctx):
+    k1, k1_rel = _k1_with_mode(ctx)
+    return _beesack_factors(ctx, "^(1/q)(a,b,pq,q)", k1, k1_rel)
+
+
+def _build_t2_30(ctx: _Ctx):
+    if ctx.mode == "as_printed":
+        raise PreconditionFailed(
+            "as printed this constant sets k = q, which violates 0 < q < k; "
+            "the k-free as_derived form is the supported reading"
+        )
+    p, q, k = ctx.exps["p"], ctx.exps["q"], ctx.exps["k"]
+    kv, k_rel = beesack_K(
+        ExponentSet(p=p, q=q, k=k, conjugate_check=False),
+        ctx.r,
+        ctx.s,
+        ctx.interval,
+        side=ctx.side,
+        substituted=True,
+        tol=ctx.tol,
+    )
+    return _beesack_factors(ctx, "^(1/q)(pq,q,k)", kv, k_rel)
 
 
 def _build_hardy(ctx: _Ctx):

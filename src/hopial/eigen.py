@@ -41,6 +41,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from . import _kernel
 from . import funcspace as fs
+from . import quad
 from .errors import (
     DomainError,
     HopialError,
@@ -96,16 +97,7 @@ def _as_fn(w, interval):
     if isinstance(w, fs.Program):
         return w
     if callable(w):
-        def fn(xs):
-            try:
-                out = np.asarray(w(xs), dtype=float)
-                if out.shape != np.shape(xs):
-                    raise ValueError
-                return out
-            except (TypeError, ValueError):
-                return np.array([float(w(float(x))) for x in np.atleast_1d(xs)])
-
-        return fn
+        return quad._as_array_fn(w)
     return fs.compile_program(w, interval)
 
 
@@ -222,10 +214,12 @@ def _march(legs_data, lam, p):
     return u, w, crossed
 
 
-def _prepare_legs(R_fn, m_fn, lo, hi, wall_left, wall_right, n_steps):
+def _prepare_legs(R_fn, m_fn, lo, hi, p, wall_left, wall_right, n_steps):
+    """Coefficients in the leg variable t of x = g(t): the flux R |u_x|^(p-1)
+    u_x becomes (R / g'^p) |u_t|^(p-1) u_t and the density m becomes m g'."""
     data = []
     for xs, gprime, h in _legs(lo, hi, wall_left, wall_right, n_steps):
-        R_vals = np.asarray(R_fn(xs), dtype=float) / gprime
+        R_vals = np.asarray(R_fn(xs), dtype=float) / gprime**p
         m_vals = np.maximum(np.asarray(m_fn(xs), dtype=float), 0.0) * gprime
         if np.any(R_vals <= 0) or np.any(~np.isfinite(R_vals)):
             raise SingularCoefficient("leading coefficient must stay positive")
@@ -235,7 +229,8 @@ def _prepare_legs(R_fn, m_fn, lo, hi, wall_left, wall_right, n_steps):
 
 def _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left=None, wall_right=None,
                     n_steps=_SHOOT_STEPS, bracket=None, boundary="both"):
-    legs_data = _prepare_legs(R_fn, m_fn, lo, hi, wall_left, wall_right, n_steps)
+    legs_data = _prepare_legs(R_fn, m_fn, lo, hi, p, wall_left, wall_right,
+                              n_steps)
 
     if boundary == "both":
         def crossed(lam):
@@ -268,6 +263,17 @@ def _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left=None, wall_right=None,
         else:
             lo_l = mid
     return 0.5 * (lo_l + hi_l)
+
+
+def _fem_and_shooting(R_fn, m_fn, lo, hi, wall_left, wall_right, boundary, tol):
+    """The two p = 1 routes: (fem value, fem error, shooting value).  The
+    shooting bisection is bracketed around the finite-element value."""
+    lam_fd, err_fd = _fem_richardson(R_fn, m_fn, lo, hi, wall_left, wall_right,
+                                     boundary == "left_zero")
+    lam_sh = _shoot_smallest(R_fn, m_fn, lo, hi, 1.0, tol, wall_left, wall_right,
+                             bracket=(0.5 * lam_fd, 1.5 * lam_fd),
+                             boundary=boundary)
+    return lam_fd, err_fd, lam_sh
 
 
 def _aitken(seq):
@@ -314,15 +320,10 @@ def solve_smallest(prob: EigenProblem, tol: float = 1e-8) -> EigenResult:
     sing_right = r_at_b < 1e-6 * coeff_scale
 
     def solve_on(lo, hi, wall_left, wall_right):
-        neumann_right = prob.boundary == "left_zero"
         if prob.p == 1:
-            lam_fd, err_fd = _fem_richardson(
-                R_fn, m_fn, lo, hi, wall_left, wall_right, neumann_right
-            )
-            lam_sh = _shoot_smallest(
-                R_fn, m_fn, lo, hi, prob.p, min(tol, 1e-9),
-                wall_left, wall_right,
-                bracket=(0.5 * lam_fd, 1.5 * lam_fd), boundary=prob.boundary,
+            lam_fd, err_fd, lam_sh = _fem_and_shooting(
+                R_fn, m_fn, lo, hi, wall_left, wall_right, prob.boundary,
+                min(tol, 1e-9),
             )
             gap = abs(lam_fd - lam_sh)
             if gap > max(tol, 1e-6) * abs(lam_fd):
@@ -366,14 +367,10 @@ def compare_routes(prob: EigenProblem, tol: float = 1e-9) -> dict:
     """
     if prob.p != 1:
         raise DomainError("route comparison is defined for the linear case p = 1")
-    a, b = prob.interval.a, prob.interval.b
-    R_fn = _as_fn(prob.weight_R, prob.interval)
-    m_fn = _as_fn(prob.weight_m, prob.interval)
-    neumann_right = prob.boundary == "left_zero"
-    lam_fem, _ = _fem_richardson(R_fn, m_fn, a, b, None, None, neumann_right)
-    lam_shoot = _shoot_smallest(R_fn, m_fn, a, b, 1.0, tol,
-                                bracket=(0.5 * lam_fem, 1.5 * lam_fem),
-                                boundary=prob.boundary)
+    lam_fem, _, lam_shoot = _fem_and_shooting(
+        _as_fn(prob.weight_R, prob.interval), _as_fn(prob.weight_m, prob.interval),
+        prob.interval.a, prob.interval.b, None, None, prob.boundary, tol,
+    )
     return {
         "fem": lam_fem,
         "shooting": lam_shoot,
@@ -442,17 +439,7 @@ def t2_13_constant_result(r, s, p, interval: fs.Interval, tol: float = 1e-8):
             "spectrum only for s' >= 0"
         )
 
-    weight_R = fs.tail_integral_spec(r, interval) if not callable(r) else None
-    if weight_R is None:
-        from . import quad as _quad
-
-        r_fn = _as_fn(r, interval)
-        table = _quad.cumulative(r_fn, interval, 256)
-        total = table.value_at(interval.b)
-
-        def weight_R(xs):
-            return total - table(xs)
-
+    weight_R = quad.RunningIntegral(r, interval, "tail", n=256).integrand
     prob = EigenProblem(weight_R, m_fn, float(p), interval, "both")
     res = solve_smallest(prob, tol)
     return 1.0 / res.value, res.rel_error

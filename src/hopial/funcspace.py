@@ -23,6 +23,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import _kernel
+from ._kernel.fallback import (OP_ABS, OP_ADD, OP_CONST, OP_EXP, OP_MUL,
+                               OP_POW_LEFT, OP_POW_RIGHT, OP_POWER, OP_PPOLY,
+                               OP_PWL, OP_STEP)
 from .errors import DomainError, InvalidSpec
 
 __all__ = [
@@ -209,6 +212,11 @@ def validate(spec: FunctionSpec, interval: Interval) -> None:
     if isinstance(spec, (Constant, PowerLaw, ShiftedPowerLaw, Exponential)):
         if not math.isfinite(spec.c):
             raise InvalidSpec("coefficient must be finite")
+        if isinstance(spec, (PowerLaw, ShiftedPowerLaw)):
+            if not math.isfinite(spec.alpha):
+                raise InvalidSpec("power-law exponent must be finite")
+        if isinstance(spec, Exponential) and not math.isfinite(spec.beta):
+            raise InvalidSpec("exponential rate must be finite")
         return
     if isinstance(spec, PiecewiseLinear):
         xs = [x for x, _ in spec.knots]
@@ -460,20 +468,19 @@ def closed_antiderivative(spec: FunctionSpec, interval: Interval) -> Optional[Fu
         return Sum([Exponential(k, spec.beta), Constant(-k * math.exp(spec.beta * a))])
     if isinstance(spec, PiecewiseLinear):
         xs = [x for x, _ in spec.knots]
-        vs = [v for _, v in spec.knots]
         rows = []
         acc = 0.0
         for (x0, v0), (x1, v1) in zip(spec.knots, spec.knots[1:]):
             slope = (v1 - v0) / (x1 - x0)
             rows.append((acc, v0, slope / 2.0))
             acc += (v0 + v1) / 2.0 * (x1 - x0)
-        return PiecewisePolynomial(xs, rows)
+        return _zero_at_left_end(PiecewisePolynomial(xs, rows), interval)
     if isinstance(spec, Step):
         xs = list(spec.breaks)
         vals = [0.0]
         for (x0, x1), v in zip(zip(xs, xs[1:]), spec.values):
             vals.append(vals[-1] + v * (x1 - x0))
-        return PiecewiseLinear(list(zip(xs, vals)))
+        return _zero_at_left_end(PiecewiseLinear(list(zip(xs, vals))), interval)
     if isinstance(spec, PiecewisePolynomial):
         rows = []
         acc = 0.0
@@ -482,7 +489,7 @@ def closed_antiderivative(spec: FunctionSpec, interval: Interval) -> Optional[Fu
             rows.append(tuple(integ))
             w = x1 - x0
             acc = sum(coef * w**j for j, coef in enumerate(integ))
-        return PiecewisePolynomial(spec.breaks, rows)
+        return _zero_at_left_end(PiecewisePolynomial(spec.breaks, rows), interval)
     if isinstance(spec, Sum):
         parts = [closed_antiderivative(t, interval) for t in spec.terms]
         if any(p is None for p in parts):
@@ -491,9 +498,18 @@ def closed_antiderivative(spec: FunctionSpec, interval: Interval) -> Optional[Fu
     return None
 
 
-def head_integral_spec(spec: FunctionSpec, interval: Interval) -> Optional[FunctionSpec]:
-    """Running integral from the left endpoint, as a spec (or None)."""
-    return closed_antiderivative(spec, interval)
+def _zero_at_left_end(anti, interval: Interval):
+    """Piecewise antiderivatives vanish at their first break; when that
+    break lies left of a, shift them so that G(a) = 0."""
+    first = anti.knots[0][0] if isinstance(anti, PiecewiseLinear) else anti.breaks[0]
+    if first >= interval.a:
+        return anti
+    shift = evaluate(anti, interval.a, interval)
+    if isinstance(anti, PiecewiseLinear):
+        return PiecewiseLinear([(x, v - shift) for x, v in anti.knots])
+    return PiecewisePolynomial(
+        anti.breaks, [(row[0] - shift,) + row[1:] for row in anti.coeffs]
+    )
 
 
 def tail_integral_spec(spec: FunctionSpec, interval: Interval) -> Optional[FunctionSpec]:
@@ -787,19 +803,6 @@ def sample_family(family: FamilySpec, count: int) -> list:
 # program compilation (array evaluation kernel)
 # ---------------------------------------------------------------------------
 
-_OP_CONST = 0
-_OP_POW_LEFT = 1
-_OP_POW_RIGHT = 2
-_OP_EXP = 3
-_OP_PWL = 4
-_OP_STEP = 5
-_OP_PPOLY = 6
-_OP_ADD = 7
-_OP_MUL = 8
-_OP_POWER = 9
-_OP_ABS = 10
-
-
 class Program:
     """Flat postfix program evaluating a spec on float64 arrays."""
 
@@ -825,22 +828,22 @@ def _compile_into(spec, interval, ops, fargs, iargs, data):
     """Returns the stack depth needed by this subtree."""
     a, b = interval.a, interval.b
     if isinstance(spec, Constant):
-        ops.append(_OP_CONST)
+        ops.append(OP_CONST)
         fargs.append((spec.c, 0.0, 0.0))
         iargs.append((0, 0))
         return 1
     if isinstance(spec, PowerLaw):
-        ops.append(_OP_POW_LEFT)
+        ops.append(OP_POW_LEFT)
         fargs.append((spec.c, spec.alpha, a))
         iargs.append((0, 0))
         return 1
     if isinstance(spec, ShiftedPowerLaw):
-        ops.append(_OP_POW_RIGHT)
+        ops.append(OP_POW_RIGHT)
         fargs.append((spec.c, spec.alpha, b))
         iargs.append((0, 0))
         return 1
     if isinstance(spec, Exponential):
-        ops.append(_OP_EXP)
+        ops.append(OP_EXP)
         fargs.append((spec.c, spec.beta, 0.0))
         iargs.append((0, 0))
         return 1
@@ -849,7 +852,7 @@ def _compile_into(spec, interval, ops, fargs, iargs, data):
         n = len(spec.knots)
         data.extend(x for x, _ in spec.knots)
         data.extend(v for _, v in spec.knots)
-        ops.append(_OP_PWL)
+        ops.append(OP_PWL)
         fargs.append((0.0, 0.0, 0.0))
         iargs.append((off, n))
         return 1
@@ -858,7 +861,7 @@ def _compile_into(spec, interval, ops, fargs, iargs, data):
         n = len(spec.values)
         data.extend(spec.breaks)
         data.extend(spec.values)
-        ops.append(_OP_STEP)
+        ops.append(OP_STEP)
         fargs.append((0.0, 0.0, 0.0))
         iargs.append((off, n))
         return 1
@@ -870,12 +873,12 @@ def _compile_into(spec, interval, ops, fargs, iargs, data):
         for row in spec.coeffs:
             padded = list(row) + [0.0] * (deg + 1 - len(row))
             data.extend(padded)
-        ops.append(_OP_PPOLY)
+        ops.append(OP_PPOLY)
         fargs.append((float(deg), 0.0, 0.0))
         iargs.append((off, n))
         return 1
     if isinstance(spec, (Sum, Product)):
-        opcode = _OP_ADD if isinstance(spec, Sum) else _OP_MUL
+        opcode = OP_ADD if isinstance(spec, Sum) else OP_MUL
         depth = 0
         for i, term in enumerate(spec.terms):
             d = _compile_into(term, interval, ops, fargs, iargs, data)
@@ -887,13 +890,13 @@ def _compile_into(spec, interval, ops, fargs, iargs, data):
         return max(depth, 1)
     if isinstance(spec, Power):
         d = _compile_into(spec.base, interval, ops, fargs, iargs, data)
-        ops.append(_OP_POWER)
+        ops.append(OP_POWER)
         fargs.append((spec.exponent, 0.0, 0.0))
         iargs.append((0, 0))
         return d
     if isinstance(spec, AbsVal):
         d = _compile_into(spec.term, interval, ops, fargs, iargs, data)
-        ops.append(_OP_ABS)
+        ops.append(OP_ABS)
         fargs.append((0.0, 0.0, 0.0))
         iargs.append((0, 0))
         return d

@@ -30,8 +30,10 @@ from .errors import BudgetExceeded, DomainError, NonIntegrable
 __all__ = [
     "QuadResult",
     "CumulativeTable",
+    "RunningIntegral",
     "SupResult",
     "integrate",
+    "product_integral",
     "cumulative",
     "sup_on_interval",
     "SMOOTH_TOL",
@@ -311,6 +313,50 @@ def integrate(
     return QuadResult(total, total_err, used_total)
 
 
+def product_integral(parts, interval: fs.Interval,
+                     tol: Optional[float] = None) -> QuadResult:
+    """Integral over ``interval`` of the product of w^ex for (w, ex) parts.
+
+    ``w`` is a spec or a callable; None weights and zero exponents are
+    skipped.  Spec factors keep their structure: same-anchor power laws
+    are merged, endpoint exponents add up and breakpoints carry over to
+    the callable factors.
+    """
+    specs, fns = [], []
+    kappa_l = kappa_r = 0.0
+    breaks: set = set()
+    for w, ex in parts:
+        if w is None or ex == 0:
+            continue
+        if callable(w):
+            fns.append((w, ex))
+        else:
+            sp = fs.power_of(w, ex)
+            specs.append(sp)
+            kappa_l += fs.endpoint_exponent(sp, interval, "left")
+            kappa_r += fs.endpoint_exponent(sp, interval, "right")
+            breaks.update(fs.breakpoints(sp, interval))
+    specs = fs.merge_product(specs)
+    if not fns:
+        target = specs[0] if len(specs) == 1 else fs.Product(specs)
+        return integrate(target, interval, tol=tol,
+                         endpoint_exponents=(kappa_l, kappa_r))
+    progs = [fs.compile_program(sp, interval) for sp in specs]
+
+    def fn(xs):
+        out = np.ones_like(xs)
+        for prog in progs:
+            out = out * prog(xs)
+        for w, ex in fns:
+            vals = np.asarray(w(xs), dtype=float)
+            out = out * (vals if ex == 1 else vals**ex)
+        return out
+
+    return integrate(fn, interval, tol=tol,
+                     endpoint_exponents=(kappa_l, kappa_r),
+                     breakpoints=sorted(breaks))
+
+
 @dataclass(frozen=True)
 class CumulativeTable:
     """F(x) = integral of f from a to x, tabulated on a grid.
@@ -392,6 +438,44 @@ def cumulative(
         direct = integrate(f, fs.Interval(a, float(x)), tol=tol, home=interval)
         worst = max(worst, abs(direct.value - float(spline(x))) + direct.abs_error_estimate)
     return CumulativeTable(grid, values, 3, eval_fn, worst)
+
+
+class RunningIntegral:
+    """F(a, x) (side="head") or F(x, b) (side="tail") of ``f``.
+
+    A closed antiderivative gives an exact spec (rel_error 0); otherwise an
+    n-cell cumulative table stands in and its query error is tracked.
+    ``integrand`` is what a downstream quadrature should see: the spec
+    when there is one (keeping its structure), else this callable.
+    """
+
+    def __init__(self, f: Integrand, interval: fs.Interval, side: str,
+                 tol: Optional[float] = None, n: int = 128):
+        if side not in ("tail", "head"):
+            raise DomainError(f"side must be tail|head, got {side}")
+        self.side = side
+        self.spec = None
+        if not callable(f):
+            self.spec = (fs.closed_antiderivative(f, interval) if side == "head"
+                         else fs.tail_integral_spec(f, interval))
+        if self.spec is not None:
+            self._fn = fs.compile_program(self.spec, interval)
+            self.rel_error = 0.0
+            return
+        table = cumulative(f, interval, n, tol)
+        total = table.value_at(interval.b)
+        self._fn = table if side == "head" else (lambda xs: total - table(xs))
+        self.rel_error = table.query_error / max(abs(total), 1e-300)
+
+    @property
+    def integrand(self):
+        return self.spec if self.spec is not None else self
+
+    def __call__(self, xs):
+        return self._fn(np.asarray(xs, dtype=float))
+
+    def value_at(self, x: float) -> float:
+        return float(np.asarray(self._fn(np.array([float(x)])))[0])
 
 
 def sup_on_interval(

@@ -31,42 +31,12 @@ __all__ = [
     "boyd_L",
 ]
 
-# Lanczos approximation, g = 7, 9 terms; relative error ~1e-15 on the
-# positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
 
 def gamma(x: float) -> float:
     """Gamma function for real x > 0."""
     if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0.0:
         raise DomainError(f"gamma requires finite x > 0, got {x!r}")
-    x = float(x)
-    shift = 0
-    # recurrence lifts small arguments into the Lanczos sweet spot
-    while x < 0.5:
-        x += 1.0
-        shift += 1
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    value = _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
-    for k in range(shift):
-        value /= x - 1.0 - k  # undo Gamma(x) = Gamma(x+1)/x lifts
-    return value
+    return math.gamma(float(x))
 
 
 @dataclass(frozen=True)

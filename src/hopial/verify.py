@@ -16,8 +16,6 @@ typo-level constant issues from numerical noise.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -39,7 +37,6 @@ __all__ = [
     "verify",
     "sweep",
     "sharpness_search",
-    "thread_count",
 ]
 
 
@@ -105,14 +102,6 @@ class SharpnessResult:
     best_report: Optional[VerificationReport]
 
 
-def thread_count() -> int:
-    raw = os.environ.get("HOPIAL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # side assembly
 # ---------------------------------------------------------------------------
@@ -145,76 +134,15 @@ def _power_value(key: str, exps: dict) -> float:
     return float(value)
 
 
-def _cumulative_F(inst: TheoremInstance, info) -> tuple:
-    """(F spec or callable, rel error) from the correct endpoint."""
-    if callable(inst.f):
-        table = quad.cumulative(inst.f, inst.interval, 128)
-        total = table.value_at(inst.interval.b)
-        rel = table.query_error / max(abs(total), 1e-300)
-        if info.side == "left":
-            return table, rel
-        return (lambda xs: total - table(xs)), rel
-    spec = (
-        fs.head_integral_spec(inst.f, inst.interval)
-        if info.side == "left"
-        else fs.tail_integral_spec(inst.f, inst.interval)
-    )
-    if spec is not None:
-        return spec, 0.0
-    table = quad.cumulative(inst.f, inst.interval, 128)
-    total = table.value_at(inst.interval.b)
-    rel = table.query_error / max(abs(total), 1e-300)
-    if info.side == "left":
-        return table, rel
-    return (lambda xs: total - table(xs)), rel
-
-
-def _product_integral(inst, parts, tol) -> quad.QuadResult:
-    """integral over the instance interval of a product of (spec_or_fn,
-    exponent) pairs, with structural splits/exponents where available."""
-    interval = inst.interval
-    specs, fns = [], []
-    kappa_l = kappa_r = 0.0
-    breaks: set = set()
-    for w, ex in parts:
-        if w is None or ex == 0:
-            continue
-        if callable(w):
-            fns.append((w, ex))
-        else:
-            sp = fs.power_of(w, ex)
-            specs.append(sp)
-            kappa_l += fs.endpoint_exponent(sp, interval, "left")
-            kappa_r += fs.endpoint_exponent(sp, interval, "right")
-            breaks.update(fs.breakpoints(sp, interval))
-    specs = fs.merge_product(specs)
-    if not fns:
-        target = specs[0] if len(specs) == 1 else fs.Product(specs)
-        return quad.integrate(target, interval, tol=tol,
-                              endpoint_exponents=(kappa_l, kappa_r))
-    progs = [fs.compile_program(sp, interval) for sp in specs]
-
-    def fn(xs):
-        out = np.ones_like(xs)
-        for prog in progs:
-            out = out * prog(xs)
-        for w, ex in fns:
-            vals = np.asarray(w(xs), dtype=float)
-            out = out * (vals if ex == 1 else vals**ex)
-        return out
-
-    return quad.integrate(fn, interval, tol=tol,
-                          endpoint_exponents=(kappa_l, kappa_r),
-                          breakpoints=sorted(breaks))
-
-
 def assemble_lhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.QuadResult:
     """The displayed left-hand side, outer powers applied."""
     ident, info, mode, exps = inst.resolved()
-    F, f_rel = _cumulative_F(inst, info)
+    running = quad.RunningIntegral(inst.f, inst.interval,
+                                   "head" if info.side == "left" else "tail")
+    F, f_rel = running.integrand, running.rel_error
     shape = info.lhs
     if shape[0] == "sq_int_r_F":
-        base = _product_integral(inst, [(inst.r, 1.0), (F, 1.0)], tol)
+        base = quad.product_integral([(inst.r, 1.0), (F, 1.0)], inst.interval, tol)
         return quad.QuadResult(
             base.value**2,
             2.0 * (base.rel_error + f_rel) * base.value**2,
@@ -222,7 +150,7 @@ def assemble_lhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.Qua
         )
     if shape[0] == "int_r_F_pow":
         power = _power_value(shape[1], exps)
-        res = _product_integral(inst, [(inst.r, 1.0), (F, power)], tol)
+        res = quad.product_integral([(inst.r, 1.0), (F, power)], inst.interval, tol)
         return quad.QuadResult(
             res.value,
             (res.rel_error + power * f_rel) * abs(res.value),
@@ -230,7 +158,7 @@ def assemble_lhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.Qua
         )
     if shape[0] == "root_int_r_F":
         power = _power_value(shape[1], exps)
-        res = _product_integral(inst, [(inst.r, 1.0), (F, power)], tol)
+        res = quad.product_integral([(inst.r, 1.0), (F, power)], inst.interval, tol)
         root = 1.0 / power
         return quad.QuadResult(
             res.value**root,
@@ -240,7 +168,7 @@ def assemble_lhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.Qua
     if shape[0] == "hardy":
         p = exps["p"]
         inv = fs.PowerLaw(1.0, 1.0)
-        res = _product_integral(inst, [(F, p), (inv, -p)], tol)
+        res = quad.product_integral([(F, p), (inv, -p)], inst.interval, tol)
         return quad.QuadResult(
             res.value, (res.rel_error + p * f_rel) * abs(res.value),
             res.subdivisions,
@@ -259,8 +187,8 @@ def _rhs_weight_parts(inst, ident, mode, weight_tag, rhs_weight, tol):
                                    inst.interval, mode=mode, tol=tol)
             tag = bd.rhs_weight
         side = "tail" if tag.startswith("R_tail") else "head"
-        R = ct.WeightIntegral(inst.r, inst.interval, side)
-        parts.append((R.spec if R.spec is not None else R, 1.0))
+        R = quad.RunningIntegral(inst.r, inst.interval, side)
+        parts.append((R.integrand, 1.0))
         if tag.endswith("*s"):
             parts.append((inst.s, 1.0))
     return parts
@@ -278,12 +206,12 @@ def assemble_rhs(
         _, power_key, weight_tag = shape
         parts = _rhs_weight_parts(inst, ident, mode, weight_tag, rhs_weight, tol)
         parts.append((inst.f, _power_value(power_key, exps)))
-        return _product_integral(inst, parts, tol)
+        return quad.product_integral(parts, inst.interval, tol)
     if shape[0] == "pow_int_f":
         _, power_key, outer_key, weight_tag = shape
         parts = _rhs_weight_parts(inst, ident, mode, weight_tag, rhs_weight, tol)
         parts.append((inst.f, _power_value(power_key, exps)))
-        core = _product_integral(inst, parts, tol)
+        core = quad.product_integral(parts, inst.interval, tol)
         outer = _power_value(outer_key, exps)
         if core.value < 0:
             raise HopialError("negative core under an outer power")
@@ -353,22 +281,16 @@ def verify(
     return replace(confirmed, detail=detail)
 
 
-def _instance_reports(inst_list, tol, breakdown, max_workers):
-    def run(inst):
-        try:
-            return verify(inst, tol=tol, breakdown=breakdown)
-        except HopialError as exc:
-            ident = ct.canonical_id(inst.ident)
-            return VerificationReport(
-                ident, inst.mode, math.nan, math.nan, math.nan, math.nan,
-                "Inconclusive", math.inf, None,
-                f"{type(exc).__name__}: {exc}",
-            )
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run, inst_list))
-    return [run(inst) for inst in inst_list]
+def _sweep_report(inst, tol, breakdown):
+    try:
+        return verify(inst, tol=tol, breakdown=breakdown)
+    except HopialError as exc:
+        ident = ct.canonical_id(inst.ident)
+        return VerificationReport(
+            ident, inst.mode, math.nan, math.nan, math.nan, math.nan,
+            "Inconclusive", math.inf, None,
+            f"{type(exc).__name__}: {exc}",
+        )
 
 
 def sweep(
@@ -387,18 +309,19 @@ def sweep(
     The constant depends only on the weights, so it is computed once and
     shared; per-instance failures are recorded as Inconclusive reports
     with the reason, never aborting the sweep.  Deterministic for a fixed
-    family seed; instances are verified (and merged) in index order.
+    family seed; instances are verified in index order.
     """
     ident = ct.canonical_id(ident)
     resolved_mode = ct.resolve_mode(ident, mode)
     breakdown = ct.hardy_constant(ident, r, s, exponents, interval,
                                   mode=resolved_mode, tol=tol)
-    members = fs.sample_family(family, count)
-    instances = [
-        TheoremInstance(ident, r, s, f, exponents, interval, resolved_mode)
-        for f in members
+    reports = [
+        _sweep_report(
+            TheoremInstance(ident, r, s, f, exponents, interval, resolved_mode),
+            tol, breakdown,
+        )
+        for f in fs.sample_family(family, count)
     ]
-    reports = _instance_reports(instances, tol, breakdown, thread_count())
     finite = [
         (i, rep.ratio) for i, rep in enumerate(reports) if math.isfinite(rep.ratio)
     ]

@@ -5,6 +5,7 @@ import pytest
 
 from hopial import constants as ct
 from hopial import funcspace as fs
+from hopial import quad
 from hopial import special as sp
 from hopial.errors import NonIntegrable, PreconditionFailed
 
@@ -25,13 +26,13 @@ class TestTailHead:
         assert ct.r_head(r, 0.5, unit) == pytest.approx(0.25, rel=1e-12)
 
     def test_tail_nonincreasing(self, unit):
-        R = ct.WeightIntegral(fs.Exponential(1.0, 1.0), unit, "tail")
+        R = quad.RunningIntegral(fs.Exponential(1.0, 1.0), unit, "tail")
         xs = np.linspace(0, 1, 64)
         assert np.all(np.diff(R(xs)) <= 1e-14)
 
     def test_table_fallback_for_products(self, unit):
         r = fs.Product([fs.PowerLaw(1.0, 1.0), fs.Exponential(1.0, 1.0)])
-        R = ct.WeightIntegral(r, unit, "tail")
+        R = quad.RunningIntegral(r, unit, "tail")
         exact = lambda x: (1.0 * math.exp(1.0) - (x - 1.0) * math.exp(x)) - math.exp(1.0)
         # integral of t e^t from x to 1 = [ (t-1)e^t ]_x^1 = 0 - (x-1)e^x
         assert R.value_at(0.3) == pytest.approx(-(0.3 - 1.0) * math.exp(0.3), abs=1e-7)
@@ -179,6 +180,46 @@ class TestCallableEscapeHatch:
             e, lambda x: np.ones_like(x), lambda x: np.ones_like(x), unit, unit
         )
         assert call_val == pytest.approx(spec_val, rel=1e-7)
+
+
+class TestSupFactor:
+    # r >= 0: sup R_tail = R(a) and sup R_head = R(b), both the total
+    @pytest.mark.parametrize("iv", [fs.Interval(0.0, 1.0), fs.Interval(1.0, 2.0)])
+    @pytest.mark.parametrize("r", [
+        fs.PowerLaw(2.0, 0.5),
+        fs.Exponential(1.0, -1.0),
+        fs.PiecewiseLinear([(0.0, 0.3), (0.6, 0.0), (1.4, 2.0), (2.0, 0.5)]),
+        lambda x: 1.0 + 0.5 * np.sin(3.0 * x) ** 2,
+    ])
+    def test_sup_is_R_at_the_endpoint(self, iv, r):
+        total = quad.integrate(r, iv)
+        for ident, side, end in (("T2.3", "tail", iv.a), ("T2.4", "head", iv.b)):
+            b = ct.hardy_constant(ident, r, None, E(), iv)
+            name, sup = b.factors[1]
+            assert name == f"sup R_{side}"
+            assert sup == quad.RunningIntegral(r, iv, side).value_at(end)
+            slack = total.abs_error_estimate + b.error_estimate * abs(sup)
+            assert abs(sup - total.value) <= slack
+
+    @pytest.mark.parametrize("ident", ["T2.3", "T2.4", "T2.11", "T2.12"])
+    def test_divergent_weight_rejected(self, unit, ident):
+        for r in (fs.PowerLaw(1.0, -1.5), fs.ShiftedPowerLaw(1.0, -1.0)):
+            with pytest.raises(NonIntegrable):
+                ct.hardy_constant(ident, r, None, E(p=2.0), unit)
+
+
+class TestBeesackIntegral:
+    def test_k1_with_mode_as_derived_is_k1_at_pq(self, unit):
+        # the derived r-exponent (pq+q)/(pq) is the Beesack-Das K1/K2
+        # with p replaced by pq
+        r = fs.Sum([fs.Constant(1.0), fs.PowerLaw(1.5, 0.7)])
+        s = fs.Sum([fs.Constant(1.0), fs.PowerLaw(0.8, 1.2)])
+        p, q = 3.0, 1.5
+        for side, k_fn in (("left", ct.beesack_das_K1), ("right", ct.beesack_das_K2)):
+            ctx = ct._Ctx(r, s, E(p=p), unit, "as_derived", quad.SMOOTH_TOL, side,
+                          {"p": p, "q": q})
+            value, _ = ct._k1_with_mode(ctx)
+            assert value == k_fn(E(p=p * q, q=q), r, s, unit, unit)
 
 
 class TestBoydLimitDocumentation:

@@ -127,6 +127,31 @@ class TestQuasilinear:
         lam2 = eigen.smallest_eigenvalue(eigen.EigenProblem(one, one, 2.0, unit))
         assert lam1 != pytest.approx(lam2, rel=0.01)
 
+    def test_p2_closed_form_on_shifted_intervals(self):
+        # lambda = (c_R / c_m) (q - 1) (pi_q / L)^q with q = p + 1 and
+        # pi_q = 2 pi / (q sin(pi / q)); legs of length L != 1 divide R by
+        # g'^p, so this pins the quasilinear leg scaling away from (0, 1)
+        q = 3.0
+        pi_q = 2.0 * math.pi / (q * math.sin(math.pi / q))
+        for (a, b), expected in (((1.0, 3.0), 14.1444), ((-3.0, -2.5), 905.240)):
+            res = eigen.solve_smallest(eigen.EigenProblem(
+                fs.Constant(2.0), fs.Constant(0.5), 2.0, fs.Interval(a, b)
+            ))
+            exact = (2.0 / 0.5) * (q - 1.0) * (pi_q / (b - a)) ** q
+            assert exact == pytest.approx(expected, rel=1e-5)
+            assert res.value == pytest.approx(exact, rel=1e-6)
+
+    def test_p2_monotone_in_coefficient_with_wall(self, unit, one):
+        # R = x vanishes at a (stretched wall leg); raising R raises lambda
+        wall = eigen.solve_smallest(
+            eigen.EigenProblem(fs.PowerLaw(1.0, 1.0), one, 2.0, unit)
+        )
+        lifted = eigen.solve_smallest(eigen.EigenProblem(
+            fs.Sum([fs.Constant(0.01), fs.PowerLaw(1.0, 1.0)]), one, 2.0, unit
+        ))
+        assert wall.method == "truncated+aitken"
+        assert wall.value < lifted.value
+
 
 class TestT213Constant:
     def test_example_value_positive_and_stable(self, unit, one):

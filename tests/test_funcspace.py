@@ -74,6 +74,17 @@ class TestValidation:
         with pytest.raises(InvalidSpec):
             fs.validate_nonnegative(fs.Constant(-1.0), unit)
 
+    @pytest.mark.parametrize("spec", [
+        fs.PowerLaw(1.0, math.inf),
+        fs.PowerLaw(1.0, math.nan),
+        fs.ShiftedPowerLaw(1.0, -math.inf),
+        fs.Exponential(1.0, math.inf),
+        fs.Sum([fs.Constant(1.0), fs.Exponential(1.0, math.nan)]),
+    ])
+    def test_non_finite_exponent_rejected(self, unit, spec):
+        with pytest.raises(InvalidSpec):
+            fs.validate(spec, unit)
+
 
 class TestAntiderivative:
     def test_constant_is_linear(self, unit):
@@ -122,6 +133,16 @@ class TestAntiderivative:
         ):
             anti = fs.closed_antiderivative(spec, unit)
             assert fs.evaluate(anti, 0.0, unit) == pytest.approx(0.0, abs=1e-15)
+
+    def test_piecewise_knots_left_of_the_interval(self):
+        # knots may extend past a; the antiderivative still starts at a
+        iv = fs.Interval(1.0, 2.0)
+        pwl = fs.PiecewiseLinear([(0.0, 0.3), (0.6, 0.0), (1.4, 2.0), (2.0, 0.5)])
+        for spec in (pwl, fs.derivative(pwl, iv), fs.closed_antiderivative(pwl, iv)):
+            anti = fs.closed_antiderivative(spec, iv)
+            assert fs.evaluate(anti, 1.0, iv) == pytest.approx(0.0, abs=1e-15)
+            expected = quad.integrate(spec, iv).value
+            assert fs.evaluate(anti, 2.0, iv) == pytest.approx(expected, rel=1e-12)
 
 
 class TestDerivative:
