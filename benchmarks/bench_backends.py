@@ -3,8 +3,9 @@
 
 Two layers:
 
-* micro: spec-program evaluation throughput on representative integrands
-  (both backends in-process, same compiled programs);
+* micro: spec-program evaluation throughput on representative integrands,
+  and one 2048-step RK4 shooting march at p = 1 and at p = 2 (both
+  backends in-process, same inputs);
 * end-to-end: a soundness sweep run in a subprocess per backend, selected
   via HOPIAL_BACKEND, since the kernel is bound at import time.
 
@@ -69,6 +70,28 @@ def micro(repeats=400, n_points=960):
         print(line)
 
 
+def shoot_micro(repeats=20, n_steps=2048):
+    grid = np.linspace(0.0, 1.0, 2 * n_steps + 1)
+    r_half = 1.0 + 0.5 * np.sin(3.0 * grid) ** 2
+    m_half = 1.0 + grid
+    lam = 0.5  # below the first eigenvalue: every march runs all steps
+    print(f"-- micro: shoot_quasilinear, {n_steps} steps x {repeats} calls --")
+    for p in (1.0, 2.0):
+        row = {}
+        for bname, impl in backends().items():
+            impl.shoot_quasilinear(r_half, m_half, lam, 1.0 / n_steps, p)  # warm up
+            t0 = time.perf_counter()
+            for _ in range(repeats):
+                impl.shoot_quasilinear(r_half, m_half, lam, 1.0 / n_steps, p)
+            row[bname] = (time.perf_counter() - t0) / repeats
+        line = f"{f'march p = {p:g}':<22}"
+        for bname, dt in sorted(row.items()):
+            line += f"  {bname}: {dt * 1e3:8.3f} ms/call"
+        if "pure" in row and "compiled" in row:
+            line += f"  speedup: {row['pure'] / row['compiled']:5.2f}x"
+        print(line)
+
+
 def end_to_end(count):
     if "compiled" not in backends():
         print("-- end-to-end: compiled kernel not built, skipping --")
@@ -103,6 +126,7 @@ def main():
     args = parser.parse_args()
     print(f"available backends: {sorted(backends())}")
     micro()
+    shoot_micro()
     end_to_end(args.count)
 
 

@@ -15,6 +15,16 @@ They must agree to the requested tolerance; the disagreement feeds the
 error estimate.  For p > 1 only the shooting route exists (the problem is
 quasilinear).
 
+At p = 1 each RK4 step is linear in (u, w), and the numpy kernel marches
+a whole leg as one prefix-product scan of the step matrices instead of a
+Python loop over steps.  Without a bracket, the bisection ladder
+1e-8 * 4^k starts at the highest rung at or below a quarter of a Rayleigh
+lower bound (the problem with min R and max m in the leg variable has a
+closed-form eigenvalue); one march checks that the start rung does not
+cross, else the full ladder runs.  The rungs are exact powers of 4 times
+1e-8, so the bracket and every bisection step are the ones the full
+ladder would reach.
+
 A leading coefficient that vanishes at an endpoint -- the tail integral
 R(x, b) always does at b -- is handled by truncating to b - delta for
 delta in {1e-3, 5e-4, 2.5e-4} of the width and Aitken extrapolation of
@@ -76,8 +86,8 @@ class EigenProblem:
     boundary: str = "both"  # {"both", "left_zero", "right_zero"}
 
     def __post_init__(self):
-        if self.p < 1:
-            raise DomainError(f"p must be >= 1, got {self.p}")
+        if not (math.isfinite(self.p) and self.p >= 1):
+            raise DomainError(f"p must be finite and >= 1, got {self.p}")
         if self.boundary not in ("both", "left_zero", "right_zero"):
             raise DomainError(f"unknown boundary {self.boundary!r}")
 
@@ -203,8 +213,7 @@ def _march(legs_data, lam, p):
     """March all legs; returns (u_end, w_end, crossed)."""
     u, w = 0.0, None
     crossed = False
-    for xs_g, R_vals, m_vals, h in legs_data:
-        del xs_g
+    for R_vals, m_vals, h in legs_data:
         if w is None:
             w = float(R_vals[0])
         u, w, first_cross = _kernel.shoot_quasilinear(R_vals, m_vals, lam, h, p, u, w)
@@ -223,8 +232,35 @@ def _prepare_legs(R_fn, m_fn, lo, hi, p, wall_left, wall_right, n_steps):
         m_vals = np.maximum(np.asarray(m_fn(xs), dtype=float), 0.0) * gprime
         if np.any(R_vals <= 0) or np.any(~np.isfinite(R_vals)):
             raise SingularCoefficient("leading coefficient must stay positive")
-        data.append((xs, R_vals, m_vals, h))
+        data.append((R_vals, m_vals, h))
     return data
+
+
+def _rayleigh_floor(legs_data, p, boundary):
+    """Lower bound on lambda0 from the Rayleigh quotient in the leg variable
+    t: with min R_t and max m_t in place of R_t and m_t the problem has
+    constant coefficients, whose eigenvalue is (q - 1) (pi_q / T)^q with
+    q = p + 1 and T the total leg length (doubled for a free right end)."""
+    m_max = max(float(np.max(m_vals)) for _, m_vals, _ in legs_data)
+    if not m_max > 0.0:
+        return 0.0
+    R_min = min(float(np.min(R_vals)) for R_vals, _, _ in legs_data)
+    length = sum(h * ((len(R_vals) - 1) // 2) for R_vals, _, h in legs_data)
+    if boundary != "both":
+        length *= 2.0
+    q = p + 1.0
+    pi_q = 2.0 * math.pi / (q * math.sin(math.pi / q))
+    return R_min / m_max * (q - 1.0) * (pi_q / length) ** q
+
+
+def _ladder_start(floor):
+    """The highest rung _BRACKET_LO * 4^k at or below floor / 4 that stays
+    below _BRACKET_HI.  Each rung is the previous one times 4 (exact), so it
+    is bit-identical to the rung the full ladder reaches."""
+    rung = _BRACKET_LO
+    while 4.0 * rung <= 0.25 * floor and 4.0 * rung < _BRACKET_HI:
+        rung *= 4.0
+    return rung
 
 
 def _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left=None, wall_right=None,
@@ -242,7 +278,12 @@ def _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left=None, wall_right=None,
             return hit or w_end <= 0.0
 
     if bracket is None:
+        # the ladder starts a factor 4 below the Rayleigh floor; a start that
+        # already crosses falls back to the full ladder from _BRACKET_LO
         lo_l, hi_l = _BRACKET_LO, _BRACKET_LO
+        start = _ladder_start(_rayleigh_floor(legs_data, p, boundary))
+        if start > _BRACKET_LO and not crossed(start):
+            lo_l, hi_l = start, 4.0 * start
         while hi_l < _BRACKET_HI and not crossed(hi_l):
             lo_l = hi_l
             hi_l *= 4.0
