@@ -4,8 +4,9 @@
 Two layers:
 
 * micro: spec-program evaluation throughput on representative integrands,
-  and one 2048-step RK4 shooting march at p = 1 and at p = 2 (both
-  backends in-process, same inputs);
+  one 2048-step RK4 shooting march at p = 1 and at p = 2, and one p = 2
+  eigenvalue solve with its number of leg marches (both backends
+  in-process, same inputs);
 * end-to-end: a soundness sweep run in a subprocess per backend, selected
   via HOPIAL_BACKEND, since the kernel is bound at import time.
 
@@ -22,6 +23,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from hopial import _kernel, eigen  # noqa: E402
 from hopial import funcspace as fs  # noqa: E402
 from hopial._kernel import backends  # noqa: E402
 
@@ -92,6 +94,39 @@ def shoot_micro(repeats=20, n_steps=2048):
         print(line)
 
 
+def solve_micro(repeats=3):
+    """One p = 2 solve_smallest (two shooting searches, 2048 and 1024
+    steps) per backend, with the kernel swapped in for the solve."""
+    iv = fs.Interval(0.0, 1.0)
+    prob = eigen.EigenProblem(fs.Sum([fs.Constant(1.0), fs.PowerLaw(1.0, 2.0)]),
+                              fs.Exponential(1.0, 0.5), 2.0, iv)
+    print(f"-- micro: p = 2 solve_smallest x {repeats} calls --")
+    row = {}
+    for bname, impl in backends().items():
+        marches = []
+
+        def counting(*args):
+            marches.append(1)
+            return impl.shoot_quasilinear(*args)
+
+        saved = _kernel.shoot_quasilinear
+        _kernel.shoot_quasilinear = counting
+        try:
+            t0 = time.perf_counter()
+            for _ in range(repeats):
+                eigen.solve_smallest(prob)
+            row[bname] = ((time.perf_counter() - t0) / repeats,
+                          len(marches) // repeats)
+        finally:
+            _kernel.shoot_quasilinear = saved
+    line = f"{'solve p = 2':<22}"
+    for bname, (dt, n) in sorted(row.items()):
+        line += f"  {bname}: {dt * 1e3:8.3f} ms/call, {n} marches"
+    if "pure" in row and "compiled" in row:
+        line += f"  speedup: {row['pure'][0] / row['compiled'][0]:5.2f}x"
+    print(line)
+
+
 def end_to_end(count):
     if "compiled" not in backends():
         print("-- end-to-end: compiled kernel not built, skipping --")
@@ -127,6 +162,7 @@ def main():
     print(f"available backends: {sorted(backends())}")
     micro()
     shoot_micro()
+    solve_micro()
     end_to_end(args.count)
 
 

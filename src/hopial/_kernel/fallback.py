@@ -7,6 +7,12 @@ linear, and the march is a prefix product of the step matrices
 (_shoot_linear), which reassociates the step-by-step loop.  Its u and w
 agree with the loop (and the compiled march) to about 1e-14 relative, not
 bit-for-bit.
+
+The step-by-step loop (_shoot_loop, the p != 1 march) runs on Python
+floats: the coefficients are converted once with tolist() and the step
+constants are hoisted.  Python floats do the same IEEE arithmetic as numpy
+float64 scalars, so the loop is bit-identical to one on numpy scalars and
+about four times faster.
 """
 
 import numpy as np
@@ -107,38 +113,69 @@ def shoot_quasilinear(r_half, m_half, lam, h, p, u0=0.0, w0=None):
 
 
 def _shoot_loop(r_half, m_half, lam, h, p, u0=0.0, w0=None):
-    """shoot_quasilinear one RK4 step at a time; the reference march."""
-    n = (len(r_half) - 1) // 2
+    """shoot_quasilinear one RK4 step at a time; the reference march.
+
+    The steps run on Python floats, which do the same IEEE arithmetic as
+    numpy float64 scalars at a fraction of the cost.  Python's float ``**``
+    and ``/`` raise where numpy gives inf, so a march that overflows or
+    divides by zero runs again on numpy scalars, whose inf and nan the
+    compiled march gives too."""
+    r_half = np.asarray(r_half, dtype=float)
+    neg_lm = -lam * np.asarray(m_half, dtype=float)
+    w = r_half[0] if w0 is None else w0
+    try:
+        u, w, first_cross = _rk4_steps(r_half.tolist(), neg_lm.tolist(), h, p,
+                                       float(u0), float(w))
+    except (OverflowError, ZeroDivisionError):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            u, w, first_cross = _rk4_steps(list(r_half), list(neg_lm), h, p,
+                                           np.float64(u0), np.float64(w))
+    return float(u), float(w), first_cross
+
+
+def _rk4_steps(r, neg_lm, h, p, u, w):
+    """The RK4 march of _shoot_loop on whatever number type r, neg_lm (the
+    values of -lam m), u and w carry.  abs(u) ** 0.0 * u is u bit for bit,
+    so p = 1 needs no branch."""
     inv_p = 1.0 / p
-    u = float(u0)
-    w = float(r_half[0]) if w0 is None else float(w0)
-
-    def slope(ui, wi, R, m):
-        if wi >= 0.0:
-            du = (wi / R) ** inv_p
+    pm1 = p - 1.0
+    hh = 0.5 * h
+    h6 = h / 6.0
+    started_positive = u > 0.0
+    steps = zip(r[0:-1:2], r[1::2], r[2::2],
+                neg_lm[0:-1:2], neg_lm[1::2], neg_lm[2::2])
+    for i, (r0, rh, r1, a0, ah, a1) in enumerate(steps):
+        if w >= 0.0:
+            k1u = (w / r0) ** inv_p
         else:
-            du = -((-wi / R) ** inv_p)
-        dw = -lam * m * abs(ui) ** (p - 1.0) * ui if p != 1.0 else -lam * m * ui
-        return du, dw
-
-    first_cross = -1
-    for i in range(n):
-        r0 = r_half[2 * i]
-        rh = r_half[2 * i + 1]
-        r1 = r_half[2 * i + 2]
-        m0 = m_half[2 * i]
-        mh = m_half[2 * i + 1]
-        m1 = m_half[2 * i + 2]
-        k1u, k1w = slope(u, w, r0, m0)
-        k2u, k2w = slope(u + 0.5 * h * k1u, w + 0.5 * h * k1w, rh, mh)
-        k3u, k3w = slope(u + 0.5 * h * k2u, w + 0.5 * h * k2w, rh, mh)
-        k4u, k4w = slope(u + h * k3u, w + h * k3w, r1, m1)
-        u = u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        w = w + h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        if u <= 0.0 and (i >= 1 or u0 > 0.0) and first_cross < 0:
-            first_cross = i
-            break
-    return u, w, first_cross
+            k1u = -((-w / r0) ** inv_p)
+        k1w = a0 * abs(u) ** pm1 * u
+        u2 = u + hh * k1u
+        w2 = w + hh * k1w
+        if w2 >= 0.0:
+            k2u = (w2 / rh) ** inv_p
+        else:
+            k2u = -((-w2 / rh) ** inv_p)
+        k2w = ah * abs(u2) ** pm1 * u2
+        u3 = u + hh * k2u
+        w3 = w + hh * k2w
+        if w3 >= 0.0:
+            k3u = (w3 / rh) ** inv_p
+        else:
+            k3u = -((-w3 / rh) ** inv_p)
+        k3w = ah * abs(u3) ** pm1 * u3
+        u4 = u + h * k3u
+        w4 = w + h * k3w
+        if w4 >= 0.0:
+            k4u = (w4 / r1) ** inv_p
+        else:
+            k4u = -((-w4 / r1) ** inv_p)
+        k4w = a1 * abs(u4) ** pm1 * u4
+        u = u + h6 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        w = w + h6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        if u <= 0.0 and (i >= 1 or started_positive):
+            return u, w, i
+    return u, w, -1
 
 
 def _shoot_linear(r_half, m_half, lam, h, u0=0.0, w0=None):

@@ -17,13 +17,25 @@ quasilinear).
 
 At p = 1 each RK4 step is linear in (u, w), and the numpy kernel marches
 a whole leg as one prefix-product scan of the step matrices instead of a
-Python loop over steps.  Without a bracket, the bisection ladder
-1e-8 * 4^k starts at the highest rung at or below a quarter of a Rayleigh
-lower bound (the problem with min R and max m in the leg variable has a
-closed-form eigenvalue); one march checks that the start rung does not
-cross, else the full ladder runs.  The rungs are exact powers of 4 times
-1e-8, so the bracket and every bisection step are the ones the full
-ladder would reach.
+Python loop over steps.  Without a bracket, the ladder 1e-8 * 4^k starts
+at the highest rung at or below a quarter of a Rayleigh lower bound (the
+problem with min R and max m in the leg variable has a closed-form
+eigenvalue); one march checks that the start rung does not cross, else the
+full ladder runs.  The rungs are exact powers of 4 times 1e-8, so the
+bracket is the one the full ladder would reach.
+
+Inside the bracket, p = 1 keeps the sign bisection: there a march is a
+cheap scan, and the shooting value only cross-checks the finite elements.
+At p > 1, where every march is a Python loop over steps, the bracket is
+refined by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on a
+signed value that is <= 0 exactly when the march crosses: for Dirichlet
+ends, 1 - (T / t_zero)^(p+1), with t_zero where the tangent at the stop
+(the first crossing, or the end) meets u = 0 and T the leg length; for a
+free right end, the end flux w.  Interpolation in u_end instead stalls,
+since after a crossing u at the stop is a sawtooth of size h |u'|.  The
+refinement keeps the ladder's values and the bisection's stop rule and
+midpoint, so the accuracy contract is the same; it takes about a third of
+the marches.
 
 A leading coefficient that vanishes at an endpoint -- the tail integral
 R(x, b) always does at b -- is handled by truncating to b - delta for
@@ -210,17 +222,25 @@ def _fem_richardson(R_fn, m_fn, lo, hi, wall_left, wall_right, neumann_right=Fal
 
 
 def _march(legs_data, lam, p):
-    """March all legs; returns (u_end, w_end, crossed)."""
+    """March all legs; returns (u, w, crossed, t, R) at the stop: the first
+    crossing of u <= 0, or the end of the last leg.  t is the leg variable
+    at the stop, counted from the start of the first leg, and R the leading
+    coefficient there."""
     u, w = 0.0, None
-    crossed = False
+    t = 0.0
     for R_vals, m_vals, h in legs_data:
         if w is None:
             w = float(R_vals[0])
         u, w, first_cross = _kernel.shoot_quasilinear(R_vals, m_vals, lam, h, p, u, w)
         if first_cross >= 0:
-            crossed = True
-            break
-    return u, w, crossed
+            stop = first_cross + 1
+            return u, w, True, t + stop * h, float(R_vals[2 * stop])
+        t += _leg_length(R_vals, h)
+    return u, w, False, t, float(R_vals[-1])
+
+
+def _leg_length(R_vals, h):
+    return h * ((len(R_vals) - 1) // 2)
 
 
 def _prepare_legs(R_fn, m_fn, lo, hi, p, wall_left, wall_right, n_steps):
@@ -245,7 +265,7 @@ def _rayleigh_floor(legs_data, p, boundary):
     if not m_max > 0.0:
         return 0.0
     R_min = min(float(np.min(R_vals)) for R_vals, _, _ in legs_data)
-    length = sum(h * ((len(R_vals) - 1) // 2) for R_vals, _, h in legs_data)
+    length = sum(_leg_length(R_vals, h) for R_vals, _, h in legs_data)
     if boundary != "both":
         length *= 2.0
     q = p + 1.0
@@ -267,43 +287,101 @@ def _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left=None, wall_right=None,
                     n_steps=_SHOOT_STEPS, bracket=None, boundary="both"):
     legs_data = _prepare_legs(R_fn, m_fn, lo, hi, p, wall_left, wall_right,
                               n_steps)
+    length = sum(_leg_length(R_vals, h) for R_vals, _, h in legs_data)
 
-    if boundary == "both":
-        def crossed(lam):
-            u_end, _, hit = _march(legs_data, lam, p)
-            return hit or u_end <= 0.0
-    else:  # left_zero: the free-end slope changes sign at the eigenvalue
-        def crossed(lam):
-            _, w_end, hit = _march(legs_data, lam, p)
-            return hit or w_end <= 0.0
+    def probe(lam):
+        """(crossed, value): value changes sign with crossed (value <= 0
+        exactly when crossed) and varies smoothly with lam; nan where no
+        such value is at hand."""
+        u, w, hit, t, R = _march(legs_data, lam, p)
+        if boundary == "both":
+            # t_zero: where the tangent at the stop meets u = 0.  The zero
+            # moves like lam^(-1/(p+1)) (exactly so for constant
+            # coefficients), so value is close to linear in lam; the cap
+            # at t_zero = length/2 keeps the power finite.
+            crossed = hit or u <= 0.0
+            slope = math.copysign(abs(w / R) ** (1.0 / p), w)
+            t_zero = t - u / slope if slope else math.nan
+            if t_zero > 0.0:
+                value = 1.0 - min(length / t_zero, 2.0) ** (p + 1.0)
+            else:
+                value = math.nan
+        else:  # left_zero: the free-end slope changes sign at the eigenvalue
+            crossed = hit or w <= 0.0
+            value = w
+        if (value <= 0.0) != crossed:
+            value = math.nan
+        return crossed, value
 
+    f_lo = f_hi = math.nan
     if bracket is None:
         # the ladder starts a factor 4 below the Rayleigh floor; a start that
         # already crosses falls back to the full ladder from _BRACKET_LO
         lo_l, hi_l = _BRACKET_LO, _BRACKET_LO
         start = _ladder_start(_rayleigh_floor(legs_data, p, boundary))
-        if start > _BRACKET_LO and not crossed(start):
-            lo_l, hi_l = start, 4.0 * start
-        while hi_l < _BRACKET_HI and not crossed(hi_l):
-            lo_l = hi_l
+        if start > _BRACKET_LO:
+            crossed, f = probe(start)
+            if not crossed:
+                lo_l, hi_l, f_lo = start, 4.0 * start, f
+        while hi_l < _BRACKET_HI:
+            crossed, f_hi = probe(hi_l)
+            if crossed:
+                break
+            lo_l, f_lo = hi_l, f_hi
             hi_l *= 4.0
-        if hi_l >= _BRACKET_HI:
+        else:
             raise NoEigenvalueInBracket(
                 f"no sign change for lambda in [{_BRACKET_LO}, {_BRACKET_HI}]"
             )
     else:
         lo_l, hi_l = bracket
-        if crossed(lo_l) or not crossed(hi_l):
+        (crossed_lo, f_lo), (crossed_hi, f_hi) = probe(lo_l), probe(hi_l)
+        if crossed_lo or not crossed_hi:
             return _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left, wall_right,
                                    n_steps, None, boundary)
 
-    while hi_l - lo_l > max(tol, 1e-12) * hi_l:
+    rtol = max(tol, 1e-12)
+    if p != 1.0:
+        return _illinois(probe, lo_l, f_lo, hi_l, f_hi, rtol)
+    while hi_l - lo_l > rtol * hi_l:
         mid = 0.5 * (lo_l + hi_l)
-        if crossed(mid):
+        if probe(mid)[0]:
             hi_l = mid
         else:
             lo_l = mid
     return 0.5 * (lo_l + hi_l)
+
+
+def _illinois(probe, lo, f_lo, hi, f_hi, rtol):
+    """Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on the probe
+    values of a bracket [lo, hi] whose lo does not cross and whose hi does.
+    An end kept by two steps in a row has its value halved.  Each new point
+    stays rtol/4 * hi inside the bracket; a bisection replaces a step whose
+    end values are not both known, and follows three steps that each failed
+    to halve the bracket.  Stops and returns as the bisection does: the
+    midpoint once the width is <= rtol * hi."""
+    kept = None  # the end the last step left in place
+    slow = 0
+    while hi - lo > rtol * hi:
+        width = hi - lo
+        if slow < 3 and math.isfinite(f_lo) and math.isfinite(f_hi):
+            gap = 0.25 * rtol * hi
+            lam = min(max(lo + width * (f_lo / (f_lo - f_hi)), lo + gap), hi - gap)
+        else:
+            lam = 0.5 * (lo + hi)
+        crossed, f = probe(lam)
+        if crossed:
+            hi, f_hi = lam, f
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
+        else:
+            lo, f_lo = lam, f
+            if kept == "hi":
+                f_hi *= 0.5
+            kept = "hi"
+        slow = slow + 1 if hi - lo > 0.5 * width else 0
+    return 0.5 * (lo + hi)
 
 
 def _fem_and_shooting(R_fn, m_fn, lo, hi, wall_left, wall_right, boundary, tol):
@@ -327,27 +405,30 @@ def _aitken(seq):
     return extrap, abs(extrap - l2)
 
 
+def _reflected(prob):
+    """A right_zero problem reflected about the midpoint of its interval:
+    the Dirichlet end moves to the left, as left_zero."""
+    mid2 = prob.interval.a + prob.interval.b
+
+    def refl(w):
+        fn = _as_fn(w, prob.interval)
+        return lambda xs: fn(mid2 - np.asarray(xs, dtype=float))
+
+    return EigenProblem(refl(prob.weight_R), refl(prob.weight_m), prob.p,
+                        prob.interval, "left_zero")
+
+
 # -- public API --------------------------------------------------------------
 
 
 def solve_smallest(prob: EigenProblem, tol: float = 1e-8) -> EigenResult:
     """Smallest eigenvalue with route cross-check and wall truncation."""
+    if prob.boundary == "right_zero":
+        return solve_smallest(_reflected(prob), tol)
     a, b = prob.interval.a, prob.interval.b
     width = prob.interval.width
     R_fn = _as_fn(prob.weight_R, prob.interval)
     m_fn = _as_fn(prob.weight_m, prob.interval)
-
-    if prob.boundary == "right_zero":
-        # reflect about the midpoint: Dirichlet moves to the left end
-        mid2 = a + b
-
-        def refl(fn):
-            return lambda xs: fn(mid2 - np.asarray(xs, dtype=float))
-
-        reflected = EigenProblem(
-            refl(R_fn), refl(m_fn), prob.p, prob.interval, "left_zero"
-        )
-        return solve_smallest(reflected, tol)
 
     probe = np.linspace(a, b, 1025)[1:-1]
     R_probe = np.asarray(R_fn(probe), dtype=float)
@@ -408,6 +489,8 @@ def compare_routes(prob: EigenProblem, tol: float = 1e-9) -> dict:
     """
     if prob.p != 1:
         raise DomainError("route comparison is defined for the linear case p = 1")
+    if prob.boundary == "right_zero":
+        prob = _reflected(prob)
     lam_fem, _, lam_shoot = _fem_and_shooting(
         _as_fn(prob.weight_R, prob.interval), _as_fn(prob.weight_m, prob.interval),
         prob.interval.a, prob.interval.b, None, None, prob.boundary, tol,

@@ -74,6 +74,27 @@ class TestLinearSanity:
         lam_r = eigen.smallest_eigenvalue(eigen.EigenProblem(asym, one, 1.0, unit, "right_zero"))
         assert abs(lam_l - lam_r) > 1.0
 
+    @pytest.mark.parametrize("a", [0.0, 2.5])
+    @pytest.mark.parametrize("boundary,target", [
+        ("both", math.pi**2),
+        ("left_zero", (math.pi / 2) ** 2),
+        ("right_zero", (math.pi / 2) ** 2),
+    ])
+    def test_compare_routes_boundaries(self, one, a, boundary, target):
+        cmp_ = eigen.compare_routes(
+            eigen.EigenProblem(one, one, 1.0, fs.Interval(a, a + 1.0), boundary)
+        )
+        assert cmp_["fem"] == pytest.approx(target, rel=1e-8)
+        assert cmp_["shooting"] == pytest.approx(target, rel=1e-8)
+        assert cmp_["rel_gap"] <= 1e-8
+
+    def test_compare_routes_right_zero_matches_solve(self, unit, one):
+        asym = fs.Sum([fs.Constant(1.0), fs.PowerLaw(3.0, 1.0)])
+        prob = eigen.EigenProblem(asym, one, 1.0, unit, "right_zero")
+        cmp_ = eigen.compare_routes(prob)
+        assert cmp_["fem"] == pytest.approx(eigen.smallest_eigenvalue(prob), rel=1e-8)
+        assert cmp_["rel_gap"] <= 1e-6
+
 
 class TestSingularCoefficient:
     def test_vanishing_tail_coefficient_truncated(self, unit, one):

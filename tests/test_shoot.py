@@ -1,9 +1,11 @@
-"""The shooting march and the bisection ladder.
+"""The shooting march, the bracket ladder and the refinement.
 
 At p = 1 the numpy kernel marches by a prefix product of RK4 step matrices;
-the step-by-step loop is its reference.  At p > 1 the ladder starts just
-below a Rayleigh lower bound; the full ladder from _BRACKET_LO is its
-reference.
+the step-by-step loop is its reference, and that loop must reproduce the
+marches recorded from its numpy-scalar predecessor bit for bit.  At p > 1
+the ladder starts just below a Rayleigh lower bound; the full ladder from
+_BRACKET_LO is its reference.  The p > 1 refinement (Illinois regula
+falsi) is checked against a sign bisection.
 """
 
 import math
@@ -198,6 +200,218 @@ class TestBoundedLadder:
     def test_no_density_keeps_full_ladder(self):
         legs = [(np.ones(5), np.zeros(5), 0.5)]
         assert eigen._rayleigh_floor(legs, 2.0, "both") == 0.0
+
+
+# (u, w, first_cross) of the step loop, as repr strings, recorded when it
+# still ran on numpy float64 scalars; the Python-float loop must match them
+# bit for bit.  Legs of 512 steps: "straight" is R = 1 + x, m = e^(x/2) on
+# (0, 1); "wall1"/"wall2" are the two stretched legs of R = x (1 - x),
+# m = 1 + x on (1e-3, 1 - 1e-3), the second started from the end of the
+# first.  Straight-leg lambda sits 1e-7 relative below/above the p-problem's
+# eigenvalue (STRAIGHT_SIDES), wall lambda at half and twice the wall
+# eigenvalue (WALL_EIG).  The coefficients are numpy expressions, not spec
+# programs, so the legs do not depend on the kernel backend; the march
+# itself calls the C library's pow, as the recorded loop did.
+GOLDEN_N = 512
+STRAIGHT_SIDES = {1.0: (11.29916945, 11.29917171), 1.5: (19.49677073, 19.49677462),
+                  2.0: (32.39478411, 32.39479059), 3.0: (83.68443913, 83.68445587)}
+WALL_EIG = {1.0: 0.2628, 1.5: 0.7239, 2.0: 1.498, 3.0: 4.744}
+GOLDEN = {
+    1.0: {
+        "below": ("3.45300483460282e-08", "-1.3471678096686786", -1),
+        "above": ("-3.480040038149161e-08", "-1.3471677750626867", 511),
+        "1e8": ("-1428.728795878897", "32973680.65853926", 1),
+        "wall1": ("0.22710375915300526", "-0.47995555796961253", -1),
+        "wall2 below": ("0.9687227164963839", "-0.03585569436547572", -1),
+        "wall2 above": ("-0.0013520303644664776", "-0.33451595331329675", 200),
+        "extreme down": ("-1.951170533336506e+197", "-9.999237069949946e+199", 0),
+        "extreme up": ("-8.058452427322968e+196", "-1.1849585446395587e+200", 266),
+    },
+    1.5: {
+        "below": ("2.999495342490173e-08", "-1.2590653518898598", -1),
+        "above": ("-2.999724627028577e-08", "-1.259065332982288", 511),
+        "1e8": ("-0.00018667220189767255", "-4.050101393515382", 1),
+        "wall1": ("2.0539773013412725", "-1.8687885399488653", -1),
+        "wall2 below": ("2.490848278204064", "-1.170465476107547", -1),
+        "wall2 above": ("-0.0058330646167221185", "-3.16453348177447", 150),
+        "extreme down": ("-4.205141490040822e+130", "-9.999972866270825e+199", 0),
+        "extreme up": ("-2.408463574011332e+130", "-1.1949377807658094e+200", 381),
+    },
+    2.0: {
+        "below": ("2.6420953563215457e-08", "-1.2063196988928475", -1),
+        "above": ("-2.637243592452411e-08", "-1.2063196923470068", 511),
+        "1e8": ("-0.001215951753357271", "-0.9693593603488061", 3),
+        "wall1": ("6.19060323920343", "-4.148600396109343", -1),
+        "wall2 below": ("3.9840469810565633", "-21.36555314095173", -1),
+        "wall2 above": ("-0.012946079414769107", "-34.90653559506564", 138),
+        "extreme down": ("-1.9521722316354544e+97", "-9.999999006588858e+199", 0),
+        "extreme up": ("-6.57732968750239e+96", "-1.1924528281006836e+200", 476),
+    },
+    3.0: {
+        "below": ("2.10704644645638e-08", "-1.1469023138321315", -1),
+        "above": ("-2.107328155227274e-08", "-1.1469023301763912", 511),
+        "1e8": ("-0.0019173616212637455", "-0.9917626132834972", 15),
+        "wall1": ("15.815170434433242", "2410.582198884868", -1),
+        "wall2 below": ("5.971803146901743", "-4321.239457186589", -1),
+        "wall2 above": ("-0.0394659229915546", "-5013.741335388681", 139),
+        "extreme down": ("-9.062654706625737e+63", "-9.999999998544807e+199", 0),
+        "extreme up": ("7.855336801059193e+65", "-1.1593669319273065e+200", -1),
+    },
+}
+
+
+def _golden_marches(p):
+    (R, m, h), = eigen._prepare_legs(lambda x: 1.0 + x, lambda x: np.exp(0.5 * x),
+                                     0.0, 1.0, p, None, None, GOLDEN_N)
+    (R1, m1, h1), (R2, m2, h2) = eigen._prepare_legs(
+        lambda x: x * (1.0 - x), lambda x: 1.0 + x, 1e-3, 1.0 - 1e-3, p, 0.0, 1.0,
+        GOLDEN_N)
+    loop = fallback._shoot_loop
+    below, above = STRAIGHT_SIDES[p]
+    found = {
+        "below": loop(R, m, below, h, p),
+        "above": loop(R, m, above, h, p),
+        "1e8": loop(R, m, 1e8, h, p),
+        "wall1": loop(R1, m1, 2.0, h1, p),
+        "extreme down": loop(R, m, 40.0, h, p, 1e10, -1e200),
+        "extreme up": loop(R, m, 40.0, h, p, 1e10, 1e200),
+    }
+    for side, lam in (("below", 0.5 * WALL_EIG[p]), ("above", 2.0 * WALL_EIG[p])):
+        u0, w0, cross = loop(R1, m1, lam, h1, p)
+        assert cross < 0
+        found[f"wall2 {side}"] = loop(R2, m2, lam, h2, p, u0, w0)
+    return found
+
+
+class TestFloatLoop:
+    @pytest.mark.parametrize("p", sorted(GOLDEN))
+    def test_matches_recorded_marches(self, p):
+        found = {name: (repr(u), repr(w), cross)
+                 for name, (u, w, cross) in _golden_marches(p).items()}
+        assert found == GOLDEN[p]
+
+    def test_division_by_zero_gives_numpy_result(self):
+        # a zero coefficient makes w / R raise on Python floats; the march
+        # reruns on numpy scalars and returns their nan (as recorded)
+        r_half = np.linspace(1.0, 2.0, 129)
+        r_half[7] = 0.0
+        u, w, cross = fallback._shoot_loop(r_half, np.ones(129), 5.0, 1.0 / 64, 2.0)
+        assert (repr(u), repr(w), cross) == ("nan", "nan", -1)
+
+    def test_overflowing_power_gives_numpy_result(self):
+        # |u|^(p-1) overflows at the first step; numpy scalars give inf
+        # where a Python float power raises OverflowError
+        (R, m, h), = eigen._prepare_legs(lambda x: 1.0 + x, lambda x: 1.0 + x,
+                                         0.0, 1.0, 200.0, None, None, 64)
+        u, w, cross = fallback._shoot_loop(R, m, 40.0, h, 200.0, 1e10, 1e200)
+        assert (repr(u), repr(w), cross) == ("nan", "nan", -1)
+
+
+def _crossed(prob, p, lam, n_steps=512):
+    """The sign test the search runs on: u reaches 0 before the end
+    (both) or the end slope is <= 0 (left_zero)."""
+    R_fn, m_fn, lo, hi, wl, wr, boundary = prob
+    legs = eigen._prepare_legs(R_fn, m_fn, lo, hi, p, wl, wr, n_steps)
+    u, w, hit, _, _ = eigen._march(legs, lam, p)
+    return hit or (u if boundary == "both" else w) <= 0.0
+
+
+def _bisection(prob, p, rtol=1e-13):
+    """The reference: the full ladder, then sign bisection to rtol."""
+    lo, hi = eigen._BRACKET_LO, eigen._BRACKET_LO
+    while not _crossed(prob, p, hi):
+        lo, hi = hi, 4.0 * hi
+    while hi - lo > rtol * hi:
+        mid = 0.5 * (lo + hi)
+        if _crossed(prob, p, mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _counting_marches(mp):
+    calls = []
+    march = eigen._march
+
+    def counting(legs_data, lam, p):
+        calls.append(lam)
+        return march(legs_data, lam, p)
+
+    mp.setattr(eigen, "_march", counting)
+    return calls
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("boundary,walls", [
+        ("both", False), ("left_zero", False), ("right_zero", False), ("both", True),
+    ])
+    def test_against_sign_bisection(self, monkeypatch, p, boundary, walls):
+        prob = _problem(boundary, walls)
+        with monkeypatch.context() as mp:
+            calls = _counting_marches(mp)
+            lam = _shoot(prob, p)
+        rtol = 1e-9
+        assert not _crossed(prob, p, lam * (1.0 - rtol))
+        assert _crossed(prob, p, lam * (1.0 + rtol))
+        assert lam == pytest.approx(_bisection(prob, p), rel=1e-9, abs=0.0)
+        # the ladder plus the refinement; a sign bisection alone takes 30
+        # marches to reach 1e-9 from a factor-4 bracket
+        assert len(calls) <= (22 if walls else 14)
+
+    @pytest.mark.parametrize("shape", ["linear", "kinked", "step", "no value", "rising"])
+    def test_safeguards(self, monkeypatch, shape):
+        # linear: interpolation hits the root at once, and the next point,
+        # kept rtol/4 inside the bracket, closes it.  Values that defeat
+        # interpolation: a kink that makes regula falsi creep from one side,
+        # a jump, no usable value (a zero slope at the stop leaves the
+        # tangent without a zero), or a value whose sign contradicts the
+        # crossing (u still rising at the end puts the tangent's zero
+        # before it), which must not be interpolated
+        target = 7.3
+
+        def fake_march(legs_data, lam, p):
+            below = lam < target
+            if shape == "linear":
+                return 1.0, target - lam, False, 1.0, 1.0
+            if shape == "kinked":
+                w = 1.0 + (target - lam) if below else -1e-9 * (lam - target)
+                return 1.0, w, False, 1.0, 1.0
+            if shape == "step":
+                return 1.0, 1.0 if below else -1.0, False, 1.0, 1.0
+            if shape == "no value":
+                return 1.0 if below else -1.0, 0.0, False, 1.0, 1.0
+            return (0.5, 1.0, False, 1.0, 1.0) if below else (-1e-3, -1.0, True, 0.5, 1.0)
+
+        boundary = "both" if shape in ("no value", "rising") else "left_zero"
+        with monkeypatch.context() as mp:
+            mp.setattr(eigen, "_march", fake_march)
+            calls = _counting_marches(mp)
+            lam = _shoot(_problem(boundary, False), 2.0)
+        assert lam == pytest.approx(target, rel=1e-9, abs=0.0)
+        # at most 4 ladder rungs, then at worst three slow steps and a
+        # bisection per halving of the factor-4 bracket down to 1e-9 (32
+        # halvings)
+        assert len(calls) <= (4 + 2 if shape == "linear" else 4 + 4 * 32)
+
+    def test_p1_keeps_sign_bisection(self, monkeypatch):
+        # at p = 1 the refinement is the bisection: every probe is a
+        # midpoint of the bracket before it
+        prob = _problem("both", False)
+        R_fn, m_fn, lo, hi, wl, wr, boundary = prob
+        with monkeypatch.context() as mp:
+            calls = _counting_marches(mp)
+            lam = eigen._shoot_smallest(R_fn, m_fn, lo, hi, 1.0, 1e-9, wl, wr,
+                                        n_steps=512, bracket=(1.0, 40.0))
+        lo_b, hi_b = 1.0, 40.0
+        for probe in calls[2:]:
+            assert probe == 0.5 * (lo_b + hi_b)
+            if _crossed(prob, 1.0, probe):
+                hi_b = probe
+            else:
+                lo_b = probe
+        assert lam == 0.5 * (lo_b + hi_b)
 
 
 @pytest.mark.parametrize("p", [math.nan, math.inf])
