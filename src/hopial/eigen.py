@@ -24,8 +24,9 @@ eigenvalue); one march checks that the start rung does not cross, else the
 full ladder runs.  The rungs are exact powers of 4 times 1e-8, so the
 bracket is the one the full ladder would reach.
 
-Inside the bracket, p = 1 keeps the sign bisection: there a march is a
-cheap scan, and the shooting value only cross-checks the finite elements.
+Inside the bracket, p = 1 keeps the sign bisection (the refinement below
+given no probe values): there a march is a cheap scan, and the shooting
+value only cross-checks the finite elements.
 At p > 1, where every march is a Python loop over steps, the bracket is
 refined by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on a
 signed value that is <= 0 exactly when the march crosses: for Dirichlet
@@ -292,14 +293,17 @@ def _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left=None, wall_right=None,
     def probe(lam):
         """(crossed, value): value changes sign with crossed (value <= 0
         exactly when crossed) and varies smoothly with lam; nan where no
-        such value is at hand."""
+        such value is at hand, and at p = 1, where the refinement is then
+        the sign bisection."""
         u, w, hit, t, R = _march(legs_data, lam, p)
+        crossed = hit or (u if boundary == "both" else w) <= 0.0
+        if p == 1.0:
+            return crossed, math.nan
         if boundary == "both":
             # t_zero: where the tangent at the stop meets u = 0.  The zero
             # moves like lam^(-1/(p+1)) (exactly so for constant
             # coefficients), so value is close to linear in lam; the cap
             # at t_zero = length/2 keeps the power finite.
-            crossed = hit or u <= 0.0
             slope = math.copysign(abs(w / R) ** (1.0 / p), w)
             t_zero = t - u / slope if slope else math.nan
             if t_zero > 0.0:
@@ -307,7 +311,6 @@ def _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left=None, wall_right=None,
             else:
                 value = math.nan
         else:  # left_zero: the free-end slope changes sign at the eigenvalue
-            crossed = hit or w <= 0.0
             value = w
         if (value <= 0.0) != crossed:
             value = math.nan
@@ -340,16 +343,7 @@ def _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left=None, wall_right=None,
             return _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left, wall_right,
                                    n_steps, None, boundary)
 
-    rtol = max(tol, 1e-12)
-    if p != 1.0:
-        return _illinois(probe, lo_l, f_lo, hi_l, f_hi, rtol)
-    while hi_l - lo_l > rtol * hi_l:
-        mid = 0.5 * (lo_l + hi_l)
-        if probe(mid)[0]:
-            hi_l = mid
-        else:
-            lo_l = mid
-    return 0.5 * (lo_l + hi_l)
+    return _illinois(probe, lo_l, f_lo, hi_l, f_hi, max(tol, 1e-12))
 
 
 def _illinois(probe, lo, f_lo, hi, f_hi, rtol):
@@ -359,7 +353,8 @@ def _illinois(probe, lo, f_lo, hi, f_hi, rtol):
     stays rtol/4 * hi inside the bracket; a bisection replaces a step whose
     end values are not both known, and follows three steps that each failed
     to halve the bracket.  Stops and returns as the bisection does: the
-    midpoint once the width is <= rtol * hi."""
+    midpoint once the width is <= rtol * hi.  With no finite probe values
+    (p = 1) every step is the midpoint, so this is the sign bisection."""
     kept = None  # the end the last step left in place
     slow = 0
     while hi - lo > rtol * hi:
