@@ -1,40 +1,10 @@
-"""Kernel backend selection.
+"""The array kernels: spec-program evaluation and the RK4 shooting march.
 
-The compiled extension is preferred when present; set HOPIAL_BACKEND=pure
-to force the numpy fallback (used by the backend-equivalence tests and the
-benchmark).
+Callers reach them through this package (``_kernel.eval_program``,
+``_kernel.shoot_quasilinear``), so a tracer can wrap the names here; the
+implementation lives in ``fallback``.
 """
 
-import os
+from .fallback import BACKEND, eval_program, shoot_quasilinear
 
-from . import fallback
-
-_FORCED = os.environ.get("HOPIAL_BACKEND", "").strip().lower()
-
-if _FORCED == "pure":
-    _impl = fallback
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        if _FORCED in ("compiled", "speedups"):
-            raise ImportError(
-                "HOPIAL_BACKEND=compiled requested but the extension is not built"
-            )
-        _impl = fallback
-
-BACKEND = _impl.BACKEND
-eval_program = _impl.eval_program
-shoot_quasilinear = _impl.shoot_quasilinear
-
-
-def backends():
-    """All importable kernel backends, for comparison tests/benchmarks."""
-    found = {"pure": fallback}
-    try:
-        from . import _speedups
-
-        found["compiled"] = _speedups
-    except ImportError:
-        pass
-    return found
+__all__ = ["BACKEND", "eval_program", "shoot_quasilinear"]

@@ -1,12 +1,9 @@
 """Pure-numpy implementations of the hot kernels.
 
-Semantics here are the reference; the compiled extension in _speedups.pyx
-must match bit-for-bit up to the usual floating-point reassociation slack.
-The one exception is the shooting march at p = 1: there the RK4 step is
-linear, and the march is a prefix product of the step matrices
-(_shoot_linear), which reassociates the step-by-step loop.  Its u and w
-agree with the loop (and the compiled march) to about 1e-14 relative, not
-bit-for-bit.
+The shooting march at p = 1 is linear in (u, w), so it runs as a prefix
+product of the RK4 step matrices (_shoot_linear).  That reassociates the
+step-by-step loop: its u and w agree with the loop to about 1e-14
+relative, not bit-for-bit.
 
 The step-by-step loop (_shoot_loop, the p != 1 march) runs on Python
 floats: the coefficients are converted once with tolist() and the step
@@ -118,8 +115,8 @@ def _shoot_loop(r_half, m_half, lam, h, p, u0=0.0, w0=None):
     The steps run on Python floats, which do the same IEEE arithmetic as
     numpy float64 scalars at a fraction of the cost.  Python's float ``**``
     and ``/`` raise where numpy gives inf, so a march that overflows or
-    divides by zero runs again on numpy scalars, whose inf and nan the
-    compiled march gives too."""
+    divides by zero runs again on numpy scalars, which carry inf and nan
+    through instead."""
     r_half = np.asarray(r_half, dtype=float)
     neg_lm = -lam * np.asarray(m_half, dtype=float)
     w = r_half[0] if w0 is None else w0

@@ -271,7 +271,11 @@ def _rayleigh_floor(legs_data, p, boundary):
         length *= 2.0
     q = p + 1.0
     pi_q = 2.0 * math.pi / (q * math.sin(math.pi / q))
-    return R_min / m_max * (q - 1.0) * (pi_q / length) ** q
+    try:
+        scale = (pi_q / length) ** q
+    except OverflowError:  # large p: the ladder start is then capped
+        return math.inf
+    return R_min / m_max * (q - 1.0) * scale
 
 
 def _ladder_start(floor):
@@ -501,16 +505,6 @@ def compare_routes(prob: EigenProblem, tol: float = 1e-9) -> dict:
 def _derivative_fn(s, interval):
     """Exact derivative spec when the catalog provides it, else central
     differences; piecewise-linear weights with interior kinks are rejected."""
-    if callable(s) and not isinstance(s, fs.Program):
-        h = 1e-6 * interval.width
-
-        def diff(xs):
-            xs = np.asarray(xs, dtype=float)
-            xp = np.minimum(xs + h, interval.b)
-            xm = np.maximum(xs - h, interval.a)
-            return (np.asarray(s(xp), float) - np.asarray(s(xm), float)) / (xp - xm)
-
-        return diff, None
     if isinstance(s, fs.PiecewiseLinear) and len(s.knots) > 2:
         raise NonDifferentiableWeight(
             "piecewise-linear weight has interior kinks; its derivative is "
@@ -518,17 +512,20 @@ def _derivative_fn(s, interval):
         )
     if isinstance(s, fs.Step):
         raise NonDifferentiableWeight("step weights are not differentiable")
-    ds = fs.derivative(s, interval)
-    if ds is not None:
-        return fs.compile_program(ds, interval), ds
+    if callable(s) and not isinstance(s, fs.Program):
+        fn = s
+    else:
+        ds = fs.derivative(s, interval)
+        if ds is not None:
+            return fs.compile_program(ds, interval), ds
+        fn = fs.compile_program(s, interval)
     h = 1e-6 * interval.width
-    prog = fs.compile_program(s, interval)
 
     def diff(xs):
         xs = np.asarray(xs, dtype=float)
         xp = np.minimum(xs + h, interval.b)
         xm = np.maximum(xs - h, interval.a)
-        return (prog(xp) - prog(xm)) / (xp - xm)
+        return (np.asarray(fn(xp), float) - np.asarray(fn(xm), float)) / (xp - xm)
 
     return diff, None
 

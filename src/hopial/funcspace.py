@@ -285,7 +285,7 @@ def evaluate(spec: FunctionSpec, x: float, interval: Interval) -> float:
 
 
 def evaluate_array(spec: FunctionSpec, xs: np.ndarray, interval: Interval) -> np.ndarray:
-    """Vectorized evaluation through the compiled (or fallback) kernel."""
+    """Vectorized evaluation through the spec-program kernel."""
     return compile_program(spec, interval)(np.asarray(xs, dtype=float))
 
 

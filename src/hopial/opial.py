@@ -46,6 +46,7 @@ __all__ = [
     "opial_lhs",
     "verify_variant",
     "classify_status",
+    "judge",
 ]
 
 VARIANT_IDS = (
@@ -274,8 +275,9 @@ def classify_status(ratio: float, budget: float) -> str:
     return "Inconclusive"
 
 
-def make_record(identifier, mode, lhs, rhs_core, constant, budget,
-                detail="") -> VerificationRecord:
+def judge(lhs, rhs_core, constant, budget):
+    """(ratio, status, budget) for lhs <= constant * rhs_core: ratio 0 when
+    lhs = 0, inf when constant * rhs_core <= 0, budget floored at 1e-12."""
     denom = constant * rhs_core
     if lhs == 0.0:
         ratio = 0.0
@@ -284,10 +286,7 @@ def make_record(identifier, mode, lhs, rhs_core, constant, budget,
     else:
         ratio = lhs / denom
     budget = max(budget, 1e-12)
-    return VerificationRecord(
-        identifier, mode, lhs, rhs_core, constant, ratio,
-        classify_status(ratio, budget), budget, detail,
-    )
+    return ratio, classify_status(ratio, budget), budget
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +526,7 @@ def verify_variant(
     else:
         raise DomainError(ident)
 
-    budget = lhs.rel_error + rhs.rel_error + extra_rel
-    return make_record(ident, mode, lhs.value, rhs.value, constant, budget,
-                       detail=f"boundary={v.boundary}")
+    ratio, status, budget = judge(lhs.value, rhs.value, constant,
+                                  lhs.rel_error + rhs.rel_error + extra_rel)
+    return VerificationRecord(ident, mode, lhs.value, rhs.value, constant, ratio,
+                              status, budget, f"boundary={v.boundary}")

@@ -25,7 +25,7 @@ from . import constants as ct
 from . import funcspace as fs
 from . import quad
 from .errors import HopialError, PreconditionFailed
-from .opial import classify_status
+from .opial import judge
 
 __all__ = [
     "TheoremInstance",
@@ -234,17 +234,10 @@ def _single_pass(inst, tol, breakdown=None):
                                       inst.interval, mode=mode, tol=tol)
     lhs = assemble_lhs(inst, tol)
     rhs = assemble_rhs(inst, tol, rhs_weight=breakdown.rhs_weight)
-    denom = breakdown.value * rhs.value
-    if lhs.value == 0.0:
-        ratio = 0.0
-    elif denom <= 0.0:
-        ratio = math.inf
-    else:
-        ratio = lhs.value / denom
-    budget = max(
-        lhs.rel_error + rhs.rel_error + breakdown.error_estimate, 1e-12
+    ratio, status, budget = judge(
+        lhs.value, rhs.value, breakdown.value,
+        lhs.rel_error + rhs.rel_error + breakdown.error_estimate,
     )
-    status = classify_status(ratio, budget)
     return VerificationReport(
         ident, mode, lhs.value, rhs.value, breakdown.value, ratio, status,
         budget, breakdown,

@@ -122,6 +122,11 @@ class TestSingularCoefficient:
         with pytest.raises(SingularCoefficient):
             eigen.solve_smallest(eigen.EigenProblem(dip, one, 1.0, unit))
 
+    def test_huge_p_floor_overflow_is_no_eigenvalue(self, unit, one):
+        # (pi_q / length) ** (p + 1) overflows a float once p exceeds ~1023
+        with pytest.raises(NoEigenvalueInBracket):
+            eigen.solve_smallest(eigen.EigenProblem(one, one, 1100.0, unit))
+
     def test_no_eigenvalue_in_bracket(self, unit, one):
         # a huge coefficient pushes the eigenvalue beyond the bracket cap
         giant = fs.Constant(1e12)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopial import _kernel
 from hopial import funcspace as fs
 from hopial import quad
 from hopial.errors import DomainError, InvalidSpec
@@ -39,6 +40,12 @@ class TestEvaluate:
     def test_singular_endpoint_is_inf_not_nan(self, unit):
         val = fs.evaluate(fs.PowerLaw(1.0, -0.5), 0.0, unit)
         assert math.isinf(val) and val > 0
+
+    def test_kernel_singular_endpoint_marker(self, unit):
+        prog = fs.compile_program(fs.PowerLaw(1.0, -0.5), unit)
+        out = _kernel.eval_program(prog.ops, prog.fargs, prog.iargs, prog.data,
+                                   np.array([0.0, 0.25, 1.0]), prog.stack_depth)
+        assert out.tolist() == [math.inf, 2.0, 1.0]
 
     def test_outside_interval_rejected(self, unit):
         with pytest.raises(DomainError):

@@ -230,3 +230,12 @@ class TestStatusClassification:
         assert classify_status(1.0 + 5e-9, 1e-9) == "Inconclusive"
         assert classify_status(1.0 + 2e-8, 1e-9) == "Violated"
         assert classify_status(math.inf, 1e-9) == "Violated"
+
+    def test_judge_ratio_rule(self):
+        from hopial.opial import judge
+
+        assert judge(0.0, 0.0, 0.0, 0.0) == (0.0, "Holds", 1e-12)
+        assert judge(1.0, 2.0, 0.0, 1e-9) == (math.inf, "Violated", 1e-9)
+        assert judge(1.0, -1.0, 1.0, 1e-9) == (math.inf, "Violated", 1e-9)
+        assert judge(1.0, 4.0, 0.5, 1e-3) == (0.5, "Holds", 1e-3)
+        assert judge(1.0 + 5e-12, 1.0, 1.0, 0.0) == (1.0 + 5e-12, "Inconclusive", 1e-12)
