@@ -1,5 +1,12 @@
 """Pure-numpy implementations of the hot kernels.
 
+eval_program runs a spec program on one parameter row per member, so the
+quadrature evaluates the panels of many integrands with the same opcode
+skeleton in one call.  A point gets the bits it gets in a one-row program:
+parameters the rows share stay scalars (np.power takes a different route
+for some scalar exponents), varying ones are gathered per point, and the
+piecewise opcodes repeat np.interp's and np.searchsorted's arithmetic.
+
 The shooting march at p = 1 is linear in (u, w), so it runs as a prefix
 product of the RK4 step matrices (_shoot_linear).  That reassociates the
 step-by-step loop: its u and w agree with the loop to about 1e-14
@@ -29,51 +36,131 @@ OP_POWER = 9
 OP_ABS = 10
 
 
-def eval_program(ops, fargs, iargs, data, xs, stack_depth):
-    """Run a postfix spec program over an array of abscissae."""
+# np.power special-cases these scalar exponents (square, sqrt, reciprocal,
+# ...), which differ in the last bit from the general routine it runs for an
+# array of exponents
+_POWER_FAST_EXPONENTS = (-1.0, 0.0, 0.5, 1.0, 2.0)
+
+
+def _power(base, e):
+    """np.power(base, e) where e is a scalar or one exponent per point; each
+    point gets the bits it gets with its exponent passed as a scalar."""
+    if not isinstance(e, np.ndarray):
+        return np.power(base, e)
+    out = np.power(base, e)
+    for fast in _POWER_FAST_EXPONENTS:
+        hit = e == fast
+        if hit.any():
+            out[hit] = np.power(base[hit], fast)
+    return out
+
+
+def _pairs(row, x):
+    """(row, x) as complex numbers, which numpy orders lexicographically."""
+    out = np.empty(np.broadcast(row, x).shape, dtype=complex)
+    out.real = row
+    out.imag = x
+    return out
+
+
+def _row_search(breaks, xs, rows):
+    """searchsorted(breaks[row], x, side="right") - 1 for every point, with
+    breaks one ascending row per member: the rows are searched as one
+    lexicographic (row, x) sequence."""
+    n = breaks.shape[1]
+    keys = _pairs(np.arange(len(breaks))[:, None], breaks).ravel()
+    return np.searchsorted(keys, _pairs(rows, xs), side="right") - rows * n - 1
+
+
+def eval_program(ops, fargs, iargs, data, xs, rows=None):
+    """Run a postfix spec program over an array of abscissae.
+
+    A program holds one parameter row per member: ``fargs`` is rows x ops x
+    3 and ``data`` rows x n, with the same opcodes and data layout in every
+    row.  Point i is evaluated with row ``rows[i]``; ``rows=None`` evaluates
+    every point with row 0.  A parameter that is the same in every row is
+    used as a scalar and a varying one is gathered per point, so a point
+    gets the same bits in a batch as in a one-row program.
+    """
+    batched = rows is not None and len(fargs) > 1
+    if batched:
+        varies = (fargs != fargs[:1]).any(axis=0).tolist()
+        data_varies = (data != data[:1]).any(axis=0)
+    first = fargs[0].tolist()
+    row0 = data[0]
+
+    def param(k, j):
+        if batched and varies[k][j]:
+            return fargs[rows, k, j]
+        return first[k][j]
+
+    def table(k, length):
+        """The op's data segment: one row when it is the same in every
+        row, else all rows (rows x length)."""
+        off = iargs[k, 0]
+        if batched and data_varies[off : off + length].any():
+            return data[:, off : off + length]
+        return row0[off : off + length]
+
     stack = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(len(ops)):
             op = ops[k]
             if op == OP_CONST:
-                stack.append(np.full_like(xs, fargs[k, 0]))
-            elif op == OP_POW_LEFT:
-                c, alpha, a = fargs[k]
-                t = xs - a
-                if alpha == 0.0:
-                    stack.append(np.full_like(xs, c))
+                c = param(k, 0)
+                stack.append(c if isinstance(c, np.ndarray) else np.full_like(xs, c))
+            elif op == OP_POW_LEFT or op == OP_POW_RIGHT:
+                c, alpha, anchor = param(k, 0), param(k, 1), param(k, 2)
+                t = xs - anchor if op == OP_POW_LEFT else anchor - xs
+                if isinstance(alpha, np.ndarray) or alpha != 0.0:
+                    stack.append(c * _power(t, alpha))
+                elif isinstance(c, np.ndarray):
+                    stack.append(c)
                 else:
-                    stack.append(c * np.power(t, alpha))
-            elif op == OP_POW_RIGHT:
-                c, alpha, b = fargs[k]
-                t = b - xs
-                if alpha == 0.0:
                     stack.append(np.full_like(xs, c))
-                else:
-                    stack.append(c * np.power(t, alpha))
             elif op == OP_EXP:
-                c, beta, _ = fargs[k]
-                stack.append(c * np.exp(beta * xs))
+                stack.append(param(k, 0) * np.exp(param(k, 1) * xs))
             elif op == OP_PWL:
-                off, n = iargs[k]
-                kx = data[off : off + n]
-                kv = data[off + n : off + 2 * n]
-                stack.append(np.interp(xs, kx, kv))
+                n = iargs[k, 1]
+                knots = table(k, 2 * n)
+                if knots.ndim == 1:
+                    stack.append(np.interp(xs, knots[:n], knots[n:]))
+                    continue
+                # np.interp's arithmetic, one knot row per point
+                kx, kv = knots[:, :n], knots[:, n:]
+                j = _row_search(kx, xs, rows)
+                at = rows * n + np.clip(j, 0, n - 2)
+                slope = (kv[:, 1:] - kv[:, :-1]) / (kx[:, 1:] - kx[:, :-1])
+                kx, kv = kx.ravel(), kv.ravel()
+                out = slope.ravel()[at - rows] * (xs - kx[at]) + kv[at]
+                out = np.where(j < 0, kv[rows * n], out)
+                out = np.where(j >= n - 1, kv[rows * n + n - 1], out)
+                stack.append(np.where(np.isnan(xs), xs, out))
             elif op == OP_STEP:
-                off, n = iargs[k]
-                breaks = data[off : off + n + 1]
-                values = data[off + n + 1 : off + 2 * n + 1]
-                idx = np.clip(np.searchsorted(breaks, xs, side="right") - 1, 0, n - 1)
-                stack.append(values[idx])
+                n = iargs[k, 1]
+                steps = table(k, 2 * n + 1)
+                if steps.ndim == 1:
+                    idx = np.searchsorted(steps[: n + 1], xs, side="right") - 1
+                    stack.append(steps[n + 1 :][np.clip(idx, 0, n - 1)])
+                else:
+                    idx = np.clip(_row_search(steps[:, : n + 1], xs, rows), 0, n - 1)
+                    stack.append(steps[rows, n + 1 + idx])
             elif op == OP_PPOLY:
-                off, n = iargs[k]
-                deg = int(fargs[k, 0])
-                breaks = data[off : off + n + 1]
-                coeffs = data[off + n + 1 : off + n + 1 + n * (deg + 1)].reshape(
-                    n, deg + 1
-                )
-                idx = np.clip(np.searchsorted(breaks, xs, side="right") - 1, 0, n - 1)
-                t = xs - breaks[idx]
+                n = iargs[k, 1]
+                deg = int(first[k][0])
+                poly = table(k, n + 1 + n * (deg + 1))
+                if poly.ndim == 1:
+                    breaks = poly[: n + 1]
+                    coeffs = poly[n + 1 :].reshape(n, deg + 1)
+                    idx = np.clip(np.searchsorted(breaks, xs, side="right") - 1, 0, n - 1)
+                    t = xs - breaks[idx]
+                else:
+                    breaks = poly[:, : n + 1]
+                    coeffs = poly[:, n + 1 :].reshape(len(poly), n, deg + 1)
+                    idx = np.clip(_row_search(breaks, xs, rows), 0, n - 1)
+                    t = xs - breaks[rows, idx]
+                    coeffs = coeffs[rows, idx]
+                    idx = slice(None)
                 acc = coeffs[idx, deg].copy()
                 for j in range(deg - 1, -1, -1):
                     acc = acc * t + coeffs[idx, j]
@@ -85,8 +172,7 @@ def eval_program(ops, fargs, iargs, data, xs, stack_depth):
                 rhs = stack.pop()
                 stack[-1] = stack[-1] * rhs
             elif op == OP_POWER:
-                e = fargs[k, 0]
-                stack[-1] = np.power(stack[-1], e)
+                stack[-1] = _power(stack[-1], param(k, 0))
             elif op == OP_ABS:
                 stack[-1] = np.abs(stack[-1])
             else:  # pragma: no cover - compiler emits known opcodes only

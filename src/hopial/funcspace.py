@@ -59,6 +59,7 @@ __all__ = [
     "spec_from_json",
     "sample_family",
     "compile_program",
+    "stack_programs",
 ]
 
 
@@ -804,49 +805,74 @@ def sample_family(family: FamilySpec, count: int) -> list:
 # ---------------------------------------------------------------------------
 
 class Program:
-    """Flat postfix program evaluating a spec on float64 arrays."""
+    """Flat postfix program evaluating a spec on float64 arrays.
 
-    __slots__ = ("ops", "fargs", "iargs", "data", "stack_depth")
+    ``fargs`` (rows x ops x 3) and ``data`` (rows x n) hold one parameter
+    row per member; ``compile_program`` makes one-row programs and
+    ``stack_programs`` stacks the rows of programs that share a skeleton.
+    """
 
-    def __init__(self, ops, fargs, iargs, data, stack_depth):
+    __slots__ = ("ops", "fargs", "iargs", "data", "_skeleton")
+
+    def __init__(self, ops, fargs, iargs, data):
         self.ops = np.asarray(ops, dtype=np.int32)
-        self.fargs = np.asarray(fargs, dtype=np.float64).reshape(len(ops), 3)
+        self.fargs = np.asarray(fargs, dtype=np.float64).reshape(-1, len(ops), 3)
         self.iargs = np.asarray(iargs, dtype=np.int32).reshape(len(ops), 2)
-        self.data = np.asarray(data, dtype=np.float64)
-        self.stack_depth = stack_depth
+        self.data = np.asarray(data, dtype=np.float64).reshape(len(self.fargs), -1)
+        self._skeleton = None
 
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
+    @property
+    def skeleton(self):
+        """Opcodes, data layout and polynomial degrees: what the rows of a
+        stacked program share."""
+        if self._skeleton is None:
+            self._skeleton = (self.ops.tobytes(), self.iargs.tobytes(), self.data.shape[1],
+                              self.fargs[0, self.ops == OP_PPOLY, 0].tobytes())
+        return self._skeleton
+
+    def __call__(self, xs: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Values at ``xs``; point i uses parameter row ``rows[i]`` (row 0
+        for every point when ``rows`` is None)."""
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         shape = xs.shape
         out = _kernel.eval_program(
-            self.ops, self.fargs, self.iargs, self.data, xs.ravel(), self.stack_depth
+            self.ops, self.fargs, self.iargs, self.data, xs.ravel(), rows
         )
         return out.reshape(shape)
 
 
+def stack_programs(progs: Sequence[Program]) -> Program:
+    """One program whose row i is the (one-row) program ``progs[i]``."""
+    first = progs[0]
+    if any(p.skeleton != first.skeleton for p in progs):
+        raise InvalidSpec("stacked programs must share opcodes and data layout")
+    return Program(first.ops, np.concatenate([p.fargs for p in progs]), first.iargs,
+                   np.concatenate([p.data for p in progs]))
+
+
 def _compile_into(spec, interval, ops, fargs, iargs, data):
-    """Returns the stack depth needed by this subtree."""
+    """Append the postfix program of ``spec`` to the four lists."""
     a, b = interval.a, interval.b
     if isinstance(spec, Constant):
         ops.append(OP_CONST)
         fargs.append((spec.c, 0.0, 0.0))
         iargs.append((0, 0))
-        return 1
+        return
     if isinstance(spec, PowerLaw):
         ops.append(OP_POW_LEFT)
         fargs.append((spec.c, spec.alpha, a))
         iargs.append((0, 0))
-        return 1
+        return
     if isinstance(spec, ShiftedPowerLaw):
         ops.append(OP_POW_RIGHT)
         fargs.append((spec.c, spec.alpha, b))
         iargs.append((0, 0))
-        return 1
+        return
     if isinstance(spec, Exponential):
         ops.append(OP_EXP)
         fargs.append((spec.c, spec.beta, 0.0))
         iargs.append((0, 0))
-        return 1
+        return
     if isinstance(spec, PiecewiseLinear):
         off = len(data)
         n = len(spec.knots)
@@ -855,7 +881,7 @@ def _compile_into(spec, interval, ops, fargs, iargs, data):
         ops.append(OP_PWL)
         fargs.append((0.0, 0.0, 0.0))
         iargs.append((off, n))
-        return 1
+        return
     if isinstance(spec, Step):
         off = len(data)
         n = len(spec.values)
@@ -864,7 +890,7 @@ def _compile_into(spec, interval, ops, fargs, iargs, data):
         ops.append(OP_STEP)
         fargs.append((0.0, 0.0, 0.0))
         iargs.append((off, n))
-        return 1
+        return
     if isinstance(spec, PiecewisePolynomial):
         off = len(data)
         n = len(spec.coeffs)
@@ -876,30 +902,28 @@ def _compile_into(spec, interval, ops, fargs, iargs, data):
         ops.append(OP_PPOLY)
         fargs.append((float(deg), 0.0, 0.0))
         iargs.append((off, n))
-        return 1
+        return
     if isinstance(spec, (Sum, Product)):
         opcode = OP_ADD if isinstance(spec, Sum) else OP_MUL
-        depth = 0
         for i, term in enumerate(spec.terms):
-            d = _compile_into(term, interval, ops, fargs, iargs, data)
-            depth = max(depth, d + min(i, 1))
+            _compile_into(term, interval, ops, fargs, iargs, data)
             if i > 0:
                 ops.append(opcode)
                 fargs.append((0.0, 0.0, 0.0))
                 iargs.append((0, 0))
-        return max(depth, 1)
+        return
     if isinstance(spec, Power):
-        d = _compile_into(spec.base, interval, ops, fargs, iargs, data)
+        _compile_into(spec.base, interval, ops, fargs, iargs, data)
         ops.append(OP_POWER)
         fargs.append((spec.exponent, 0.0, 0.0))
         iargs.append((0, 0))
-        return d
+        return
     if isinstance(spec, AbsVal):
-        d = _compile_into(spec.term, interval, ops, fargs, iargs, data)
+        _compile_into(spec.term, interval, ops, fargs, iargs, data)
         ops.append(OP_ABS)
         fargs.append((0.0, 0.0, 0.0))
         iargs.append((0, 0))
-        return d
+        return
     raise InvalidSpec(f"cannot compile {type(spec).__name__}")
 
 
@@ -916,8 +940,8 @@ def compile_program(spec: FunctionSpec, interval: Interval) -> Program:
     fargs: list = []
     iargs: list = []
     data: list = []
-    depth = _compile_into(spec, interval, ops, fargs, iargs, data)
-    prog = Program(ops, fargs, iargs, data, depth)
+    _compile_into(spec, interval, ops, fargs, iargs, data)
+    prog = Program(ops, fargs, iargs, data)
     if len(_PROGRAM_CACHE) >= _PROGRAM_CACHE_MAX:
         _PROGRAM_CACHE.clear()
     _PROGRAM_CACHE[key] = prog

@@ -1,6 +1,9 @@
 """Adaptive quadrature with endpoint-singularity handling.
 
-The engine is a batched global-adaptive Gauss-Kronrod (7, 15) scheme:
+The engine is a global-adaptive Gauss-Kronrod (7, 15) scheme that runs many
+integrals at once.  ``integrate_many`` takes a list of jobs, a job being
+one integral with the arguments of ``integrate`` (which is the one-job
+case of the same loop).  Per job:
 
 * structural breakpoints of a spec seed the initial panels, so piecewise
   polynomials integrate exactly in one pass per piece;
@@ -10,6 +13,16 @@ The engine is a batched global-adaptive Gauss-Kronrod (7, 15) scheme:
 * exponents <= -1 are rejected as divergent before any evaluation;
 * raw callables (no structure) are integrated with the open Kronrod rule
   only and their error estimate is inflated by a factor of 10.
+
+Each piece of a job keeps its own panel tree, stop rule and share of the
+job's panel budget, exactly as when the job runs alone.  The loop refines
+the pieces of all jobs in rounds, and in each round the new panels of all
+pieces that share an integrand are evaluated in one kernel call.  Specs
+that compile to the same opcode skeleton share one batched program, with
+one parameter row per job (``funcspace.stack_programs``).  A job gets the
+same bits in any batch: the kernel gives a row the bits of its one-row
+program, and the panel rule reduces every panel on its own (a BLAS gemv
+would not: its result for a row changes with the number of rows).
 
 Default relative tolerances: 1e-10 for smooth integrands, 1e-7 when an
 endpoint substitution is in play.  Constants downstream multiply up to
@@ -25,10 +38,14 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import funcspace as fs
-from .errors import BudgetExceeded, DomainError, NonIntegrable
+from .errors import BudgetExceeded, DomainError, HopialError, NonIntegrable
 
 __all__ = [
     "QuadResult",
+    "Job",
+    "integrate_many",
+    "integrate_job",
+    "product_job",
     "CumulativeTable",
     "RunningIntegral",
     "SupResult",
@@ -138,77 +155,403 @@ def _as_array_fn(f) -> Callable[[np.ndarray], np.ndarray]:
     return wrapped
 
 
-def _gk_panels(eval_fn, los, his):
-    half = 0.5 * (his - los)
-    centers = 0.5 * (his + los)
-    xs = centers[:, None] + half[:, None] * _NODES[None, :]
-    ys = eval_fn(xs.ravel()).reshape(len(los), 15)
-    if not np.all(np.isfinite(ys)):
-        bad = xs.ravel()[~np.isfinite(ys.ravel())][:1]
-        raise DomainError(f"integrand evaluated non-finite near x={bad}")
-    vals = half * (ys @ _WK)
-    errs = np.abs(vals - half * (ys @ _WG))
-    return vals, errs
+@dataclass(frozen=True)
+class Job:
+    """One integral for ``integrate_many``: the arguments of ``integrate``."""
+
+    f: Integrand
+    interval: fs.Interval
+    tol: Optional[float] = None
+    home: Optional[fs.Interval] = None
+    breakpoints: Optional[Sequence[float]] = None
+    endpoint_exponents: Optional[tuple] = None
+    max_panels: int = DEFAULT_PANEL_BUDGET
 
 
-def _adapt(eval_fn, lo, hi, rel_tol, abs_floor, budget):
-    """Globally adaptive bisection on one smooth piece.
+class _Run:
+    """A validated job: its integrand, stop rule and pieces."""
 
-    Returns (value, abs_error, panels_used).
+    __slots__ = ("target", "tol", "raw", "max_panels", "abs_floor", "pieces")
+
+    def __init__(self, target, tol, raw, max_panels):
+        self.target = target
+        self.tol = tol
+        self.raw = raw
+        self.max_panels = max_panels
+        self.abs_floor = 0.0
+        self.pieces = []
+
+
+class _Piece:
+    """One smooth piece of a run with its own panel tree.
+
+    ``sub`` is None, or (sign, anchor, m) for the substitution
+    x = anchor + sign * u^m that removes an endpoint singularity; the
+    panels are in the piece's own variable.  They are Python lists, kept
+    in the order a bisection keeps them: the unsplit panels, then the left
+    halves, then the right halves.  ``last_split`` is the panel count at
+    the last split decision, which the budget check looks at.
     """
-    los = np.array([lo], dtype=float)
-    his = np.array([hi], dtype=float)
-    vals, errs = _gk_panels(eval_fn, los, his)
-    used = 1
-    while True:
-        total = float(vals.sum())
-        total_err = float(errs.sum())
-        target = max(rel_tol * abs(total), abs_floor)
-        if total_err <= target:
-            return total, total_err, used
-        if used >= budget:
-            raise BudgetExceeded(
-                f"needed more than {budget} panels for tolerance {rel_tol:g}"
-            )
-        n = len(los)
-        split = errs > target / (2.0 * n)
-        if not split.any():
-            split[int(np.argmax(errs))] = True
-        keep = ~split
-        mids = 0.5 * (los[split] + his[split])
-        new_los = np.concatenate([los[keep], los[split], mids])
-        new_his = np.concatenate([his[keep], mids, his[split]])
-        new_vals, new_errs = _gk_panels(eval_fn, np.concatenate([los[split], mids]),
-                                        np.concatenate([mids, his[split]]))
-        used += 2 * int(split.sum())
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
-        los, his = new_los, new_his
+
+    __slots__ = ("sub", "group", "row", "los", "his", "vals", "errs",
+                 "keep", "used", "last_split", "total", "total_err", "error")
+
+    def __init__(self, sub, lo, hi):
+        self.sub = sub
+        self.group = self.row = None
+        self.los, self.his = [lo], [hi]
+        self.vals = self.errs = self.keep = self.total = self.total_err = None
+        self.used = 1
+        self.last_split = -1
+        self.error = None
 
 
-def _left_substitution(eval_fn, a, c, kappa):
-    """Map (a, c) singular piece to a regular piece via x = a + u^m."""
-    m = 2.0 / (1.0 + kappa)
-    u_hi = (c - a) ** (1.0 / m)
-
-    def transformed(us):
-        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-            xs = a + us**m
-            return eval_fn(xs) * m * us ** (m - 1.0)
-
-    return transformed, 0.0, u_hi
+def _panel_rule(ys, half):
+    """Kronrod-15 values and |K15 - G7| errors, one row per panel.  The
+    weighted sums reduce each row on its own (BLAS gemv does not: a row's
+    result changes with the number of rows), so a panel gets the same bits
+    alone as in a batch."""
+    vals = half * (ys * _WK).sum(axis=1)
+    return vals, np.abs(vals - half * (ys * _WG).sum(axis=1))
 
 
-def _right_substitution(eval_fn, c, b, kappa):
-    m = 2.0 / (1.0 + kappa)
-    u_hi = (b - c) ** (1.0 / m)
+def _sum(xs, lo=0, n=None):
+    """sum(xs[lo:lo + n]) in the order of ndarray.sum, bit for bit: numpy's
+    pairwise summation (left to right below 8 terms, 8 running sums up to
+    128, halves above)."""
+    if n is None:
+        n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs[lo : lo + n]:
+            total += x
+        return total
+    if n <= 128:
+        r = xs[lo : lo + 8]
+        i = 8
+        while i < n - n % 8:
+            for j in range(8):
+                r[j] += xs[lo + i + j]
+            i += 8
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in xs[lo + i : lo + n]:
+            total += x
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _sum(xs, lo, half) + _sum(xs, lo + half, n - half)
 
-    def transformed(us):
-        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-            xs = b - us**m
-            return eval_fn(xs) * m * us ** (m - 1.0)
 
-    return transformed, 0.0, u_hi
+def _prepare(job: Job, structure: dict) -> _Run:
+    """Validate a job and cut it into pieces (endpoint substitutions and
+    breakpoint splits).  ``structure`` caches the program and structural
+    analysis of each (spec, home) for the call."""
+    a, b = job.interval.a, job.interval.b
+    home = job.home or job.interval
+    f = job.f
+    if callable(f):  # a raw callable or a compiled program
+        target, structural_breaks, kappa_l, kappa_r = f, [], 0.0, 0.0
+        raw = not isinstance(f, fs.Program)
+    else:
+        raw = False
+        key = (id(f), home)
+        if key not in structure:
+            structure[key] = (fs.compile_program(f, home), fs.breakpoints(f, home))
+        target, structural_breaks = structure[key]
+        if job.endpoint_exponents is None:
+            kappa_l = fs.endpoint_exponent(f, home, "left")
+            kappa_r = fs.endpoint_exponent(f, home, "right")
+
+    if job.endpoint_exponents is not None:
+        kappa_l, kappa_r = job.endpoint_exponents
+    # exponents describe the home endpoints; a strict sub-range is regular
+    if a > home.a + 1e-15 * home.width:
+        kappa_l = 0.0
+    if b < home.b - 1e-15 * home.width:
+        kappa_r = 0.0
+
+    if kappa_l <= -1.0:
+        raise NonIntegrable(f"left endpoint exponent {kappa_l} <= -1")
+    if kappa_r <= -1.0:
+        raise NonIntegrable(f"right endpoint exponent {kappa_r} <= -1")
+    singular = kappa_l < 0.0 or kappa_r < 0.0
+
+    tol = job.tol
+    if tol is None:
+        tol = SINGULAR_TOL if singular else SMOOTH_TOL
+    if not (1e-14 < tol < 1e-2):
+        raise DomainError(f"tolerance {tol} outside accepted range (1e-14, 1e-2)")
+
+    cuts = sorted(
+        {float(x) for x in (job.breakpoints or [])}
+        | {float(x) for x in structural_breaks}
+    )
+    eps = 1e-12 * (b - a)
+    cuts = [x for x in cuts if a + eps < x < b - eps]
+    edges = [a] + cuts + [b]
+
+    run = _Run(target, tol, raw, job.max_panels)
+
+    def left(lo, hi, kappa):
+        m = 2.0 / (1.0 + kappa)
+        return _Piece((1, lo, m), 0.0, (hi - lo) ** (1.0 / m))
+
+    def right(lo, hi, kappa):
+        m = 2.0 / (1.0 + kappa)
+        return _Piece((-1, hi, m), 0.0, (hi - lo) ** (1.0 / m))
+
+    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        left_sing = i == 0 and kappa_l < 0.0
+        right_sing = i == len(edges) - 2 and kappa_r < 0.0
+        if left_sing and right_sing:
+            mid = 0.5 * (lo + hi)
+            run.pieces += [left(lo, mid, kappa_l), right(mid, hi, kappa_r)]
+        elif left_sing:
+            run.pieces.append(left(lo, hi, kappa_l))
+        elif right_sing:
+            run.pieces.append(right(lo, hi, kappa_r))
+        else:
+            run.pieces.append(_Piece(None, lo, hi))
+    return run
+
+
+def _assign_groups(runs) -> list:
+    """Give every piece its group and parameter row; returns the groups'
+    integrands as (fn, batched) pairs.
+
+    Programs that share a skeleton are stacked into one batched program,
+    whose ``fn(xs, rows)`` takes a parameter row per point; a raw callable
+    is a group of its own.
+    """
+    fns: list = []
+    of: dict = {}
+    by_skeleton: dict = {}
+    for run in runs:
+        f = run.target
+        if isinstance(f, fs.Program):
+            by_skeleton.setdefault(f.skeleton, {})[id(f)] = f
+        elif id(f) not in of:
+            fn = _as_array_fn(f)
+            of[id(f)] = (len(fns), None)
+            fns.append((lambda xs, rows, fn=fn: fn(xs), False))
+    for progs in by_skeleton.values():
+        progs = list(progs.values())
+        if len(progs) == 1 and len(progs[0].fargs) == 1:
+            of[id(progs[0])] = (len(fns), None)
+            fns.append((progs[0], False))
+            continue
+        row = 0
+        for prog in progs:
+            of[id(prog)] = (len(fns), row)
+            row += len(prog.fargs)
+        fns.append((fs.stack_programs(progs), True))
+    for run in runs:
+        group, row = of[id(run.target)]
+        for pc in run.pieces:
+            pc.group, pc.row = group, row
+    return fns
+
+
+def _group_values(fn, batched, pieces, counts, us):
+    """The integrand of one group at nodes ``us`` (one row of 15 per panel;
+    ``counts[i]`` rows belong to ``pieces[i]``), with each piece's
+    substitution and its Jacobian applied."""
+    subs = list(dict.fromkeys(pc.sub for pc in pieces))
+    if subs == [None]:
+        masks = []
+    elif len(subs) == 1:
+        masks = [(subs[0], slice(None))]
+    else:
+        which = np.repeat([subs.index(pc.sub) for pc in pieces], counts)
+        masks = [(sub, which == k) for k, sub in enumerate(subs) if sub is not None]
+    xs = us.copy() if masks else us
+    for (sign, anchor, m), mask in masks:
+        if sign > 0:
+            xs[mask] = anchor + us[mask] ** m
+        else:
+            xs[mask] = anchor - us[mask] ** m
+    rows = None
+    if batched:
+        rows = np.repeat([pc.row for pc in pieces], np.multiply(counts, 15))
+    ys = fn(xs.ravel(), rows).reshape(us.shape)
+    for (sign, anchor, m), mask in masks:
+        ys[mask] = ys[mask] * m * us[mask] ** (m - 1.0)
+    return ys
+
+
+def _evaluate(fns, requests):
+    """Evaluate (piece, los, his) panel requests, one kernel call per group.
+
+    Returns one (vals, errs) pair of lists per request, or the DomainError
+    of a request whose integrand is non-finite at one of its nodes.
+    """
+    counts = [len(req[1]) for req in requests]
+    lo = np.array([x for req in requests for x in req[1]])
+    hi = np.array([x for req in requests for x in req[2]])
+    half = 0.5 * (hi - lo)
+    us = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES[None, :]
+    by_group: dict = {}
+    for i, req in enumerate(requests):
+        by_group.setdefault(req[0].group, []).append(i)
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        if len(by_group) == 1:
+            ys = _group_values(*fns[requests[0][0].group],
+                               [req[0] for req in requests], counts, us)
+        else:
+            ys = np.empty(us.shape)
+            owner = np.repeat(np.arange(len(requests)), counts)
+            for g, idx in by_group.items():
+                sel = np.flatnonzero(np.isin(owner, idx))
+                ys[sel] = _group_values(*fns[g], [requests[i][0] for i in idx],
+                                        [counts[i] for i in idx], us[sel])
+        vals, errs = _panel_rule(ys, half)
+    vals, errs = vals.tolist(), errs.tolist()
+    finite = np.isfinite(ys)
+    ok = [True] * len(lo) if finite.all() else finite.all(axis=1).tolist()
+    out = []
+    stop = 0
+    for n in counts:
+        start, stop = stop, stop + n
+        if all(ok[start:stop]):
+            out.append((vals[start:stop], errs[start:stop]))
+        else:
+            bad = us[start:stop].ravel()[~finite[start:stop].ravel()][:1]
+            out.append(DomainError(f"integrand evaluated non-finite near x={bad}"))
+    return out
+
+
+def _step(run, pc, before):
+    """One round of piece ``pc`` of ``run``, whose earlier pieces hold
+    ``before`` panels: stop, or split its worst panels and return the
+    request for the new halves."""
+    rel_tol = 0.5 * run.tol
+    total = _sum(pc.vals)
+    total_err = _sum(pc.errs)
+    target = max(rel_tol * abs(total), run.abs_floor)
+    if total_err <= target:
+        pc.total, pc.total_err = total, total_err
+        return None
+    pc.last_split = pc.used
+    if pc.used >= run.max_panels - before:
+        # at the budget a lone run would give it: the run fails here or at
+        # an earlier piece, so the piece stops (_result words the error)
+        pc.error = BudgetExceeded()
+        return None
+    errs = pc.errs
+    share = target / (2.0 * len(errs))
+    split = [e > share for e in errs]
+    if not any(split):
+        split[errs.index(max(errs))] = True
+    los = [lo for lo, s in zip(pc.los, split) if s]
+    his = [hi for hi, s in zip(pc.his, split) if s]
+    mids = [0.5 * (lo + hi) for lo, hi in zip(los, his)]
+    pc.keep = [not s for s in split]
+    pc.los = [lo for lo, k in zip(pc.los, pc.keep) if k] + los + mids
+    pc.his = [hi for hi, k in zip(pc.his, pc.keep) if k] + mids + his
+    pc.used += 2 * len(los)
+    return pc, los + mids, mids + his
+
+
+def _result(run):
+    """The run's QuadResult, or the error it raises alone: its pieces in
+    order, each with the budget the earlier pieces left."""
+    total = total_err = 0.0
+    used = 0
+    for pc in run.pieces:
+        budget = run.max_panels - used
+        if pc.last_split >= budget:
+            return BudgetExceeded(f"needed more than {budget} panels "
+                                  f"for tolerance {0.5 * run.tol:g}")
+        if pc.error is not None:
+            return pc.error
+        total += pc.total
+        total_err += pc.total_err
+        used += pc.used
+    if run.raw:
+        total_err *= _RAW_CALLABLE_INFLATION
+    return QuadResult(total, total_err, used)
+
+
+def integrate_many(jobs: Sequence[Job]) -> list:
+    """Integrate every job; returns one QuadResult or HopialError per job.
+
+    One globally adaptive loop runs all jobs at once.  Each job keeps its
+    own pieces, and each piece its own panel tree, stop rule and share of
+    the job's panel budget, exactly as if the job ran alone.  In every
+    refinement round the pending panels of all pieces that share an
+    integrand go to the kernel in one call, and the panel rule reduces
+    each panel on its own, so a job gets the same bits in a batch as
+    alone.  A job that fails does not stop the others.
+    """
+    results: list = [None] * len(jobs)
+    structure: dict = {}
+    runs = {}
+    for i, job in enumerate(jobs):
+        try:
+            runs[i] = _prepare(job, structure)
+        except HopialError as exc:
+            results[i] = exc
+    fns = _assign_groups(runs.values())
+
+    # round 0: the first panel of every piece, which also scales the
+    # absolute floor of its run; a failure there ends the run
+    pieces = [pc for run in runs.values() for pc in run.pieces]
+    for pc, res in zip(pieces, _evaluate(fns, [(pc, pc.los, pc.his) for pc in pieces])
+                       if pieces else ()):
+        if isinstance(res, HopialError):
+            pc.error = res
+        else:
+            pc.vals, pc.errs = res
+    live = []
+    for i, run in runs.items():
+        failed = [pc.error for pc in run.pieces if pc.error is not None]
+        if failed:
+            results[i] = failed[0]
+            continue
+        rough = 0.0
+        for pc in run.pieces:
+            rough += abs(pc.vals[0])
+        run.abs_floor = max(run.tol * rough, 1e-300) / (2 * len(run.pieces))
+        live.append(run)
+
+    while live:
+        requests = []
+        still = []
+        for run in live:
+            before = 0
+            for pc in run.pieces:
+                if pc.error is not None:
+                    break  # later pieces cannot change the run's result
+                if pc.total is None:
+                    req = _step(run, pc, before)
+                    if req is not None:
+                        requests.append(req)
+                        if not still or still[-1] is not run:
+                            still.append(run)
+                    elif pc.error is not None:
+                        break
+                before += pc.used
+        live = still
+        if requests:
+            for (pc, _, _), res in zip(requests, _evaluate(fns, requests)):
+                if isinstance(res, HopialError):
+                    pc.error = res
+                else:
+                    keep = pc.keep
+                    pc.vals = [v for v, k in zip(pc.vals, keep) if k] + res[0]
+                    pc.errs = [e for e, k in zip(pc.errs, keep) if k] + res[1]
+
+    for i, run in runs.items():
+        if results[i] is None:
+            results[i] = _result(run)
+    return results
+
+
+def integrate_job(job: Job) -> QuadResult:
+    """``integrate_many`` of one job; its error is raised."""
+    res = integrate_many([job])[0]
+    if isinstance(res, HopialError):
+        raise res
+    return res
 
 
 def integrate(
@@ -230,98 +573,12 @@ def integrate(
     right) exponent detection; pass it when the caller knows the behaviour
     of a cancelling sum.  Exponents <= -1 raise NonIntegrable.
     """
-    a, b = interval.a, interval.b
-    home = home or interval
-
-    if isinstance(f, fs.Program):
-        eval_fn = f
-        structural_breaks: list = []
-        kappa_l, kappa_r = 0.0, 0.0
-        raw = False
-    elif callable(f):
-        eval_fn = _as_array_fn(f)
-        structural_breaks = []
-        kappa_l, kappa_r = 0.0, 0.0
-        raw = True
-    else:
-        eval_fn = fs.compile_program(f, home)
-        structural_breaks = fs.breakpoints(f, home)
-        kappa_l = fs.endpoint_exponent(f, home, "left")
-        kappa_r = fs.endpoint_exponent(f, home, "right")
-        raw = False
-
-    if endpoint_exponents is not None:
-        kappa_l, kappa_r = endpoint_exponents
-    # exponents describe the home endpoints; a strict sub-range is regular
-    if a > home.a + 1e-15 * home.width:
-        kappa_l = 0.0
-    if b < home.b - 1e-15 * home.width:
-        kappa_r = 0.0
-
-    if kappa_l <= -1.0:
-        raise NonIntegrable(f"left endpoint exponent {kappa_l} <= -1")
-    if kappa_r <= -1.0:
-        raise NonIntegrable(f"right endpoint exponent {kappa_r} <= -1")
-    singular = kappa_l < 0.0 or kappa_r < 0.0
-
-    if tol is None:
-        tol = SINGULAR_TOL if singular else SMOOTH_TOL
-    if not (1e-14 < tol < 1e-2):
-        raise DomainError(f"tolerance {tol} outside accepted range (1e-14, 1e-2)")
-
-    cuts = sorted(
-        {float(x) for x in (breakpoints or [])}
-        | {float(x) for x in structural_breaks}
-    )
-    eps = 1e-12 * (b - a)
-    cuts = [x for x in cuts if a + eps < x < b - eps]
-    edges = [a] + cuts + [b]
-
-    pieces = []  # (eval_fn, lo, hi)
-    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        left_sing = i == 0 and kappa_l < 0.0
-        right_sing = i == len(edges) - 2 and kappa_r < 0.0
-        if left_sing and right_sing:
-            mid = 0.5 * (lo + hi)
-            pieces.append(_left_substitution(eval_fn, lo, mid, kappa_l))
-            pieces.append(_right_substitution(eval_fn, mid, hi, kappa_r))
-        elif left_sing:
-            pieces.append(_left_substitution(eval_fn, lo, hi, kappa_l))
-        elif right_sing:
-            pieces.append(_right_substitution(eval_fn, lo, hi, kappa_r))
-        else:
-            pieces.append((eval_fn, lo, hi))
-
-    # rough pass to scale the absolute floor, then refine each piece
-    rough = 0.0
-    for fn, lo, hi in pieces:
-        v, _ = _gk_panels(fn, np.array([lo]), np.array([hi]))
-        rough += abs(float(v[0]))
-    abs_floor = max(tol * rough, 1e-300) / (2 * len(pieces))
-
-    total = 0.0
-    total_err = 0.0
-    used_total = 0
-    for fn, lo, hi in pieces:
-        v, e, used = _adapt(fn, lo, hi, 0.5 * tol, abs_floor, max_panels - used_total)
-        total += v
-        total_err += e
-        used_total += used
-
-    if raw:
-        total_err *= _RAW_CALLABLE_INFLATION
-    return QuadResult(total, total_err, used_total)
+    return integrate_job(Job(f, interval, tol, home, breakpoints,
+                             endpoint_exponents, max_panels))
 
 
-def product_integral(parts, interval: fs.Interval,
-                     tol: Optional[float] = None) -> QuadResult:
-    """Integral over ``interval`` of the product of w^ex for (w, ex) parts.
-
-    ``w`` is a spec or a callable; None weights and zero exponents are
-    skipped.  Spec factors keep their structure: same-anchor power laws
-    are merged, endpoint exponents add up and breakpoints carry over to
-    the callable factors.
-    """
+def product_job(parts, interval: fs.Interval, tol: Optional[float] = None) -> Job:
+    """The job of ``product_integral``."""
     specs, fns = [], []
     kappa_l = kappa_r = 0.0
     breaks: set = set()
@@ -339,8 +596,7 @@ def product_integral(parts, interval: fs.Interval,
     specs = fs.merge_product(specs)
     if not fns:
         target = specs[0] if len(specs) == 1 else fs.Product(specs)
-        return integrate(target, interval, tol=tol,
-                         endpoint_exponents=(kappa_l, kappa_r))
+        return Job(target, interval, tol, endpoint_exponents=(kappa_l, kappa_r))
     progs = [fs.compile_program(sp, interval) for sp in specs]
 
     def fn(xs):
@@ -352,9 +608,20 @@ def product_integral(parts, interval: fs.Interval,
             out = out * (vals if ex == 1 else vals**ex)
         return out
 
-    return integrate(fn, interval, tol=tol,
-                     endpoint_exponents=(kappa_l, kappa_r),
-                     breakpoints=sorted(breaks))
+    return Job(fn, interval, tol, breakpoints=sorted(breaks),
+               endpoint_exponents=(kappa_l, kappa_r))
+
+
+def product_integral(parts, interval: fs.Interval,
+                     tol: Optional[float] = None) -> QuadResult:
+    """Integral over ``interval`` of the product of w^ex for (w, ex) parts.
+
+    ``w`` is a spec or a callable; None weights and zero exponents are
+    skipped.  Spec factors keep their structure: same-anchor power laws
+    are merged, endpoint exponents add up and breakpoints carry over to
+    the callable factors.
+    """
+    return integrate_job(product_job(parts, interval, tol))
 
 
 @dataclass(frozen=True)
@@ -386,7 +653,11 @@ def cumulative(
     n: int = 64,
     tol: Optional[float] = None,
 ) -> CumulativeTable:
-    """Cumulative integral table of ``f`` with F(a) = 0 exactly."""
+    """Cumulative integral table of ``f`` with F(a) = 0 exactly.
+
+    The n cells and the n half cells that audit the interpolant at every
+    cell midpoint are integrated in one ``integrate_many`` call.
+    """
     if n < 16:
         raise DomainError("cumulative grid size must be >= 16")
     a, b = interval.a, interval.b
@@ -400,18 +671,23 @@ def cumulative(
             values[0] = 0.0
             return CumulativeTable(grid, values, -1, prog)
 
-    cells = []
-    subs = 0
-    for lo, hi in zip(grid, grid[1:]):
-        res = integrate(
-            f,
-            fs.Interval(float(lo), float(hi)),
-            tol=tol,
-            home=interval,
-        )
-        subs += res.subdivisions
-        cells.append(res.value)
-    values = np.concatenate([[0.0], np.cumsum(cells)])
+    # the cells and the left halves of the cells, in one call
+    mids = grid[:-1] + 0.5 * (b - a) / n
+    jobs = [Job(f, fs.Interval(float(lo), float(hi)), tol, home=interval)
+            for lo, hi in zip(grid, grid[1:])]
+    jobs += [Job(f, fs.Interval(float(lo), float(x)), tol, home=interval)
+             for lo, x in zip(grid, mids)]
+    results = integrate_many(jobs)
+    for res in results:
+        if isinstance(res, HopialError):
+            raise res
+    cells, halves = results[:n], results[n:]
+    cell_values = np.array([res.value for res in cells])
+    values = np.concatenate([[0.0], np.cumsum(cell_values)])
+    # a bound on the error of every knot: the cells' estimates plus the
+    # rounding of the running sum, (n - 1) u sum |cell| (Higham)
+    knot_error = (sum(res.abs_error_estimate for res in cells)
+                  + (n - 1) * 0.5 * np.finfo(float).eps * float(np.abs(cell_values).sum()))
 
     if callable(f):
         slopes_src = _as_array_fn(f)
@@ -431,12 +707,12 @@ def cumulative(
     def eval_fn(xs):
         return spline(np.clip(xs, a, b))
 
-    # audit interpolation error at a few cell midpoints against direct panels
-    probe = grid[:-1][:: max(1, n // 8)] + 0.5 * (b - a) / n
-    worst = 0.0
-    for x in probe:
-        direct = integrate(f, fs.Interval(a, float(x)), tol=tol, home=interval)
-        worst = max(worst, abs(direct.value - float(spline(x))) + direct.abs_error_estimate)
+    # audit the interpolation at every cell midpoint against the knot plus
+    # the half-cell integral; the knot error bound covers what the knots
+    # themselves miss, and the last knot's error any tail query F(b) - F(x)
+    direct = values[:-1] + [res.value for res in halves]
+    miss = np.abs(direct - spline(mids)) + [res.abs_error_estimate for res in halves]
+    worst = float(np.max(miss)) + knot_error
     return CumulativeTable(grid, values, 3, eval_fn, worst)
 
 
@@ -459,7 +735,8 @@ class RunningIntegral:
             self.spec = (fs.closed_antiderivative(f, interval) if side == "head"
                          else fs.tail_integral_spec(f, interval))
         if self.spec is not None:
-            self._fn = fs.compile_program(self.spec, interval)
+            # compiled on first use: a sweep only integrates the spec
+            self._fn = lambda xs: fs.compile_program(self.spec, interval)(xs)
             self.rel_error = 0.0
             return
         table = cumulative(f, interval, n, tol)

@@ -134,33 +134,32 @@ def _power_value(key: str, exps: dict) -> float:
     return float(value)
 
 
-def assemble_lhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.QuadResult:
-    """The displayed left-hand side, outer powers applied."""
-    ident, info, mode, exps = inst.resolved()
+def _lhs_plan(inst: TheoremInstance, resolved, tol):
+    """(job, finish) for the displayed left side: ``finish`` turns the
+    job's QuadResult into the side, outer powers applied."""
+    ident, info, mode, exps = resolved
     running = quad.RunningIntegral(inst.f, inst.interval,
                                    "head" if info.side == "left" else "tail")
     F, f_rel = running.integrand, running.rel_error
     shape = info.lhs
     if shape[0] == "sq_int_r_F":
-        base = quad.product_integral([(inst.r, 1.0), (F, 1.0)], inst.interval, tol)
-        return quad.QuadResult(
+        job = quad.product_job([(inst.r, 1.0), (F, 1.0)], inst.interval, tol)
+        return job, lambda base: quad.QuadResult(
             base.value**2,
             2.0 * (base.rel_error + f_rel) * base.value**2,
             base.subdivisions,
         )
-    if shape[0] == "int_r_F_pow":
+    if shape[0] in ("int_r_F_pow", "root_int_r_F"):
         power = _power_value(shape[1], exps)
-        res = quad.product_integral([(inst.r, 1.0), (F, power)], inst.interval, tol)
-        return quad.QuadResult(
-            res.value,
-            (res.rel_error + power * f_rel) * abs(res.value),
-            res.subdivisions,
-        )
-    if shape[0] == "root_int_r_F":
-        power = _power_value(shape[1], exps)
-        res = quad.product_integral([(inst.r, 1.0), (F, power)], inst.interval, tol)
+        job = quad.product_job([(inst.r, 1.0), (F, power)], inst.interval, tol)
+        if shape[0] == "int_r_F_pow":
+            return job, lambda res: quad.QuadResult(
+                res.value,
+                (res.rel_error + power * f_rel) * abs(res.value),
+                res.subdivisions,
+            )
         root = 1.0 / power
-        return quad.QuadResult(
+        return job, lambda res: quad.QuadResult(
             res.value**root,
             (root * res.rel_error + f_rel) * res.value**root,
             res.subdivisions,
@@ -168,15 +167,24 @@ def assemble_lhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.Qua
     if shape[0] == "hardy":
         p = exps["p"]
         inv = fs.PowerLaw(1.0, 1.0)
-        res = quad.product_integral([(F, p), (inv, -p)], inst.interval, tol)
-        return quad.QuadResult(
+        job = quad.product_job([(F, p), (inv, -p)], inst.interval, tol)
+        # F / (x - a) tends to f(a) even where F is a cancelling sum, so the
+        # left exponent is p kappa_f(a) (a raw callable f counts as regular)
+        kappa_f = 0.0 if callable(inst.f) else fs.endpoint_exponent(
+            inst.f, inst.interval, "left")
+        job = replace(job, endpoint_exponents=(p * kappa_f, job.endpoint_exponents[1]))
+        return job, lambda res: quad.QuadResult(
             res.value, (res.rel_error + p * f_rel) * abs(res.value),
             res.subdivisions,
         )
     raise HopialError(f"unknown lhs shape {shape}")
 
 
-def _rhs_weight_parts(inst, ident, mode, weight_tag, rhs_weight, tol):
+def _rhs_weight_parts(inst, resolved, rhs_weight, tol):
+    """The weight factors of the right side; they depend on the weights
+    only, so a sweep builds them once."""
+    ident, info, mode, exps = resolved
+    weight_tag = info.rhs[-1]
     parts = []
     if weight_tag == "s":
         parts.append((inst.s, 1.0))
@@ -194,32 +202,48 @@ def _rhs_weight_parts(inst, ident, mode, weight_tag, rhs_weight, tol):
     return parts
 
 
+def _rhs_plan(inst: TheoremInstance, resolved, tol, weight_parts):
+    """(job, finish) for the displayed right-hand side core."""
+    ident, info, mode, exps = resolved
+    shape = info.rhs
+    if shape[0] == "int_f_pow":
+        parts = weight_parts + [(inst.f, _power_value(shape[1], exps))]
+        return quad.product_job(parts, inst.interval, tol), lambda res: res
+    if shape[0] == "pow_int_f":
+        _, power_key, outer_key, _ = shape
+        parts = weight_parts + [(inst.f, _power_value(power_key, exps))]
+        outer = _power_value(outer_key, exps)
+
+        def finish(core):
+            if core.value < 0:
+                raise HopialError("negative core under an outer power")
+            value = core.value**outer
+            return quad.QuadResult(
+                value, outer * core.rel_error * abs(value), core.subdivisions
+            )
+
+        return quad.product_job(parts, inst.interval, tol), finish
+    raise HopialError(f"unknown rhs shape {shape}")
+
+
+def _side(plan) -> quad.QuadResult:
+    return plan[1](quad.integrate_job(plan[0]))
+
+
+def assemble_lhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.QuadResult:
+    """The displayed left-hand side, outer powers applied."""
+    return _side(_lhs_plan(inst, inst.resolved(), tol))
+
+
 def assemble_rhs(
     inst: TheoremInstance,
     tol: Optional[float] = None,
     rhs_weight: Optional[str] = None,
 ) -> quad.QuadResult:
     """The displayed right-hand side core (the constant excluded)."""
-    ident, info, mode, exps = inst.resolved()
-    shape = info.rhs
-    if shape[0] == "int_f_pow":
-        _, power_key, weight_tag = shape
-        parts = _rhs_weight_parts(inst, ident, mode, weight_tag, rhs_weight, tol)
-        parts.append((inst.f, _power_value(power_key, exps)))
-        return quad.product_integral(parts, inst.interval, tol)
-    if shape[0] == "pow_int_f":
-        _, power_key, outer_key, weight_tag = shape
-        parts = _rhs_weight_parts(inst, ident, mode, weight_tag, rhs_weight, tol)
-        parts.append((inst.f, _power_value(power_key, exps)))
-        core = quad.product_integral(parts, inst.interval, tol)
-        outer = _power_value(outer_key, exps)
-        if core.value < 0:
-            raise HopialError("negative core under an outer power")
-        value = core.value**outer
-        return quad.QuadResult(
-            value, outer * core.rel_error * abs(value), core.subdivisions
-        )
-    raise HopialError(f"unknown rhs shape {shape}")
+    resolved = inst.resolved()
+    parts = _rhs_weight_parts(inst, resolved, rhs_weight, tol)
+    return _side(_rhs_plan(inst, resolved, tol, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +251,7 @@ def assemble_rhs(
 # ---------------------------------------------------------------------------
 
 
-def _single_pass(inst, tol, breakdown=None):
-    ident, info, mode, exps = inst.resolved()
-    if breakdown is None:
-        breakdown = ct.hardy_constant(ident, inst.r, inst.s, inst.exponents,
-                                      inst.interval, mode=mode, tol=tol)
-    lhs = assemble_lhs(inst, tol)
-    rhs = assemble_rhs(inst, tol, rhs_weight=breakdown.rhs_weight)
+def _report(ident, mode, lhs, rhs, breakdown):
     ratio, status, budget = judge(
         lhs.value, rhs.value, breakdown.value,
         lhs.rel_error + rhs.rel_error + breakdown.error_estimate,
@@ -242,6 +260,85 @@ def _single_pass(inst, tol, breakdown=None):
         ident, mode, lhs.value, rhs.value, breakdown.value, ratio, status,
         budget, breakdown,
     )
+
+
+def _passes(insts, resolved, tol, breakdown):
+    """One pass (both sides and the ratio) of every instance, which share
+    all but f, with the sides of all of them integrated in one
+    ``integrate_many`` call.  Returns a report, or the HopialError that
+    ends the instance's pass alone, per instance."""
+    ident, info, mode, exps = resolved
+    try:
+        parts = _rhs_weight_parts(insts[0], resolved, breakdown.rhs_weight, tol)
+    except HopialError as exc:
+        parts = exc
+    # per instance: the lhs plan, and the rhs plan or the error that ends
+    # the pass once the lhs is done
+    plans, jobs = [], []
+    for inst in insts:
+        try:
+            lhs = _lhs_plan(inst, resolved, tol)
+        except HopialError as exc:
+            plans.append(exc)
+            continue
+        try:
+            if isinstance(parts, HopialError):
+                raise parts
+            rhs = _rhs_plan(inst, resolved, tol, parts)
+        except HopialError as exc:
+            rhs = exc
+        plans.append((lhs, rhs))
+        jobs += [lhs[0]] if isinstance(rhs, HopialError) else [lhs[0], rhs[0]]
+    results = iter(quad.integrate_many(jobs))
+    out = []
+    for pair in plans:
+        if isinstance(pair, HopialError):
+            out.append(pair)
+            continue
+        lhs, rhs = pair
+        lhs_res = next(results)
+        rhs_res = rhs if isinstance(rhs, HopialError) else next(results)
+        try:
+            lhs_side = _finished(lhs, lhs_res)
+            out.append(_report(ident, mode, lhs_side, _finished(rhs, rhs_res), breakdown))
+        except HopialError as exc:
+            out.append(exc)
+    return out
+
+
+def _finished(plan, res):
+    """The side from a plan and its integral; an error is raised."""
+    if isinstance(res, HopialError):
+        raise res
+    return plan[1](res)
+
+
+def _single_pass(inst, tol, breakdown=None):
+    resolved = inst.resolved()
+    ident, info, mode, exps = resolved
+    if breakdown is None:
+        breakdown = ct.hardy_constant(ident, inst.r, inst.s, inst.exponents,
+                                      inst.interval, mode=mode, tol=tol)
+    report = _passes([inst], resolved, tol, breakdown)[0]
+    if isinstance(report, HopialError):
+        raise report
+    return report
+
+
+def _retest(inst, tol, info, mode):
+    """A Violated pass re-run at 10x tighter tolerance and, for catalog
+    entries with divergent printed/derived readings, in the other mode."""
+    tight = max((tol or quad.SMOOTH_TOL) / 10.0, 2e-14)
+    confirmed = _single_pass(inst, tight)
+    detail = f"retested at tol={tight:g}: ratio={confirmed.ratio:.9g}"
+    if info.modes_differ:
+        other = "as_derived" if mode == "as_printed" else "as_printed"
+        try:
+            alt = _single_pass(replace(inst, mode=other), tol)
+            detail += f"; {other} ratio={alt.ratio:.9g} ({alt.status})"
+        except HopialError as exc:
+            detail += f"; {other} unavailable ({type(exc).__name__})"
+    return replace(confirmed, detail=detail)
 
 
 def verify(
@@ -260,30 +357,45 @@ def verify(
     report = _single_pass(inst, tol, breakdown)
     if report.status != "Violated":
         return report
-    tight = max((tol or quad.SMOOTH_TOL) / 10.0, 2e-14)
-    confirmed = _single_pass(inst, tight)
-    detail = f"retested at tol={tight:g}: ratio={confirmed.ratio:.9g}"
     ident, info, mode, exps = inst.resolved()
-    if info.modes_differ:
-        other = "as_derived" if mode == "as_printed" else "as_printed"
-        try:
-            alt = _single_pass(replace(inst, mode=other), tol)
-            detail += f"; {other} ratio={alt.ratio:.9g} ({alt.status})"
-        except HopialError as exc:
-            detail += f"; {other} unavailable ({type(exc).__name__})"
-    return replace(confirmed, detail=detail)
+    return _retest(inst, tol, info, mode)
 
 
-def _sweep_report(inst, tol, breakdown):
+def _inconclusive(ident, mode, exc):
+    return VerificationReport(
+        ident, mode, math.nan, math.nan, math.nan, math.nan,
+        "Inconclusive", math.inf, None, f"{type(exc).__name__}: {exc}",
+    )
+
+
+def _sweep_reports(insts, tol, breakdown):
+    """``verify`` of every instance (they share all but f) with the shared
+    breakdown, resolved once and integrated together; a member's failure
+    is its own Inconclusive report, with the detail it has alone."""
+    ident, mode = insts[0].ident, insts[0].mode
+    reports: dict = {}
+    for i, inst in enumerate(insts):
+        if not callable(inst.f):
+            try:
+                fs.validate_nonnegative(inst.f, inst.interval)
+            except HopialError as exc:
+                reports[i] = _inconclusive(ident, mode, exc)
+    todo = [i for i in range(len(insts)) if i not in reports]
     try:
-        return verify(inst, tol=tol, breakdown=breakdown)
+        resolved = insts[0].resolved()
+        passes = _passes([insts[i] for i in todo], resolved, tol, breakdown) if todo else []
     except HopialError as exc:
-        ident = ct.canonical_id(inst.ident)
-        return VerificationReport(
-            ident, inst.mode, math.nan, math.nan, math.nan, math.nan,
-            "Inconclusive", math.inf, None,
-            f"{type(exc).__name__}: {exc}",
-        )
+        passes = [exc] * len(todo)
+    for i, report in zip(todo, passes):
+        try:
+            if isinstance(report, HopialError):
+                raise report
+            if report.status == "Violated":
+                report = _retest(insts[i], tol, resolved[1], resolved[2])
+            reports[i] = report
+        except HopialError as exc:
+            reports[i] = _inconclusive(ident, mode, exc)
+    return [reports[i] for i in range(len(insts))]
 
 
 def sweep(
@@ -300,21 +412,21 @@ def sweep(
     """Verify `count` family members against fixed weights.
 
     The constant depends only on the weights, so it is computed once and
-    shared; per-instance failures are recorded as Inconclusive reports
-    with the reason, never aborting the sweep.  Deterministic for a fixed
-    family seed; instances are verified in index order.
+    shared, and the sides of all members are integrated together; each
+    report equals ``verify`` of its member alone with that constant.
+    Per-instance failures are recorded as Inconclusive reports with the
+    reason, never aborting the sweep.  Deterministic for a fixed family
+    seed.
     """
     ident = ct.canonical_id(ident)
     resolved_mode = ct.resolve_mode(ident, mode)
     breakdown = ct.hardy_constant(ident, r, s, exponents, interval,
                                   mode=resolved_mode, tol=tol)
-    reports = [
-        _sweep_report(
-            TheoremInstance(ident, r, s, f, exponents, interval, resolved_mode),
-            tol, breakdown,
-        )
-        for f in fs.sample_family(family, count)
-    ]
+    reports = _sweep_reports(
+        [TheoremInstance(ident, r, s, f, exponents, interval, resolved_mode)
+         for f in fs.sample_family(family, count)],
+        tol, breakdown,
+    )
     finite = [
         (i, rep.ratio) for i, rep in enumerate(reports) if math.isfinite(rep.ratio)
     ]

@@ -44,7 +44,7 @@ class TestEvaluate:
     def test_kernel_singular_endpoint_marker(self, unit):
         prog = fs.compile_program(fs.PowerLaw(1.0, -0.5), unit)
         out = _kernel.eval_program(prog.ops, prog.fargs, prog.iargs, prog.data,
-                                   np.array([0.0, 0.25, 1.0]), prog.stack_depth)
+                                   np.array([0.0, 0.25, 1.0]))
         assert out.tolist() == [math.inf, 2.0, 1.0]
 
     def test_outside_interval_rejected(self, unit):
@@ -56,6 +56,45 @@ class TestEvaluate:
         xs = np.linspace(0.05, 0.95, 9)
         expected = 2.0 * (1.0 - xs) * np.exp(-xs)
         assert np.allclose(fs.evaluate_array(spec, xs, unit), expected, rtol=1e-14)
+
+
+class TestStackedPrograms:
+    """Rows of a stacked program give the bits of their one-row programs."""
+
+    @staticmethod
+    def members(unit):
+        rng = np.random.default_rng(4)
+        fam = fs.RandomPiecewiseLinear(5, (0.0, 2.0), seed=9, interval=unit)
+        pwls = fs.sample_family(fam, 4)
+        # exponents 2.0, 0.5 and -1.0 take np.power's scalar shortcuts
+        alphas = [2.0, 0.5, -1.0, 1.3, 0.0, 2.0]
+        return [
+            [fs.Product([fs.PowerLaw(float(c), a), fs.Exponential(1.0, float(c))])
+             for a, c in zip(alphas, rng.uniform(0.5, 2.0, len(alphas)))],
+            [fs.Power(fs.Sum([fs.Constant(0.3), pwl]), e)
+             for pwl, e in zip(pwls, [2.0, 0.5, 3.0, 2.0])],
+            [fs.closed_antiderivative(pwl, unit) for pwl in pwls],
+            [fs.derivative(pwl, unit) for pwl in pwls],
+            pwls[:1] * 3 + pwls[1:],
+        ]
+
+    def test_rows_match_one_row_programs(self, unit):
+        rng = np.random.default_rng(5)
+        for specs in self.members(unit):
+            progs = [fs.compile_program(sp, unit) for sp in specs]
+            stacked = fs.stack_programs(progs)
+            xs = np.concatenate([rng.uniform(0.0, 1.0, 300), [0.0, 1.0],
+                                 [x for x, _ in specs[-1].knots]
+                                 if isinstance(specs[-1], fs.PiecewiseLinear) else []])
+            rows = rng.integers(0, len(progs), len(xs))
+            mixed = stacked(xs, rows)
+            for i, prog in enumerate(progs):
+                np.testing.assert_array_equal(mixed[rows == i], prog(xs[rows == i]))
+
+    def test_stacking_needs_one_skeleton(self, unit):
+        with pytest.raises(InvalidSpec):
+            fs.stack_programs([fs.compile_program(fs.PowerLaw(1.0, 1.0), unit),
+                               fs.compile_program(fs.Exponential(1.0, 1.0), unit)])
 
 
 class TestValidation:

@@ -7,7 +7,7 @@ from hopial import constants as ct
 from hopial import funcspace as fs
 from hopial import verify as vf
 from hopial.cli import SUITE_EXPONENTS, suite_weights
-from hopial.errors import InvalidSpec, PreconditionFailed
+from hopial.errors import HopialError, InvalidSpec, PreconditionFailed
 
 E = ct.ExponentSet
 ONE = fs.Constant(1.0)
@@ -170,6 +170,96 @@ class TestSweep:
         assert sw.n_holds == 30
         assert sw.max_ratio == max(r.ratio for r in sw.reports)
         assert sw.reports[sw.argmax].ratio == sw.max_ratio
+
+
+class TestBatchedSweep:
+    """A sweep integrates all members together; each report must equal
+    verify of its member alone with the sweep's constant."""
+
+    @staticmethod
+    def alone(ident, family, r, s, exps, iv, count, mode="default"):
+        ident = ct.canonical_id(ident)
+        mode = ct.resolve_mode(ident, mode)
+        bd = ct.hardy_constant(ident, r, s, exps, iv, mode=mode)
+        out = []
+        for f in fs.sample_family(family, count):
+            try:
+                out.append(vf.verify(inst(ident, r, s, f, exps, iv, mode), breakdown=bd))
+            except HopialError as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+        return out
+
+    @pytest.mark.parametrize("ident,seed,mode", [
+        ("T2.1", 3, "default"), ("T2.5", 4, "default"), ("T2.11", 1, "default"),
+        ("T2.13", 2, "default"), ("T2.18", 6, "default"), ("T2.22", 0, "default"),
+        ("T2.27", 7, "default"), ("T2.16", 5, "as_derived"),
+    ])
+    def test_reports_equal_verify_alone(self, ident, seed, mode):
+        iv = fs.Interval(0.0, 1.0)
+        count = 50 if ident == "T2.16" else 12
+        r, s = suite_weights(ident, seed)
+        family = fs.RandomPiecewiseLinear(
+            n_knots=4, value_range=(0.0, 1.0),
+            seed=seed ^ (ct.THEOREM_IDS.index(ident) * 7919 + 13), interval=iv)
+        exps = SUITE_EXPONENTS.get(ident, E())
+        sw = vf.sweep(ident, family, r, s, exps, iv, count, mode=mode)
+        alone = self.alone(ident, family, r, s, exps, iv, count, mode)
+        assert [repr(rep) for rep in sw.reports] == [repr(rep) for rep in alone]
+        if ident == "T2.16":
+            assert sw.n_violated >= 1
+            assert all("retested" in rep.detail for rep in sw.violated)
+
+    def test_member_errors_match_alone(self):
+        # member 1 meets the singular-substitution round-off (DomainError),
+        # member 3 a non-integrable endpoint; the others are unaffected
+        iv = fs.Interval(1.0, 2.0)
+        family = fs.GridPowerLaw([0.5, -0.49, 1.0, -1.2, 0.25])
+        sw = vf.sweep("HARDY", family, None, None, E(p=2.0), iv, 5)
+        alone = self.alone("HARDY", family, None, None, E(p=2.0), iv, 5)
+        statuses = [rep.status for rep in sw.reports]
+        assert statuses == ["Holds", "Inconclusive", "Holds", "Inconclusive", "Holds"]
+        assert sw.reports[1].detail.startswith("DomainError: ")
+        assert "exponent" in sw.reports[3].detail
+        for rep, ref in zip(sw.reports, alone):
+            if isinstance(ref, str):
+                assert rep.detail == ref
+            else:
+                assert repr(rep) == repr(ref)
+
+
+class TestHardyCancellingAntiderivative:
+    """F of these f is a cancelling Sum; F / (x - a) still tends to f(a)."""
+
+    @pytest.mark.parametrize("a", [0.0, 2.0])
+    @pytest.mark.parametrize("which", ["exp", "sum"])
+    def test_lhs_matches_scipy(self, a, which):
+        from scipy import integrate
+
+        b = a + 1.0
+        if which == "exp":
+            f = fs.Exponential(1.0, 1.0)
+
+            def F_over_t(x):  # (e^x - e^a) / (x - a)
+                t = x - a
+                return math.exp(a) * math.expm1(t) / t
+        else:
+            f = fs.Sum([fs.Constant(0.2), fs.ShiftedPowerLaw(1.0, -0.4)])
+
+            def F_over_t(x):  # 0.2 + ((b-a)^0.6 - (b-x)^0.6) / (0.6 (x - a))
+                t = x - a
+                drop = -math.expm1(0.6 * math.log1p(-t / (b - a)))
+                return 0.2 + (b - a) ** 0.6 * drop / (0.6 * t)
+
+        case = inst("HARDY", None, None, f, E(p=2.0), fs.Interval(a, b))
+        ref, _ = integrate.quad(lambda x: F_over_t(x) ** 2, a, b,
+                                epsabs=0.0, epsrel=1e-13, limit=200)
+        assert vf.assemble_lhs(case).value == pytest.approx(ref, rel=1e-9)
+        if which == "exp":
+            # the sum's right side integral of f^2 still loses b - x to
+            # round-off in the substitution x = b - u^m
+            rep = vf.verify(case)
+            assert rep.lhs == pytest.approx(ref, rel=1e-9)
+            assert rep.status == "Holds"
 
 
 class TestSharpness:
