@@ -736,7 +736,8 @@ class RunningIntegral:
                          else fs.tail_integral_spec(f, interval))
         if self.spec is not None:
             # compiled on first use: a sweep only integrates the spec
-            self._fn = lambda xs: fs.compile_program(self.spec, interval)(xs)
+            spec = self.spec
+            self._fn = lambda xs: fs.compile_program(spec, interval)(xs)
             self.rel_error = 0.0
             return
         table = cumulative(f, interval, n, tol)
