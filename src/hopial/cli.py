@@ -320,16 +320,12 @@ def _run_sharpness(config: RunConfig):
     if len(bounds) == 1:
         lo, hi = bounds[0]
         xs = list(np.linspace(lo, hi, 33))
-        ratios = []
-        for x in xs:
-            try:
-                inst = vf.TheoremInstance(
-                    config.theorem, config.spec("r"), config.spec("s"),
-                    builder((x,)), config.exponents(), iv, config.mode,
-                )
-                ratios.append(vf.verify(inst, tol=config.tol).ratio)
-            except HopialError:
-                ratios.append(math.nan)
+        r, s = config.spec("r"), config.spec("s")
+        insts = [vf.TheoremInstance(config.theorem, r, s, builder((x,)),
+                                    config.exponents(), iv, config.mode) for x in xs]
+        ratios = [math.nan if isinstance(rep, HopialError) else rep.ratio
+                  for rep in vf.verify_many(insts, config.tol,
+                                            res.best_report.breakdown)]
     doc = reportio.report_doc(
         "sharpness", ct.canonical_id(config.theorem),
         res.best_report.mode if res.best_report else config.mode,
@@ -369,14 +365,14 @@ def _run_lemma(config: RunConfig):
     rec = opial.verify_variant(v, path, weights, config.exponents(),
                                mode=config.mode, tol=config.tol)
     print(
-        f"{rec.identifier} [{rec.mode}] lhs={rec.lhs:.9g} "
+        f"{rec.ident} [{rec.mode}] lhs={rec.lhs:.9g} "
         f"constant={rec.constant:.9g} rhs={rec.rhs_core:.9g} "
         f"ratio={rec.ratio:.9g} -> {rec.status}"
     )
-    doc = reportio.report_doc("lemma", rec.identifier, rec.mode, None, [rec],
+    doc = reportio.report_doc("lemma", rec.ident, rec.mode, None, [rec],
                               rec.ratio, config.seed)
     _emit(config, doc, rows=[rec], ratios=[rec.ratio],
-          title=f"{rec.identifier} lemma")
+          title=f"{rec.ident} lemma")
     return _exit_code([rec.status]), doc
 
 

@@ -140,11 +140,11 @@ def r_head(r, x: float, interval: fs.Interval) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _beesack_integral(r, s, er, es, e_in, gamma, side, sub, full, tol):
-    """int over sub of r^er s^es I^e_in, where I is the running integral
-    of s^gamma over full from its left (side="head") or right ("tail") end.
-
-    Returns the outer QuadResult and the relative error of I.
+def _beesack_integral(r, s, er, es, e_in, gamma, side, sub, full, tol, lead, power):
+    """lead * J^power and its relative error, where J is the integral over
+    sub of r^er s^es I^e_in and I the running integral of s^gamma over
+    full from its left (side="head") or right ("tail") end.  A
+    nonpositive J gives (0, 0).
     """
     if callable(s):
         def target(xs):
@@ -186,7 +186,10 @@ def _beesack_integral(r, s, er, es, e_in, gamma, side, sub, full, tol):
         endpoint_exponents=(kappa_l, kappa_r),
         breakpoints=None if callable(s) else fs.breakpoints(s, full),
     )
-    return outer, inner.rel_error
+    if outer.value <= 0.0:
+        return 0.0, 0.0
+    return (lead * outer.value**power,
+            power * (outer.rel_error + e_in * inner.rel_error))
 
 
 def _sub_bounds(sub):
@@ -210,16 +213,9 @@ def _beesack_das_core(e, r, s, sub, full: fs.Interval, side: str, tol):
     sub = fs.Interval(lo, hi)
     tol = tol or quad.SMOOTH_TOL
 
-    er, es = (p + q) / p, -q / p
-    outer, inner_rel = _beesack_integral(r, s, er, es, p + q - 1.0,
-                                         -1.0 / (p + q - 1.0), side, sub, full,
-                                         tol)
-    lead = (q / (p + q)) ** (q / (p + q))
-    if outer.value <= 0.0:
-        return 0.0, 0.0
-    value = lead * outer.value ** (p / (p + q))
-    rel = (p / (p + q)) * (outer.rel_error + inner_rel * (p + q - 1.0))
-    return value, rel
+    return _beesack_integral(r, s, (p + q) / p, -q / p, p + q - 1.0,
+                             -1.0 / (p + q - 1.0), side, sub, full, tol,
+                             (q / (p + q)) ** (q / (p + q)), p / (p + q))
 
 
 def beesack_das_K1(e: ExponentSet, r, s, sub, full: fs.Interval,
@@ -299,16 +295,11 @@ def beesack_K(e: ExponentSet, r, s, interval: fs.Interval, side: str = "left",
     tol = tol or quad.SMOOTH_TOL
     p_eff = p * q if substituted else p
 
-    er, es = k / (k - q), -q / (k - q)
-    e_in = p_eff * (k - 1.0) / (k - q)
-    outer, inner_rel = _beesack_integral(
-        r, s, er, es, e_in, -1.0 / (k - 1.0),
-        "head" if side == "left" else "tail", interval, interval, tol,
+    return _beesack_integral(
+        r, s, k / (k - q), -q / (k - q), p_eff * (k - 1.0) / (k - q),
+        -1.0 / (k - 1.0), "head" if side == "left" else "tail", interval,
+        interval, tol, (q / (q + p_eff)) ** (q / k), (k - q) / k,
     )
-    lead = (q / (q + p_eff)) ** (q / k)
-    value = lead * outer.value ** ((k - q) / k)
-    rel = ((k - q) / k) * (outer.rel_error + e_in * inner_rel)
-    return value, rel
 
 
 # ---------------------------------------------------------------------------
@@ -520,15 +511,11 @@ def _k1_with_mode(ctx: _Ctx):
     p, q = ctx.exps["p"], ctx.exps["q"]
     pq = p * q
     er = (pq + q) / p if ctx.mode == "as_printed" else (pq + q) / pq
-    outer, inner_rel = _beesack_integral(
+    return _beesack_integral(
         ctx.r, ctx.s, er, -q / pq, pq + q - 1.0, -1.0 / (pq + q - 1.0),
         "head" if ctx.side == "left" else "tail", ctx.interval, ctx.interval,
-        ctx.tol,
+        ctx.tol, (q / (pq + q)) ** (q / (pq + q)), pq / (pq + q),
     )
-    lead = (q / (pq + q)) ** (q / (pq + q))
-    value = lead * outer.value ** (pq / (pq + q))
-    rel = (pq / (pq + q)) * (outer.rel_error + (pq + q - 1.0) * inner_rel)
-    return value, rel
 
 
 def _beesack_factors(ctx: _Ctx, k_name, kv, k_rel):

@@ -36,7 +36,9 @@ free right end, the end flux w.  Interpolation in u_end instead stalls,
 since after a crossing u at the stop is a sawtooth of size h |u'|.  The
 refinement keeps the ladder's values and the bisection's stop rule and
 midpoint, so the accuracy contract is the same; it takes about a third of
-the marches.
+the marches.  The p > 1 error estimate compares with a search at half the
+steps, which starts from a bracket 1e-4 (relative) around the fine value
+and climbs its own ladder only when that bracket misses.
 
 A leading coefficient that vanishes at an endpoint -- the tail integral
 R(x, b) always does at b -- is handled by truncating to b - delta for
@@ -88,6 +90,9 @@ _BRACKET_LO = 1e-8
 _BRACKET_HI = 1e8
 _FD_NODES = 2048
 _SHOOT_STEPS = 2048
+# half-width (relative) of the bracket the fine p > 1 value gives the
+# coarse search; a bracket that misses falls back to the full ladder
+_COARSE_BRACKET = 1e-4
 
 
 @dataclass(frozen=True)
@@ -456,6 +461,8 @@ def solve_smallest(prob: EigenProblem, tol: float = 1e-8) -> EigenResult:
                               wall_left, wall_right, boundary=prob.boundary)
         lam_coarse = _shoot_smallest(R_fn, m_fn, lo, hi, prob.p, min(tol, 1e-9),
                                      wall_left, wall_right, n_steps=_SHOOT_STEPS // 2,
+                                     bracket=(lam * (1.0 - _COARSE_BRACKET),
+                                              lam * (1.0 + _COARSE_BRACKET)),
                                      boundary=prob.boundary)
         return lam, abs(lam - lam_coarse) + tol * abs(lam)
 

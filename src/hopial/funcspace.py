@@ -260,13 +260,37 @@ def validate(spec: FunctionSpec, interval: Interval) -> None:
 
 def validate_nonnegative(spec: FunctionSpec, interval: Interval, samples: int = 64) -> None:
     """Validate plus a sampled nonnegativity probe on interior points."""
-    validate(spec, interval)
+    error = nonnegativity_errors([spec], interval, samples)[0]
+    if error is not None:
+        raise error
+
+
+def nonnegativity_errors(specs: Sequence[FunctionSpec], interval: Interval,
+                         samples: int = 64) -> list:
+    """``validate_nonnegative`` of every spec: None, or the InvalidSpec it
+    raises, per spec.  The probes of all specs that share a program
+    skeleton run as one stacked program in one kernel call."""
     xs = np.linspace(interval.a, interval.b, samples + 2)[1:-1]
-    vals = evaluate_array(spec, xs, interval)
-    if np.any(np.isnan(vals)):
-        raise InvalidSpec("spec evaluates to NaN inside the interval")
-    if np.any(vals < -1e-12 * max(1.0, float(np.nanmax(np.abs(vals))))):
-        raise InvalidSpec("spec is negative inside the interval")
+    errors: list = [None] * len(specs)
+    groups: dict = {}
+    for i, spec in enumerate(specs):
+        try:
+            validate(spec, interval)
+            prog = compile_program(spec, interval)
+        except InvalidSpec as exc:
+            errors[i] = exc
+            continue
+        groups.setdefault(prog.skeleton, []).append((i, prog))
+    for members in groups.values():
+        stacked = stack_programs([prog for _, prog in members])
+        rows = np.repeat(np.arange(len(members)), samples)
+        vals = stacked(np.tile(xs, len(members)), rows).reshape(len(members), samples)
+        for (i, _), row in zip(members, vals):
+            if np.any(np.isnan(row)):
+                errors[i] = InvalidSpec("spec evaluates to NaN inside the interval")
+            elif np.any(row < -1e-12 * max(1.0, float(np.nanmax(np.abs(row))))):
+                errors[i] = InvalidSpec("spec is negative inside the interval")
+    return errors
 
 
 # ---------------------------------------------------------------------------

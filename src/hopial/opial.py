@@ -10,31 +10,40 @@ A path is a pair (y, y'): the derivative is carried symbolically
 laws), which removes numerical differentiation from the error budget
 entirely.  Weights are passed as {"r": ..., "s": ...} where r multiplies
 the left-hand side and s the right-hand side; single-weight variants use
-"s".
+"s" (Y2 carries r on both sides).
 
-Status semantics match the theorem verifier: Holds when
-ratio <= 1 + budget, Violated above 1 + 10*budget, Inconclusive between,
-where budget sums the relative quadrature errors of the three factors.
+Each lemma is one row of a table: the left side [r] |y|^P |y'|^Q, the
+right side ([weights] |y'|^E)^outer, and the constant -- a closed form,
+(int s^e)^k over a divisor, the eigenvalue solve, Boyd's N or L, or a
+Beesack constant.  A check integrates both sides, and the integral in the
+constant where it has one, in one ``quad.integrate_many`` call.
+
+The report type and the ratio rule are shared with the theorem verifier:
+Holds when ratio <= 1 + budget, Violated above 1 + 10*budget,
+Inconclusive between, where budget sums the relative errors of the left
+side, the right side and the constant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from types import SimpleNamespace
+from typing import Callable, Optional
 
 import numpy as np
 
+from . import constants as ct
 from . import eigen
 from . import funcspace as fs
 from . import quad
 from . import special
-from .errors import DomainError, PreconditionFailed
+from .errors import DomainError, HopialError, PreconditionFailed
 
 __all__ = [
     "OpialVariant",
     "TestPath",
-    "VerificationRecord",
+    "VerificationReport",
     "VARIANT_IDS",
     "variant",
     "linear_path",
@@ -47,31 +56,144 @@ __all__ = [
     "verify_variant",
     "classify_status",
     "judge",
+    "report",
 ]
 
-VARIANT_IDS = (
-    "OPIAL", "B1", "B2", "M1", "Y", "H1", "BW1", "AG",
-    "Y1", "Y2", "BOYD", "L0", "Z1", "Z4", "BS1", "BS2",
-)
+# ---------------------------------------------------------------------------
+# the lemmas as data
+# ---------------------------------------------------------------------------
 
-_ALLOWED_BOUNDARIES = {
-    "OPIAL": ("both",),
-    "B1": ("left", "right"),
-    "B2": ("left", "right"),
-    "M1": ("left", "right"),
-    "Y": ("left", "right"),
-    "H1": ("left", "right"),
-    "BW1": ("left", "right", "both"),
-    "AG": ("left", "right"),
-    "Y1": ("left", "right"),
-    "Y2": ("left", "right"),
-    "BOYD": ("left", "right"),
-    "L0": ("left", "right"),
-    "Z1": ("left",),
-    "Z4": ("right",),
-    "BS1": ("left",),
-    "BS2": ("right",),
+
+@dataclass(frozen=True)
+class _Lemma:
+    """A lemma: lhs = [r] |y|^P |y'|^Q and rhs = ([weights] |y'|^E)^outer,
+    both integrated on the path, and ``constant(c)`` = (value, relative
+    error).  Exponents, checks and the constant are functions of the
+    check's inputs c (see ``_inputs``).  ``needs`` names the exponents p,
+    q, k the lemma reads, in that order.  With ``inv`` set, the constant
+    reads c.inv, the integral of s^inv(c)."""
+
+    boundaries: tuple
+    constant: Callable
+    needs: tuple = ()
+    check: Optional[Callable] = None
+    left_weight: bool = False
+    P: Callable = lambda c: 1.0
+    Q: Callable = lambda c: 1.0
+    right_weights: str = ""
+    E: Callable = lambda c: 2.0
+    outer: Optional[Callable] = None
+    inv: Optional[Callable] = None
+    monotone: bool = False  # r must not grow away from the vanishing end
+
+
+def _require(holds, message):
+    if not holds:
+        raise PreconditionFailed(message)
+
+
+def _integer_p(c):
+    _require(c.p >= 1 and float(c.p).is_integer(),
+             f"p must be a positive integer, got {c.p}")
+
+
+def _b1_constant(c):
+    constant = (c.iv.b / 2.0) if c.mode == "as_printed" else (c.iv.width / 2.0)
+    _require(constant > 0, "printed constant b/2 is nonpositive on this interval; "
+                           "use as_derived")
+    return constant, 0.0
+
+
+def _half_inv(c):
+    """(int 1/s) / 2."""
+    return c.inv.value / 2.0, c.inv.rel_error
+
+
+def _bw1_constant(c):
+    m_fn, _ = eigen._derivative_fn(c.r, c.iv)
+    res = eigen.solve_smallest(eigen.EigenProblem(c.s, m_fn, c.p, c.iv, "both"),
+                               tol=1e-8)
+    return 1.0 / (res.value * (c.p + 1.0)), res.rel_error
+
+
+def _boyd_constant(c):
+    n_val, n_rel = special.boyd_N_result(special.BoydParams(c.p, c.q, c.k))
+    return n_val * c.iv.width**c.p, n_rel
+
+
+def _beesack_das_constant(c):
+    k_fn = ct.beesack_das_K1 if c.boundary == "left" else ct.beesack_das_K2
+    e = ct.ExponentSet(p=c.p, q=c.q, conjugate_check=False)
+    return k_fn(e, c.r, c.s, c.iv, c.iv), 1e-8
+
+
+def _beesack_constant(c):
+    e = ct.ExponentSet(p=c.p, q=c.q, k=c.k, conjugate_check=False)
+    return ct.beesack_K(e, c.r, c.s, c.iv, side=c.boundary, substituted=False)
+
+
+_ONE_END = ("left", "right")
+_BOYD_NAMES = ("nu (pass as p)", "eta (pass as q)", "s (pass as k)")
+
+
+def _y(**fields):
+    """Y1, and Y2 with the weight r."""
+    return _Lemma(
+        _ONE_END, lambda c: ((c.q / (c.p + c.q)) * c.iv.width**c.p, 0.0), ("p", "q"),
+        lambda c: _require(c.p >= 0 and c.q >= 1,
+                           f"p >= 0 and q >= 1 required (p={c.p}, q={c.q})"),
+        P=lambda c: c.p, Q=lambda c: c.q, E=lambda c: c.p + c.q, **fields)
+
+
+def _z(boundary):
+    return _Lemma((boundary,), _beesack_das_constant, ("p", "q"), left_weight=True,
+                  P=lambda c: c.p, Q=lambda c: c.q, right_weights="s",
+                  E=lambda c: c.p + c.q)
+
+
+def _bs(boundary):
+    return _Lemma((boundary,), _beesack_constant, ("p", "q", "k"), left_weight=True,
+                  P=lambda c: c.p, Q=lambda c: c.q, right_weights="s",
+                  E=lambda c: c.k, outer=lambda c: (c.p + c.q) / c.k)
+
+
+_LEMMAS = {
+    "OPIAL": _Lemma(("both",), lambda c: (c.iv.width / 4.0, 0.0)),
+    "B1": _Lemma(_ONE_END, _b1_constant),
+    "B2": _Lemma(_ONE_END, _half_inv, right_weights="s", inv=lambda c: -1.0),
+    "M1": _Lemma(
+        _ONE_END,
+        lambda c: (c.inv.value ** (2.0 / c.p) / 2.0, (2.0 / c.p) * c.inv.rel_error),
+        ("p",), lambda c: _require(c.p > 1, f"p > 1 required, got {c.p}"),
+        right_weights="s", E=lambda c: c.p / (c.p - 1.0),
+        outer=lambda c: 2.0 / (c.p / (c.p - 1.0)), inv=lambda c: -(c.p - 1.0),
+    ),
+    "Y": _Lemma(_ONE_END, _half_inv, left_weight=True, right_weights="sr",
+                inv=lambda c: -1.0, monotone=True),
+    "H1": _Lemma(_ONE_END, lambda c: (c.iv.width**c.p / (c.p + 1.0), 0.0), ("p",),
+                 _integer_p, P=lambda c: c.p, E=lambda c: c.p + 1.0),
+    "BW1": _Lemma(_ONE_END + ("both",), _bw1_constant, ("p",), _integer_p,
+                  left_weight=True, P=lambda c: c.p, right_weights="s",
+                  E=lambda c: c.p + 1.0),
+    "AG": _Lemma(_ONE_END, lambda c: (c.inv.value**c.p / (c.p + 1.0),
+                                      c.p * c.inv.rel_error),
+                 ("p",), _integer_p, P=lambda c: c.p, right_weights="s",
+                 E=lambda c: c.p + 1.0, inv=lambda c: -1.0 / c.p),
+    "Y1": _y(),
+    "Y2": _y(left_weight=True, right_weights="r", monotone=True),
+    "BOYD": _Lemma(_ONE_END, _boyd_constant, _BOYD_NAMES, P=lambda c: c.p,
+                   Q=lambda c: c.q, E=lambda c: c.k, outer=lambda c: (c.p + c.q) / c.k),
+    "L0": _Lemma(_ONE_END, lambda c: (special.boyd_L(c.p, c.q, mode=c.mode)
+                                      * c.iv.width**c.p, 0.0),
+                 _BOYD_NAMES[:2], P=lambda c: c.p, Q=lambda c: c.q, E=lambda c: c.q,
+                 outer=lambda c: (c.p + c.q) / c.q),
+    "Z1": _z("left"),
+    "Z4": _z("right"),
+    "BS1": _bs("left"),
+    "BS2": _bs("right"),
 }
+
+VARIANT_IDS = tuple(_LEMMAS)
 
 # L0 included: the typeset L (no Gamma-ratio power) is the sound reading,
 # see the constants module
@@ -86,7 +208,7 @@ class OpialVariant:
     def __post_init__(self):
         if self.identifier not in VARIANT_IDS:
             raise DomainError(f"unknown variant {self.identifier!r}")
-        allowed = _ALLOWED_BOUNDARIES[self.identifier]
+        allowed = _LEMMAS[self.identifier].boundaries
         if self.boundary not in allowed:
             raise PreconditionFailed(
                 f"{self.identifier} requires boundary in {allowed}, "
@@ -97,7 +219,8 @@ class OpialVariant:
 def variant(identifier: str, boundary: Optional[str] = None) -> OpialVariant:
     identifier = identifier.upper()
     if boundary is None:
-        boundary = _ALLOWED_BOUNDARIES.get(identifier, ("left",))[0]
+        lemma = _LEMMAS.get(identifier)
+        boundary = lemma.boundaries[0] if lemma is not None else "left"
     return OpialVariant(identifier, boundary)
 
 
@@ -248,20 +371,25 @@ def reflect_spec(spec: fs.FunctionSpec, interval: fs.Interval) -> fs.FunctionSpe
 
 
 # ---------------------------------------------------------------------------
-# verification records
+# reports and the ratio rule
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class VerificationRecord:
-    identifier: str
+class VerificationReport:
+    """One check of lhs <= constant * rhs_core: a lemma on a path, or a
+    catalog theorem on a test function.  ``error_budget`` is relative;
+    ``breakdown`` is a theorem constant's factor table (None for lemmas)."""
+
+    ident: str
     mode: str
     lhs: float
     rhs_core: float
     constant: float
     ratio: float
     status: str
-    budget: float
+    error_budget: float
+    breakdown: Optional[ct.ConstantBreakdown] = None
     detail: str = ""
 
 
@@ -289,22 +417,45 @@ def judge(lhs, rhs_core, constant, budget):
     return ratio, classify_status(ratio, budget), budget
 
 
+def report(ident, mode, lhs: quad.QuadResult, rhs: quad.QuadResult, constant,
+           constant_rel, breakdown=None, detail="") -> VerificationReport:
+    """The report of lhs <= constant * rhs from the two sides and the
+    constant's relative error; the budget sums the three relative errors."""
+    ratio, status, budget = judge(lhs.value, rhs.value, constant,
+                                  lhs.rel_error + rhs.rel_error + constant_rel)
+    return VerificationReport(ident, mode, lhs.value, rhs.value, constant, ratio,
+                              status, budget, breakdown, detail)
+
+
 # ---------------------------------------------------------------------------
-# variant shapes
+# checks
 # ---------------------------------------------------------------------------
 
 
-def _weight(weights, key, name):
-    if weights is None or weights.get(key) is None:
-        raise PreconditionFailed(f"variant needs weight {name!r}")
-    return weights[key]
+_WEIGHT_NAMES = {"r": "r (the left-side weight)", "s": "s (the right-side weight)"}
 
 
-def _need(exponents, attr, cond):
-    val = getattr(exponents, attr, None) if exponents is not None else None
-    if val is None:
-        raise PreconditionFailed(cond)
-    return float(val)
+def _inputs(lemma, boundary, iv, weights, exponents, mode):
+    """The check's inputs c: the exponents p, q, k (None where the lemma
+    reads none; each one it reads is required), the interval iv, the
+    weights r and s, the mode and the boundary.  c.inv is set once the
+    constant's integral is done."""
+    values = dict.fromkeys("pqk")
+    for attr, name in zip("pqk", lemma.needs):
+        value = getattr(exponents, attr, None)
+        if value is None:
+            raise PreconditionFailed(f"{name} required")
+        values[attr] = float(value)
+    weights = weights or {}
+    return SimpleNamespace(**values, iv=iv, r=weights.get("r"), s=weights.get("s"),
+                           mode=mode, boundary=boundary, inv=None)
+
+
+def _weight(c, key):
+    w = getattr(c, key)
+    if w is None:
+        raise PreconditionFailed(f"variant needs weight {_WEIGHT_NAMES[key]!r}")
+    return w
 
 
 def _abs_pow(spec, exponent):
@@ -313,56 +464,38 @@ def _abs_pow(spec, exponent):
     return fs.power_of(fs.AbsVal(spec), exponent)
 
 
-def _lhs_parts(v: OpialVariant, path: TestPath, weights, exps):
-    """Integrand of the variant's left-hand side, as a spec."""
-    ident = v.identifier
-    y, dy = path.y, path.dy
-    if ident in ("OPIAL", "B1", "B2", "M1"):
-        return fs.Product([fs.AbsVal(y), fs.AbsVal(dy)])
-    if ident == "Y":
-        q_w = _weight(weights, "r", "r (the monotone left-side weight)")
-        return fs.Product([q_w, fs.AbsVal(y), fs.AbsVal(dy)])
-    if ident in ("H1", "AG"):
-        p = _need(exps, "p", "p required")
-        return fs.Product([_abs_pow(y, p), fs.AbsVal(dy)])
-    if ident == "BW1":
-        p = _need(exps, "p", "p required")
-        s_w = _weight(weights, "r", "r (the left-side weight)")
-        return fs.Product([s_w, _abs_pow(y, p), fs.AbsVal(dy)])
-    if ident == "Y1":
-        p = _need(exps, "p", "p required")
-        q = _need(exps, "q", "q required")
-        return fs.Product([_abs_pow(y, p), _abs_pow(dy, q)])
-    if ident in ("Y2", "Z1", "Z4", "BS1", "BS2"):
-        p = _need(exps, "p", "p required")
-        q = _need(exps, "q", "q required")
-        w = _weight(weights, "r", "r (the left-side weight)")
-        return fs.Product([w, _abs_pow(y, p), _abs_pow(dy, q)])
-    if ident in ("BOYD", "L0"):
-        nu = _need(exps, "p", "nu (pass as p) required")
-        eta = _need(exps, "q", "eta (pass as q) required")
-        return fs.Product([_abs_pow(y, nu), _abs_pow(dy, eta)])
-    raise DomainError(ident)
+def _lhs_spec(lemma, path, c):
+    weight = [_weight(c, "r")] if lemma.left_weight else []
+    return fs.Product(weight + [_abs_pow(path.y, lemma.P(c)),
+                                _abs_pow(path.dy, lemma.Q(c))])
+
+
+def _rhs_spec(lemma, path, c):
+    terms = [_weight(c, key) for key in lemma.right_weights]
+    terms.append(_abs_pow(path.dy, lemma.E(c)))
+    return terms[0] if len(terms) == 1 else fs.Product(terms)
 
 
 def opial_lhs(v: OpialVariant, path: TestPath, weights=None, exponents=None,
               tol: Optional[float] = None) -> quad.QuadResult:
     """Quadrature of the variant's left-hand side on the path."""
     check_path(path, v.boundary)
-    integrand = _lhs_parts(v, path, weights, exponents)
-    return quad.integrate(integrand, path.interval, tol=tol)
+    lemma = _LEMMAS[v.identifier]
+    c = _inputs(lemma, v.boundary, path.interval, weights, exponents, "default")
+    return quad.integrate(_lhs_spec(lemma, path, c), path.interval, tol=tol)
 
 
-def _monotone_audit(w, interval, direction: str, name: str):
+def _monotone_audit(w, interval, boundary):
+    """The left-side weight must not grow away from the vanishing end."""
     xs = np.linspace(interval.a, interval.b, 257)
     vals = np.asarray(fs.evaluate_array(w, xs, interval) if not callable(w)
                       else w(xs), dtype=float)
     slack = 1e-10 * max(1.0, float(np.max(np.abs(vals))))
-    diffs = np.diff(vals)
-    if direction == "nonincreasing" and np.any(diffs > slack):
-        raise PreconditionFailed(f"{name} must be nonincreasing for this boundary")
-    if direction == "nondecreasing" and np.any(diffs < -slack):
-        raise PreconditionFailed(f"{name} must be nondecreasing for this boundary")
+    growth = np.diff(vals) if boundary == "left" else -np.diff(vals)
+    if np.any(growth > slack):
+        direction = "nonincreasing" if boundary == "left" else "nondecreasing"
+        raise PreconditionFailed(
+            f"the left-side weight must be {direction} for this boundary")
 
 
 def verify_variant(
@@ -372,161 +505,37 @@ def verify_variant(
     exponents=None,
     mode: str = "default",
     tol: Optional[float] = None,
-) -> VerificationRecord:
-    """Check the variant's inequality on one path."""
+) -> VerificationReport:
+    """Check the variant's inequality on one path.
+
+    The hypotheses are checked first.  Then the left side, the right side
+    and the integral in the constant, where it has one, are integrated in
+    one ``integrate_many`` call.
+    """
     if mode in (None, "default"):
         mode = DEFAULT_VARIANT_MODES[v.identifier]
-    ident = v.identifier
+    lemma = _LEMMAS[v.identifier]
     iv = path.interval
-    a, b = iv.a, iv.b
-    width = iv.width
-    dy = path.dy
-
-    lhs = opial_lhs(v, path, weights, exponents, tol=tol)
-    extra_rel = 0.0
-
-    if ident == "OPIAL":
-        constant = width / 4.0
-        rhs = quad.integrate(_abs_pow(dy, 2.0), iv, tol=tol)
-    elif ident == "B1":
-        constant = (b / 2.0) if mode == "as_printed" else (width / 2.0)
-        if constant <= 0:
-            raise PreconditionFailed(
-                "printed constant b/2 is nonpositive on this interval; "
-                "use as_derived"
-            )
-        rhs = quad.integrate(_abs_pow(dy, 2.0), iv, tol=tol)
-    elif ident == "B2":
-        w = _weight(weights, "s", "s (the weight)")
-        inv = quad.integrate(fs.power_of(w, -1.0), iv, tol=tol)
-        constant = 0.5 * inv.value
-        extra_rel = inv.rel_error
-        rhs = quad.integrate(fs.Product([w, _abs_pow(dy, 2.0)]), iv, tol=tol)
-    elif ident == "M1":
-        w = _weight(weights, "s", "s (the weight)")
-        p = _need(exponents, "p", "p > 1 required")
-        if p <= 1:
-            raise PreconditionFailed(f"p > 1 required, got {p}")
-        q = p / (p - 1.0)
-        base = quad.integrate(fs.power_of(w, -(p - 1.0)), iv, tol=tol)
-        constant = 0.5 * base.value ** (2.0 / p)
-        extra_rel = (2.0 / p) * base.rel_error
-        core = quad.integrate(fs.Product([w, _abs_pow(dy, q)]), iv, tol=tol)
-        rhs = quad.QuadResult(core.value ** (2.0 / q),
-                              (2.0 / q) * core.abs_error_estimate
-                              * max(core.value, 1e-300) ** (2.0 / q - 1.0),
-                              core.subdivisions)
-    elif ident == "Y":
-        q_w = _weight(weights, "r", "r (the monotone left-side weight)")
-        w = _weight(weights, "s", "s (the weight)")
-        _monotone_audit(
-            q_w, iv,
-            "nonincreasing" if v.boundary == "left" else "nondecreasing",
-            "the left-side weight",
-        )
-        inv = quad.integrate(fs.power_of(w, -1.0), iv, tol=tol)
-        constant = 0.5 * inv.value
-        extra_rel = inv.rel_error
-        rhs = quad.integrate(fs.Product([w, q_w, _abs_pow(dy, 2.0)]), iv, tol=tol)
-    elif ident == "H1":
-        p = _need(exponents, "p", "positive integer p required")
-        if not (p >= 1 and float(p).is_integer()):
-            raise PreconditionFailed(f"p must be a positive integer, got {p}")
-        constant = width**p / (p + 1.0)
-        rhs = quad.integrate(_abs_pow(dy, p + 1.0), iv, tol=tol)
-    elif ident == "BW1":
-        p = _need(exponents, "p", "positive integer p required")
-        if not (p >= 1 and float(p).is_integer()):
-            raise PreconditionFailed(f"p must be a positive integer, got {p}")
-        s_w = _weight(weights, "r", "r (the left-side weight)")
-        r_w = _weight(weights, "s", "s (the right-side weight)")
-        m_fn, _ = eigen._derivative_fn(s_w, iv)
-        res = eigen.solve_smallest(
-            eigen.EigenProblem(r_w, m_fn, float(p), iv, "both"), tol=1e-8
-        )
-        constant = 1.0 / (res.value * (p + 1.0))
-        extra_rel = res.rel_error
-        rhs = quad.integrate(fs.Product([r_w, _abs_pow(dy, p + 1.0)]), iv, tol=tol)
-    elif ident == "AG":
-        p = _need(exponents, "p", "positive integer p required")
-        if not (p >= 1 and float(p).is_integer()):
-            raise PreconditionFailed(f"p must be a positive integer, got {p}")
-        w = _weight(weights, "s", "s (the weight)")
-        base = quad.integrate(fs.power_of(w, -1.0 / p), iv, tol=tol)
-        constant = base.value**p / (p + 1.0)
-        extra_rel = p * base.rel_error
-        rhs = quad.integrate(fs.Product([w, _abs_pow(dy, p + 1.0)]), iv, tol=tol)
-    elif ident in ("Y1", "Y2"):
-        p = _need(exponents, "p", "p >= 0 required")
-        q = _need(exponents, "q", "q >= 1 required")
-        if p < 0 or q < 1:
-            raise PreconditionFailed(f"p >= 0 and q >= 1 required (p={p}, q={q})")
-        constant = (q / (p + q)) * width**p
-        if ident == "Y2":
-            w = _weight(weights, "r", "r (the weight)")
-            _monotone_audit(
-                w, iv,
-                "nonincreasing" if v.boundary == "left" else "nondecreasing",
-                "the weight",
-            )
-            rhs = quad.integrate(fs.Product([w, _abs_pow(dy, p + q)]), iv, tol=tol)
-        else:
-            rhs = quad.integrate(_abs_pow(dy, p + q), iv, tol=tol)
-    elif ident in ("BOYD", "L0"):
-        nu = _need(exponents, "p", "nu (pass as p) required")
-        eta = _need(exponents, "q", "eta (pass as q) required")
-        if ident == "BOYD":
-            s_exp = _need(exponents, "k", "s (pass as k) required")
-            n_val, n_rel = special.boyd_N_result(special.BoydParams(nu, eta, s_exp))
-            constant = n_val * width**nu
-            extra_rel = n_rel
-        else:
-            s_exp = eta
-            constant = special.boyd_L(nu, eta, mode=mode) * width**nu
-        core = quad.integrate(_abs_pow(dy, s_exp), iv, tol=tol)
-        outer = (nu + eta) / s_exp
-        rhs = quad.QuadResult(core.value**outer,
-                              outer * core.rel_error
-                              * max(core.value, 1e-300) ** outer,
-                              core.subdivisions)
-    elif ident in ("Z1", "Z4"):
-        from . import constants as _constants
-
-        p = _need(exponents, "p", "p > 0 required")
-        q = _need(exponents, "q", "q > 0 required")
-        r_w = _weight(weights, "r", "r (the left-side weight)")
-        s_w = _weight(weights, "s", "s (the right-side weight)")
-        e = _constants.ExponentSet(p=p, q=q, conjugate_check=False)
-        if ident == "Z1":
-            constant = _constants.beesack_das_K1(e, r_w, s_w, iv, iv)
-        else:
-            constant = _constants.beesack_das_K2(e, r_w, s_w, iv, iv)
-        extra_rel = 1e-8
-        rhs = quad.integrate(fs.Product([s_w, _abs_pow(dy, p + q)]), iv, tol=tol)
-    elif ident in ("BS1", "BS2"):
-        from . import constants as _constants
-
-        p = _need(exponents, "p", "p > 0 required")
-        q = _need(exponents, "q", "q > 0 required")
-        k = _need(exponents, "k", "k > 1 required")
-        r_w = _weight(weights, "r", "r (the left-side weight)")
-        s_w = _weight(weights, "s", "s (the right-side weight)")
-        e = _constants.ExponentSet(p=p, q=q, k=k, conjugate_check=False)
-        side = "left" if ident == "BS1" else "right"
-        constant, k_rel = _constants.beesack_K(
-            e, r_w, s_w, iv, side=side, substituted=False
-        )
-        extra_rel = k_rel
-        core = quad.integrate(fs.Product([s_w, _abs_pow(dy, k)]), iv, tol=tol)
-        outer = (p + q) / k
-        rhs = quad.QuadResult(core.value**outer,
-                              outer * core.rel_error
-                              * max(core.value, 1e-300) ** outer,
-                              core.subdivisions)
-    else:
-        raise DomainError(ident)
-
-    ratio, status, budget = judge(lhs.value, rhs.value, constant,
-                                  lhs.rel_error + rhs.rel_error + extra_rel)
-    return VerificationRecord(ident, mode, lhs.value, rhs.value, constant, ratio,
-                              status, budget, f"boundary={v.boundary}")
+    check_path(path, v.boundary)
+    c = _inputs(lemma, v.boundary, iv, weights, exponents, mode)
+    jobs = [quad.Job(_lhs_spec(lemma, path, c), iv, tol)]
+    if lemma.check is not None:
+        lemma.check(c)
+    jobs.append(quad.Job(_rhs_spec(lemma, path, c), iv, tol))
+    if lemma.monotone:
+        _monotone_audit(c.r, iv, v.boundary)
+    if lemma.inv is not None:
+        jobs.append(quad.Job(fs.power_of(c.s, lemma.inv(c)), iv, tol))
+    lhs, rhs, *inv = quad.integrate_many(jobs)
+    # errors surface in the order the sides and the constant are read
+    for res in [lhs] + inv:
+        if isinstance(res, HopialError):
+            raise res
+    c.inv = inv[0] if inv else None
+    constant, constant_rel = lemma.constant(c)
+    if isinstance(rhs, HopialError):
+        raise rhs
+    if lemma.outer is not None:
+        rhs = rhs.raised(lemma.outer(c))
+    return report(v.identifier, mode, lhs, rhs, constant, constant_rel,
+                  detail=f"boundary={v.boundary}")

@@ -129,6 +129,18 @@ class QuadResult:
             return 0.0 if self.abs_error_estimate == 0.0 else math.inf
         return self.abs_error_estimate / scale
 
+    def raised(self, outer: float, f_power: float = 0.0,
+               f_rel: float = 0.0) -> "QuadResult":
+        """The displayed side (this integral)^outer.  Where the integrand
+        carries a running integral F with relative error f_rel, and F
+        enters the side to the power f_power, the side's relative error is
+        outer * rel + f_power * f_rel (first order)."""
+        if self.value < 0 and outer != 1.0:
+            raise HopialError("negative core under an outer power")
+        value = self.value**outer
+        rel = outer * self.rel_error + f_power * f_rel
+        return QuadResult(value, rel * abs(value), self.subdivisions)
+
 
 @dataclass(frozen=True)
 class SupResult:

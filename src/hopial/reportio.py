@@ -65,7 +65,7 @@ def instance_row(rep) -> dict:
         "rhs": rep.rhs_core,
         "ratio": rep.ratio,
         "status": rep.status,
-        "budget": rep.error_budget if hasattr(rep, "error_budget") else rep.budget,
+        "budget": rep.error_budget,
     }
 
 
@@ -105,18 +105,16 @@ def dump_csv(rows: Sequence) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for rep in rows:
-        budget = rep.error_budget if hasattr(rep, "error_budget") else rep.budget
-        ident = rep.ident if hasattr(rep, "ident") else rep.identifier
         writer.writerow(
             [
-                ident,
+                rep.ident,
                 rep.mode,
                 _fmt_csv(rep.lhs),
                 _fmt_csv(rep.rhs_core),
                 _fmt_csv(rep.constant),
                 _fmt_csv(rep.ratio),
                 rep.status,
-                _fmt_csv(budget),
+                _fmt_csv(rep.error_budget),
             ]
         )
     return buf.getvalue()

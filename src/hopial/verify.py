@@ -6,11 +6,16 @@ is displayed -- outer powers included -- so ratio <= 1 is literally the
 inequality.  The error budget is the first-order sum of the relative
 quadrature errors of the left side, the constant and the right side;
 statuses are Holds (ratio <= 1 + budget), Violated (> 1 + 10*budget) and
-Inconclusive between.
+Inconclusive between.  Reports and the ratio rule are the ones the lemma
+checks of ``opial`` use.
 
-Any Violated instance is re-run at 10x tighter quadrature tolerance and
-in the alternate constant mode before being reported, which separates
-typo-level constant issues from numerical noise.
+One driver, ``verify_many``, checks instances that share all but f: it
+validates every f, builds the constant once and integrates the sides of
+all instances in one ``integrate_many`` call.  ``verify`` is its
+one-instance case, and ``sweep`` and the CLI's sharpness curve run
+through it.  Any Violated instance is re-run at 10x tighter quadrature
+tolerance and in the alternate constant mode before being reported, which
+separates typo-level constant issues from numerical noise.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ import numpy as np
 
 from . import constants as ct
 from . import funcspace as fs
+from . import opial as op
 from . import quad
 from .errors import HopialError, PreconditionFailed
-from .opial import judge
+from .opial import VerificationReport, report
 
 __all__ = [
     "TheoremInstance",
@@ -35,6 +41,7 @@ __all__ = [
     "assemble_lhs",
     "assemble_rhs",
     "verify",
+    "verify_many",
     "sweep",
     "sharpness_search",
 ]
@@ -60,20 +67,6 @@ class TheoremInstance:
             raise PreconditionFailed(f"{ident} needs the weight r")
         exps = info.check(self.exponents or ct.ExponentSet())
         return ident, info, mode, exps
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    ident: str
-    mode: str
-    lhs: float
-    rhs_core: float
-    constant: float
-    ratio: float
-    status: str
-    error_budget: float
-    breakdown: Optional[ct.ConstantBreakdown] = None
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -135,8 +128,9 @@ def _power_value(key: str, exps: dict) -> float:
 
 
 def _lhs_plan(inst: TheoremInstance, resolved, tol):
-    """(job, finish) for the displayed left side: ``finish`` turns the
-    job's QuadResult into the side, outer powers applied."""
+    """(job, powers) for the displayed left side: the side is the job's
+    QuadResult ``raised(*powers)`` (outer power, the power of F in the
+    side, F's relative error)."""
     ident, info, mode, exps = resolved
     running = quad.RunningIntegral(inst.f, inst.interval,
                                    "head" if info.side == "left" else "tail")
@@ -144,26 +138,13 @@ def _lhs_plan(inst: TheoremInstance, resolved, tol):
     shape = info.lhs
     if shape[0] == "sq_int_r_F":
         job = quad.product_job([(inst.r, 1.0), (F, 1.0)], inst.interval, tol)
-        return job, lambda base: quad.QuadResult(
-            base.value**2,
-            2.0 * (base.rel_error + f_rel) * base.value**2,
-            base.subdivisions,
-        )
+        return job, (2.0, 2.0, f_rel)
     if shape[0] in ("int_r_F_pow", "root_int_r_F"):
         power = _power_value(shape[1], exps)
         job = quad.product_job([(inst.r, 1.0), (F, power)], inst.interval, tol)
         if shape[0] == "int_r_F_pow":
-            return job, lambda res: quad.QuadResult(
-                res.value,
-                (res.rel_error + power * f_rel) * abs(res.value),
-                res.subdivisions,
-            )
-        root = 1.0 / power
-        return job, lambda res: quad.QuadResult(
-            res.value**root,
-            (root * res.rel_error + f_rel) * res.value**root,
-            res.subdivisions,
-        )
+            return job, (1.0, power, f_rel)
+        return job, (1.0 / power, 1.0, f_rel)
     if shape[0] == "hardy":
         p = exps["p"]
         inv = fs.PowerLaw(1.0, 1.0)
@@ -173,10 +154,7 @@ def _lhs_plan(inst: TheoremInstance, resolved, tol):
         kappa_f = 0.0 if callable(inst.f) else fs.endpoint_exponent(
             inst.f, inst.interval, "left")
         job = replace(job, endpoint_exponents=(p * kappa_f, job.endpoint_exponents[1]))
-        return job, lambda res: quad.QuadResult(
-            res.value, (res.rel_error + p * f_rel) * abs(res.value),
-            res.subdivisions,
-        )
+        return job, (1.0, p, f_rel)
     raise HopialError(f"unknown lhs shape {shape}")
 
 
@@ -203,36 +181,32 @@ def _rhs_weight_parts(inst, resolved, rhs_weight, tol):
 
 
 def _rhs_plan(inst: TheoremInstance, resolved, tol, weight_parts):
-    """(job, finish) for the displayed right-hand side core."""
+    """(job, powers) for the displayed right-hand side core; powers is
+    None where the core is the job's integral itself."""
     ident, info, mode, exps = resolved
     shape = info.rhs
     if shape[0] == "int_f_pow":
         parts = weight_parts + [(inst.f, _power_value(shape[1], exps))]
-        return quad.product_job(parts, inst.interval, tol), lambda res: res
+        return quad.product_job(parts, inst.interval, tol), None
     if shape[0] == "pow_int_f":
         _, power_key, outer_key, _ = shape
         parts = weight_parts + [(inst.f, _power_value(power_key, exps))]
-        outer = _power_value(outer_key, exps)
-
-        def finish(core):
-            if core.value < 0:
-                raise HopialError("negative core under an outer power")
-            value = core.value**outer
-            return quad.QuadResult(
-                value, outer * core.rel_error * abs(value), core.subdivisions
-            )
-
-        return quad.product_job(parts, inst.interval, tol), finish
+        return (quad.product_job(parts, inst.interval, tol),
+                (_power_value(outer_key, exps),))
     raise HopialError(f"unknown rhs shape {shape}")
 
 
-def _side(plan) -> quad.QuadResult:
-    return plan[1](quad.integrate_job(plan[0]))
+def _finished(plan, res) -> quad.QuadResult:
+    """The side from a plan and its integral; an error is raised."""
+    if isinstance(res, HopialError):
+        raise res
+    return res if plan[1] is None else res.raised(*plan[1])
 
 
 def assemble_lhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.QuadResult:
     """The displayed left-hand side, outer powers applied."""
-    return _side(_lhs_plan(inst, inst.resolved(), tol))
+    plan = _lhs_plan(inst, inst.resolved(), tol)
+    return _finished(plan, quad.integrate_job(plan[0]))
 
 
 def assemble_rhs(
@@ -243,7 +217,8 @@ def assemble_rhs(
     """The displayed right-hand side core (the constant excluded)."""
     resolved = inst.resolved()
     parts = _rhs_weight_parts(inst, resolved, rhs_weight, tol)
-    return _side(_rhs_plan(inst, resolved, tol, parts))
+    plan = _rhs_plan(inst, resolved, tol, parts)
+    return _finished(plan, quad.integrate_job(plan[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -251,23 +226,18 @@ def assemble_rhs(
 # ---------------------------------------------------------------------------
 
 
-def _report(ident, mode, lhs, rhs, breakdown):
-    ratio, status, budget = judge(
-        lhs.value, rhs.value, breakdown.value,
-        lhs.rel_error + rhs.rel_error + breakdown.error_estimate,
-    )
-    return VerificationReport(
-        ident, mode, lhs.value, rhs.value, breakdown.value, ratio, status,
-        budget, breakdown,
-    )
-
-
-def _passes(insts, resolved, tol, breakdown):
+def _passes(insts, tol, breakdown=None):
     """One pass (both sides and the ratio) of every instance, which share
-    all but f, with the sides of all of them integrated in one
+    all but f.  The theorem is resolved and the constant built (unless
+    given) once, and the sides of all instances are integrated in one
     ``integrate_many`` call.  Returns a report, or the HopialError that
-    ends the instance's pass alone, per instance."""
-    ident, info, mode, exps = resolved
+    ends the instance's pass alone, per instance; an error of the shared
+    steps is raised."""
+    ident, info, mode, exps = resolved = insts[0].resolved()
+    if breakdown is None:
+        first = insts[0]
+        breakdown = ct.hardy_constant(ident, first.r, first.s, first.exponents,
+                                      first.interval, mode=mode, tol=tol)
     try:
         parts = _rhs_weight_parts(insts[0], resolved, breakdown.rhs_weight, tol)
     except HopialError as exc:
@@ -300,34 +270,24 @@ def _passes(insts, resolved, tol, breakdown):
         rhs_res = rhs if isinstance(rhs, HopialError) else next(results)
         try:
             lhs_side = _finished(lhs, lhs_res)
-            out.append(_report(ident, mode, lhs_side, _finished(rhs, rhs_res), breakdown))
+            out.append(report(ident, mode, lhs_side, _finished(rhs, rhs_res),
+                              breakdown.value, breakdown.error_estimate, breakdown))
         except HopialError as exc:
             out.append(exc)
     return out
 
 
-def _finished(plan, res):
-    """The side from a plan and its integral; an error is raised."""
-    if isinstance(res, HopialError):
-        raise res
-    return plan[1](res)
-
-
 def _single_pass(inst, tol, breakdown=None):
-    resolved = inst.resolved()
-    ident, info, mode, exps = resolved
-    if breakdown is None:
-        breakdown = ct.hardy_constant(ident, inst.r, inst.s, inst.exponents,
-                                      inst.interval, mode=mode, tol=tol)
-    report = _passes([inst], resolved, tol, breakdown)[0]
-    if isinstance(report, HopialError):
-        raise report
-    return report
+    rep = _passes([inst], tol, breakdown)[0]
+    if isinstance(rep, HopialError):
+        raise rep
+    return rep
 
 
-def _retest(inst, tol, info, mode):
+def _retest(inst, tol):
     """A Violated pass re-run at 10x tighter tolerance and, for catalog
     entries with divergent printed/derived readings, in the other mode."""
+    ident, info, mode, exps = inst.resolved()
     tight = max((tol or quad.SMOOTH_TOL) / 10.0, 2e-14)
     confirmed = _single_pass(inst, tight)
     detail = f"retested at tol={tight:g}: ratio={confirmed.ratio:.9g}"
@@ -341,6 +301,43 @@ def _retest(inst, tol, info, mode):
     return replace(confirmed, detail=detail)
 
 
+def verify_many(
+    insts: Sequence[TheoremInstance],
+    tol: Optional[float] = None,
+    breakdown: Optional[ct.ConstantBreakdown] = None,
+) -> list:
+    """``verify`` of every instance (they share all but f): a report, or
+    the HopialError that ``verify`` of it alone raises, per instance.
+
+    Every f is validated first, with the nonnegativity probes of all of
+    them in one batched evaluation.  Then the theorem is resolved and the
+    constant built (unless given) once, the sides of all instances are
+    integrated together, and every Violated report is re-examined.
+    """
+    out: list = [None] * len(insts)
+    specs = [i for i, inst in enumerate(insts) if not callable(inst.f)]
+    if specs:
+        errors = fs.nonnegativity_errors([insts[i].f for i in specs],
+                                         insts[0].interval)
+        for i, error in zip(specs, errors):
+            out[i] = error
+    todo = [i for i, res in enumerate(out) if res is None]
+    if not todo:
+        return out
+    try:
+        passes = _passes([insts[i] for i in todo], tol, breakdown)
+    except HopialError as exc:
+        passes = [exc] * len(todo)
+    for i, rep in zip(todo, passes):
+        if not isinstance(rep, HopialError) and rep.status == "Violated":
+            try:
+                rep = _retest(insts[i], tol)
+            except HopialError as exc:
+                rep = exc
+        out[i] = rep
+    return out
+
+
 def verify(
     inst: TheoremInstance,
     tol: Optional[float] = None,
@@ -352,13 +349,10 @@ def verify(
     entries with divergent printed/derived readings, also in the other
     mode; the outcome is attached to the report detail.
     """
-    if not callable(inst.f):
-        fs.validate_nonnegative(inst.f, inst.interval)
-    report = _single_pass(inst, tol, breakdown)
-    if report.status != "Violated":
-        return report
-    ident, info, mode, exps = inst.resolved()
-    return _retest(inst, tol, info, mode)
+    rep = verify_many([inst], tol, breakdown)[0]
+    if isinstance(rep, HopialError):
+        raise rep
+    return rep
 
 
 def _inconclusive(ident, mode, exc):
@@ -366,36 +360,6 @@ def _inconclusive(ident, mode, exc):
         ident, mode, math.nan, math.nan, math.nan, math.nan,
         "Inconclusive", math.inf, None, f"{type(exc).__name__}: {exc}",
     )
-
-
-def _sweep_reports(insts, tol, breakdown):
-    """``verify`` of every instance (they share all but f) with the shared
-    breakdown, resolved once and integrated together; a member's failure
-    is its own Inconclusive report, with the detail it has alone."""
-    ident, mode = insts[0].ident, insts[0].mode
-    reports: dict = {}
-    for i, inst in enumerate(insts):
-        if not callable(inst.f):
-            try:
-                fs.validate_nonnegative(inst.f, inst.interval)
-            except HopialError as exc:
-                reports[i] = _inconclusive(ident, mode, exc)
-    todo = [i for i in range(len(insts)) if i not in reports]
-    try:
-        resolved = insts[0].resolved()
-        passes = _passes([insts[i] for i in todo], resolved, tol, breakdown) if todo else []
-    except HopialError as exc:
-        passes = [exc] * len(todo)
-    for i, report in zip(todo, passes):
-        try:
-            if isinstance(report, HopialError):
-                raise report
-            if report.status == "Violated":
-                report = _retest(insts[i], tol, resolved[1], resolved[2])
-            reports[i] = report
-        except HopialError as exc:
-            reports[i] = _inconclusive(ident, mode, exc)
-    return [reports[i] for i in range(len(insts))]
 
 
 def sweep(
@@ -422,11 +386,10 @@ def sweep(
     resolved_mode = ct.resolve_mode(ident, mode)
     breakdown = ct.hardy_constant(ident, r, s, exponents, interval,
                                   mode=resolved_mode, tol=tol)
-    reports = _sweep_reports(
-        [TheoremInstance(ident, r, s, f, exponents, interval, resolved_mode)
-         for f in fs.sample_family(family, count)],
-        tol, breakdown,
-    )
+    insts = [TheoremInstance(ident, r, s, f, exponents, interval, resolved_mode)
+             for f in fs.sample_family(family, count)]
+    reports = [_inconclusive(ident, resolved_mode, rep) if isinstance(rep, HopialError)
+               else rep for rep in verify_many(insts, tol, breakdown)]
     finite = [
         (i, rep.ratio) for i, rep in enumerate(reports) if math.isfinite(rep.ratio)
     ]
@@ -587,8 +550,6 @@ def lemma_sharpness(
 ) -> SharpnessResult:
     """Sharpness probe on the lemma layer: ascend the variant ratio over a
     parametric path family (e.g. hat-peak position)."""
-    from . import opial as op
-
     if budget < 50:
         raise PreconditionFailed("search budget must be at least 50 evaluations")
 

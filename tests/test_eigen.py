@@ -179,6 +179,54 @@ class TestQuasilinear:
         assert wall.value < lifted.value
 
 
+class TestCoarseSearch:
+    """At p > 1 the error estimate's coarse search starts from a bracket
+    around the fine value instead of its own ladder."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("boundary", ["both", "left_zero"])
+    def test_bracketed_agrees_with_ladder(self, unit, monkeypatch, p, boundary):
+        R = fs.Sum([fs.Constant(1.0), fs.PowerLaw(1.0, 2.0)])
+        R_fn = eigen._as_fn(R, unit)
+        m_fn = eigen._as_fn(fs.Exponential(1.0, 0.5), unit)
+        marches = []
+        real = eigen._march
+
+        def counting(*args):
+            marches.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(eigen, "_march", counting)
+        fine = eigen._shoot_smallest(R_fn, m_fn, 0.0, 1.0, p, 1e-9, boundary=boundary)
+        del marches[:]
+        ladder = eigen._shoot_smallest(R_fn, m_fn, 0.0, 1.0, p, 1e-9, n_steps=1024,
+                                       boundary=boundary)
+        ladder_marches = len(marches)
+        del marches[:]
+        bracket = (fine * (1 - eigen._COARSE_BRACKET),
+                   fine * (1 + eigen._COARSE_BRACKET))
+        bracketed = eigen._shoot_smallest(R_fn, m_fn, 0.0, 1.0, p, 1e-9, n_steps=1024,
+                                          bracket=bracket, boundary=boundary)
+        assert bracketed == pytest.approx(ladder, rel=2e-9)
+        assert len(marches) <= 6 < ladder_marches
+
+    def test_solve_uses_the_bracket(self, unit, one, monkeypatch):
+        calls = []
+        real = eigen._shoot_smallest
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("bracket"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(eigen, "_shoot_smallest", spy)
+        res = eigen.solve_smallest(eigen.EigenProblem(one, fs.Exponential(1.0, 0.5),
+                                                      2.0, unit))
+        fine, coarse = calls
+        assert fine is None
+        assert coarse == pytest.approx((res.value * (1 - 1e-4), res.value * (1 + 1e-4)),
+                                       rel=1e-15)
+
+
 class TestT213Constant:
     def test_example_value_positive_and_stable(self, unit, one):
         c1, rel1 = eigen.t2_13_constant_result(one, fs.Exponential(1.0, 2.0), 1, unit)

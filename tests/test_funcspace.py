@@ -120,6 +120,33 @@ class TestValidation:
         with pytest.raises(InvalidSpec):
             fs.validate_nonnegative(fs.Constant(-1.0), unit)
 
+    def test_batched_probe_matches_one_by_one(self, unit):
+        # the probe as it ran spec by spec, kept as the reference
+        def alone(spec):
+            try:
+                fs.validate(spec, unit)
+            except InvalidSpec as exc:
+                return str(exc)
+            vals = fs.evaluate_array(spec, np.linspace(0.0, 1.0, 66)[1:-1], unit)
+            if np.any(np.isnan(vals)):
+                return "spec evaluates to NaN inside the interval"
+            if np.any(vals < -1e-12 * max(1.0, float(np.nanmax(np.abs(vals))))):
+                return "spec is negative inside the interval"
+            return None
+
+        rng = np.random.default_rng(4)
+        knots = (0.0, 0.3, 0.7, 1.0)
+        specs = [fs.PiecewiseLinear(list(zip(knots, rng.uniform(-0.2, 1.0, 4).tolist())))
+                 for _ in range(40)]
+        specs += [fs.PowerLaw(1.0, 0.5), fs.PowerLaw(-2.0, 1.5), fs.Constant(-1e-14),
+                  fs.Power(fs.Sum([fs.Constant(-0.5), fs.PowerLaw(1.0, 1.0)]), 0.5),
+                  fs.PiecewiseLinear([(0.1, 1.0), (1.0, 1.0)]),
+                  fs.Sum([fs.Exponential(1.0, 1.0), fs.Constant(-1.5)])]
+        got = [None if err is None else str(err)
+               for err in fs.nonnegativity_errors(specs, unit)]
+        assert got == [alone(spec) for spec in specs]
+        assert 0 < got.count("spec is negative inside the interval") < len(specs)
+
     @pytest.mark.parametrize("spec", [
         fs.PowerLaw(1.0, math.inf),
         fs.PowerLaw(1.0, math.nan),

@@ -227,6 +227,51 @@ class TestBatchedSweep:
                 assert repr(rep) == repr(ref)
 
 
+    def test_invalid_members_match_alone(self, unit, one, monkeypatch):
+        # the nonnegativity probes of a sweep run batched; a negative member
+        # keeps the detail verify of it alone raises (no family draws one,
+        # so the members are given)
+        members = [fs.PiecewiseLinear([(0.0, v), (0.5, 0.3), (1.0, 1.0)])
+                   for v in (0.2, -0.1, 0.6, -0.5)] + [fs.PowerLaw(-1.0, 1.0)]
+        monkeypatch.setattr(fs, "sample_family", lambda family, count: members)
+        sw = vf.sweep("T2.3", None, one, None, E(), unit, len(members))
+        alone = self.alone("T2.3", None, one, None, E(), unit, len(members))
+        negative = "InvalidSpec: spec is negative inside the interval"
+        assert alone[1] == alone[3] == alone[4] == negative
+        assert [rep.status for rep in sw.reports] == [
+            "Holds", "Inconclusive", "Holds", "Inconclusive", "Inconclusive"]
+        for rep, ref in zip(sw.reports, alone):
+            if isinstance(ref, str):
+                assert rep.detail == ref
+            else:
+                assert repr(rep) == repr(ref)
+
+    def test_verify_many_groups_probes_by_skeleton(self, unit, one):
+        fs_list = [
+            fs.PowerLaw(1.0, 0.5), fs.PowerLaw(-1.0, 0.5),
+            fs.PiecewiseLinear([(0.0, 0.5), (0.5, -0.1), (1.0, 1.0)]),
+            fs.Power(fs.Sum([fs.Constant(-0.5), fs.PowerLaw(1.0, 1.0)]), 0.5),
+            fs.PiecewiseLinear([(0.0, 0.5), (0.5, 0.1), (1.0, 1.0)]),
+            fs.PiecewiseLinear([(0.2, 0.5), (1.0, 1.0)]),
+            fs.Exponential(2.0, -1.0), fs.PowerLaw(2.0, 1.5),
+        ]
+        insts = [inst("T2.3", one, None, f, E(), unit) for f in fs_list]
+        got = vf.verify_many(insts)
+        for case, res in zip(insts, got):
+            try:
+                ref = vf.verify(case)
+            except HopialError as exc:
+                assert type(res) is type(exc) and str(res) == str(exc)
+            else:
+                assert repr(res) == repr(ref)
+        assert [type(res).__name__ for res in got] == [
+            "VerificationReport", "InvalidSpec", "InvalidSpec", "InvalidSpec",
+            "VerificationReport", "InvalidSpec", "VerificationReport",
+            "VerificationReport",
+        ]
+        assert "NaN" in str(got[3])
+
+
 class TestHardyCancellingAntiderivative:
     """F of these f is a cancelling Sum; F / (x - a) still tends to f(a)."""
 
@@ -309,6 +354,40 @@ class TestSharpness:
             budget=60,
         )
         assert math.isfinite(res.best_ratio)
+
+
+class TestSharpnessCurve:
+    def test_curve_builds_the_constant_once(self, tmp_path, monkeypatch):
+        from hopial import cli, reportio
+
+        built, curves = [], []
+        real_constant = ct.hardy_constant
+        real_plot = reportio.ratio_plot_svg
+
+        def counting(*args, **kwargs):
+            built.append(args[0])
+            return real_constant(*args, **kwargs)
+
+        def capture(ratios, **kwargs):
+            curves.append(list(ratios))
+            return real_plot(ratios, **kwargs)
+
+        monkeypatch.setattr(ct, "hardy_constant", counting)
+        monkeypatch.setattr(reportio, "ratio_plot_svg", capture)
+        config = cli.RunConfig(
+            command="sharpness", theorem="T2.3",
+            r=fs.spec_to_json(fs.Sum([ONE, fs.PowerLaw(1.0, 1.0)])),
+            bounds=((-0.45, -0.05),), budget=50, out_svg=str(tmp_path / "c.svg"),
+        )
+        cli.run(config)
+        assert built == ["T2.3"]
+        monkeypatch.undo()
+        # the 33 points are verify of each member alone
+        r = fs.Sum([ONE, fs.PowerLaw(1.0, 1.0)])
+        alone = [vf.verify(inst("T2.3", r, None, fs.PowerLaw(1.0, float(x)), E(),
+                                fs.Interval(0.0, 1.0))).ratio
+                 for x in np.linspace(-0.45, -0.05, 33)]
+        assert [repr(v) for v in curves[0]] == [repr(v) for v in alone]
 
 
 class TestStatusClassification:
