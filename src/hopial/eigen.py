@@ -9,7 +9,7 @@ Two independent routes are used for p = 1:
 
 * P1 finite elements on the mesh (symmetric tridiagonal generalized
   problem, h^2-Richardson over two mesh levels), and
-* RK4 shooting with bisection on the first interior zero of u.
+* RK4 shooting on the first interior zero of u.
 
 They must agree to the requested tolerance; the disagreement feeds the
 error estimate.  For p > 1 only the shooting route exists (the problem is
@@ -24,21 +24,19 @@ eigenvalue); one march checks that the start rung does not cross, else the
 full ladder runs.  The rungs are exact powers of 4 times 1e-8, so the
 bracket is the one the full ladder would reach.
 
-Inside the bracket, p = 1 keeps the sign bisection (the refinement below
-given no probe values): there a march is a cheap scan, and the shooting
-value only cross-checks the finite elements.
-At p > 1, where every march is a Python loop over steps, the bracket is
-refined by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on a
-signed value that is <= 0 exactly when the march crosses: for Dirichlet
-ends, 1 - (T / t_zero)^(p+1), with t_zero where the tangent at the stop
-(the first crossing, or the end) meets u = 0 and T the leg length; for a
-free right end, the end flux w.  Interpolation in u_end instead stalls,
-since after a crossing u at the stop is a sawtooth of size h |u'|.  The
-refinement keeps the ladder's values and the bisection's stop rule and
-midpoint, so the accuracy contract is the same; it takes about a third of
-the marches.  The p > 1 error estimate compares with a search at half the
-steps, which starts from a bracket 1e-4 (relative) around the fine value
-and climbs its own ladder only when that bracket misses.
+For every p the bracket is refined by Illinois regula falsi (Dowell &
+Jarratt, BIT 11, 1971) on a signed value that is <= 0 exactly when the
+march crosses: for Dirichlet ends, 1 - (T / t_zero)^(p+1), with t_zero
+where the tangent at the stop (the first crossing, or the end) meets
+u = 0 and T the leg length; for a free right end, the end flux w.
+Interpolation in u_end instead stalls, since after a crossing u at the
+stop is a sawtooth of size h |u'|.  The refinement keeps the ladder's
+values and the bisection's stop rule and midpoint, so the accuracy
+contract is that of a sign bisection; it takes a fraction of the marches.
+A search with a reference value at hand starts from a bracket 1e-4
+(relative) around it and climbs its own ladder only when that bracket
+misses: at p = 1 the reference is the finite-element value, at p > 1 the
+fine value seeds the search at half the steps behind the error estimate.
 
 A leading coefficient that vanishes at an endpoint -- the tail integral
 R(x, b) always does at b -- is handled by truncating to b - delta for
@@ -90,9 +88,10 @@ _BRACKET_LO = 1e-8
 _BRACKET_HI = 1e8
 _FD_NODES = 2048
 _SHOOT_STEPS = 2048
-# half-width (relative) of the bracket the fine p > 1 value gives the
-# coarse search; a bracket that misses falls back to the full ladder
-_COARSE_BRACKET = 1e-4
+# half-width (relative) of the bracket a reference value gives a shooting
+# search (the finite-element value at p = 1, the fine value for the p > 1
+# coarse search); a bracket that misses falls back to the full ladder
+_SEED_BRACKET = 1e-4
 
 
 @dataclass(frozen=True)
@@ -302,12 +301,9 @@ def _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left=None, wall_right=None,
     def probe(lam):
         """(crossed, value): value changes sign with crossed (value <= 0
         exactly when crossed) and varies smoothly with lam; nan where no
-        such value is at hand, and at p = 1, where the refinement is then
-        the sign bisection."""
+        such value is at hand."""
         u, w, hit, t, R = _march(legs_data, lam, p)
         crossed = hit or (u if boundary == "both" else w) <= 0.0
-        if p == 1.0:
-            return crossed, math.nan
         if boundary == "both":
             # t_zero: where the tangent at the stop meets u = 0.  The zero
             # moves like lam^(-1/(p+1)) (exactly so for constant
@@ -362,8 +358,7 @@ def _illinois(probe, lo, f_lo, hi, f_hi, rtol):
     stays rtol/4 * hi inside the bracket; a bisection replaces a step whose
     end values are not both known, and follows three steps that each failed
     to halve the bracket.  Stops and returns as the bisection does: the
-    midpoint once the width is <= rtol * hi.  With no finite probe values
-    (p = 1) every step is the midpoint, so this is the sign bisection."""
+    midpoint once the width is <= rtol * hi."""
     kept = None  # the end the last step left in place
     slow = 0
     while hi - lo > rtol * hi:
@@ -390,11 +385,13 @@ def _illinois(probe, lo, f_lo, hi, f_hi, rtol):
 
 def _fem_and_shooting(R_fn, m_fn, lo, hi, wall_left, wall_right, boundary, tol):
     """The two p = 1 routes: (fem value, fem error, shooting value).  The
-    shooting bisection is bracketed around the finite-element value."""
+    shooting search starts from a bracket _SEED_BRACKET around the
+    finite-element value."""
     lam_fd, err_fd = _fem_richardson(R_fn, m_fn, lo, hi, wall_left, wall_right,
                                      boundary == "left_zero")
     lam_sh = _shoot_smallest(R_fn, m_fn, lo, hi, 1.0, tol, wall_left, wall_right,
-                             bracket=(0.5 * lam_fd, 1.5 * lam_fd),
+                             bracket=(lam_fd * (1.0 - _SEED_BRACKET),
+                                      lam_fd * (1.0 + _SEED_BRACKET)),
                              boundary=boundary)
     return lam_fd, err_fd, lam_sh
 
@@ -461,8 +458,8 @@ def solve_smallest(prob: EigenProblem, tol: float = 1e-8) -> EigenResult:
                               wall_left, wall_right, boundary=prob.boundary)
         lam_coarse = _shoot_smallest(R_fn, m_fn, lo, hi, prob.p, min(tol, 1e-9),
                                      wall_left, wall_right, n_steps=_SHOOT_STEPS // 2,
-                                     bracket=(lam * (1.0 - _COARSE_BRACKET),
-                                              lam * (1.0 + _COARSE_BRACKET)),
+                                     bracket=(lam * (1.0 - _SEED_BRACKET),
+                                              lam * (1.0 + _SEED_BRACKET)),
                                      boundary=prob.boundary)
         return lam, abs(lam - lam_coarse) + tol * abs(lam)
 

@@ -410,9 +410,10 @@ def _evaluate(fns, requests):
                                [req[0] for req in requests], counts, us)
         else:
             ys = np.empty(us.shape)
-            owner = np.repeat(np.arange(len(requests)), counts)
-            for g, idx in by_group.items():
-                sel = np.flatnonzero(np.isin(owner, idx))
+            slot = {g: k for k, g in enumerate(by_group)}
+            owner = np.repeat([slot[req[0].group] for req in requests], counts)
+            for k, (g, idx) in enumerate(by_group.items()):
+                sel = np.flatnonzero(owner == k)
                 ys[sel] = _group_values(*fns[g], [requests[i][0] for i in idx],
                                         [counts[i] for i in idx], us[sel])
         vals, errs = _panel_rule(ys, half)

@@ -203,8 +203,8 @@ class TestCoarseSearch:
                                        boundary=boundary)
         ladder_marches = len(marches)
         del marches[:]
-        bracket = (fine * (1 - eigen._COARSE_BRACKET),
-                   fine * (1 + eigen._COARSE_BRACKET))
+        bracket = (fine * (1 - eigen._SEED_BRACKET),
+                   fine * (1 + eigen._SEED_BRACKET))
         bracketed = eigen._shoot_smallest(R_fn, m_fn, 0.0, 1.0, p, 1e-9, n_steps=1024,
                                           bracket=bracket, boundary=boundary)
         assert bracketed == pytest.approx(ladder, rel=2e-9)
@@ -225,6 +225,35 @@ class TestCoarseSearch:
         assert fine is None
         assert coarse == pytest.approx((res.value * (1 - 1e-4), res.value * (1 + 1e-4)),
                                        rel=1e-15)
+
+
+class TestP1Marches:
+    """At p = 1 the shooting cross-check starts from a bracket around the
+    finite-element value and refines it by Illinois steps: a few marches
+    per solve, where a sign bisection from (0.5, 1.5) x fem takes 32."""
+
+    @staticmethod
+    def _marches(monkeypatch, prob):
+        calls = []
+        real = eigen._march
+
+        def counting(legs_data, lam, p):
+            calls.append(lam)
+            return real(legs_data, lam, p)
+
+        monkeypatch.setattr(eigen, "_march", counting)
+        eigen.solve_smallest(prob)
+        return len(calls)
+
+    @pytest.mark.parametrize("m", DENSITIES)
+    @pytest.mark.parametrize("R", COEFFS)
+    def test_grid_solve(self, unit, monkeypatch, R, m):
+        assert self._marches(monkeypatch, eigen.EigenProblem(R, m, 1.0, unit)) <= 8
+
+    def test_wall_solve(self, unit, one, monkeypatch):
+        # R = x vanishes at 0: three truncated solves
+        prob = eigen.EigenProblem(fs.PowerLaw(1.0, 1.0), one, 1.0, unit)
+        assert self._marches(monkeypatch, prob) <= 24
 
 
 class TestT213Constant:

@@ -255,6 +255,16 @@ class TestIntegrateMany:
         for job, res in zip(jobs, batch):
             assert _same(res, _alone(job))
 
+    def test_interleaved_skeletons_match_each_alone(self, unit):
+        # two skeletons whose panel requests alternate (A, B, A, B) in every
+        # refinement round
+        jobs = [quad.Job(fs.PowerLaw(1.0, 0.5), unit),
+                quad.Job(fs.Exponential(2.0, -40.0), unit),
+                quad.Job(fs.PowerLaw(1.3, 1.5), unit),
+                quad.Job(fs.Exponential(1.0, 25.0), unit)]
+        for job, res in zip(jobs, quad.integrate_many(jobs)):
+            assert _same(res, _alone(job))
+
     def test_a_failing_job_leaves_the_others_unchanged(self, unit):
         wiggly = lambda x: np.sin(200.0 / (x + 0.01))
         # non-finite at a first-round node, and only once refinement gets near 0.71
