@@ -254,10 +254,8 @@ class TestIntegrateMany:
         assert isinstance(batch[-1], NonIntegrable)
         for job, res in zip(jobs, batch):
             assert _same(res, _alone(job))
-
-    def test_interleaved_skeletons_match_each_alone(self, unit):
-        # two skeletons whose panel requests alternate (A, B, A, B) in every
-        # refinement round
+        # two skeletons whose panel requests alternate (A, B, A, B) over
+        # several refinement rounds
         jobs = [quad.Job(fs.PowerLaw(1.0, 0.5), unit),
                 quad.Job(fs.Exponential(2.0, -40.0), unit),
                 quad.Job(fs.PowerLaw(1.3, 1.5), unit),
