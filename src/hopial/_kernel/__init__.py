@@ -5,6 +5,6 @@ Callers reach them through this package (``_kernel.eval_program``,
 implementation lives in ``fallback``.
 """
 
-from .fallback import BACKEND, eval_program, shoot_quasilinear
+from .fallback import BACKEND, Points, eval_program, shoot_quasilinear
 
-__all__ = ["BACKEND", "eval_program", "shoot_quasilinear"]
+__all__ = ["BACKEND", "Points", "eval_program", "shoot_quasilinear"]

@@ -19,6 +19,8 @@ float64 scalars, so the loop is bit-identical to one on numpy scalars and
 about four times faster.
 """
 
+from typing import NamedTuple, Optional
+
 import numpy as np
 
 BACKEND = "pure"
@@ -72,16 +74,45 @@ def _row_search(breaks, xs, rows):
     return np.searchsorted(keys, _pairs(rows, xs), side="right") - rows * n - 1
 
 
-def eval_program(ops, fargs, iargs, data, xs, rows=None):
+class Points(NamedTuple):
+    """Per-point arrays of an eval_program call, aligned with its xs.
+
+    ``rows``: the parameter row of each point (None: row 0 for all).
+    ``anchors``, ``ds``: point i lies at anchors[i] + ds[i] exactly, and
+    xs[i] is that sum rounded; anchors[i] is nan for a point without one
+    (None: no point has one).
+    """
+
+    rows: Optional[np.ndarray] = None
+    anchors: Optional[np.ndarray] = None
+    ds: Optional[np.ndarray] = None
+
+
+def eval_program(ops, fargs, iargs, data, xs, points=None):
     """Run a postfix spec program over an array of abscissae.
 
     A program holds one parameter row per member: ``fargs`` is rows x ops x
     3 and ``data`` rows x n, with the same opcodes and data layout in every
-    row.  Point i is evaluated with row ``rows[i]``; ``rows=None`` evaluates
-    every point with row 0.  A parameter that is the same in every row is
-    used as a scalar and a varying one is gathered per point, so a point
-    gets the same bits in a batch as in a one-row program.
+    row.  Point i is evaluated with row ``points.rows[i]``; without rows
+    every point is evaluated with row 0.  A parameter that is the same in
+    every row is used as a scalar and a varying one is gathered per point,
+    so a point gets the same bits in a batch as in a one-row program.
+
+    The distance opcodes (POW_LEFT, POW_RIGHT and PPOLY's local variable)
+    read the exact offset ``points.ds[i]`` wherever their own anchor is
+    ``points.anchors[i]``, instead of x - anchor, which cancels to nothing
+    near the anchor.  Every other point gets the bits it gets without
+    offsets.
     """
+    rows, anchors, ds = points if points is not None else (None, None, None)
+
+    def distance(anchor, sign):
+        """sign * (xs - anchor), exact at the points anchored there."""
+        t = xs - anchor if sign > 0 else anchor - xs
+        if anchors is None:
+            return t
+        return np.where(anchors == anchor, ds if sign > 0 else -ds, t)
+
     batched = rows is not None and len(fargs) > 1
     if batched:
         varies = (fargs != fargs[:1]).any(axis=0).tolist()
@@ -111,7 +142,7 @@ def eval_program(ops, fargs, iargs, data, xs, rows=None):
                 stack.append(c if isinstance(c, np.ndarray) else np.full_like(xs, c))
             elif op == OP_POW_LEFT or op == OP_POW_RIGHT:
                 c, alpha, anchor = param(k, 0), param(k, 1), param(k, 2)
-                t = xs - anchor if op == OP_POW_LEFT else anchor - xs
+                t = distance(anchor, 1 if op == OP_POW_LEFT else -1)
                 if isinstance(alpha, np.ndarray) or alpha != 0.0:
                     stack.append(c * _power(t, alpha))
                 elif isinstance(c, np.ndarray):
@@ -153,12 +184,12 @@ def eval_program(ops, fargs, iargs, data, xs, rows=None):
                     breaks = poly[: n + 1]
                     coeffs = poly[n + 1 :].reshape(n, deg + 1)
                     idx = np.clip(np.searchsorted(breaks, xs, side="right") - 1, 0, n - 1)
-                    t = xs - breaks[idx]
+                    t = distance(breaks[idx], 1)
                 else:
                     breaks = poly[:, : n + 1]
                     coeffs = poly[:, n + 1 :].reshape(len(poly), n, deg + 1)
                     idx = np.clip(_row_search(breaks, xs, rows), 0, n - 1)
-                    t = xs - breaks[rows, idx]
+                    t = distance(breaks[rows, idx], 1)
                     coeffs = coeffs[rows, idx]
                     idx = slice(None)
                 acc = coeffs[idx, deg].copy()

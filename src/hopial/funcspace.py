@@ -53,6 +53,7 @@ __all__ = [
     "closed_antiderivative",
     "breakpoints",
     "endpoint_exponent",
+    "endpoint_structure",
     "scale",
     "power_of",
     "spec_to_json",
@@ -582,38 +583,54 @@ def endpoint_exponent(spec: FunctionSpec, interval: Interval, side: str) -> floa
     exact for nonnegative terms; callers with cancelling sums must pass
     explicit exponents to the quadrature layer instead.
     """
+    return endpoint_structure(spec, interval, side)[0]
+
+
+def _fractional(e: float) -> float:
+    """e where it is a non-integer exponent, else inf."""
+    return math.inf if not math.isfinite(e) or float(e).is_integer() else e
+
+
+def endpoint_structure(spec: FunctionSpec, interval: Interval, side: str) -> tuple:
+    """(kappa, rho) of the spec near one endpoint, in one structural walk.
+
+    kappa is ``endpoint_exponent``; rho is the smallest non-integer
+    exponent of the spec's expansion in powers of the endpoint distance,
+    math.inf where the expansion has integer exponents only (a smooth
+    spec, or a power law such as (x - a)^-2).  A spec with finite rho is
+    finite or singular at the endpoint but not smooth there: its
+    derivatives of order above rho blow up.
+    """
     left = side == "left"
     if isinstance(spec, Constant):
-        return 0.0 if spec.c != 0.0 else math.inf
-    if isinstance(spec, PowerLaw):
+        return (0.0 if spec.c != 0.0 else math.inf), math.inf
+    if isinstance(spec, (PowerLaw, ShiftedPowerLaw)):
         if spec.c == 0.0:
-            return math.inf
-        return spec.alpha if left else 0.0
-    if isinstance(spec, ShiftedPowerLaw):
-        if spec.c == 0.0:
-            return math.inf
-        return 0.0 if left else spec.alpha
+            return math.inf, math.inf
+        if left != isinstance(spec, PowerLaw):
+            return 0.0, math.inf
+        return spec.alpha, _fractional(spec.alpha)
     if isinstance(spec, Exponential):
-        return 0.0 if spec.c != 0.0 else math.inf
+        return (0.0 if spec.c != 0.0 else math.inf), math.inf
     if isinstance(spec, PiecewiseLinear):
         knots = spec.knots if left else tuple(reversed(spec.knots))
         v_end = knots[0][1]
         if v_end != 0.0:
-            return 0.0
+            return 0.0, math.inf
         if knots[1][1] != 0.0:
-            return 1.0
-        return math.inf
+            return 1.0, math.inf
+        return math.inf, math.inf
     if isinstance(spec, Step):
         vals = spec.values if left else tuple(reversed(spec.values))
-        return 0.0 if vals[0] != 0.0 else math.inf
+        return (0.0 if vals[0] != 0.0 else math.inf), math.inf
     if isinstance(spec, PiecewisePolynomial):
         if left:
             row = spec.coeffs[0]
             scale_ref = max((abs(c) for c in row), default=0.0)
             for j, c in enumerate(row):
                 if abs(c) > 1e-14 * max(scale_ref, 1.0):
-                    return float(j)
-            return math.inf
+                    return float(j), math.inf
+            return math.inf, math.inf
         row = spec.coeffs[-1]
         w = spec.breaks[-1] - spec.breaks[-2]
         # order of the zero at the right edge of the last piece
@@ -625,20 +642,27 @@ def endpoint_exponent(spec: FunctionSpec, interval: Interval, side: str) -> floa
                 for k in range(j, len(row))
             )
             if abs(val) > 1e-10 * max(scale_ref, 1e-300):
-                return float(j)
-        return math.inf
-    if isinstance(spec, Sum):
-        return min(endpoint_exponent(t, interval, side) for t in spec.terms)
-    if isinstance(spec, Product):
-        return sum(endpoint_exponent(t, interval, side) for t in spec.terms)
+                return float(j), math.inf
+        return math.inf, math.inf
+    if isinstance(spec, (Sum, Product)):
+        parts = [endpoint_structure(t, interval, side) for t in spec.terms]
+        if isinstance(spec, Sum):
+            return min(k for k, _ in parts), min(r for _, r in parts)
+        kappa = sum(k for k, _ in parts)
+        if not math.isfinite(kappa):
+            return kappa, math.inf
+        # each factor is t^kappa_i (1 + O(t^(rho_i - kappa_i)))
+        return kappa, min(r - k for k, r in parts) + kappa
     if isinstance(spec, Power):
-        kappa = endpoint_exponent(spec.base, interval, side)
-        if math.isinf(kappa) and spec.exponent < 0:
-            return -math.inf
-        return kappa * spec.exponent
+        kappa, rho = endpoint_structure(spec.base, interval, side)
+        if math.isinf(kappa):
+            return (-math.inf if spec.exponent < 0 else kappa * spec.exponent), math.inf
+        lead = kappa * spec.exponent
+        # (t^kappa (1 + O(t^(rho - kappa))))^e = t^(e kappa) (1 + O(t^(rho - kappa)))
+        return lead, (lead if _fractional(lead) == lead else lead + rho - kappa)
     if isinstance(spec, AbsVal):
-        return endpoint_exponent(spec.term, interval, side)
-    return 0.0
+        return endpoint_structure(spec.term, interval, side)
+    return 0.0, math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -854,13 +878,19 @@ class Program:
                               self.fargs[0, self.ops == OP_PPOLY, 0].tobytes())
         return self._skeleton
 
-    def __call__(self, xs: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+    def __call__(self, xs: np.ndarray, rows: Optional[np.ndarray] = None,
+                 offsets: Optional[tuple] = None) -> np.ndarray:
         """Values at ``xs``; point i uses parameter row ``rows[i]`` (row 0
-        for every point when ``rows`` is None)."""
+        for every point when ``rows`` is None).  ``offsets`` is None or
+        (anchors, ds), flat arrays with x = anchors[i] + ds[i] exactly
+        (anchor nan where there is none); see ``_kernel.eval_program``."""
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         shape = xs.shape
+        points = None
+        if rows is not None or offsets is not None:
+            points = _kernel.Points(rows, *(offsets or (None, None)))
         out = _kernel.eval_program(
-            self.ops, self.fargs, self.iargs, self.data, xs.ravel(), rows
+            self.ops, self.fargs, self.iargs, self.data, xs.ravel(), points
         )
         return out.reshape(shape)
 

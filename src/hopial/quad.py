@@ -7,9 +7,19 @@ case of the same loop).  Per job:
 
 * structural breakpoints of a spec seed the initial panels, so piecewise
   polynomials integrate exactly in one pass per piece;
-* declared endpoint exponents kappa in (-1, 0) are removed by the
-  substitution x = a + u^m with m = 2/(1 + kappa), after which the
-  transformed integrand vanishes linearly at the endpoint;
+* an endpoint that is not smooth is graded by the substitution
+  x = a + u^m (x = b - u^m at the right end).  Where the spec behaves like
+  dist^kappa with kappa in (-1, 0), m = 2/(1 + kappa), after which the
+  transformed integrand vanishes linearly.  Where it is finite but its
+  expansion has a non-integer exponent rho (1 + c x^0.3, say), m is the
+  least integer >= 2 with m (1 + rho) - 1 >= 6, so the transformed term
+  has six derivatives; an integer m keeps the smooth terms smooth.  Both
+  come from one structural walk per endpoint the job touches
+  (``funcspace.endpoint_structure``);
+* a spec's program evaluates a substituted point at its exact distance
+  u^m from the endpoint: x = a + u^m rounds onto a once u^m is below the
+  spacing of a, and x - a would then cancel to 0 (a raw callable sees
+  only x);
 * exponents <= -1 are rejected as divergent before any evaluation;
 * raw callables (no structure) are integrated with the open Kronrod rule
   only and their error estimate is inflated by a factor of 10.
@@ -24,9 +34,10 @@ same bits in any batch: the kernel gives a row the bits of its one-row
 program, and the panel rule reduces every panel on its own (a BLAS gemv
 would not: its result for a row changes with the number of rows).
 
-Default relative tolerances: 1e-10 for smooth integrands, 1e-7 when an
-endpoint substitution is in play.  Constants downstream multiply up to
-four such factors, which keeps the end-to-end budget near 1e-6.
+Default relative tolerances: 1e-7 when an endpoint exponent is negative,
+else 1e-10 (a graded finite endpoint keeps 1e-10).  Constants downstream
+multiply up to four such factors, which keeps the end-to-end budget near
+1e-6.
 """
 
 from __future__ import annotations
@@ -253,39 +264,65 @@ def _sum(xs, lo=0, n=None):
     return _sum(xs, lo, half) + _sum(xs, lo + half, n - half)
 
 
+def _grading(kappa, rho):
+    """The power m of the endpoint substitution x = a + u^m for an endpoint
+    of exponents (kappa, rho), or None for a smooth endpoint (the rule is
+    in the module docstring)."""
+    if -1.0 < kappa < 0.0:
+        return 2.0 / (1.0 + kappa)
+    if not (0.0 <= kappa < math.inf and rho < math.inf):
+        return None
+    # a caller's kappa above the structural one (a cancelling sum) can
+    # leave rho below kappa, even <= -1; no term lies below kappa
+    rho = max(rho, kappa)
+    m = 2
+    while m * (1.0 + rho) - 1.0 < 6.0:
+        m += 1
+    return float(m)
+
+
+def _graded(lo, hi, sign, m):
+    """The piece (lo, hi) in u, with x = lo + u^m (sign 1) or hi - u^m."""
+    return _Piece((sign, lo if sign > 0 else hi, m), 0.0, (hi - lo) ** (1.0 / m))
+
+
 def _prepare(job: Job, structure: dict) -> _Run:
     """Validate a job and cut it into pieces (endpoint substitutions and
-    breakpoint splits).  ``structure`` caches the program and structural
-    analysis of each (spec, home) for the call."""
+    breakpoint splits).  ``structure`` caches the program and breakpoints
+    of each (spec, home) for the call."""
     a, b = job.interval.a, job.interval.b
     home = job.home or job.interval
     f = job.f
     if callable(f):  # a raw callable or a compiled program
-        target, structural_breaks, kappa_l, kappa_r = f, [], 0.0, 0.0
+        target, breaks = f, ()
         raw = not isinstance(f, fs.Program)
     else:
         raw = False
         key = (id(f), home)
-        if key not in structure:
-            structure[key] = (fs.compile_program(f, home), fs.breakpoints(f, home))
-        target, structural_breaks = structure[key]
-        if job.endpoint_exponents is None:
-            kappa_l = fs.endpoint_exponent(f, home, "left")
-            kappa_r = fs.endpoint_exponent(f, home, "right")
+        entry = structure.get(key)
+        if entry is None:
+            entry = structure[key] = (fs.compile_program(f, home), fs.breakpoints(f, home))
+        target, breaks = entry
+    if job.breakpoints:
+        breaks = sorted({float(x) for x in job.breakpoints} | set(breaks))
 
-    if job.endpoint_exponents is not None:
-        kappa_l, kappa_r = job.endpoint_exponents
-    # exponents describe the home endpoints; a strict sub-range is regular
-    if a > home.a + 1e-15 * home.width:
-        kappa_l = 0.0
-    if b < home.b - 1e-15 * home.width:
-        kappa_r = 0.0
-
-    if kappa_l <= -1.0:
-        raise NonIntegrable(f"left endpoint exponent {kappa_l} <= -1")
-    if kappa_r <= -1.0:
-        raise NonIntegrable(f"right endpoint exponent {kappa_r} <= -1")
-    singular = kappa_l < 0.0 or kappa_r < 0.0
+    # the endpoint structure describes the home endpoints, so it is only
+    # looked at where the job touches one; a strict sub-range is regular
+    slack = 1e-15 * home.width
+    ends = []
+    singular = False
+    for k, (side, touches) in enumerate((("left", a <= home.a + slack),
+                                         ("right", b >= home.b - slack))):
+        kappa, rho = 0.0, math.inf
+        if touches:
+            if not callable(f):
+                kappa, rho = fs.endpoint_structure(f, home, side)
+            if job.endpoint_exponents is not None:
+                kappa = job.endpoint_exponents[k]
+        if kappa <= -1.0:
+            raise NonIntegrable(f"{side} endpoint exponent {kappa} <= -1")
+        singular = singular or kappa < 0.0
+        ends.append(_grading(kappa, rho))
 
     tol = job.tol
     if tol is None:
@@ -293,34 +330,21 @@ def _prepare(job: Job, structure: dict) -> _Run:
     if not (1e-14 < tol < 1e-2):
         raise DomainError(f"tolerance {tol} outside accepted range (1e-14, 1e-2)")
 
-    cuts = sorted(
-        {float(x) for x in (job.breakpoints or [])}
-        | {float(x) for x in structural_breaks}
-    )
     eps = 1e-12 * (b - a)
-    cuts = [x for x in cuts if a + eps < x < b - eps]
-    edges = [a] + cuts + [b]
-
+    edges = [a] + [x for x in breaks if a + eps < x < b - eps] + [b]
     run = _Run(target, tol, raw, job.max_panels)
-
-    def left(lo, hi, kappa):
-        m = 2.0 / (1.0 + kappa)
-        return _Piece((1, lo, m), 0.0, (hi - lo) ** (1.0 / m))
-
-    def right(lo, hi, kappa):
-        m = 2.0 / (1.0 + kappa)
-        return _Piece((-1, hi, m), 0.0, (hi - lo) ** (1.0 / m))
-
+    m_l, m_r = ends
+    last = len(edges) - 2
     for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        left_sing = i == 0 and kappa_l < 0.0
-        right_sing = i == len(edges) - 2 and kappa_r < 0.0
-        if left_sing and right_sing:
+        m_lo = m_l if i == 0 else None
+        m_hi = m_r if i == last else None
+        if m_lo is not None and m_hi is not None:
             mid = 0.5 * (lo + hi)
-            run.pieces += [left(lo, mid, kappa_l), right(mid, hi, kappa_r)]
-        elif left_sing:
-            run.pieces.append(left(lo, hi, kappa_l))
-        elif right_sing:
-            run.pieces.append(right(lo, hi, kappa_r))
+            run.pieces += [_graded(lo, mid, 1, m_lo), _graded(mid, hi, -1, m_hi)]
+        elif m_lo is not None:
+            run.pieces.append(_graded(lo, hi, 1, m_lo))
+        elif m_hi is not None:
+            run.pieces.append(_graded(lo, hi, -1, m_hi))
         else:
             run.pieces.append(_Piece(None, lo, hi))
     return run
@@ -331,8 +355,9 @@ def _assign_groups(runs) -> list:
     integrands as (fn, batched) pairs.
 
     Programs that share a skeleton are stacked into one batched program,
-    whose ``fn(xs, rows)`` takes a parameter row per point; a raw callable
-    is a group of its own.
+    whose ``fn(xs, rows, offsets)`` takes a parameter row and an exact
+    endpoint offset per point; a raw callable is a group of its own and
+    sees only xs.
     """
     fns: list = []
     of: dict = {}
@@ -344,7 +369,7 @@ def _assign_groups(runs) -> list:
         elif id(f) not in of:
             fn = _as_array_fn(f)
             of[id(f)] = (len(fns), None)
-            fns.append((lambda xs, rows, fn=fn: fn(xs), False))
+            fns.append((lambda xs, rows, offsets, fn=fn: fn(xs), False))
     for progs in by_skeleton.values():
         progs = list(progs.values())
         if len(progs) == 1 and len(progs[0].fargs) == 1:
@@ -375,16 +400,23 @@ def _group_values(fn, batched, pieces, counts, us):
     else:
         which = np.repeat([subs.index(pc.sub) for pc in pieces], counts)
         masks = [(sub, which == k) for k, sub in enumerate(subs) if sub is not None]
-    xs = us.copy() if masks else us
-    for (sign, anchor, m), mask in masks:
-        if sign > 0:
-            xs[mask] = anchor + us[mask] ** m
-        else:
-            xs[mask] = anchor - us[mask] ** m
+    xs, offsets = us, None
+    if masks:
+        # x = anchor + d exactly; the kernel reads d where x - anchor
+        # would round
+        xs = us.copy()
+        anchors = np.full(us.shape, np.nan)
+        ds = np.zeros(us.shape)
+        for (sign, anchor, m), mask in masks:
+            d = sign * us[mask] ** m
+            xs[mask] = anchor + d
+            ds[mask] = d
+            anchors[mask] = anchor
+        offsets = (anchors.ravel(), ds.ravel())
     rows = None
     if batched:
         rows = np.repeat([pc.row for pc in pieces], np.multiply(counts, 15))
-    ys = fn(xs.ravel(), rows).reshape(us.shape)
+    ys = fn(xs.ravel(), rows, offsets).reshape(us.shape)
     for (sign, anchor, m), mask in masks:
         ys[mask] = ys[mask] * m * us[mask] ** (m - 1.0)
     return ys

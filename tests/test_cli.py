@@ -4,6 +4,7 @@ import os
 import pytest
 
 from hopial import cli
+from hopial import constants as ct
 from hopial import funcspace as fs
 from hopial import reportio
 from hopial.errors import HopialError
@@ -205,3 +206,34 @@ class TestDeterministicEmitters:
         assert path.read_text().startswith("<svg")
         with pytest.raises(HopialError):
             reportio.emit_plot({"instances": []}, str(path))
+
+
+class TestShiftedSingularInputs:
+    """Endpoint-singular inputs whose substitution x = a + u^m leaves x on
+    the endpoint in floating point; the kernel reads the exact distance
+    u^m, so each verifies (these are the seven inputs perfbench/README.md
+    lists under F1)."""
+
+    CASES = [
+        ("HARDY", None, None, fs.PowerLaw(1.0, -0.49), (1.0, 2.0)),
+        ("T2.3", fs.PowerLaw(1.0, 0.5), None,
+         fs.Sum([fs.Constant(0.2), fs.ShiftedPowerLaw(1.0, -0.4)]), (0.0, 1.0)),
+        ("T2.3", fs.ShiftedPowerLaw(1.0, -0.9), None, fs.Constant(1.0), (0.0, 1.0)),
+    ] + [(ident, *cli.suite_weights(ident, 0), fs.Constant(1.0), (1.0, 2.0))
+         for ident in ("T2.7", "T2.8", "T2.9", "T2.10")]
+
+    @pytest.mark.parametrize("ident,r,s,f,iv", CASES)
+    def test_exit_zero(self, capsys, ident, r, s, f, iv):
+        e = cli.SUITE_EXPONENTS.get(ident, ct.ExponentSet())
+        config = cli.RunConfig(
+            command="verify", theorem=ident,
+            r=None if r is None else fs.spec_to_json(r),
+            s=None if s is None else fs.spec_to_json(s),
+            f=fs.spec_to_json(f), interval=iv, p=e.p, q=e.q, k=e.k)
+        code, doc = cli.run(config)
+        assert code == 0
+        assert [inst["status"] for inst in doc["instances"]] == ["Holds"]
+        if ident == "HARDY":
+            # ratio ((p - 1) / (p (alpha + 1)))^p at f = (x - a)^alpha, p = 2
+            inst = doc["instances"][0]
+            assert abs(inst["ratio"] - 1.0 / (2.0 * 0.51) ** 2) <= inst["budget"]

@@ -47,6 +47,29 @@ class TestEvaluate:
                                    np.array([0.0, 0.25, 1.0]))
         assert out.tolist() == [math.inf, 2.0, 1.0]
 
+    def test_kernel_reads_exact_offsets(self):
+        # x = anchor + d rounds onto the anchor; the distance opcodes read d
+        # at the points anchored at their own anchor, and every other point
+        # gets its bits without offsets
+        iv = fs.Interval(1.0, 2.0)
+        xs = np.array([1.0 + 1e-20, 1.25, 2.0 - 1e-20, 1.75])
+        anchors = np.array([1.0, np.nan, 2.0, np.nan])
+        ds = np.array([1e-20, 0.0, -1e-20, 0.0])
+        ppoly = fs.PiecewisePolynomial([1.0, 1.5, 2.0], [[0.0, 1.0], [0.5, 1.0]])
+        for spec, want in [(fs.PowerLaw(1.0, -0.5), [1e10, 1.0]),
+                           (fs.ShiftedPowerLaw(1.0, -0.5), [1.0, 1e10]),
+                           (ppoly, [1e-20, 1.0])]:
+            prog = fs.compile_program(spec, iv)
+            plain = prog(xs)
+            exact = prog(xs, offsets=(anchors, ds))
+            assert [exact[0], exact[2]] == want
+            assert exact[1::2].tolist() == plain[1::2].tolist()
+        # the same with a parameter row per point
+        stacked = fs.stack_programs([fs.compile_program(fs.PowerLaw(c, -0.5), iv)
+                                     for c in (1.0, 3.0)])
+        out = stacked(xs, np.array([1, 0, 1, 0]), (anchors, ds))
+        assert out[0] == 3e10 and out[1] == 2.0
+
     def test_outside_interval_rejected(self, unit):
         with pytest.raises(DomainError):
             fs.evaluate(fs.Constant(1.0), 1.5, unit)
@@ -337,6 +360,37 @@ class TestStructure:
         ) == -0.5
         hat = fs.PiecewiseLinear([(0, 0), (0.5, 1), (1, 0)])
         assert fs.endpoint_exponent(hat, unit, "left") == 1.0
+
+    def test_endpoint_structure(self, unit):
+        inf = math.inf
+
+        def both(spec, side="left"):
+            return fs.endpoint_structure(spec, unit, side)
+
+        # smooth, and integer power laws of either sign: no fractional term
+        assert both(fs.Exponential(1.0, 2.0)) == (0.0, inf)
+        assert both(fs.PowerLaw(1.0, -2.0)) == (-2.0, inf)
+        assert both(fs.PowerLaw(1.0, 0.3), "right") == (0.0, inf)
+        assert both(fs.PowerLaw(1.3, 0.3)) == (0.3, 0.3)
+        assert both(fs.ShiftedPowerLaw(1.0, -0.4), "right") == (-0.4, -0.4)
+        # a sum takes the least exponent of each kind
+        law = fs.Sum([fs.Constant(1.0), fs.PowerLaw(1.3, 0.7)])
+        assert both(law) == (0.0, 0.7)
+        # t^0.5 (1 + t^0.7) t^2: the fractional terms sit at 2.5 and above
+        assert both(fs.Product([fs.PowerLaw(1.0, 0.5), law, fs.PowerLaw(1.0, 2.0)])) == (
+            2.5, 2.5)
+        assert both(fs.Product([law, fs.PowerLaw(1.0, 2.0)])) == (2.0, 2.7)
+        # (t^2 (1 + t^0.5))^0.5 = t (1 + ...): the fraction enters at 1.5
+        base = fs.Product([fs.PowerLaw(1.0, 2.0), fs.Sum([fs.Constant(1.0),
+                                                           fs.PowerLaw(1.0, 0.5)])])
+        assert both(fs.Power(base, 0.5)) == (1.0, 1.5)
+        assert both(fs.Power(fs.PowerLaw(2.0, 1.0), -0.5)) == (-0.5, -0.5)
+        assert both(fs.Power(fs.Sum([fs.Constant(1.0), fs.PowerLaw(1.0, 1.0)]), 0.5)) == (
+            0.0, inf)
+        # endpoint_exponent is the first half
+        for spec in (law, base, fs.Power(base, 0.5)):
+            for side in ("left", "right"):
+                assert fs.endpoint_exponent(spec, unit, side) == both(spec, side)[0]
 
     def test_breakpoints_collects_knots(self, unit):
         spec = fs.Product(

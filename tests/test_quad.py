@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate as sp_integrate
+from scipy import special
 
+from hopial import _kernel
 from hopial import funcspace as fs
 from hopial import quad
 from hopial.errors import BudgetExceeded, DomainError, NonIntegrable
@@ -352,3 +355,103 @@ class TestIntegrateMany:
 
     def test_empty(self):
         assert quad.integrate_many([]) == []
+
+
+# ---------------------------------------------------------------------------
+# graded endpoint substitutions on shifted intervals, against closed forms
+# and QUADPACK's algebraic-weight rule (QAWS)
+# ---------------------------------------------------------------------------
+
+SHIFTS = st.sampled_from([-3.0, 0.0, 1.0, 100.0])
+WIDTHS = st.floats(0.25, 3.0)
+COEFS = st.floats(0.2, 2.0)
+# kappa in (-1, 0), and non-integer kappa in (0, 3)
+EXPONENTS = st.one_of(st.floats(-0.98, -0.02),
+                      st.floats(0.02, 2.98).filter(lambda e: abs(e - round(e)) > 1e-3))
+
+
+def _qaws(g, iv, alpha, beta):
+    """QUADPACK's integral of g(x) (x - a)^alpha (b - x)^beta and its error."""
+    return sp_integrate.quad(g, iv.a, iv.b, weight="alg", wvar=(alpha, beta),
+                             epsabs=0.0, epsrel=1e-13, limit=200)
+
+
+def _check(res, exact, oracle):
+    """The actual error is inside the estimate, which also covers the QAWS
+    value; 4 ulp of the value allow for the rounding of the closed form and
+    of the panel sums."""
+    ulps = 4.0 * np.finfo(float).eps * abs(exact)
+    assert abs(res.value - exact) <= res.abs_error_estimate + ulps
+    value, err = oracle
+    assert abs(res.value - value) <= res.abs_error_estimate + err + ulps
+
+
+class TestGradedEndpoints:
+    @settings(max_examples=60, deadline=None)
+    @given(a=SHIFTS, w=WIDTHS, alpha=EXPONENTS, c=COEFS,
+           kind=st.sampled_from(["power", "sum", "poly"]),
+           side=st.sampled_from(["left", "right"]))
+    def test_one_end(self, a, w, alpha, c, kind, side):
+        iv = fs.Interval(a, a + w)
+        w = iv.b - iv.a  # the width a + w rounds to, exactly
+        law = fs.PowerLaw if side == "left" else fs.ShiftedPowerLaw
+        weights = (alpha, 0.0) if side == "left" else (0.0, alpha)
+
+        def dist(x):
+            return x - iv.a if side == "left" else iv.b - x
+
+        power = c * w ** (alpha + 1.0) / (alpha + 1.0)
+        if kind == "power":
+            spec, exact = law(c, alpha), power
+            oracle = _qaws(lambda x: c, iv, *weights)
+        elif kind == "sum":
+            spec, exact = fs.Sum([fs.Constant(1.0), law(c, alpha)]), w + power
+            value, err = _qaws(lambda x: c, iv, *weights)
+            oracle = (w + value, err)
+        else:  # times the polynomial 0.7 + 1.9 t in the distance t
+            spec = fs.Product([law(c, alpha), fs.Sum([fs.Constant(0.7), law(1.9, 1.0)])])
+            exact = 0.7 * power + 1.9 * c * w ** (alpha + 2.0) / (alpha + 2.0)
+            oracle = _qaws(lambda x: c * (0.7 + 1.9 * dist(x)), iv, *weights)
+        _check(quad.integrate(spec, iv), exact, oracle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=SHIFTS, w=WIDTHS, alpha=EXPONENTS, beta=EXPONENTS, c=COEFS,
+           kind=st.sampled_from(["product", "sum"]))
+    def test_both_ends(self, a, w, alpha, beta, c, kind):
+        iv = fs.Interval(a, a + w)
+        w = iv.b - iv.a
+        if kind == "product":
+            spec = fs.Product([fs.PowerLaw(c, alpha), fs.ShiftedPowerLaw(1.0, beta)])
+            exact = c * w ** (alpha + beta + 1.0) * special.beta(alpha + 1.0, beta + 1.0)
+            oracle = _qaws(lambda x: c, iv, alpha, beta)
+        else:
+            spec = fs.Sum([fs.Constant(1.0), fs.PowerLaw(c, alpha),
+                           fs.ShiftedPowerLaw(1.0, beta)])
+            exact = (w + c * w ** (alpha + 1.0) / (alpha + 1.0)
+                     + w ** (beta + 1.0) / (beta + 1.0))
+            left, e1 = _qaws(lambda x: c, iv, alpha, 0.0)
+            right, e2 = _qaws(lambda x: 1.0, iv, 0.0, beta)
+            oracle = (w + left + right, e1 + e2)
+        _check(quad.integrate(spec, iv), exact, oracle)
+
+
+class TestGradedRounds:
+    """A finite power-law endpoint is graded by x = a + u^m with an integer
+    m: a few kernel rounds, where Gauss-Kronrod bisection toward the
+    endpoint took 8 to 19."""
+
+    @pytest.mark.parametrize("a", [0.0, 100.0])
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.3, 1.5])
+    def test_sum_with_power_law(self, monkeypatch, a, alpha):
+        calls = []
+        real = _kernel.eval_program
+
+        def counting(*args):
+            calls.append(len(args[4]))
+            return real(*args)
+
+        monkeypatch.setattr(_kernel, "eval_program", counting)
+        iv = fs.Interval(a, a + 1.0)
+        res = quad.integrate(fs.Sum([fs.Constant(1.0), fs.PowerLaw(1.3, alpha)]), iv)
+        assert len(calls) <= 4
+        assert abs(res.value - (1.0 + 1.3 / (alpha + 1.0))) <= res.abs_error_estimate + 1e-15

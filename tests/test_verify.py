@@ -209,17 +209,24 @@ class TestBatchedSweep:
             assert sw.n_violated >= 1
             assert all("retested" in rep.detail for rep in sw.violated)
 
-    def test_member_errors_match_alone(self):
-        # member 1 meets the singular-substitution round-off (DomainError),
-        # member 3 a non-integrable endpoint; the others are unaffected
+    def test_member_errors_match_alone(self, monkeypatch):
+        # member 1 is singular at a shifted endpoint (m = 100 substitution,
+        # exact offsets), member 3 has a non-integrable endpoint and member 5
+        # overflows (f^2 = e^(800 x) on (1, 2)); the others are unaffected
         iv = fs.Interval(1.0, 2.0)
-        family = fs.GridPowerLaw([0.5, -0.49, 1.0, -1.2, 0.25])
-        sw = vf.sweep("HARDY", family, None, None, E(p=2.0), iv, 5)
-        alone = self.alone("HARDY", family, None, None, E(p=2.0), iv, 5)
+        members = [fs.PowerLaw(1.0, a) for a in (0.5, -0.49, 1.0, -1.2, 0.25)]
+        members.append(fs.Exponential(1.0, 400.0))
+        monkeypatch.setattr(fs, "sample_family", lambda family, count: members)
+        sw = vf.sweep("HARDY", None, None, None, E(p=2.0), iv, len(members))
+        alone = self.alone("HARDY", None, None, None, E(p=2.0), iv, len(members))
         statuses = [rep.status for rep in sw.reports]
-        assert statuses == ["Holds", "Inconclusive", "Holds", "Inconclusive", "Holds"]
-        assert sw.reports[1].detail.startswith("DomainError: ")
+        assert statuses == ["Holds", "Holds", "Holds", "Inconclusive", "Holds",
+                            "Inconclusive"]
+        # ratio ((p - 1) / (p (alpha + 1)))^p at f = (x - a)^alpha
+        exact = 1.0 / (2.0 * 0.51) ** 2
+        assert abs(sw.reports[1].ratio - exact) <= sw.reports[1].error_budget
         assert "exponent" in sw.reports[3].detail
+        assert sw.reports[5].detail.startswith("DomainError: ")
         for rep, ref in zip(sw.reports, alone):
             if isinstance(ref, str):
                 assert rep.detail == ref
