@@ -616,7 +616,9 @@ def integrate(
     interval the spec's anchored variants refer to when integrating over a
     sub-range.  ``endpoint_exponents`` overrides the structural (left,
     right) exponent detection; pass it when the caller knows the behaviour
-    of a cancelling sum.  Exponents <= -1 raise NonIntegrable.
+    of a cancelling sum.  The non-integer exponents that grade a finite
+    endpoint still come from the spec's structure.  Exponents <= -1 raise
+    NonIntegrable.
     """
     return integrate_job(Job(f, interval, tol, home, breakpoints,
                              endpoint_exponents, max_panels))
