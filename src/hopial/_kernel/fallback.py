@@ -179,6 +179,21 @@ def eval_program(ops, fargs, iargs, data, xs, points=None):
             elif op == OP_PPOLY:
                 n = iargs[k, 1]
                 deg = int(first[k][0])
+                pieces = int(first[k][1])
+                if pieces:
+                    poly = table(k, 5 * pieces + 2 + n * (deg + 4))
+                    if poly.ndim == 1:
+                        stack.append(_graded_ppoly(poly, pieces, n, deg, xs, anchors, ds))
+                        continue
+                    # one row at a time: a point gets its one-row bits
+                    out = np.empty_like(xs)
+                    for row in np.unique(rows).tolist():
+                        at = rows == row
+                        out[at] = _graded_ppoly(poly[row], pieces, n, deg, xs[at],
+                                                None if anchors is None else anchors[at],
+                                                None if ds is None else ds[at])
+                    stack.append(out)
+                    continue
                 poly = table(k, n + 1 + n * (deg + 1))
                 if poly.ndim == 1:
                     breaks = poly[: n + 1]
@@ -209,6 +224,44 @@ def eval_program(ops, fargs, iargs, data, xs, points=None):
             else:  # pragma: no cover - compiler emits known opcodes only
                 raise ValueError(f"bad opcode {op}")
     return stack[-1]
+
+
+def _graded_ppoly(poly, pieces, n, deg, xs, anchors, ds):
+    """PPOLY's graded form on one parameter row (the form is
+    ``funcspace.PiecewisePolynomial``'s): the x-breaks of the pieces, each
+    piece's anchor, sign, 1/m and first segment, then each segment's lower
+    v-break, origin (where t = 0), +-1/width and coefficients.  A point
+    finds its piece by x and its segment by v = (sign (x - anchor))^(1/m),
+    with the exact offset where the point's anchor is the piece's: segments
+    near a shifted anchor can be narrower than the spacing of x there."""
+    head = 5 * pieces + 2
+    frames = poly[pieces + 1 : head].tolist()
+    vlo, origin, scale = poly[head : head + 3 * n].reshape(3, n)
+    coeffs = poly[head + 3 * n :].reshape(n, deg + 1)
+    out = np.empty_like(xs)
+    if pieces > 1:
+        piece = np.searchsorted(poly[1:pieces], xs, side="right")
+    for q in range(pieces):
+        at = slice(None) if pieces == 1 else piece == q
+        anchor, sign, power = frames[q], frames[pieces + q], frames[2 * pieces + q]
+        x = xs[at]
+        d = x - anchor if sign > 0 else anchor - x
+        if anchors is not None:
+            d = np.where(anchors[at] == anchor, sign * ds[at], d)
+        v = np.maximum(d, 0.0)
+        if power != 1.0:
+            v = np.power(v, power)
+        lo, hi = int(frames[3 * pieces + q]), int(frames[3 * pieces + q + 1])
+        j = lo + np.clip(np.searchsorted(vlo[lo:hi], v, side="right") - 1, 0, hi - lo - 1)
+        t = (v - origin[j]) * scale[j]
+        s2 = 4.0 * t - 2.0
+        c = coeffs[j]
+        # c[0] + t sum_k c[k + 1] T_k(2t - 1), by Clenshaw's recurrence
+        b1, b2 = c[:, deg].copy(), np.zeros_like(t)
+        for k in range(deg - 1, 1, -1):
+            b1, b2 = s2 * b1 - b2 + c[:, k], b1
+        out[at] = c[:, 0] + t * (c[:, 1] + 0.5 * s2 * b1 - b2)
+    return out
 
 
 def shoot_quasilinear(r_half, m_half, lam, h, p, u0=0.0, w0=None):

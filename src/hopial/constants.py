@@ -159,33 +159,9 @@ def _beesack_integral(r, s, er, es, e_in, gamma, side, sub, full, tol, lead, pow
                 f"inner weight integral diverges (exponent {kappa:.3g})"
             )
     inner = quad.RunningIntegral(target, full, side, tol)
-
-    r_prog = r if callable(r) else fs.compile_program(r, full)
-    s_prog = s if callable(s) else fs.compile_program(s, full)
-
-    def integrand(xs):
-        inner_vals = np.maximum(np.asarray(inner(xs), dtype=float), 0.0)
-        return (
-            np.asarray(r_prog(xs), float) ** er
-            * np.asarray(s_prog(xs), float) ** es
-            * inner_vals**e_in
-        )
-
-    kappa_l = kappa_r = 0.0
-    for w, ex in ((r, er), (s, es)):
-        if not callable(w):
-            kappa_l += ex * fs.endpoint_exponent(w, full, "left")
-            kappa_r += ex * fs.endpoint_exponent(w, full, "right")
-    # the vanishing inner factor only regularizes; ignore its positive order
-
-    outer = quad.integrate(
-        integrand,
-        sub,
-        tol=tol,
-        home=full,
-        endpoint_exponents=(kappa_l, kappa_r),
-        breakpoints=None if callable(s) else fs.breakpoints(s, full),
-    )
+    job = quad.product_job([(r, er), (s, es), (inner.spec, e_in)], full, tol)
+    outer = quad.integrate(job.f, sub, tol, home=full, breakpoints=job.breakpoints,
+                           endpoint_exponents=job.endpoint_exponents)
     if outer.value <= 0.0:
         return 0.0, 0.0
     return (lead * outer.value**power,
@@ -375,7 +351,7 @@ def _breakdown(ctx, factors, rel_err, rhs_weight=None):
 
 
 def _build_t2_1(ctx: _Ctx):
-    res = ctx.integral((ctx.R.integrand, 2.0), (ctx.s, -1.0))
+    res = ctx.integral((ctx.R.spec, 2.0), (ctx.s, -1.0))
     return _breakdown(ctx, [(f"int {ctx.R_name}^2/s", res.value)],
                       res.rel_error + 2 * ctx.R.rel_error)
 
@@ -438,7 +414,7 @@ def _build_t2_14(ctx: _Ctx):
 
 def _build_t2_16(ctx: _Ctx):
     p, q = ctx.exps["p"], ctx.exps["q"]
-    Rp = ctx.integral((ctx.R.integrand, p))
+    Rp = ctx.integral((ctx.R.spec, p))
     if ctx.mode == "as_printed":
         lead_name, lead = "(p+1)^(1/p)", (p + 1.0) ** (1.0 / p)
     else:
@@ -453,7 +429,7 @@ def _build_t2_16(ctx: _Ctx):
 
 def _build_c2_1(ctx: _Ctx):
     p = ctx.exps["p"]
-    Rp = ctx.integral((ctx.R.integrand, p))
+    Rp = ctx.integral((ctx.R.spec, p))
     pp1 = p * (p + 1.0)
     return _breakdown(
         ctx,
@@ -476,7 +452,7 @@ def _build_t2_20(ctx: _Ctx):
     p, q, s_exp = ctx.exps["p"], ctx.exps["q"], ctx.exps["k"]
     params = special.BoydParams(p * q, q, s_exp)
     n_val, n_rel = special.boyd_N_result(params, tol=1e-10)
-    Rp = ctx.integral((ctx.R.integrand, p))
+    Rp = ctx.integral((ctx.R.spec, p))
     return _breakdown(
         ctx,
         [
@@ -492,7 +468,7 @@ def _build_t2_20(ctx: _Ctx):
 def _build_t2_22(ctx: _Ctx):
     p, q = ctx.exps["p"], ctx.exps["q"]
     l_val = special.boyd_L(p * q, q, mode=ctx.mode)
-    Rp = ctx.integral((ctx.R.integrand, p))
+    Rp = ctx.integral((ctx.R.spec, p))
     return _breakdown(
         ctx,
         [
@@ -521,7 +497,7 @@ def _k1_with_mode(ctx: _Ctx):
 def _beesack_factors(ctx: _Ctx, k_name, kv, k_rel):
     """(p+1) K^(1/q) (int R^p r^(-1/q))^(1/p), shared by T2.27 and T2.30."""
     p, q = ctx.exps["p"], ctx.exps["q"]
-    mix = ctx.integral((ctx.R.integrand, p), (ctx.r, -1.0 / q))
+    mix = ctx.integral((ctx.R.spec, p), (ctx.r, -1.0 / q))
     k_name = ("K1" if ctx.side == "left" else "K2") + k_name
     return _breakdown(
         ctx,

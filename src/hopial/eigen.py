@@ -559,7 +559,7 @@ def t2_13_constant_result(r, s, p, interval: fs.Interval, tol: float = 1e-8):
             "spectrum only for s' >= 0"
         )
 
-    weight_R = quad.RunningIntegral(r, interval, "tail", n=256).integrand
+    weight_R = quad.RunningIntegral(r, interval, "tail").spec
     prob = EigenProblem(weight_R, m_fn, float(p), interval, "both")
     res = solve_smallest(prob, tol)
     return 1.0 / res.value, res.rel_error

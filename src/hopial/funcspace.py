@@ -143,16 +143,38 @@ class Step:
 
 @dataclass(frozen=True)
 class PiecewisePolynomial:
-    """Per-piece polynomials in the local variable (x - breaks[i])."""
+    """Per-piece polynomials in the local variable (x - breaks[i]).
+
+    The graded form (``frames`` given) holds a running integral.  Piece i,
+    from breaks[i] to breaks[i + 1], has the frame (anchor, sign, m, start,
+    vbreaks): its variable is v = (sign (x - anchor))^(1/m), and vbreaks
+    cut it into segments.  Segment j starts at o = vbreaks[j + start]; with
+    t = |v - o| / (vbreaks[j + 1] - vbreaks[j]) in [0, 1], its value is
+    c[0] + t * sum_k c[k + 1] T_k(2t - 1) (Chebyshev polynomials T_k) for
+    the segment's row c of ``coeffs`` (rows in piece order, then segment
+    order).  Monomials in 2t - 1 would lose about two digits at degree 15;
+    the factor t makes the value c[0] exactly at the start of the segment.
+    ``ends`` declares the (kappa, rho) of ``endpoint_structure`` at the
+    left and right ends.
+    """
 
     breaks: tuple
     coeffs: tuple  # coeffs[i][j] multiplies (x - breaks[i])^j
+    frames: Optional[tuple] = None
+    ends: Optional[tuple] = None
 
-    def __init__(self, breaks, coeffs):
+    def __init__(self, breaks, coeffs, frames=None, ends=None):
         object.__setattr__(self, "breaks", tuple(float(x) for x in breaks))
         object.__setattr__(
             self, "coeffs", tuple(tuple(float(c) for c in row) for row in coeffs)
         )
+        if frames is not None:
+            frames = tuple((float(anchor), float(sign), float(m), int(start),
+                            tuple(float(v) for v in vb))
+                           for anchor, sign, m, start, vb in frames)
+            ends = tuple((float(kappa), float(rho)) for kappa, rho in ends)
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "ends", ends)
 
 
 @dataclass(frozen=True)
@@ -236,11 +258,21 @@ def validate(spec: FunctionSpec, interval: Interval) -> None:
         if any(x1 <= x0 for x0, x1 in zip(spec.breaks, spec.breaks[1:])):
             raise InvalidSpec("step breaks must be strictly increasing")
         return
-    if isinstance(spec, PiecewisePolynomial):
+    if isinstance(spec, PiecewisePolynomial) and spec.frames is None:
         if len(spec.breaks) != len(spec.coeffs) + 1:
             raise InvalidSpec("piecewise polynomial needs one coeff row per piece")
         if any(x1 <= x0 for x0, x1 in zip(spec.breaks, spec.breaks[1:])):
             raise InvalidSpec("piecewise polynomial breaks must be strictly increasing")
+        return
+    if isinstance(spec, PiecewisePolynomial):
+        vbs = [vb for *_, vb in spec.frames]
+        if (len(spec.breaks) != len(vbs) + 1 or len(spec.ends) != 2
+                or sum(len(vb) - 1 for vb in vbs) != len(spec.coeffs)):
+            raise InvalidSpec("graded polynomial needs a frame per piece and a row "
+                              "per segment")
+        if any(x1 <= x0 for x0, x1 in zip(spec.breaks, spec.breaks[1:])) or any(
+                v1 <= v0 for vb in vbs for v0, v1 in zip(vb, vb[1:])):
+            raise InvalidSpec("graded polynomial breaks must be strictly increasing")
         return
     if isinstance(spec, (Sum, Product)):
         if not spec.terms:
@@ -338,7 +370,8 @@ def scale(spec: FunctionSpec, c: float) -> FunctionSpec:
         return Step(spec.breaks, [c * v for v in spec.values])
     if isinstance(spec, PiecewisePolynomial):
         return PiecewisePolynomial(
-            spec.breaks, [[c * a for a in row] for row in spec.coeffs]
+            spec.breaks, [[c * a for a in row] for row in spec.coeffs],
+            spec.frames, spec.ends,
         )
     if isinstance(spec, Sum):
         return Sum([scale(t, c) for t in spec.terms])
@@ -383,18 +416,26 @@ def merge_product(specs: Sequence[FunctionSpec]) -> list:
     return merged + rest
 
 
+def _coefficient_power(c: float, exponent: float) -> float:
+    try:
+        return c**exponent
+    except OverflowError:
+        raise DomainError(f"coefficient {c:g} to the power {exponent:g} overflows")
+
+
 def power_of(spec: FunctionSpec, exponent: float) -> FunctionSpec:
-    """spec^exponent, folding pure power laws so antiderivatives survive."""
+    """spec^exponent, folding pure power laws so antiderivatives survive.
+    A folded coefficient that overflows raises DomainError."""
     if exponent == 1.0:
         return spec
     if isinstance(spec, Constant):
-        return Constant(spec.c**exponent)
+        return Constant(_coefficient_power(spec.c, exponent))
     if isinstance(spec, PowerLaw) and spec.c >= 0:
-        return PowerLaw(spec.c**exponent, spec.alpha * exponent)
+        return PowerLaw(_coefficient_power(spec.c, exponent), spec.alpha * exponent)
     if isinstance(spec, ShiftedPowerLaw) and spec.c >= 0:
-        return ShiftedPowerLaw(spec.c**exponent, spec.alpha * exponent)
+        return ShiftedPowerLaw(_coefficient_power(spec.c, exponent), spec.alpha * exponent)
     if isinstance(spec, Exponential) and spec.c >= 0:
-        return Exponential(spec.c**exponent, spec.beta * exponent)
+        return Exponential(_coefficient_power(spec.c, exponent), spec.beta * exponent)
     if isinstance(spec, Power):
         return Power(spec.base, spec.exponent * exponent)
     return Power(spec, exponent)
@@ -431,7 +472,7 @@ def derivative(spec: FunctionSpec, interval: Interval) -> Optional[FunctionSpec]
             for (x0, v0), (x1, v1) in zip(spec.knots, spec.knots[1:])
         ]
         return Step(xs, slopes)
-    if isinstance(spec, PiecewisePolynomial):
+    if isinstance(spec, PiecewisePolynomial) and spec.frames is None:
         rows = []
         for row in spec.coeffs:
             if len(row) <= 1:
@@ -467,8 +508,9 @@ def derivative(spec: FunctionSpec, interval: Interval) -> Optional[FunctionSpec]
 def closed_antiderivative(spec: FunctionSpec, interval: Interval) -> Optional[FunctionSpec]:
     """Antiderivative G with G(a) = 0, or None when no closed form exists.
 
-    Products, powers of composites and absolute values are declared
-    unsupported; callers fall back to cumulative tables.
+    Products, powers of composites, absolute values and graded piecewise
+    polynomials are declared unsupported; callers fall back to
+    ``quad.cumulative``, the running integral read off a panel tree.
     """
     a, b = interval.a, interval.b
     if isinstance(spec, Constant):
@@ -507,7 +549,7 @@ def closed_antiderivative(spec: FunctionSpec, interval: Interval) -> Optional[Fu
         for (x0, x1), v in zip(zip(xs, xs[1:]), spec.values):
             vals.append(vals[-1] + v * (x1 - x0))
         return _zero_at_left_end(PiecewiseLinear(list(zip(xs, vals))), interval)
-    if isinstance(spec, PiecewisePolynomial):
+    if isinstance(spec, PiecewisePolynomial) and spec.frames is None:
         rows = []
         acc = 0.0
         for (x0, x1), row in zip(zip(spec.breaks, spec.breaks[1:]), spec.coeffs):
@@ -624,6 +666,8 @@ def endpoint_structure(spec: FunctionSpec, interval: Interval, side: str) -> tup
         vals = spec.values if left else tuple(reversed(spec.values))
         return (0.0 if vals[0] != 0.0 else math.inf), math.inf
     if isinstance(spec, PiecewisePolynomial):
+        if spec.frames is not None:
+            return spec.ends[0 if left else 1]
         if left:
             row = spec.coeffs[0]
             scale_ref = max((abs(c) for c in row), default=0.0)
@@ -697,11 +741,15 @@ def spec_to_json(spec: FunctionSpec) -> dict:
     if isinstance(spec, Step):
         return {"variant": name, "breaks": list(spec.breaks), "values": list(spec.values)}
     if isinstance(spec, PiecewisePolynomial):
-        return {
+        out = {
             "variant": name,
             "breaks": list(spec.breaks),
             "coeffs": [list(row) for row in spec.coeffs],
         }
+        if spec.frames is not None:
+            out["frames"] = [[*frame[:4], list(frame[4])] for frame in spec.frames]
+            out["ends"] = [list(end) for end in spec.ends]
+        return out
     if isinstance(spec, (Sum, Product)):
         return {"variant": name, "terms": [spec_to_json(t) for t in spec.terms]}
     if isinstance(spec, Power):
@@ -729,7 +777,8 @@ def spec_from_json(obj: dict) -> FunctionSpec:
     if variant == "Step":
         return Step(obj["breaks"], obj["values"])
     if variant == "PiecewisePolynomial":
-        return PiecewisePolynomial(obj["breaks"], obj["coeffs"])
+        return PiecewisePolynomial(obj["breaks"], obj["coeffs"], obj.get("frames"),
+                                   obj.get("ends"))
     if variant == "Sum":
         return Sum([spec_from_json(t) for t in obj["terms"]])
     if variant == "Product":
@@ -871,11 +920,11 @@ class Program:
 
     @property
     def skeleton(self):
-        """Opcodes, data layout and polynomial degrees: what the rows of a
-        stacked program share."""
+        """Opcodes, data layout and polynomial degrees and forms: what the
+        rows of a stacked program share."""
         if self._skeleton is None:
             self._skeleton = (self.ops.tobytes(), self.iargs.tobytes(), self.data.shape[1],
-                              self.fargs[0, self.ops == OP_PPOLY, 0].tobytes())
+                              self.fargs[0, self.ops == OP_PPOLY, :2].tobytes())
         return self._skeleton
 
     def __call__(self, xs: np.ndarray, rows: Optional[np.ndarray] = None,
@@ -950,11 +999,19 @@ def _compile_into(spec, interval, ops, fargs, iargs, data):
         n = len(spec.coeffs)
         deg = max(len(row) for row in spec.coeffs) - 1
         data.extend(spec.breaks)
+        if spec.frames is not None:  # the layout _kernel reads for the graded form
+            anchors, signs, ms, starts, vbs = zip(*spec.frames)
+            data.extend(anchors + signs + tuple(1.0 / m for m in ms))
+            data.extend(np.cumsum([0] + [len(vb) - 1 for vb in vbs]).tolist())
+            # per segment: lower v-break, origin and +-1/width, as three columns
+            segments = [(vb[j], vb[j + start], (1 - 2 * start) / (vb[j + 1] - vb[j]))
+                        for start, vb in zip(starts, vbs) for j in range(len(vb) - 1)]
+            data.extend(x for column in zip(*segments) for x in column)
         for row in spec.coeffs:
             padded = list(row) + [0.0] * (deg + 1 - len(row))
             data.extend(padded)
         ops.append(OP_PPOLY)
-        fargs.append((float(deg), 0.0, 0.0))
+        fargs.append((float(deg), float(len(spec.frames or ())), 0.0))
         iargs.append((off, n))
         return
     if isinstance(spec, (Sum, Product)):

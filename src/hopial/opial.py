@@ -342,7 +342,7 @@ def reflect_spec(spec: fs.FunctionSpec, interval: fs.Interval) -> fs.FunctionSpe
         return fs.Step(
             [m - x for x in reversed(spec.breaks)], list(reversed(spec.values))
         )
-    if isinstance(spec, fs.PiecewisePolynomial):
+    if isinstance(spec, fs.PiecewisePolynomial) and spec.frames is None:
         new_breaks = [m - x for x in reversed(spec.breaks)]
         rows = []
         for i, row in enumerate(reversed(spec.coeffs)):

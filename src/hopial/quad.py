@@ -24,6 +24,11 @@ case of the same loop).  Per job:
 * raw callables (no structure) are integrated with the open Kronrod rule
   only and their error estimate is inflated by a factor of 10.
 
+``cumulative`` reads a running integral F off one such integration: the
+panels keep their node values, and F is the running sum of the panels
+plus the exact integral of each panel's degree-14 interpolant, a spec in
+the graded form of ``funcspace.PiecewisePolynomial``.
+
 Each piece of a job keeps its own panel tree, stop rule and share of the
 job's panel budget, exactly as when the job runs alone.  The loop refines
 the pieces of all jobs in rounds, and in each round the new panels of all
@@ -42,11 +47,13 @@ multiply up to four such factors, which keeps the end-to-end budget near
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from . import funcspace as fs
 from .errors import BudgetExceeded, DomainError, HopialError, NonIntegrable
@@ -57,7 +64,6 @@ __all__ = [
     "integrate_many",
     "integrate_job",
     "product_job",
-    "CumulativeTable",
     "RunningIntegral",
     "SupResult",
     "integrate",
@@ -123,6 +129,27 @@ _WG[1::2] = [
     0.2797053914892767,
     0.1294849661688697,
 ]
+
+
+def _interpolant_integrals(nodes):
+    """Chebyshev series, one column per node, of the integrals from -1 of
+    the Lagrange polynomials of ``nodes`` on [-1, 1]."""
+    n = len(nodes)
+    return chebyshev.chebint(np.linalg.solve(chebyshev.chebvander(nodes, n - 1), np.eye(n)),
+                             lbnd=-1)
+
+
+# the integral from -1 of a panel's degree-14 interpolant is t R(xi), with
+# t = (xi + 1) / 2 and R = h _SEGMENT y in Chebyshev polynomials (half width
+# h, node values y); monomials would lose about two digits to cancellation
+_INTEGRALS = _interpolant_integrals(_NODES)
+_SEGMENT = np.array([chebyshev.chebdiv(col, [0.5, 0.5])[0] for col in _INTEGRALS.T]).T
+_SEGMENT_NORM = np.abs(_SEGMENT).sum()
+# the gap between the integrals from -1 of the degree-14 (Kronrod) and
+# degree-6 (Gauss) interpolants, on 33 Chebyshev points of a panel
+_GRID = np.cos(np.pi * np.arange(33) / 32)
+_GAP = chebyshev.chebval(_GRID, _INTEGRALS).T
+_GAP[:, 1::2] -= chebyshev.chebval(_GRID, _interpolant_integrals(_NODES[1::2])).T
 
 
 @dataclass(frozen=True)
@@ -208,22 +235,24 @@ class _Run:
 class _Piece:
     """One smooth piece of a run with its own panel tree.
 
-    ``sub`` is None, or (sign, anchor, m) for the substitution
-    x = anchor + sign * u^m that removes an endpoint singularity; the
-    panels are in the piece's own variable.  They are Python lists, kept
-    in the order a bisection keeps them: the unsplit panels, then the left
-    halves, then the right halves.  ``last_split`` is the panel count at
-    the last split decision, which the budget check looks at.
+    ``span`` is the piece's (lo, hi) in x.  ``sub`` is None, or
+    (sign, anchor, m) for the substitution x = anchor + sign * u^m that
+    removes an endpoint singularity; the panels are in the piece's own
+    variable.  They are Python lists, kept in the order a bisection keeps
+    them: the unsplit panels, then the left halves, then the right halves.
+    A running integral's pieces keep each panel's 15 node values in
+    ``nodes``.  ``last_split`` is the panel count at the last split
+    decision, which the budget check looks at.
     """
 
-    __slots__ = ("sub", "group", "row", "los", "his", "vals", "errs",
+    __slots__ = ("span", "sub", "group", "row", "los", "his", "vals", "errs", "nodes",
                  "keep", "used", "last_split", "total", "total_err", "error")
 
-    def __init__(self, sub, lo, hi):
-        self.sub = sub
+    def __init__(self, span, sub, lo, hi):
+        self.span, self.sub = span, sub
         self.group = self.row = None
         self.los, self.his = [lo], [hi]
-        self.vals = self.errs = self.keep = self.total = self.total_err = None
+        self.vals = self.errs = self.nodes = self.keep = self.total = self.total_err = None
         self.used = 1
         self.last_split = -1
         self.error = None
@@ -236,6 +265,15 @@ def _panel_rule(ys, half):
     alone as in a batch."""
     vals = half * (ys * _WK).sum(axis=1)
     return vals, np.abs(vals - half * (ys * _WG).sum(axis=1))
+
+
+def _running_rule(ys, half):
+    """``_panel_rule`` for a running integral: a panel's error is the
+    largest gap between the integrals of its degree-14 and degree-6
+    interpolants from its left end (|K15 - G7| at its right end)."""
+    vals, errs = _panel_rule(ys, half)
+    gaps = np.abs((ys[:, None, :] * _GAP).sum(axis=2)).max(axis=1) * half
+    return vals, np.maximum(errs, gaps)
 
 
 def _sum(xs, lo=0, n=None):
@@ -283,7 +321,7 @@ def _grading(kappa, rho):
 
 def _graded(lo, hi, sign, m):
     """The piece (lo, hi) in u, with x = lo + u^m (sign 1) or hi - u^m."""
-    return _Piece((sign, lo if sign > 0 else hi, m), 0.0, (hi - lo) ** (1.0 / m))
+    return _Piece((lo, hi), (sign, lo if sign > 0 else hi, m), 0.0, (hi - lo) ** (1.0 / m))
 
 
 def _prepare(job: Job, structure: dict) -> _Run:
@@ -346,7 +384,7 @@ def _prepare(job: Job, structure: dict) -> _Run:
         elif m_hi is not None:
             run.pieces.append(_graded(lo, hi, -1, m_hi))
         else:
-            run.pieces.append(_Piece(None, lo, hi))
+            run.pieces.append(_Piece((lo, hi), None, lo, hi))
     return run
 
 
@@ -422,11 +460,12 @@ def _group_values(fn, batched, pieces, counts, us):
     return ys
 
 
-def _evaluate(fns, requests):
+def _evaluate(fns, requests, rule=None):
     """Evaluate (piece, los, his) panel requests, one kernel call per group.
 
-    Returns one (vals, errs) pair of lists per request, or the DomainError
-    of a request whose integrand is non-finite at one of its nodes.
+    Returns per request the lists of panel values and errors of ``rule``
+    (default ``_panel_rule``) and the node values, a row per panel; or the
+    DomainError of a request whose integrand is non-finite at a node.
     """
     counts = [len(req[1]) for req in requests]
     lo = np.array([x for req in requests for x in req[1]])
@@ -448,7 +487,7 @@ def _evaluate(fns, requests):
                 sel = np.flatnonzero(owner == k)
                 ys[sel] = _group_values(*fns[g], [requests[i][0] for i in idx],
                                         [counts[i] for i in idx], us[sel])
-        vals, errs = _panel_rule(ys, half)
+        vals, errs = (rule or _panel_rule)(ys, half)
     vals, errs = vals.tolist(), errs.tolist()
     finite = np.isfinite(ys)
     ok = [True] * len(lo) if finite.all() else finite.all(axis=1).tolist()
@@ -457,10 +496,13 @@ def _evaluate(fns, requests):
     for n in counts:
         start, stop = stop, stop + n
         if all(ok[start:stop]):
-            out.append((vals[start:stop], errs[start:stop]))
-        else:
-            bad = us[start:stop].ravel()[~finite[start:stop].ravel()][:1]
-            out.append(DomainError(f"integrand evaluated non-finite near x={bad}"))
+            out.append((vals[start:stop], errs[start:stop], ys[start:stop]))
+            continue
+        bad = us[start:stop].ravel()[~finite[start:stop].ravel()][:1]
+        sub = requests[len(out)][0].sub
+        if sub is not None:  # the node is u, at x = anchor + sign u^m
+            bad = sub[1] + sub[0] * bad ** sub[2]
+        out.append(DomainError(f"integrand evaluated non-finite near x={bad}"))
     return out
 
 
@@ -519,14 +561,16 @@ def _result(run):
 def integrate_many(jobs: Sequence[Job]) -> list:
     """Integrate every job; returns one QuadResult or HopialError per job.
 
-    One globally adaptive loop runs all jobs at once.  Each job keeps its
-    own pieces, and each piece its own panel tree, stop rule and share of
-    the job's panel budget, exactly as if the job ran alone.  In every
-    refinement round the pending panels of all pieces that share an
-    integrand go to the kernel in one call, and the panel rule reduces
-    each panel on its own, so a job gets the same bits in a batch as
-    alone.  A job that fails does not stop the others.
+    One adaptive loop runs all jobs at once, and a job gets the same
+    result, bit for bit, as alone (see the module docstring).  A job that
+    fails does not stop the others.
     """
+    return _integrate(jobs)[0]
+
+
+def _integrate(jobs, rule=None):
+    """``integrate_many``'s results and runs; with a ``rule`` the panels are
+    judged by it and every piece keeps its panels' node values."""
     results: list = [None] * len(jobs)
     structure: dict = {}
     runs = {}
@@ -540,12 +584,12 @@ def integrate_many(jobs: Sequence[Job]) -> list:
     # round 0: the first panel of every piece, which also scales the
     # absolute floor of its run; a failure there ends the run
     pieces = [pc for run in runs.values() for pc in run.pieces]
-    for pc, res in zip(pieces, _evaluate(fns, [(pc, pc.los, pc.his) for pc in pieces])
+    for pc, res in zip(pieces, _evaluate(fns, [(pc, pc.los, pc.his) for pc in pieces], rule)
                        if pieces else ()):
         if isinstance(res, HopialError):
             pc.error = res
         else:
-            pc.vals, pc.errs = res
+            pc.vals, pc.errs, pc.nodes = res
     live = []
     for i, run in runs.items():
         failed = [pc.error for pc in run.pieces if pc.error is not None]
@@ -577,18 +621,20 @@ def integrate_many(jobs: Sequence[Job]) -> list:
                 before += pc.used
         live = still
         if requests:
-            for (pc, _, _), res in zip(requests, _evaluate(fns, requests)):
+            for (pc, _, _), res in zip(requests, _evaluate(fns, requests, rule)):
                 if isinstance(res, HopialError):
                     pc.error = res
                 else:
                     keep = pc.keep
                     pc.vals = [v for v, k in zip(pc.vals, keep) if k] + res[0]
                     pc.errs = [e for e, k in zip(pc.errs, keep) if k] + res[1]
+                    if rule is not None:
+                        pc.nodes = np.concatenate([pc.nodes[keep], res[2]])
 
     for i, run in runs.items():
         if results[i] is None:
             results[i] = _result(run)
-    return results
+    return results, runs
 
 
 def integrate_job(job: Job) -> QuadResult:
@@ -671,136 +717,90 @@ def product_integral(parts, interval: fs.Interval,
     return integrate_job(product_job(parts, interval, tol))
 
 
-@dataclass(frozen=True)
-class CumulativeTable:
-    """F(x) = integral of f from a to x, tabulated on a grid.
+def cumulative(f: Integrand, interval: fs.Interval, side: str = "head",
+               tol: Optional[float] = None) -> tuple:
+    """(F, total): F the graded ``PiecewisePolynomial`` of the integral of f
+    over (a, x) (side="head") or (x, b) ("tail"), total the QuadResult of
+    F(a, b), whose error bounds |F(x) - exact| at every x.
 
-    When the integrand has a closed antiderivative the table is exact at
-    every query point (interpolation_order == -1); otherwise queries
-    between knots use a cubic Hermite interpolant with exact slopes f(x).
+    One adaptive integration, whose panels are judged by ``_running_rule``
+    and keep their node values.  On a panel, F is the sum of the whole
+    panels nearer F's anchor plus the exact integral of the panel's
+    degree-14 interpolant (Greengard, SIAM J. Numer. Anal. 28, 1991;
+    Chebfun's cumsum).  Every segment starts at its end nearer the anchor,
+    so F is 0 there exactly.  The error adds the panel errors and the
+    rounding of the running sum, the coefficients and Clenshaw's rule.
     """
-
-    grid: np.ndarray
-    values: np.ndarray
-    interpolation_order: int
-    _eval: Callable[[np.ndarray], np.ndarray]
-    query_error: float = 0.0
-
-    def __call__(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        return self._eval(xs)
-
-    def value_at(self, x: float) -> float:
-        return float(np.asarray(self._eval(np.array([float(x)])))[0])
-
-
-def cumulative(
-    f: Integrand,
-    interval: fs.Interval,
-    n: int = 64,
-    tol: Optional[float] = None,
-) -> CumulativeTable:
-    """Cumulative integral table of ``f`` with F(a) = 0 exactly.
-
-    The n cells and the n half cells that audit the interpolant at every
-    cell midpoint are integrated in one ``integrate_many`` call.
-    """
-    if n < 16:
-        raise DomainError("cumulative grid size must be >= 16")
-    a, b = interval.a, interval.b
-    grid = np.linspace(a, b, n + 1)
-
-    if not callable(f):
-        anti = fs.closed_antiderivative(f, interval)
-        if anti is not None:
-            prog = fs.compile_program(anti, interval)
-            values = prog(grid)
-            values[0] = 0.0
-            return CumulativeTable(grid, values, -1, prog)
-
-    # the cells and the left halves of the cells, in one call
-    mids = grid[:-1] + 0.5 * (b - a) / n
-    jobs = [Job(f, fs.Interval(float(lo), float(hi)), tol, home=interval)
-            for lo, hi in zip(grid, grid[1:])]
-    jobs += [Job(f, fs.Interval(float(lo), float(x)), tol, home=interval)
-             for lo, x in zip(grid, mids)]
-    results = integrate_many(jobs)
-    for res in results:
-        if isinstance(res, HopialError):
-            raise res
-    cells, halves = results[:n], results[n:]
-    cell_values = np.array([res.value for res in cells])
-    values = np.concatenate([[0.0], np.cumsum(cell_values)])
-    # a bound on the error of every knot: the cells' estimates plus the
-    # rounding of the running sum, (n - 1) u sum |cell| (Higham)
-    knot_error = (sum(res.abs_error_estimate for res in cells)
-                  + (n - 1) * 0.5 * np.finfo(float).eps * float(np.abs(cell_values).sum()))
-
-    if callable(f):
-        slopes_src = _as_array_fn(f)
-    else:
-        slopes_src = fs.compile_program(f, interval)
-    slopes = slopes_src(grid)
-    # singular endpoint slopes: replace by one-sided finite differences
-    bad = ~np.isfinite(slopes)
-    if bad.any():
-        approx = np.gradient(values, grid)
-        slopes = np.where(bad, approx, slopes)
-
-    from scipy.interpolate import CubicHermiteSpline
-
-    spline = CubicHermiteSpline(grid, values, slopes)
-
-    def eval_fn(xs):
-        return spline(np.clip(xs, a, b))
-
-    # audit the interpolation at every cell midpoint against the knot plus
-    # the half-cell integral; the knot error bound covers what the knots
-    # themselves miss, and the last knot's error any tail query F(b) - F(x)
-    direct = values[:-1] + [res.value for res in halves]
-    miss = np.abs(direct - spline(mids)) + [res.abs_error_estimate for res in halves]
-    worst = float(np.max(miss)) + knot_error
-    return CumulativeTable(grid, values, 3, eval_fn, worst)
+    results, runs = _integrate([Job(f, interval, tol)], _running_rule)
+    if isinstance(results[0], HopialError):
+        raise results[0]
+    head = side == "head"
+    pieces = []
+    for pc in runs[0].pieces:
+        k = np.argsort(pc.los)
+        los, his, nodes = np.array(pc.los)[k], np.array(pc.his)[k], pc.nodes[k]
+        vals, half = np.array(pc.vals)[k], 0.5 * (his - los)
+        sign, anchor, m = pc.sub or ((1.0, pc.span[0], 1.0) if head else (-1.0, pc.span[1], 1.0))
+        if pc.sub is None:  # v = sign (x - anchor), against the panels' x in a tail
+            los, his = sign * (los - anchor), sign * (his - anchor)
+            if sign < 0:
+                los, his, nodes, vals, half = (his[::-1], los[::-1], nodes[::-1, ::-1],
+                                               vals[::-1], half[::-1])
+        start = int((sign > 0) != head)
+        pieces.append(((anchor, sign, m, start, [*los, his[-1]]),
+                       nodes[:, ::-1] if start else nodes, vals, half))
+    # F at the panel edges in x order, 0 at the anchored end
+    in_x = [v for (_, sign, *_), _, vals, _ in pieces for v in vals[:: int(sign)]]
+    edges = list(itertools.accumulate([0.0] + (in_x if head else in_x[::-1])))
+    edges = edges if head else edges[::-1]
+    rows, worst, i = [], 0.0, 0 if head else 1
+    for (anchor, sign, m, _, vb), nodes, vals, half in pieces:
+        near = [edges[i + (j if sign > 0 else len(vals) - 1 - j)] for j in range(len(vals))]
+        i += len(vals)
+        coef = half[:, None] * (nodes[:, None, :] * _SEGMENT).sum(axis=2)
+        rows += [[c0, *row] for c0, row in zip(near, coef.tolist())]
+        # Clenshaw in |s| <= 1, the coefficients and v = (sign (x - anchor))^(1/m)
+        reach = 16.0 * _SEGMENT_NORM * half + 4.0 * (vb[-1] + (abs(anchor) if m == 1 else 0.0))
+        worst = max(worst, float(np.max(512.0 * (np.abs(near) + np.abs(coef).sum(axis=1))
+                                        + np.abs(nodes).max(axis=1) * reach)))
+    rounding = np.finfo(float).eps * (worst + len(in_x) * float(np.abs(in_x).sum()))
+    # one order more than f at each end; the total at the far end
+    ends = [(0.0, math.inf)] * 2 if callable(f) else [
+        fs.endpoint_structure(f, interval, end) for end in ("left", "right")]
+    ends = [(kappa + 1.0, rho + 1.0) for kappa, rho in ends]
+    total = edges[-1] if head else edges[0]
+    if total:
+        ends[head] = (0.0, ends[head][1])
+    spec = fs.PiecewisePolynomial([pc.span[0] for pc in runs[0].pieces] + [interval.b],
+                                  rows, [frame for frame, *_ in pieces], ends)
+    return spec, QuadResult(total, results[0].abs_error_estimate + rounding, len(in_x))
 
 
 class RunningIntegral:
-    """F(a, x) (side="head") or F(x, b) (side="tail") of ``f``.
-
-    A closed antiderivative gives an exact spec (rel_error 0); otherwise an
-    n-cell cumulative table stands in and its query error is tracked.
-    ``integrand`` is what a downstream quadrature should see: the spec
-    when there is one (keeping its structure), else this callable.
-    """
+    """F(a, x) (side="head") or F(x, b) (side="tail") of ``f``, as ``spec``:
+    a closed antiderivative (rel_error 0), else ``cumulative``'s panel tree,
+    with rel_error bounding its error at every x relative to F(a, b)."""
 
     def __init__(self, f: Integrand, interval: fs.Interval, side: str,
-                 tol: Optional[float] = None, n: int = 128):
+                 tol: Optional[float] = None):
         if side not in ("tail", "head"):
             raise DomainError(f"side must be tail|head, got {side}")
-        self.side = side
+        self.interval = interval
         self.spec = None
         if not callable(f):
             self.spec = (fs.closed_antiderivative(f, interval) if side == "head"
                          else fs.tail_integral_spec(f, interval))
-        if self.spec is not None:
-            # compiled on first use: a sweep only integrates the spec
-            spec = self.spec
-            self._fn = lambda xs: fs.compile_program(spec, interval)(xs)
-            self.rel_error = 0.0
-            return
-        table = cumulative(f, interval, n, tol)
-        total = table.value_at(interval.b)
-        self._fn = table if side == "head" else (lambda xs: total - table(xs))
-        self.rel_error = table.query_error / max(abs(total), 1e-300)
-
-    @property
-    def integrand(self):
-        return self.spec if self.spec is not None else self
+        self.rel_error = 0.0
+        if self.spec is None:
+            self.spec, total = cumulative(f, interval, side, tol)
+            self.rel_error = total.rel_error
 
     def __call__(self, xs):
-        return self._fn(np.asarray(xs, dtype=float))
+        # compiled on first use: a sweep only integrates the spec
+        return fs.compile_program(self.spec, self.interval)(np.asarray(xs, dtype=float))
 
     def value_at(self, x: float) -> float:
-        return float(np.asarray(self._fn(np.array([float(x)])))[0])
+        return float(self(np.array([float(x)]))[0])
 
 
 def sup_on_interval(
@@ -824,9 +824,6 @@ def sup_on_interval(
         kappa_l = fs.endpoint_exponent(g, home, "left")
         kappa_r = fs.endpoint_exponent(g, home, "right")
         eval_fn = fs.compile_program(g, home)
-    elif isinstance(g, fs.Program):
-        kappa_l = kappa_r = 0.0
-        eval_fn = g
     else:
         kappa_l = kappa_r = 0.0
         eval_fn = _as_array_fn(g)

@@ -134,7 +134,7 @@ def _lhs_plan(inst: TheoremInstance, resolved, tol):
     ident, info, mode, exps = resolved
     running = quad.RunningIntegral(inst.f, inst.interval,
                                    "head" if info.side == "left" else "tail")
-    F, f_rel = running.integrand, running.rel_error
+    F, f_rel = running.spec, running.rel_error
     shape = info.lhs
     if shape[0] == "sq_int_r_F":
         job = quad.product_job([(inst.r, 1.0), (F, 1.0)], inst.interval, tol)
@@ -174,7 +174,7 @@ def _rhs_weight_parts(inst, resolved, rhs_weight, tol):
             tag = bd.rhs_weight
         side = "tail" if tag.startswith("R_tail") else "head"
         R = quad.RunningIntegral(inst.r, inst.interval, side)
-        parts.append((R.integrand, 1.0))
+        parts.append((R.spec, 1.0))
         if tag.endswith("*s"):
             parts.append((inst.s, 1.0))
     return parts

@@ -96,6 +96,15 @@ class TestCommands:
         assert code == 1
         assert "theorem" in err
 
+    def test_overflowing_coefficient_exit_one(self, capsys):
+        # F^2 = (c x^1.5 / 1.5)^2 overflows at c = 1e200: an error line, no
+        # traceback
+        code = cli.main(["verify", "--theorem", "HARDY", "--p", "2",
+                         "--f", "pow:1e200,0.5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "overflows" in err
+
     def test_inconclusive_exit_three(self, capsys):
         # the second grid member's cube diverges: recorded, not fatal
         code = cli.main(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,16 @@ class TestIntegrate:
         # oracle: the antiderivative of t^(-1/2) is 2 sqrt(t)
         res = quad.integrate(fs.PowerLaw(1.0, -0.5), unit)
         assert res.value == pytest.approx(2.0 * math.sqrt(1.0), abs=1e-8)
+
+    def test_non_finite_node_reported_in_x(self):
+        # (sqrt(x - 1) - 0.5)^0.5 is nan below x = 1.25; the graded left
+        # piece's nodes are in u, and the message maps them back to x
+        iv = fs.Interval(1.0, 2.0)
+        spec = fs.Power(fs.Sum([fs.Constant(-0.5), fs.PowerLaw(1.0, 0.5)]), 0.5)
+        with pytest.raises(DomainError, match="non-finite") as info:
+            quad.integrate(spec, iv)
+        x = float(re.search(r"x=\[([^\]]+)\]", str(info.value)).group(1))
+        assert 1.0 <= x <= 1.25
 
     def test_divergent_detected_structurally(self, unit):
         with pytest.raises(NonIntegrable):
@@ -112,38 +123,43 @@ class TestIntegrate:
 
 class TestCumulative:
     def test_identity_exact_at_knots(self, unit):
-        table = quad.cumulative(fs.Constant(1.0), unit, 16)
-        assert np.allclose(table.values, table.grid, atol=1e-14)
-        assert table.values[0] == 0.0
+        F, total = quad.cumulative(fs.Constant(1.0), unit)
+        xs = np.linspace(0.0, 1.0, 65)
+        assert np.allclose(fs.evaluate_array(F, xs, unit), xs, rtol=0.0, atol=1e-15)
+        assert fs.evaluate(F, 0.0, unit) == 0.0
+        assert total.value == pytest.approx(1.0, abs=1e-15)
 
     def test_linear_integrand_analytic(self, unit):
         # analytic oracle: integral of 2t is t^2
-        table = quad.cumulative(fs.PowerLaw(2.0, 1.0), unit, 32)
-        assert table.value_at(0.5) == pytest.approx(0.25, abs=1e-10)
+        F, _ = quad.cumulative(fs.PowerLaw(2.0, 1.0), unit)
+        assert fs.evaluate(F, 0.5, unit) == pytest.approx(0.25, abs=1e-14)
 
     def test_hat_total_is_triangle_area(self, unit):
         # triangle area oracle: base 1, height 0.5
         hat = fs.PiecewiseLinear([(0, 0), (0.5, 0.5), (1, 0)])
-        table = quad.cumulative(hat, unit, 16)
-        assert table.value_at(1.0) == pytest.approx(0.25, abs=1e-12)
+        F, _ = quad.cumulative(hat, unit)
+        assert fs.evaluate(F, 1.0, unit) == pytest.approx(0.25, abs=1e-15)
 
     def test_values_nondecreasing_for_nonnegative(self, unit):
-        table = quad.cumulative(fs.PowerLaw(1.0, 0.5), unit, 24)
-        assert np.all(np.diff(table.values) >= -1e-15)
+        F, _ = quad.cumulative(fs.PowerLaw(1.0, 0.5), unit)
+        xs = np.concatenate([np.geomspace(1e-12, 1e-3, 40), np.linspace(1e-3, 1.0, 400)])
+        assert np.all(np.diff(fs.evaluate_array(F, xs, unit)) >= -1e-15)
 
     def test_table_path_interpolation(self, unit):
-        # Product has no closed antiderivative: forced through the table
+        # Product has no closed antiderivative: F is read off the panel tree,
+        # as the graded form of a piecewise polynomial
         spec = fs.Product([fs.PowerLaw(1.0, 1.0), fs.Exponential(1.0, 1.0)])
-        table = quad.cumulative(spec, unit, 64)
-        assert table.interpolation_order == 3
+        F, total = quad.cumulative(spec, unit)
+        assert isinstance(F, fs.PiecewisePolynomial) and F.frames is not None
         exact = lambda x: (x - 1.0) * math.exp(x) + 1.0
         for x in (0.13, 0.5, 0.86):
-            assert table.value_at(x) == pytest.approx(exact(x), abs=5e-9)
-        assert table.query_error < 1e-7
+            assert fs.evaluate(F, x, unit) == pytest.approx(
+                exact(x), abs=min(5e-9, total.abs_error_estimate))
+        assert total.abs_error_estimate < 1e-10
 
-    def test_minimum_grid_size(self, unit):
+    def test_tolerance_outside_range_rejected(self, unit):
         with pytest.raises(DomainError):
-            quad.cumulative(fs.Constant(1.0), unit, 8)
+            quad.cumulative(fs.Constant(1.0), unit, tol=1e-16)
 
 
 class TestSup:
@@ -188,8 +204,8 @@ class TestRunningIntegral:
     @pytest.mark.parametrize("f", [
         fs.PowerLaw(2.0, 0.5),
         fs.Exponential(1.0, -1.5),
-        fs.Product([fs.PowerLaw(1.0, 1.0), fs.Exponential(1.0, 1.0)]),  # table
-        lambda x: 1.0 + np.sin(3.0 * x) ** 2,  # table
+        fs.Product([fs.PowerLaw(1.0, 1.0), fs.Exponential(1.0, 1.0)]),  # panel tree
+        lambda x: 1.0 + np.sin(3.0 * x) ** 2,  # panel tree
     ])
     def test_head_plus_tail_is_total(self, iv, f):
         head = quad.RunningIntegral(f, iv, "head")
@@ -204,12 +220,12 @@ class TestRunningIntegral:
     @pytest.mark.parametrize("iv", SHIFTED)
     @pytest.mark.parametrize("side", ["head", "tail"])
     def test_table_agrees_with_closed_form(self, iv, side):
+        # a raw callable has no closed form: its F is the panel tree's spec
         closed = quad.RunningIntegral(fs.Exponential(1.0, 1.0), iv, side)
         table = quad.RunningIntegral(lambda x: np.exp(x), iv, side)
-        assert closed.spec is not None and closed.rel_error == 0.0
-        assert closed.integrand is closed.spec
-        assert table.spec is None and table.integrand is table
-        assert 0.0 < table.rel_error < 1e-8
+        assert closed.rel_error == 0.0
+        assert isinstance(table.spec, fs.PiecewisePolynomial) and table.spec.frames
+        assert 0.0 < table.rel_error < 1e-10
         knots = np.linspace(iv.a, iv.b, 129)
         total = closed.value_at(iv.a if side == "tail" else iv.b)
         assert np.max(np.abs(table(knots) - closed(knots))) <= table.rel_error * total
@@ -225,6 +241,62 @@ class TestRunningIntegral:
     def test_unknown_side_rejected(self, unit):
         with pytest.raises(DomainError):
             quad.RunningIntegral(fs.Constant(1.0), unit, "middle")
+
+
+# s^gamma with s = 1 + c d^alpha in the distance d from the left end, times
+# d^kappa: (c, alpha, gamma, kappa)
+RUNNING_CASES = [(0.63, 0.47, -0.5, 0.0), (1.2, 1.87, -0.5, 0.0), (2.0, 0.3, 1.5, 0.0),
+                 (0.63, 0.47, -0.5, -0.6)]
+
+
+class TestRunningIntegralBound:
+    """The running integral's error bound covers its error at every x, head
+    and tail, on shifted intervals: against QUADPACK in the distance from the
+    left end (QAWS, ``weight='alg'``, from the singular end)."""
+
+    @staticmethod
+    def _oracle(g, kappa, lo, hi):
+        """The integral of g(d) d^kappa over (lo, hi) and its error."""
+        if hi <= lo:
+            return 0.0, 0.0
+        return sp_integrate.quad(g, lo, hi, weight="alg", wvar=(kappa, 0.0),
+                                 epsabs=0.0, epsrel=1e-13, limit=200)
+
+    def _check(self, f, g, kappa, iv, side):
+        R = quad.RunningIntegral(f, iv, side)
+        w = iv.b - iv.a
+        ds = np.concatenate([np.linspace(0.0, w, 1001), w * np.geomspace(1e-12, 1e-2, 40),
+                             w * (1.0 - np.geomspace(1e-12, 1e-2, 40))])
+        xs = iv.a + ds
+        ds = xs - iv.a  # the distance of the point evaluated, exactly
+        got = R(xs)
+        total, total_err = self._oracle(g, kappa, 0.0, w)
+        bound = R.rel_error * abs(total)
+        for x, d, value in zip(xs, ds, got):
+            want, err = self._oracle(g, kappa, 0.0, d)
+            if side == "tail":  # QAGS misses the singular end when d is tiny
+                want, err = total - want, total_err + err
+            assert abs(value - want) <= bound + err + 4e-16 * abs(total), (x, value, want)
+        assert R.value_at(iv.a if side == "head" else iv.b) == 0.0
+        return R.rel_error
+
+    @pytest.mark.parametrize("iv", [fs.Interval(0.0, 1.0), fs.Interval(1.0, 2.0),
+                                    fs.Interval(100.3, 101.3)])
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    @pytest.mark.parametrize("case", RUNNING_CASES)
+    def test_bound_covers_the_error(self, iv, side, case):
+        c, alpha, gamma, kappa = case
+        f = fs.Power(fs.Sum([fs.Constant(1.0), fs.PowerLaw(c, alpha)]), gamma)
+        if kappa:
+            f = fs.Product([fs.PowerLaw(1.0, kappa), f])
+        rel_error = self._check(f, lambda d: (1.0 + c * d**alpha) ** gamma, kappa, iv, side)
+        assert rel_error < (quad.SINGULAR_TOL if kappa else quad.SMOOTH_TOL)
+
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    def test_raw_callable(self, side):
+        iv = fs.Interval(1.0, 2.0)
+        self._check(lambda x: np.exp(np.sin(3.0 * x)),
+                    lambda d: np.exp(np.sin(3.0 * (1.0 + d))), 0.0, iv, side)
 
 
 def _same(a, b):

@@ -5,6 +5,7 @@ import pytest
 
 from hopial import constants as ct
 from hopial import funcspace as fs
+from hopial import opial
 from hopial import verify as vf
 from hopial.cli import SUITE_EXPONENTS, suite_weights
 from hopial.errors import HopialError, InvalidSpec, PreconditionFailed
@@ -234,6 +235,14 @@ class TestBatchedSweep:
                 assert repr(rep) == repr(ref)
 
 
+    def test_overflowing_member_fails_alone(self, unit, monkeypatch):
+        members = [fs.PowerLaw(1.0, 0.5), fs.PowerLaw(1e200, 0.5), fs.PowerLaw(2.0, 0.25)]
+        monkeypatch.setattr(fs, "sample_family", lambda family, count: members)
+        sw = vf.sweep("HARDY", None, None, None, E(p=2.0), unit, len(members))
+        assert [rep.status for rep in sw.reports] == ["Holds", "Inconclusive", "Holds"]
+        assert sw.reports[1].detail.startswith("DomainError: ")
+        assert "overflows" in sw.reports[1].detail
+
     def test_invalid_members_match_alone(self, unit, one, monkeypatch):
         # the nonnegativity probes of a sweep run batched; a negative member
         # keeps the detail verify of it alone raises (no family draws one,
@@ -415,3 +424,31 @@ class TestStatusClassification:
         assert judge(1.0, -1.0, 1.0, 1e-9) == (math.inf, "Violated", 1e-9)
         assert judge(1.0, 4.0, 0.5, 1e-3) == (0.5, "Holds", 1e-3)
         assert judge(1.0 + 5e-12, 1.0, 1.0, 0.0) == (1.0 + 5e-12, "Inconclusive", 1e-12)
+
+
+# each left-anchored id and its reflection (F integrates f from the right)
+MIRROR_PAIRS = [("T2.1", "T2.2"), ("T2.3", "T2.4"), ("T2.5", "T2.6"), ("T2.7", "T2.8"),
+                ("T2.9", "T2.10"), ("T2.11", "T2.12"), ("T2.14", "T2.15"),
+                ("T2.16", "T2.17"), ("T2.18", "T2.19"), ("T2.20", "T2.21"),
+                ("T2.22", "T2.23"), ("T2.27", "T2.28"), ("T2.30", "T2.31"),
+                ("C2.1a", "C2.1b"), ("C2.2a", "C2.2b")]
+
+
+class TestReflectionDuality:
+    @pytest.mark.parametrize("iv", [fs.Interval(0.0, 1.0), fs.Interval(1.0, 3.0)])
+    @pytest.mark.parametrize("left,right", MIRROR_PAIRS)
+    def test_reflected_instance_has_the_same_ratio(self, left, right, iv):
+        # x -> a + b - x maps an instance of the left id to one of its mirror
+        # (T2.27/T2.28 and T2.30/T2.31 read a head and a tail panel tree);
+        # the seed-0 suite weights, f = x^0.7
+        r, s = suite_weights(left, 0)
+        e = SUITE_EXPONENTS.get(left, E())
+
+        def mirror(w):
+            return None if w is None else opial.reflect_spec(w, iv)
+
+        f = fs.PowerLaw(1.0, 0.7)
+        rep = vf.verify(inst(left, r, s, f, e, iv))
+        ref = vf.verify(inst(right, mirror(r), mirror(s), mirror(f), e, iv))
+        assert (rep.status, ref.status) == ("Holds", "Holds")
+        assert ref.ratio == pytest.approx(rep.ratio, rel=1e-13, abs=0.0)
