@@ -334,6 +334,19 @@ class TestJsonRoundTrip:
     def test_round_trip_identity(self, spec):
         assert fs.spec_from_json(fs.spec_to_json(spec)) == spec
 
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    def test_graded_running_integral(self, side):
+        # the graded form that quad.cumulative emits: frames, ends and all
+        unit = fs.Interval(0.0, 1.0)
+        f = fs.Power(fs.Sum([fs.Constant(1.0), fs.PowerLaw(0.63, 0.47)]), -0.5)
+        F, _ = quad.cumulative(f, unit, side)
+        fs.validate(F, unit)
+        back = fs.spec_from_json(fs.spec_to_json(F))
+        assert back == F
+        xs = np.linspace(0.0, 1.0, 33)
+        np.testing.assert_array_equal(fs.evaluate_array(back, xs, unit),
+                                      fs.evaluate_array(F, xs, unit))
+
     @settings(max_examples=40, deadline=None)
     @given(_tree)
     def test_round_trip_evaluates_identically(self, spec):
