@@ -33,7 +33,7 @@ from . import quad
 from . import reportio
 from . import special
 from . import verify as vf
-from .errors import HopialError
+from .errors import HopialError, InvalidSpec
 
 __all__ = ["RunConfig", "run", "suite_report", "main"]
 
@@ -56,22 +56,25 @@ def parse_spec_arg(text: str) -> fs.FunctionSpec:
         raise HopialError(f"cannot parse function {text!r} (missing kind:args)")
     kind, _, args = text.partition(":")
     kind = kind.lower()
-    if kind == "const":
-        return fs.Constant(float(args))
-    if kind in ("pow", "rpow"):
-        parts = [float(v) for v in args.split(",")]
-        c, alpha = (1.0, parts[0]) if len(parts) == 1 else parts
-        return fs.PowerLaw(c, alpha) if kind == "pow" else fs.ShiftedPowerLaw(c, alpha)
-    if kind == "exp":
-        parts = [float(v) for v in args.split(",")]
-        c, beta = (1.0, parts[0]) if len(parts) == 1 else parts
-        return fs.Exponential(c, beta)
-    if kind == "pwl":
-        knots = []
-        for pair in args.split(";"):
-            x, _, v = pair.partition(",")
-            knots.append((float(x), float(v)))
-        return fs.PiecewiseLinear(knots)
+    try:
+        if kind == "const":
+            return fs.Constant(float(args))
+        if kind in ("pow", "rpow"):
+            parts = [float(v) for v in args.split(",")]
+            c, alpha = (1.0, parts[0]) if len(parts) == 1 else parts
+            return fs.PowerLaw(c, alpha) if kind == "pow" else fs.ShiftedPowerLaw(c, alpha)
+        if kind == "exp":
+            parts = [float(v) for v in args.split(",")]
+            c, beta = (1.0, parts[0]) if len(parts) == 1 else parts
+            return fs.Exponential(c, beta)
+        if kind == "pwl":
+            knots = []
+            for pair in args.split(";"):
+                x, _, v = pair.partition(",")
+                knots.append((float(x), float(v)))
+            return fs.PiecewiseLinear(knots)
+    except ValueError:
+        raise InvalidSpec(f"cannot parse the arguments of {text!r}")
     raise HopialError(f"unknown function kind {kind!r} in {text!r}")
 
 
@@ -346,14 +349,15 @@ def _parse_path(config: RunConfig, iv: fs.Interval, boundary: str):
     text = (config.path or "hat").strip()
     kind, _, args = text.partition(":")
     kind = kind.lower()
-    if kind == "hat":
-        frac = float(args) if args else 0.5
-        return opial.hat_path(iv, frac)
+    side = "right" if boundary == "right" else "left"
+    if kind in ("hat", "power"):
+        try:
+            arg = float(args) if args else (0.5 if kind == "hat" else 2.0)
+        except ValueError:
+            raise HopialError(f"cannot parse the argument of path {text!r}")
+        return opial.hat_path(iv, arg) if kind == "hat" else opial.power_path(iv, arg, side)
     if kind == "linear":
-        return opial.linear_path(iv, "right" if boundary == "right" else "left")
-    if kind == "power":
-        return opial.power_path(iv, float(args or 2.0),
-                                "right" if boundary == "right" else "left")
+        return opial.linear_path(iv, side)
     return opial.path_from_spec(parse_spec_arg(text), iv)
 
 

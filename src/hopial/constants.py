@@ -19,7 +19,7 @@ form drops an exponent (the L-based constants); see DEFAULT_MODES.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -151,17 +151,16 @@ def _beesack_integral(r, s, er, es, e_in, gamma, side, sub, full, tol, lead, pow
             return np.asarray(s(xs), dtype=float) ** gamma
     else:
         target = fs.power_of(s, gamma)
-        kappa = fs.endpoint_exponent(
+        kappa = fs.endpoint_structure(
             target, full, "left" if side == "head" else "right"
-        )
+        )[0]
         if kappa <= -1.0:
             raise NonIntegrable(
                 f"inner weight integral diverges (exponent {kappa:.3g})"
             )
     inner = quad.RunningIntegral(target, full, side, tol)
     job = quad.product_job([(r, er), (s, es), (inner.spec, e_in)], full, tol)
-    outer = quad.integrate(job.f, sub, tol, home=full, breakpoints=job.breakpoints,
-                           endpoint_exponents=job.endpoint_exponents)
+    outer = quad.integrate_job(replace(job, interval=sub, home=full))
     if outer.value <= 0.0:
         return 0.0, 0.0
     return (lead * outer.value**power,
@@ -327,7 +326,7 @@ class _Ctx:
         end where the running integral is widest."""
         iv = self.interval
         if not callable(self.r) and min(
-            fs.endpoint_exponent(self.r, iv, end) for end in ("left", "right")
+            fs.endpoint_structure(self.r, iv, end)[0] for end in ("left", "right")
         ) <= -1.0:
             raise NonIntegrable("the weight integral R(a, b) diverges")
         return (f"sup {self.R_name}",

@@ -52,7 +52,6 @@ __all__ = [
     "derivative",
     "closed_antiderivative",
     "breakpoints",
-    "endpoint_exponent",
     "endpoint_structure",
     "scale",
     "power_of",
@@ -616,18 +615,6 @@ def breakpoints(spec: FunctionSpec, interval: Interval) -> list:
     return sorted(x for x in pts if interval.a + eps < x < interval.b - eps)
 
 
-def endpoint_exponent(spec: FunctionSpec, interval: Interval, side: str) -> float:
-    """Power-law exponent of the spec near one endpoint.
-
-    Returns kappa such that spec(x) ~ C * dist^kappa with C != 0; 0.0 for a
-    regular nonzero endpoint value, math.inf when the spec vanishes
-    identically near the endpoint.  Signed sums use the min rule, which is
-    exact for nonnegative terms; callers with cancelling sums must pass
-    explicit exponents to the quadrature layer instead.
-    """
-    return endpoint_structure(spec, interval, side)[0]
-
-
 def _fractional(e: float) -> float:
     """e where it is a non-integer exponent, else inf."""
     return math.inf if not math.isfinite(e) or float(e).is_integer() else e
@@ -636,12 +623,19 @@ def _fractional(e: float) -> float:
 def endpoint_structure(spec: FunctionSpec, interval: Interval, side: str) -> tuple:
     """(kappa, rho) of the spec near one endpoint, in one structural walk.
 
-    kappa is ``endpoint_exponent``; rho is the smallest non-integer
-    exponent of the spec's expansion in powers of the endpoint distance,
-    math.inf where the expansion has integer exponents only (a smooth
-    spec, or a power law such as (x - a)^-2).  A spec with finite rho is
-    finite or singular at the endpoint but not smooth there: its
+    kappa is the power-law exponent: spec(x) ~ C * dist^kappa with C != 0;
+    0.0 for a regular nonzero endpoint value, math.inf where the spec
+    vanishes identically near the endpoint.  rho is the smallest
+    non-integer exponent of the spec's expansion in powers of the endpoint
+    distance, math.inf where the expansion has integer exponents only (a
+    smooth spec, or a power law such as (x - a)^-2).  A spec with finite
+    rho is finite or singular at the endpoint but not smooth there: its
     derivatives of order above rho blow up.
+
+    Signed sums use the min rule, which is exact for nonnegative terms.  A
+    cancelling sum can vanish to a higher order than any of its terms; a
+    caller that knows its kappa passes it to the quadrature as
+    ``endpoint_exponents``.
     """
     left = side == "left"
     if isinstance(spec, Constant):
@@ -760,33 +754,39 @@ def spec_to_json(spec: FunctionSpec) -> dict:
 
 
 def spec_from_json(obj: dict) -> FunctionSpec:
+    """The spec of a JSON object; a malformed object raises InvalidSpec."""
     try:
         variant = obj["variant"]
     except (TypeError, KeyError):
         raise InvalidSpec("function spec JSON needs a 'variant' field")
-    if variant == "Constant":
-        return Constant(float(obj["c"]))
-    if variant == "PowerLaw":
-        return PowerLaw(float(obj["c"]), float(obj["alpha"]))
-    if variant == "ShiftedPowerLaw":
-        return ShiftedPowerLaw(float(obj["c"]), float(obj["alpha"]))
-    if variant == "Exponential":
-        return Exponential(float(obj["c"]), float(obj["beta"]))
-    if variant == "PiecewiseLinear":
-        return PiecewiseLinear(obj["knots"])
-    if variant == "Step":
-        return Step(obj["breaks"], obj["values"])
-    if variant == "PiecewisePolynomial":
-        return PiecewisePolynomial(obj["breaks"], obj["coeffs"], obj.get("frames"),
-                                   obj.get("ends"))
-    if variant == "Sum":
-        return Sum([spec_from_json(t) for t in obj["terms"]])
-    if variant == "Product":
-        return Product([spec_from_json(t) for t in obj["terms"]])
-    if variant == "Power":
-        return Power(spec_from_json(obj["base"]), float(obj["exponent"]))
-    if variant == "Abs":
-        return AbsVal(spec_from_json(obj["term"]))
+    try:
+        if variant == "Constant":
+            return Constant(float(obj["c"]))
+        if variant == "PowerLaw":
+            return PowerLaw(float(obj["c"]), float(obj["alpha"]))
+        if variant == "ShiftedPowerLaw":
+            return ShiftedPowerLaw(float(obj["c"]), float(obj["alpha"]))
+        if variant == "Exponential":
+            return Exponential(float(obj["c"]), float(obj["beta"]))
+        if variant == "PiecewiseLinear":
+            return PiecewiseLinear(obj["knots"])
+        if variant == "Step":
+            return Step(obj["breaks"], obj["values"])
+        if variant == "PiecewisePolynomial":
+            return PiecewisePolynomial(obj["breaks"], obj["coeffs"], obj.get("frames"),
+                                       obj.get("ends"))
+        if variant == "Sum":
+            return Sum([spec_from_json(t) for t in obj["terms"]])
+        if variant == "Product":
+            return Product([spec_from_json(t) for t in obj["terms"]])
+        if variant == "Power":
+            return Power(spec_from_json(obj["base"]), float(obj["exponent"]))
+        if variant == "Abs":
+            return AbsVal(spec_from_json(obj["term"]))
+    except KeyError as exc:
+        raise InvalidSpec(f"{variant} spec JSON needs the field {exc}")
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"malformed {variant} spec JSON: {exc}")
     raise InvalidSpec(f"unknown spec variant {variant!r}")
 
 
@@ -1038,22 +1038,10 @@ def _compile_into(spec, interval, ops, fargs, iargs, data):
     raise InvalidSpec(f"cannot compile {type(spec).__name__}")
 
 
-_PROGRAM_CACHE: dict = {}
-_PROGRAM_CACHE_MAX = 4096
-
-
 def compile_program(spec: FunctionSpec, interval: Interval) -> Program:
-    key = (spec, interval)
-    prog = _PROGRAM_CACHE.get(key)
-    if prog is not None:
-        return prog
     ops: list = []
     fargs: list = []
     iargs: list = []
     data: list = []
     _compile_into(spec, interval, ops, fargs, iargs, data)
-    prog = Program(ops, fargs, iargs, data)
-    if len(_PROGRAM_CACHE) >= _PROGRAM_CACHE_MAX:
-        _PROGRAM_CACHE.clear()
-    _PROGRAM_CACHE[key] = prog
-    return prog
+    return Program(ops, fargs, iargs, data)

@@ -122,9 +122,9 @@ def _boyd_constant(c):
 
 
 def _beesack_das_constant(c):
-    k_fn = ct.beesack_das_K1 if c.boundary == "left" else ct.beesack_das_K2
     e = ct.ExponentSet(p=c.p, q=c.q, conjugate_check=False)
-    return k_fn(e, c.r, c.s, c.iv, c.iv), 1e-8
+    return ct._beesack_das_core(e, c.r, c.s, c.iv, c.iv,
+                                "head" if c.boundary == "left" else "tail", None)
 
 
 def _beesack_constant(c):

@@ -15,7 +15,12 @@ case of the same loop).  Per job:
   least integer >= 2 with m (1 + rho) - 1 >= 6, so the transformed term
   has six derivatives; an integer m keeps the smooth terms smooth.  Both
   come from one structural walk per endpoint the job touches
-  (``funcspace.endpoint_structure``);
+  (``funcspace.endpoint_structure``), made in ``_prepare`` with the
+  breakpoints and the program, and nowhere else;
+* ``endpoint_exponents`` replaces the walk's kappa where the walk cannot
+  see it: a raw callable (``product_job`` declares its spec factors'),
+  and a sum that cancels at the endpoint, whose min rule gives the least
+  exponent of its terms (HARDY's (F / (x - a))^p, Boyd's I at eta = 0);
 * a spec's program evaluates a substituted point at its exact distance
   u^m from the endpoint: x = a + u^m rounds onto a once u^m is below the
   spacing of a, and x - a would then cancel to 0 (a raw callable sees
@@ -207,7 +212,9 @@ def _as_array_fn(f) -> Callable[[np.ndarray], np.ndarray]:
 
 @dataclass(frozen=True)
 class Job:
-    """One integral for ``integrate_many``: the arguments of ``integrate``."""
+    """One integral for ``integrate_many``: the arguments of ``integrate``,
+    and the breakpoints of the spec factors a raw callable hides
+    (``product_job``)."""
 
     f: Integrand
     interval: fs.Interval
@@ -219,17 +226,19 @@ class Job:
 
 
 class _Run:
-    """A validated job: its integrand, stop rule and pieces."""
+    """A validated job: its integrand, stop rule, pieces and the (kappa,
+    rho) it found at each end."""
 
-    __slots__ = ("target", "tol", "raw", "max_panels", "abs_floor", "pieces")
+    __slots__ = ("target", "tol", "raw", "max_panels", "abs_floor", "pieces", "ends")
 
-    def __init__(self, target, tol, raw, max_panels):
+    def __init__(self, target, tol, raw, max_panels, ends):
         self.target = target
         self.tol = tol
         self.raw = raw
         self.max_panels = max_panels
         self.abs_floor = 0.0
         self.pieces = []
+        self.ends = ends
 
 
 class _Piece:
@@ -324,10 +333,11 @@ def _graded(lo, hi, sign, m):
     return _Piece((lo, hi), (sign, lo if sign > 0 else hi, m), 0.0, (hi - lo) ** (1.0 / m))
 
 
-def _prepare(job: Job, structure: dict) -> _Run:
+def _prepare(job: Job) -> _Run:
     """Validate a job and cut it into pieces (endpoint substitutions and
-    breakpoint splits).  ``structure`` caches the program and breakpoints
-    of each (spec, home) for the call."""
+    breakpoint splits).  This is the one place where a spec job's program,
+    breakpoints and endpoint structure are derived: one walk per end the
+    job touches and one for the breakpoints."""
     a, b = job.interval.a, job.interval.b
     home = job.home or job.interval
     f = job.f
@@ -335,12 +345,8 @@ def _prepare(job: Job, structure: dict) -> _Run:
         target, breaks = f, ()
         raw = not isinstance(f, fs.Program)
     else:
+        target, breaks = fs.compile_program(f, home), fs.breakpoints(f, home)
         raw = False
-        key = (id(f), home)
-        entry = structure.get(key)
-        if entry is None:
-            entry = structure[key] = (fs.compile_program(f, home), fs.breakpoints(f, home))
-        target, breaks = entry
     if job.breakpoints:
         breaks = sorted({float(x) for x in job.breakpoints} | set(breaks))
 
@@ -348,7 +354,6 @@ def _prepare(job: Job, structure: dict) -> _Run:
     # looked at where the job touches one; a strict sub-range is regular
     slack = 1e-15 * home.width
     ends = []
-    singular = False
     for k, (side, touches) in enumerate((("left", a <= home.a + slack),
                                          ("right", b >= home.b - slack))):
         kappa, rho = 0.0, math.inf
@@ -359,19 +364,18 @@ def _prepare(job: Job, structure: dict) -> _Run:
                 kappa = job.endpoint_exponents[k]
         if kappa <= -1.0:
             raise NonIntegrable(f"{side} endpoint exponent {kappa} <= -1")
-        singular = singular or kappa < 0.0
-        ends.append(_grading(kappa, rho))
+        ends.append((kappa, rho))
 
     tol = job.tol
     if tol is None:
-        tol = SINGULAR_TOL if singular else SMOOTH_TOL
+        tol = SINGULAR_TOL if any(kappa < 0.0 for kappa, _ in ends) else SMOOTH_TOL
     if not (1e-14 < tol < 1e-2):
         raise DomainError(f"tolerance {tol} outside accepted range (1e-14, 1e-2)")
 
     eps = 1e-12 * (b - a)
     edges = [a] + [x for x in breaks if a + eps < x < b - eps] + [b]
-    run = _Run(target, tol, raw, job.max_panels)
-    m_l, m_r = ends
+    run = _Run(target, tol, raw, job.max_panels, ends)
+    m_l, m_r = (_grading(*end) for end in ends)
     last = len(edges) - 2
     for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
         m_lo = m_l if i == 0 else None
@@ -572,11 +576,10 @@ def _integrate(jobs, rule=None):
     """``integrate_many``'s results and runs; with a ``rule`` the panels are
     judged by it and every piece keeps its panels' node values."""
     results: list = [None] * len(jobs)
-    structure: dict = {}
     runs = {}
     for i, job in enumerate(jobs):
         try:
-            runs[i] = _prepare(job, structure)
+            runs[i] = _prepare(job)
         except HopialError as exc:
             results[i] = exc
     fns = _assign_groups(runs.values())
@@ -651,7 +654,6 @@ def integrate(
     tol: Optional[float] = None,
     *,
     home: Optional[fs.Interval] = None,
-    breakpoints: Optional[Sequence[float]] = None,
     endpoint_exponents: Optional[tuple] = None,
     max_panels: int = DEFAULT_PANEL_BUDGET,
 ) -> QuadResult:
@@ -660,36 +662,35 @@ def integrate(
     ``f`` is either a function spec (structure drives breakpoint splits and
     singular substitutions) or a vectorized callable.  ``home`` is the
     interval the spec's anchored variants refer to when integrating over a
-    sub-range.  ``endpoint_exponents`` overrides the structural (left,
-    right) exponent detection; pass it when the caller knows the behaviour
-    of a cancelling sum.  The non-integer exponents that grade a finite
-    endpoint still come from the spec's structure.  Exponents <= -1 raise
+    sub-range.  ``endpoint_exponents`` replaces the (left, right) kappa of
+    the structural walk, for a caller that knows what the walk cannot see:
+    the exponents of a raw callable, or of a cancelling sum, whose min rule
+    gives the smallest exponent of its terms where the sum vanishes to a
+    higher order.  The non-integer exponents that grade a finite endpoint
+    still come from the spec's structure.  Exponents <= -1 raise
     NonIntegrable.
     """
-    return integrate_job(Job(f, interval, tol, home, breakpoints,
-                             endpoint_exponents, max_panels))
+    return integrate_job(Job(f, interval, tol, home, None, endpoint_exponents, max_panels))
 
 
 def product_job(parts, interval: fs.Interval, tol: Optional[float] = None) -> Job:
-    """The job of ``product_integral``."""
+    """The job of ``product_integral``: the product spec, whose structure
+    ``_prepare`` derives, or a callable where a factor is raw."""
     specs, fns = [], []
-    kappa_l = kappa_r = 0.0
-    breaks: set = set()
     for w, ex in parts:
         if w is None or ex == 0:
             continue
         if callable(w):
             fns.append((w, ex))
         else:
-            sp = fs.power_of(w, ex)
-            specs.append(sp)
-            kappa_l += fs.endpoint_exponent(sp, interval, "left")
-            kappa_r += fs.endpoint_exponent(sp, interval, "right")
-            breaks.update(fs.breakpoints(sp, interval))
+            specs.append(fs.power_of(w, ex))
     specs = fs.merge_product(specs)
     if not fns:
-        target = specs[0] if len(specs) == 1 else fs.Product(specs)
-        return Job(target, interval, tol, endpoint_exponents=(kappa_l, kappa_r))
+        return Job(specs[0] if len(specs) == 1 else fs.Product(specs), interval, tol)
+    # the callable hides the spec factors' structure from _prepare
+    known = fs.Product(specs)
+    kappas = tuple(fs.endpoint_structure(known, interval, side)[0]
+                   for side in ("left", "right"))
     progs = [fs.compile_program(sp, interval) for sp in specs]
 
     def fn(xs):
@@ -701,8 +702,8 @@ def product_job(parts, interval: fs.Interval, tol: Optional[float] = None) -> Jo
             out = out * (vals if ex == 1 else vals**ex)
         return out
 
-    return Job(fn, interval, tol, breakpoints=sorted(breaks),
-               endpoint_exponents=(kappa_l, kappa_r))
+    return Job(fn, interval, tol, breakpoints=fs.breakpoints(known, interval),
+               endpoint_exponents=kappas)
 
 
 def product_integral(parts, interval: fs.Interval,
@@ -765,9 +766,7 @@ def cumulative(f: Integrand, interval: fs.Interval, side: str = "head",
                                         + np.abs(nodes).max(axis=1) * reach)))
     rounding = np.finfo(float).eps * (worst + len(in_x) * float(np.abs(in_x).sum()))
     # one order more than f at each end; the total at the far end
-    ends = [(0.0, math.inf)] * 2 if callable(f) else [
-        fs.endpoint_structure(f, interval, end) for end in ("left", "right")]
-    ends = [(kappa + 1.0, rho + 1.0) for kappa, rho in ends]
+    ends = [(kappa + 1.0, rho + 1.0) for kappa, rho in runs[0].ends]
     total = edges[-1] if head else edges[0]
     if total:
         ends[head] = (0.0, ends[head][1])
@@ -821,8 +820,8 @@ def sup_on_interval(
     a, b = interval.a, interval.b
     home = home or interval
     if not callable(g):
-        kappa_l = fs.endpoint_exponent(g, home, "left")
-        kappa_r = fs.endpoint_exponent(g, home, "right")
+        kappa_l = fs.endpoint_structure(g, home, "left")[0]
+        kappa_r = fs.endpoint_structure(g, home, "right")[0]
         eval_fn = fs.compile_program(g, home)
     else:
         kappa_l = kappa_r = 0.0

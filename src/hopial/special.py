@@ -76,8 +76,9 @@ def boyd_I_result(p: BoydParams, tol: float = 1e-10) -> quad.QuadResult:
 
     t^(1/nu - 1) is endpoint-singular for nu > 1.  For eta = 0 both
     brackets vanish linearly at t = 1 and the product behaves like
-    (1-t)^(-1/s): a regular zero for eta > 0, an integrable singularity
-    at eta = 0, handled via the declared exponent.
+    (1-t)^(-1/s): an integrable singularity, declared to the quadrature
+    because the min rule of a sum cannot see the cancellation.  For
+    eta > 0 the right end is regular.
     """
     _require_eta_below_s(p)
     nu, eta, s = p.nu, p.eta, p.s
@@ -91,11 +92,8 @@ def boyd_I_result(p: BoydParams, tol: float = 1e-10) -> quad.QuadResult:
             fs.PowerLaw(1.0, 1.0 / nu - 1.0),
         ]
     )
-    kappa_left = 1.0 / nu - 1.0
-    kappa_right = -1.0 / s if eta == 0.0 else 0.0
-    return quad.integrate(
-        integrand, iv, tol=tol, endpoint_exponents=(kappa_left, kappa_right)
-    )
+    declared = (1.0 / nu - 1.0, -1.0 / s) if eta == 0.0 else None
+    return quad.integrate(integrand, iv, tol=tol, endpoint_exponents=declared)
 
 
 def boyd_I(p: BoydParams, tol: float = 1e-10) -> float:

@@ -150,10 +150,11 @@ def _lhs_plan(inst: TheoremInstance, resolved, tol):
         inv = fs.PowerLaw(1.0, 1.0)
         job = quad.product_job([(F, p), (inv, -p)], inst.interval, tol)
         # F / (x - a) tends to f(a) even where F is a cancelling sum, so the
-        # left exponent is p kappa_f(a) (a raw callable f counts as regular)
-        kappa_f = 0.0 if callable(inst.f) else fs.endpoint_exponent(
-            inst.f, inst.interval, "left")
-        job = replace(job, endpoint_exponents=(p * kappa_f, job.endpoint_exponents[1]))
+        # left exponent is p kappa_f(a) (a raw callable f counts as regular);
+        # F(b) > 0, so the right end is regular
+        kappa_f = 0.0 if callable(inst.f) else fs.endpoint_structure(
+            inst.f, inst.interval, "left")[0]
+        job = replace(job, endpoint_exponents=(p * kappa_f, 0.0))
         return job, (1.0, p, f_rel)
     raise HopialError(f"unknown lhs shape {shape}")
 

@@ -105,6 +105,25 @@ class TestCommands:
         assert code == 1
         assert err.startswith("error: ") and "overflows" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--theorem", "HARDY", "--p", "2", "--f", "const:abc"],
+        ["verify", "--theorem", "HARDY", "--p", "2", "--f", "pow:1,2,3"],
+        ["verify", "--theorem", "HARDY", "--p", "2", "--f",
+         '{"variant":"PowerLaw","c":1}'],
+        "config",
+        ["lemma", "--variant", "OPIAL", "--path", "hat:x"],
+    ], ids=["const-abc", "pow-three-args", "json-no-alpha", "config-c-x", "path-hat-x"])
+    def test_malformed_function_exit_one(self, argv, tmp_path, capsys):
+        if argv == "config":
+            config = cli.RunConfig(command="verify", theorem="HARDY", p=2.0,
+                                   f={"variant": "Constant", "c": "x"})
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config.to_json()))
+            argv = ["--config", str(path)]
+        code = cli.main(argv)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_inconclusive_exit_three(self, capsys):
         # the second grid member's cube diverges: recorded, not fatal
         code = cli.main(

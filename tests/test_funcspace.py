@@ -363,17 +363,6 @@ class TestJsonRoundTrip:
 
 
 class TestStructure:
-    def test_endpoint_exponents(self, unit):
-        assert fs.endpoint_exponent(fs.PowerLaw(1.0, -0.5), unit, "left") == -0.5
-        assert fs.endpoint_exponent(fs.PowerLaw(1.0, -0.5), unit, "right") == 0.0
-        spec = fs.Product([fs.PowerLaw(1.0, -0.5), fs.ShiftedPowerLaw(1.0, 2.0)])
-        assert fs.endpoint_exponent(spec, unit, "right") == 2.0
-        assert fs.endpoint_exponent(
-            fs.Power(fs.PowerLaw(2.0, 1.0), -0.5), unit, "left"
-        ) == -0.5
-        hat = fs.PiecewiseLinear([(0, 0), (0.5, 1), (1, 0)])
-        assert fs.endpoint_exponent(hat, unit, "left") == 1.0
-
     def test_endpoint_structure(self, unit):
         inf = math.inf
 
@@ -385,6 +374,9 @@ class TestStructure:
         assert both(fs.PowerLaw(1.0, -2.0)) == (-2.0, inf)
         assert both(fs.PowerLaw(1.0, 0.3), "right") == (0.0, inf)
         assert both(fs.PowerLaw(1.3, 0.3)) == (0.3, 0.3)
+        assert both(fs.PowerLaw(1.0, -0.5)) == (-0.5, -0.5)
+        assert both(fs.PowerLaw(1.0, -0.5), "right") == (0.0, inf)
+        assert both(fs.PiecewiseLinear([(0, 0), (0.5, 1), (1, 0)])) == (1.0, inf)
         assert both(fs.ShiftedPowerLaw(1.0, -0.4), "right") == (-0.4, -0.4)
         # a sum takes the least exponent of each kind
         law = fs.Sum([fs.Constant(1.0), fs.PowerLaw(1.3, 0.7)])
@@ -393,6 +385,8 @@ class TestStructure:
         assert both(fs.Product([fs.PowerLaw(1.0, 0.5), law, fs.PowerLaw(1.0, 2.0)])) == (
             2.5, 2.5)
         assert both(fs.Product([law, fs.PowerLaw(1.0, 2.0)])) == (2.0, 2.7)
+        assert both(fs.Product([fs.PowerLaw(1.0, -0.5), fs.ShiftedPowerLaw(1.0, 2.0)]),
+                    "right") == (2.0, inf)
         # (t^2 (1 + t^0.5))^0.5 = t (1 + ...): the fraction enters at 1.5
         base = fs.Product([fs.PowerLaw(1.0, 2.0), fs.Sum([fs.Constant(1.0),
                                                            fs.PowerLaw(1.0, 0.5)])])
@@ -400,10 +394,6 @@ class TestStructure:
         assert both(fs.Power(fs.PowerLaw(2.0, 1.0), -0.5)) == (-0.5, -0.5)
         assert both(fs.Power(fs.Sum([fs.Constant(1.0), fs.PowerLaw(1.0, 1.0)]), 0.5)) == (
             0.0, inf)
-        # endpoint_exponent is the first half
-        for spec in (law, base, fs.Power(base, 0.5)):
-            for side in ("left", "right"):
-                assert fs.endpoint_exponent(spec, unit, side) == both(spec, side)[0]
 
     def test_breakpoints_collects_knots(self, unit):
         spec = fs.Product(

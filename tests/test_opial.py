@@ -186,6 +186,21 @@ class TestVariants:
         )
         assert bs2.status == "Holds"
 
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.25, 2.0)])
+    @pytest.mark.parametrize("ident,boundary", [("Z1", "left"), ("Z4", "right")])
+    def test_z1_z4_constant_carries_its_integral_error(self, ident, boundary, a, b):
+        # r = s = 1, p = q = 1: K = 2^(-1/2) (w^2 / 2)^(1/2) = w / 2, and the
+        # budget is the constant's own quadrature error, not a fixed 1e-8
+        iv = fs.Interval(a, b)
+        rec = opial.verify_variant(
+            opial.variant(ident), opial.linear_path(iv, boundary),
+            weights={"r": ONE, "s": ONE},
+            exponents=E(p=1.0, q=1.0, conjugate_check=False),
+        )
+        assert rec.constant == pytest.approx(iv.width / 2.0, rel=1e-12)
+        assert rec.status == "Holds"
+        assert rec.error_budget < 1e-9
+
     def test_bw1_delegates_to_eigen(self, unit):
         steep = opial.path_from_spec(
             fs.PiecewiseLinear([(0, 0), (0.05, 1), (1, 1.0)]), unit

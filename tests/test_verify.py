@@ -288,6 +288,47 @@ class TestBatchedSweep:
         assert "NaN" in str(got[3])
 
 
+class TestStructureWalks:
+    """quad._prepare derives each integral's structure: at most one
+    ``endpoint_structure`` walk per integral end and one ``breakpoints``
+    walk per integral.  A member of these sweeps has two integrals (HARDY
+    walks f once more, for F / (x - a) at the left end)."""
+
+    @staticmethod
+    def walks(monkeypatch, ident, count):
+        counts = {"endpoint_structure": 0, "breakpoints": 0}
+        depth = [0]
+
+        def counted(name, real):
+            def wrapper(*args):
+                counts[name] += depth[0] == 0
+                depth[0] += 1
+                try:
+                    return real(*args)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for name in counts:
+                patch.setattr(fs, name, counted(name, getattr(fs, name)))
+            iv = fs.Interval(0.0, 1.0)
+            r, s = suite_weights(ident, 0)
+            family = fs.RandomPiecewiseLinear(n_knots=4, value_range=(0.0, 1.0),
+                                              seed=11, interval=iv)
+            sw = vf.sweep(ident, family, r, s, SUITE_EXPONENTS.get(ident, E()), iv, count)
+        assert sw.n_holds == count
+        return counts
+
+    @pytest.mark.parametrize("ident", ["T2.1", "T2.4", "T2.27", "HARDY"])
+    def test_one_walk_per_integral_end(self, monkeypatch, ident):
+        small = self.walks(monkeypatch, ident, 10)
+        large = self.walks(monkeypatch, ident, 20)
+        per_member = {name: (large[name] - small[name]) / 10 for name in small}
+        assert per_member["endpoint_structure"] <= (5 if ident == "HARDY" else 4)
+        assert per_member["breakpoints"] <= 2
+
+
 class TestHardyCancellingAntiderivative:
     """F of these f is a cancelling Sum; F / (x - a) still tends to f(a)."""
 
@@ -315,12 +356,9 @@ class TestHardyCancellingAntiderivative:
         ref, _ = integrate.quad(lambda x: F_over_t(x) ** 2, a, b,
                                 epsabs=0.0, epsrel=1e-13, limit=200)
         assert vf.assemble_lhs(case).value == pytest.approx(ref, rel=1e-9)
-        if which == "exp":
-            # the sum's right side integral of f^2 still loses b - x to
-            # round-off in the substitution x = b - u^m
-            rep = vf.verify(case)
-            assert rep.lhs == pytest.approx(ref, rel=1e-9)
-            assert rep.status == "Holds"
+        rep = vf.verify(case)
+        assert rep.lhs == pytest.approx(ref, rel=1e-9)
+        assert rep.status == "Holds"
 
 
 class TestSharpness:
