@@ -363,6 +363,21 @@ class TestJsonRoundTrip:
 
 
 class TestStructure:
+    def test_endpoint_exponents(self, unit):
+        inf = math.inf
+
+        def both(spec, side="left"):
+            return fs.endpoint_structure(spec, unit, side)
+
+        # the leading exponent kappa, with the first fractional exponent rho
+        assert both(fs.PowerLaw(1.0, -0.5)) == (-0.5, -0.5)
+        assert both(fs.PowerLaw(1.0, -0.5), "right") == (0.0, inf)
+        spec = fs.Product([fs.PowerLaw(1.0, -0.5), fs.ShiftedPowerLaw(1.0, 2.0)])
+        assert both(spec, "right") == (2.0, inf)
+        assert both(fs.Power(fs.PowerLaw(2.0, 1.0), -0.5)) == (-0.5, -0.5)
+        hat = fs.PiecewiseLinear([(0, 0), (0.5, 1), (1, 0)])
+        assert both(hat) == (1.0, inf)
+
     def test_endpoint_structure(self, unit):
         inf = math.inf
 
@@ -374,9 +389,6 @@ class TestStructure:
         assert both(fs.PowerLaw(1.0, -2.0)) == (-2.0, inf)
         assert both(fs.PowerLaw(1.0, 0.3), "right") == (0.0, inf)
         assert both(fs.PowerLaw(1.3, 0.3)) == (0.3, 0.3)
-        assert both(fs.PowerLaw(1.0, -0.5)) == (-0.5, -0.5)
-        assert both(fs.PowerLaw(1.0, -0.5), "right") == (0.0, inf)
-        assert both(fs.PiecewiseLinear([(0, 0), (0.5, 1), (1, 0)])) == (1.0, inf)
         assert both(fs.ShiftedPowerLaw(1.0, -0.4), "right") == (-0.4, -0.4)
         # a sum takes the least exponent of each kind
         law = fs.Sum([fs.Constant(1.0), fs.PowerLaw(1.3, 0.7)])
@@ -385,8 +397,6 @@ class TestStructure:
         assert both(fs.Product([fs.PowerLaw(1.0, 0.5), law, fs.PowerLaw(1.0, 2.0)])) == (
             2.5, 2.5)
         assert both(fs.Product([law, fs.PowerLaw(1.0, 2.0)])) == (2.0, 2.7)
-        assert both(fs.Product([fs.PowerLaw(1.0, -0.5), fs.ShiftedPowerLaw(1.0, 2.0)]),
-                    "right") == (2.0, inf)
         # (t^2 (1 + t^0.5))^0.5 = t (1 + ...): the fraction enters at 1.5
         base = fs.Product([fs.PowerLaw(1.0, 2.0), fs.Sum([fs.Constant(1.0),
                                                            fs.PowerLaw(1.0, 0.5)])])
