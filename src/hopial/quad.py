@@ -84,6 +84,7 @@ SMOOTH_TOL = 1e-10
 SINGULAR_TOL = 1e-7
 DEFAULT_PANEL_BUDGET = 10_000
 _RAW_CALLABLE_INFLATION = 10.0
+_ROUNDING = 16.0 * np.finfo(float).eps
 
 # Kronrod-15 abscissae (ascending) with embedded Gauss-7 weights.
 _NODES = np.array(
@@ -268,12 +269,16 @@ class _Piece:
 
 
 def _panel_rule(ys, half):
-    """Kronrod-15 values and |K15 - G7| errors, one row per panel.  The
-    weighted sums reduce each row on its own (BLAS gemv does not: a row's
-    result changes with the number of rows), so a panel gets the same bits
-    alone as in a batch."""
-    vals = half * (ys * _WK).sum(axis=1)
-    return vals, np.abs(vals - half * (ys * _WG).sum(axis=1))
+    """Kronrod-15 values and |K15 - G7| errors, one row per panel.  A
+    panel's error is at least 16 eps half sum |w_k y_k|, the rounding of
+    its weighted sum, which |K15 - G7| misses where the two rules round
+    alike.  The weighted sums reduce each row on its own (BLAS gemv does
+    not: a row's result changes with the number of rows), so a panel gets
+    the same bits alone as in a batch."""
+    terms = ys * _WK
+    vals = half * terms.sum(axis=1)
+    gaps = np.abs(vals - half * (ys * _WG).sum(axis=1))
+    return vals, np.maximum(gaps, _ROUNDING * half * np.abs(terms).sum(axis=1))
 
 
 def _running_rule(ys, half):

@@ -442,9 +442,11 @@ EXPONENTS = st.one_of(st.floats(-0.98, -0.02),
                       st.floats(0.02, 2.98).filter(lambda e: abs(e - round(e)) > 1e-3))
 
 
-def _qaws(g, iv, alpha, beta):
-    """QUADPACK's integral of g(x) (x - a)^alpha (b - x)^beta and its error."""
-    return sp_integrate.quad(g, iv.a, iv.b, weight="alg", wvar=(alpha, beta),
+def _qaws(g, w, alpha, beta):
+    """QUADPACK's integral of g(t) t^alpha (w - t)^beta over (0, w) and its
+    error, in the distance t from the anchored end: on (a, a + w) at a large
+    shift a, x - a would round."""
+    return sp_integrate.quad(g, 0.0, w, weight="alg", wvar=(alpha, beta),
                              epsabs=0.0, epsrel=1e-13, limit=200)
 
 
@@ -467,23 +469,18 @@ class TestGradedEndpoints:
         iv = fs.Interval(a, a + w)
         w = iv.b - iv.a  # the width a + w rounds to, exactly
         law = fs.PowerLaw if side == "left" else fs.ShiftedPowerLaw
-        weights = (alpha, 0.0) if side == "left" else (0.0, alpha)
-
-        def dist(x):
-            return x - iv.a if side == "left" else iv.b - x
-
         power = c * w ** (alpha + 1.0) / (alpha + 1.0)
         if kind == "power":
             spec, exact = law(c, alpha), power
-            oracle = _qaws(lambda x: c, iv, *weights)
+            oracle = _qaws(lambda t: c, w, alpha, 0.0)
         elif kind == "sum":
             spec, exact = fs.Sum([fs.Constant(1.0), law(c, alpha)]), w + power
-            value, err = _qaws(lambda x: c, iv, *weights)
+            value, err = _qaws(lambda t: c, w, alpha, 0.0)
             oracle = (w + value, err)
         else:  # times the polynomial 0.7 + 1.9 t in the distance t
             spec = fs.Product([law(c, alpha), fs.Sum([fs.Constant(0.7), law(1.9, 1.0)])])
             exact = 0.7 * power + 1.9 * c * w ** (alpha + 2.0) / (alpha + 2.0)
-            oracle = _qaws(lambda x: c * (0.7 + 1.9 * dist(x)), iv, *weights)
+            oracle = _qaws(lambda t: c * (0.7 + 1.9 * t), w, alpha, 0.0)
         _check(quad.integrate(spec, iv), exact, oracle)
 
     @settings(max_examples=40, deadline=None)
@@ -495,14 +492,14 @@ class TestGradedEndpoints:
         if kind == "product":
             spec = fs.Product([fs.PowerLaw(c, alpha), fs.ShiftedPowerLaw(1.0, beta)])
             exact = c * w ** (alpha + beta + 1.0) * special.beta(alpha + 1.0, beta + 1.0)
-            oracle = _qaws(lambda x: c, iv, alpha, beta)
+            oracle = _qaws(lambda t: c, w, alpha, beta)
         else:
             spec = fs.Sum([fs.Constant(1.0), fs.PowerLaw(c, alpha),
                            fs.ShiftedPowerLaw(1.0, beta)])
             exact = (w + c * w ** (alpha + 1.0) / (alpha + 1.0)
                      + w ** (beta + 1.0) / (beta + 1.0))
-            left, e1 = _qaws(lambda x: c, iv, alpha, 0.0)
-            right, e2 = _qaws(lambda x: 1.0, iv, 0.0, beta)
+            left, e1 = _qaws(lambda t: c, w, alpha, 0.0)
+            right, e2 = _qaws(lambda t: 1.0, w, 0.0, beta)
             oracle = (w + left + right, e1 + e2)
         _check(quad.integrate(spec, iv), exact, oracle)
 
