@@ -1,4 +1,7 @@
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -490,3 +493,70 @@ class TestReflectionDuality:
         ref = vf.verify(inst(right, mirror(r), mirror(s), mirror(f), e, iv))
         assert (rep.status, ref.status) == ("Holds", "Holds")
         assert ref.ratio == pytest.approx(rep.ratio, rel=1e-13, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# a golden grid of theorem checks: every id in its default mode, and in both
+# modes where they differ; a 4-knot piecewise-linear f and the singular
+# f = x^-0.15, on (0, 1) and on a shifted interval; the seed-0 suite weights
+# and exponents.  tests/data/theorem_golden.json holds the reprs the grid
+# gave when it was recorded, or the error a case raised;
+# `python tests/test_verify.py OUT.json` records it afresh.
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).with_name("data") / "theorem_golden.json"
+
+GRID_INTERVALS = ((0.0, 1.0), (1.25, 2.0))
+
+
+def _grid_functions(iv):
+    a, w = iv.a, iv.width
+    pwl = fs.PiecewiseLinear([(a, 0.2), (a + 0.3 * w, 1.0), (a + 0.7 * w, 0.4),
+                              (iv.b, 0.8)])
+    return (("pwl", pwl), ("pow:-0.15", fs.PowerLaw(1.0, -0.15)))
+
+
+def grid_cases(ident):
+    """(label, thunk) per grid case of the theorem; the thunk runs it."""
+    modes = (("as_printed", "as_derived") if ct.theorem_info(ident).modes_differ
+             else ("default",))
+    r, s = suite_weights(ident, 0)
+    e = SUITE_EXPONENTS.get(ident, E())
+    out = []
+    for mode in modes:
+        for a, b in GRID_INTERVALS:
+            iv = fs.Interval(a, b)
+            for name, f in _grid_functions(iv):
+                out.append((f"{ident} {mode} {name} ({a:g}, {b:g})",
+                            lambda f=f, iv=iv, mode=mode:
+                            vf.verify(inst(ident, r, s, f, e, iv, mode))))
+    return out
+
+
+def grid_record(run):
+    try:
+        rep = run()
+    except HopialError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+    return {"lhs": repr(rep.lhs), "rhs_core": repr(rep.rhs_core),
+            "constant": repr(rep.constant), "ratio": repr(rep.ratio),
+            "status": rep.status, "budget": repr(rep.error_budget)}
+
+
+class TestGoldenGrid:
+    @pytest.mark.parametrize("ident", ct.THEOREM_IDS)
+    def test_theorem_matches_recording(self, ident):
+        golden = json.loads(GOLDEN.read_text())
+        cases = grid_cases(ident)
+        assert {label for label, _ in cases} == {
+            label for label in golden if label.split()[0] == ident}
+        for label, run in cases:
+            assert grid_record(run) == golden[label], label
+
+
+if __name__ == "__main__":
+    recorded = {label: grid_record(run)
+                for ident in ct.THEOREM_IDS for label, run in grid_cases(ident)}
+    with open(sys.argv[1], "w", encoding="utf-8") as handle:
+        json.dump(recorded, handle, indent=1, sort_keys=True)
+        handle.write("\n")
