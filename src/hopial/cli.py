@@ -554,8 +554,7 @@ def suite_report(seed: int = 0, count: int = 200, out_dir: Optional[str] = None)
         cases.append({"name": f"sweep_{ident}", "report": doc})
 
     # 5. dual-mode audit of the typo-suspect entries
-    for ident in ("T2.16", "T2.17", "T2.22", "T2.23", "T2.27", "T2.28",
-                  "T2.30", "T2.31"):
+    for ident in (i for i in ct.THEOREM_IDS if ct.THEOREMS[i].modes_differ):
         for mode in ("as_printed", "as_derived"):
             if ident in ("T2.30", "T2.31") and mode == "as_printed":
                 cases.append({

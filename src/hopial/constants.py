@@ -8,12 +8,15 @@ and this module computes the constant as a product of named factors.  Odd
 theorem numbers integrate f from the left endpoint and use the tail
 integral R(x,b); their even partners mirror everything through R(a,x).
 
+Each theorem is one row of ``THEOREMS`` (``TheoremInfo``): its sides,
+weights, exponent check, constant builder and default mode, as data.
+
 Two evaluation modes exist for the handful of catalog entries whose
 typeset constant differs from the one their derivation supports
 ("as_printed" vs "as_derived"); everywhere else the modes coincide.  The
-default mode is as_printed except where the printed form is vacuous
-(the Beesack k = q substitution) or where the printed special-function
-form drops an exponent (the L-based constants); see DEFAULT_MODES.
+default mode is as_printed, the L-based constants included (their typeset
+L is the sound reading), except where the printed form is vacuous (the
+Beesack k = q substitution); see DEFAULT_MODES.
 """
 
 from __future__ import annotations
@@ -284,16 +287,28 @@ def beesack_K(e: ExponentSet, r, s, interval: fs.Interval, side: str = "left",
 
 @dataclass(frozen=True)
 class TheoremInfo:
-    """Catalog entry: arity, orientation and the constant builder."""
+    """A theorem, a lemma applied to y = F: (int w F^P)^(d/P) <= C (int
+    [rhs_weight] f^E)^outer.  F integrates f from the ``side`` end, w is r
+    (HARDY: (x - a)^-p), d the degree of both sides in f.  ``check`` gives
+    the exponents x, and lhs(x) = (P, d), rhs(x) = (E, outer), outer None
+    for the integral itself.  ``weights`` is "rs", "r" or "" (HARDY);
+    ``rhs_weight`` is "", "s", "R" or "R*s", R the running integral of r
+    from the other end."""
 
     ident: str
-    side: str  # "left": F integrates f from a; "right": from b
-    needs_s: bool
+    side: str
     build: Callable  # (ctx) -> ConstantBreakdown
     check: Callable  # (ExponentSet) -> dict of resolved exponents
-    lhs: tuple  # shape tag consumed by the verifier
-    rhs: tuple
+    lhs: Callable
+    rhs: Callable
+    weights: str = "r"
+    rhs_weight: str = ""
     modes_differ: bool = False
+    default_mode: str = "as_printed"
+
+    @property
+    def needs_s(self) -> bool:
+        return "s" in self.weights
 
 
 @dataclass
@@ -306,6 +321,7 @@ class _Ctx:
     tol: float
     side: str
     exps: dict = field(default_factory=dict)
+    rhs_weight: str = ""
 
     _R: Optional[quad.RunningIntegral] = None
 
@@ -339,11 +355,14 @@ class _Ctx:
         return self.interval.width
 
 
-def _breakdown(ctx, factors, rel_err, rhs_weight=None):
+def _breakdown(ctx, factors, rel_err):
+    """The constant from its factors; a right-side weight that carries R is
+    named for the report."""
     value = 1.0
     for _, v in factors:
         value *= v
-    return ConstantBreakdown(value, tuple(factors), ctx.mode, rel_err, rhs_weight)
+    weight = ctx.rhs_weight.replace("R", ctx.R_name) if "R" in ctx.rhs_weight else None
+    return ConstantBreakdown(value, tuple(factors), ctx.mode, rel_err, weight)
 
 
 # -- individual builders -----------------------------------------------------
@@ -380,8 +399,7 @@ def _build_t2_7(ctx: _Ctx):
 
 def _build_t2_9(ctx: _Ctx):
     inv = ctx.integral((ctx.s, -1.0))
-    return _breakdown(ctx, [("int 1/s", inv.value)], inv.rel_error,
-                      rhs_weight=f"{ctx.R_name}*s")
+    return _breakdown(ctx, [("int 1/s", inv.value)], inv.rel_error)
 
 
 def _build_t2_11(ctx: _Ctx):
@@ -443,8 +461,7 @@ def _build_c2_1(ctx: _Ctx):
 
 def _build_t2_18(ctx: _Ctx):
     p = ctx.exps["p"]
-    return _breakdown(ctx, [("(b-a)^p", ctx.width() ** p)], ctx.R.rel_error,
-                      rhs_weight=ctx.R_name)
+    return _breakdown(ctx, [("(b-a)^p", ctx.width() ** p)], 0.0)
 
 
 def _build_t2_20(ctx: _Ctx):
@@ -605,71 +622,71 @@ def _check_hardy(e: ExponentSet):
 # -- registry ----------------------------------------------------------------
 
 
-def _pair(num_left, num_right, needs_s, build, check, lhs, rhs, modes_differ=False):
-    out = {}
-    for ident, side in ((num_left, "left"), (num_right, "right")):
-        out[ident] = TheoremInfo(ident, side, needs_s, build, check, lhs, rhs,
-                                 modes_differ)
-    return out
+def _pair(left, right, build, check, lhs, rhs, **fields):
+    """The rows of a theorem and its mirror (None: no mirror)."""
+    return {ident: TheoremInfo(ident, side, build, check, lhs, rhs, **fields)
+            for ident, side in ((left, "left"), (right, "right")) if ident}
 
 
-THEOREMS: dict = {}
-THEOREMS.update(_pair("T2.1", "T2.2", True, _build_t2_1, _check_none,
-                      ("sq_int_r_F",), ("int_f_pow", "2", "s")))
-THEOREMS.update(_pair("T2.3", "T2.4", False, _build_t2_3, _check_none,
-                      ("int_r_F_pow", "2"), ("int_f_pow", "2", None)))
-THEOREMS.update(_pair("T2.5", "T2.6", True, _build_t2_5, _check_none,
-                      ("int_r_F_pow", "2"), ("int_f_pow", "2", "s")))
-THEOREMS.update(_pair("T2.7", "T2.8", True, _build_t2_7, _check_conjugate,
-                      ("int_r_F_pow", "2"), ("pow_int_f", "q", "2/q", "s")))
-THEOREMS.update(_pair("T2.9", "T2.10", True, _build_t2_9, _check_none,
-                      ("int_r_F_pow", "2"), ("int_f_pow", "2", "rhs_weight")))
-THEOREMS.update(_pair("T2.11", "T2.12", False, _build_t2_11, _check_pint(1),
-                      ("int_r_F_pow", "p+1"), ("int_f_pow", "p+1", None)))
-THEOREMS["T2.13"] = TheoremInfo("T2.13", "left", True, _build_t2_13,
-                                _check_pint(1), ("int_r_F_pow", "p+1"),
-                                ("int_f_pow", "p+1", "s"))
-THEOREMS.update(_pair("T2.14", "T2.15", True, _build_t2_14, _check_pint(1),
-                      ("int_r_F_pow", "p+1"), ("int_f_pow", "p+1", "s")))
-THEOREMS.update(_pair("T2.16", "T2.17", False, _build_t2_16, _check_conj_int,
-                      ("int_r_F_pow", "p+1"),
-                      ("pow_int_f", "p(p+1)/(p-1)", "(p-1)/p", None), True))
-THEOREMS.update(_pair("T2.18", "T2.19", False, _build_t2_18, _check_pint(0),
-                      ("int_r_F_pow", "p+1"),
-                      ("int_f_pow", "p+1", "rhs_weight")))
-THEOREMS.update(_pair("T2.20", "T2.21", False, _build_t2_20, _check_boyd,
-                      ("int_r_F_pow", "p+1"), ("pow_int_f", "k", "(p+1)/k", None)))
-# the typeset right side of the L-based pair carries outer power p+1 on
-# int f^q, which is not f-homogeneous; the chain supports (p+1)/q
-THEOREMS.update(_pair("T2.22", "T2.23", False, _build_t2_22, _check_pq_gt1,
-                      ("int_r_F_pow", "p+1"), ("pow_int_f", "q", "(p+1)/q", None),
-                      True))
-THEOREMS.update(_pair("T2.27", "T2.28", True, _build_t2_27, _check_pq_gt1,
-                      ("int_r_F_pow", "p+1"),
-                      ("pow_int_f", "pq+q", "1/q", "s"), True))
-THEOREMS.update(_pair("T2.30", "T2.31", True, _build_t2_30, _check_beesack_k,
-                      ("int_r_F_pow", "p+1"),
-                      ("pow_int_f", "k", "(p+1)/k", "s"), True))
-THEOREMS.update(_pair("C2.1a", "C2.1b", False, _build_c2_1, _check_conj_int,
-                      ("root_int_r_F", "p+1"),
-                      ("pow_int_f", "p(p+1)/(p-1)", "(p-1)/(p(p+1))", None)))
-THEOREMS.update(_pair("C2.2a", "C2.2b", False, _build_c2_1, _check_conj_int,
-                      ("root_int_r_F", "p+1"),
-                      ("pow_int_f", "p(p+1)/(p-1)", "(p-1)/(p(p+1))", None)))
-THEOREMS["HARDY"] = TheoremInfo("HARDY", "left", False, _build_hardy,
-                                _check_hardy, ("hardy",), ("int_f_pow", "p", None))
+# the sides as functions of the resolved exponents x: lhs (P, d), rhs (E, outer)
+_F2, _FP1 = (lambda x: (2.0, 2.0)), (lambda x: (x["p"] + 1.0, x["p"] + 1.0))
+_ROOT_FP1 = lambda x: (x["p"] + 1.0, 1.0)  # (int r F^(p+1))^(1/(p+1))
+_f2, _fp1 = (lambda x: (2.0, None)), (lambda x: (x["p"] + 1.0, None))
+_fk = lambda x: (x["k"], (x["p"] + 1.0) / x["k"])
+
+
+def _f_pp1(outer):
+    """(int f^(p(p+1)/(p-1)))^outer(p)."""
+    return lambda x: (x["p"] * (x["p"] + 1.0) / (x["p"] - 1.0), outer(x["p"]))
+
+
+THEOREMS: dict = {
+    **_pair("T2.1", "T2.2", _build_t2_1, _check_none, lambda x: (1.0, 2.0), _f2,
+            weights="rs", rhs_weight="s"),
+    **_pair("T2.3", "T2.4", _build_t2_3, _check_none, _F2, _f2),
+    **_pair("T2.5", "T2.6", _build_t2_5, _check_none, _F2, _f2, weights="rs",
+            rhs_weight="s"),
+    **_pair("T2.7", "T2.8", _build_t2_7, _check_conjugate, _F2,
+            lambda x: (x["q"], 2.0 / x["q"]), weights="rs", rhs_weight="s"),
+    **_pair("T2.9", "T2.10", _build_t2_9, _check_none, _F2, _f2, weights="rs",
+            rhs_weight="R*s"),
+    **_pair("T2.11", "T2.12", _build_t2_11, _check_pint(1), _FP1, _fp1),
+    **_pair("T2.13", None, _build_t2_13, _check_pint(1), _FP1, _fp1, weights="rs",
+            rhs_weight="s"),
+    **_pair("T2.14", "T2.15", _build_t2_14, _check_pint(1), _FP1, _fp1,
+            weights="rs", rhs_weight="s"),
+    **_pair("T2.16", "T2.17", _build_t2_16, _check_conj_int, _FP1,
+            _f_pp1(lambda p: (p - 1.0) / p), modes_differ=True),
+    **_pair("T2.18", "T2.19", _build_t2_18, _check_pint(0), _FP1, _fp1,
+            rhs_weight="R"),
+    **_pair("T2.20", "T2.21", _build_t2_20, _check_boyd, _FP1, _fk),
+    # the typeset right side of the L-based pair carries outer power p+1 on
+    # int f^q, which is not f-homogeneous; the chain supports (p+1)/q.  The
+    # constant defaults to the typeset L: restoring the dropped Gamma-ratio
+    # power makes it smaller than the sharp one (e.g. 0.0159 < 0.213 at
+    # (nu, eta) = (4, 2)) and the bound numerically false, while the typeset
+    # value stays above the Boyd limit on the conjugate (pq, q) range.  Both
+    # readings remain available per instance.
+    **_pair("T2.22", "T2.23", _build_t2_22, _check_pq_gt1, _FP1,
+            lambda x: (x["q"], (x["p"] + 1.0) / x["q"]), modes_differ=True),
+    **_pair("T2.27", "T2.28", _build_t2_27, _check_pq_gt1, _FP1,
+            lambda x: (x["p"] * x["q"] + x["q"], 1.0 / x["q"]),
+            weights="rs", rhs_weight="s", modes_differ=True),
+    # printed k = q is vacuous there, so the k-free derived reading is default
+    **_pair("T2.30", "T2.31", _build_t2_30, _check_beesack_k, _FP1, _fk,
+            weights="rs", rhs_weight="s", modes_differ=True,
+            default_mode="as_derived"),
+    **_pair("C2.1a", "C2.1b", _build_c2_1, _check_conj_int, _ROOT_FP1,
+            _f_pp1(lambda p: (p - 1.0) / (p * (p + 1.0)))),
+    **_pair("C2.2a", "C2.2b", _build_c2_1, _check_conj_int, _ROOT_FP1,
+            _f_pp1(lambda p: (p - 1.0) / (p * (p + 1.0)))),
+    **_pair("HARDY", None, _build_hardy, _check_hardy, lambda x: (x["p"], x["p"]),
+            lambda x: (x["p"], None), weights=""),
+}
 
 THEOREM_IDS = tuple(sorted(THEOREMS))
 
-DEFAULT_MODES = {ident: "as_printed" for ident in THEOREM_IDS}
-# printed k = q is vacuous there, so the k-free derived reading is default
-for _ident in ("T2.30", "T2.31"):
-    DEFAULT_MODES[_ident] = "as_derived"
-# The L-based constants default to the typeset L: restoring the dropped
-# Gamma-ratio power makes the constant smaller than the sharp one (e.g.
-# 0.0159 < 0.213 at (nu, eta) = (4, 2)) and the bound numerically false,
-# while the typeset value stays above the Boyd limit on the conjugate
-# (pq, q) range.  Both readings remain available per instance.
+DEFAULT_MODES = {ident: THEOREMS[ident].default_mode for ident in THEOREM_IDS}
 
 _ALIASES = {"HARDY_CLASSICAL": "HARDY"}
 
@@ -696,6 +713,20 @@ def resolve_mode(ident: str, mode: str) -> str:
     return mode
 
 
+def resolve(ident: str, r, s, e: Optional[ExponentSet], mode: str):
+    """(ident, row, mode, exponents) of one instance: the canonical id, its
+    row, the resolved mode and the checked exponents.  Raises
+    PreconditionFailed where a weight the theorem takes is missing or the
+    exponents violate its hypotheses."""
+    ident = canonical_id(ident)
+    info = THEOREMS[ident]
+    mode = resolve_mode(ident, mode)
+    for name, weight in (("s", s), ("r", r)):
+        if name in info.weights and weight is None:
+            raise PreconditionFailed(f"{ident} needs the weight {name}")
+    return ident, info, mode, info.check(e if e is not None else ExponentSet())
+
+
 def hardy_constant(
     ident: str,
     r,
@@ -708,20 +739,15 @@ def hardy_constant(
     """The multiplicative constant of one catalog inequality.
 
     r and s are weight specs (or callables); theorems that take no second
-    weight ignore s.  Raises PreconditionFailed when the exponents violate
-    the stated hypotheses and NonIntegrable when a weight integral in the
-    constant diverges.
+    weight ignore s.  Raises PreconditionFailed when a weight is missing
+    or the exponents violate the stated hypotheses and NonIntegrable when
+    a weight integral in the constant diverges.
     """
-    ident = canonical_id(ident)
-    info = THEOREMS[ident]
-    mode = resolve_mode(ident, mode)
-    if info.needs_s and s is None:
-        raise PreconditionFailed(f"{ident} needs the weight s")
+    ident, info, mode, exps = resolve(ident, r, s, e, mode)
     if not callable(r) and r is not None:
         fs.validate_nonnegative(r, interval)
     if not callable(s) and s is not None and info.needs_s:
         fs.validate_nonnegative(s, interval)
-    exps = info.check(e if e is not None else ExponentSet())
     ctx = _Ctx(
         r=r,
         s=s if info.needs_s else None,
@@ -731,5 +757,6 @@ def hardy_constant(
         tol=tol or quad.SMOOTH_TOL,
         side=info.side,
         exps=exps,
+        rhs_weight=info.rhs_weight,
     )
     return info.build(ctx)

@@ -58,15 +58,7 @@ class TheoremInstance:
     mode: str = "default"
 
     def resolved(self):
-        ident = ct.canonical_id(self.ident)
-        info = ct.theorem_info(ident)
-        mode = ct.resolve_mode(ident, self.mode)
-        if info.needs_s and self.s is None:
-            raise PreconditionFailed(f"{ident} needs the weight s")
-        if ident not in ("HARDY",) and self.r is None:
-            raise PreconditionFailed(f"{ident} needs the weight r")
-        exps = info.check(self.exponents or ct.ExponentSet())
-        return ident, info, mode, exps
+        return ct.resolve(self.ident, self.r, self.s, self.exponents, self.mode)
 
 
 @dataclass(frozen=True)
@@ -100,101 +92,66 @@ class SharpnessResult:
 # ---------------------------------------------------------------------------
 
 
-_POWER_EXPRS = {
-    "2": lambda p, q, k: 2.0,
-    "p": lambda p, q, k: p,
-    "p+1": lambda p, q, k: p + 1.0,
-    "q": lambda p, q, k: q,
-    "k": lambda p, q, k: k,
-    "pq+q": lambda p, q, k: p * q + q,
-    "p(p+1)/(p-1)": lambda p, q, k: p * (p + 1.0) / (p - 1.0),
-    "2/q": lambda p, q, k: 2.0 / q,
-    "(p+1)/k": lambda p, q, k: (p + 1.0) / k,
-    "(p+1)/q": lambda p, q, k: (p + 1.0) / q,
-    "(p-1)/p": lambda p, q, k: (p - 1.0) / p,
-    "1/q": lambda p, q, k: 1.0 / q,
-    "(p-1)/(p(p+1))": lambda p, q, k: (p - 1.0) / (p * (p + 1.0)),
-}
-
-
-def _power_value(key: str, exps: dict) -> float:
-    try:
-        value = _POWER_EXPRS[key](exps.get("p"), exps.get("q"), exps.get("k"))
-    except TypeError:
-        raise PreconditionFailed(f"missing exponent for {key}")
-    if value is None or not math.isfinite(value):
-        raise PreconditionFailed(f"missing exponent for {key}")
-    return float(value)
+def _powers(side, exps) -> tuple:
+    """A row's side powers at the resolved exponents; a non-finite one
+    (p = inf gives q = nan) breaks the theorem's hypotheses."""
+    powers = side(exps)
+    if not all(v is None or math.isfinite(v) for v in powers):
+        raise PreconditionFailed(f"non-finite exponent in {powers}")
+    return powers
 
 
 def _lhs_plan(inst: TheoremInstance, resolved, tol):
-    """(job, powers) for the displayed left side: the side is the job's
-    QuadResult ``raised(*powers)`` (outer power, the power of F in the
-    side, F's relative error)."""
+    """(job, powers) for the displayed left side (int w F^P)^(d/P): the side
+    is the job's QuadResult ``raised(*powers)`` (outer power d/P, the power
+    d of F in the side, F's relative error)."""
     ident, info, mode, exps = resolved
     running = quad.RunningIntegral(inst.f, inst.interval,
                                    "head" if info.side == "left" else "tail")
-    F, f_rel = running.spec, running.rel_error
-    shape = info.lhs
-    if shape[0] == "sq_int_r_F":
-        job = quad.product_job([(inst.r, 1.0), (F, 1.0)], inst.interval, tol)
-        return job, (2.0, 2.0, f_rel)
-    if shape[0] in ("int_r_F_pow", "root_int_r_F"):
-        power = _power_value(shape[1], exps)
+    F = running.spec
+    power, degree = _powers(info.lhs, exps)
+    if "r" in info.weights:
         job = quad.product_job([(inst.r, 1.0), (F, power)], inst.interval, tol)
-        if shape[0] == "int_r_F_pow":
-            return job, (1.0, power, f_rel)
-        return job, (1.0 / power, 1.0, f_rel)
-    if shape[0] == "hardy":
-        p = exps["p"]
-        inv = fs.PowerLaw(1.0, 1.0)
-        job = quad.product_job([(F, p), (inv, -p)], inst.interval, tol)
+    else:  # HARDY's weight (x - a)^-p
+        job = quad.product_job([(F, power), (fs.PowerLaw(1.0, 1.0), -power)],
+                               inst.interval, tol)
         # F / (x - a) tends to f(a) even where F is a cancelling sum, so the
         # left exponent is p kappa_f(a) (a raw callable f counts as regular);
         # F(b) > 0, so the right end is regular
         kappa_f = 0.0 if callable(inst.f) else fs.endpoint_structure(
             inst.f, inst.interval, "left")[0]
-        job = replace(job, endpoint_exponents=(p * kappa_f, 0.0))
-        return job, (1.0, p, f_rel)
-    raise HopialError(f"unknown lhs shape {shape}")
+        job = replace(job, endpoint_exponents=(power * kappa_f, 0.0))
+    return job, (degree / power, degree, running.rel_error)
 
 
-def _rhs_weight_parts(inst, resolved, rhs_weight, tol):
-    """The weight factors of the right side; they depend on the weights
-    only, so a sweep builds them once."""
+def _rhs_weights(inst, resolved):
+    """The weight factors of the right side, and the relative error of the
+    running integral R among them (0 without R); they depend on the
+    weights only, so a sweep builds them once."""
     ident, info, mode, exps = resolved
-    weight_tag = info.rhs[-1]
-    parts = []
-    if weight_tag == "s":
-        parts.append((inst.s, 1.0))
-    elif weight_tag == "rhs_weight":
-        tag = rhs_weight
-        if tag is None:
-            bd = ct.hardy_constant(ident, inst.r, inst.s, inst.exponents,
-                                   inst.interval, mode=mode, tol=tol)
-            tag = bd.rhs_weight
-        side = "tail" if tag.startswith("R_tail") else "head"
-        R = quad.RunningIntegral(inst.r, inst.interval, side)
+    parts, rel = [], 0.0
+    if "R" in info.rhs_weight:
+        R = quad.RunningIntegral(inst.r, inst.interval,
+                                 "tail" if info.side == "left" else "head")
         parts.append((R.spec, 1.0))
-        if tag.endswith("*s"):
-            parts.append((inst.s, 1.0))
-    return parts
+        rel = R.rel_error
+    if "s" in info.rhs_weight:
+        parts.append((inst.s, 1.0))
+    return parts, rel
 
 
-def _rhs_plan(inst: TheoremInstance, resolved, tol, weight_parts):
-    """(job, powers) for the displayed right-hand side core; powers is
-    None where the core is the job's integral itself."""
+def _rhs_plan(inst: TheoremInstance, resolved, tol, weights):
+    """(job, powers) for the displayed right-hand side core
+    (int [weights] f^E)^outer; powers is None where the core is the job's
+    integral itself.  R's relative error enters as F's does on the left."""
     ident, info, mode, exps = resolved
-    shape = info.rhs
-    if shape[0] == "int_f_pow":
-        parts = weight_parts + [(inst.f, _power_value(shape[1], exps))]
-        return quad.product_job(parts, inst.interval, tol), None
-    if shape[0] == "pow_int_f":
-        _, power_key, outer_key, _ = shape
-        parts = weight_parts + [(inst.f, _power_value(power_key, exps))]
-        return (quad.product_job(parts, inst.interval, tol),
-                (_power_value(outer_key, exps),))
-    raise HopialError(f"unknown rhs shape {shape}")
+    parts, weight_rel = weights
+    power, outer = _powers(info.rhs, exps)
+    job = quad.product_job(parts + [(inst.f, power)], inst.interval, tol)
+    if outer is None and not weight_rel:
+        return job, None
+    outer = 1.0 if outer is None else outer
+    return job, (outer, outer, weight_rel)
 
 
 def _finished(plan, res) -> quad.QuadResult:
@@ -210,15 +167,10 @@ def assemble_lhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.Qua
     return _finished(plan, quad.integrate_job(plan[0]))
 
 
-def assemble_rhs(
-    inst: TheoremInstance,
-    tol: Optional[float] = None,
-    rhs_weight: Optional[str] = None,
-) -> quad.QuadResult:
+def assemble_rhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.QuadResult:
     """The displayed right-hand side core (the constant excluded)."""
     resolved = inst.resolved()
-    parts = _rhs_weight_parts(inst, resolved, rhs_weight, tol)
-    plan = _rhs_plan(inst, resolved, tol, parts)
+    plan = _rhs_plan(inst, resolved, tol, _rhs_weights(inst, resolved))
     return _finished(plan, quad.integrate_job(plan[0]))
 
 
@@ -240,9 +192,9 @@ def _passes(insts, tol, breakdown=None):
         breakdown = ct.hardy_constant(ident, first.r, first.s, first.exponents,
                                       first.interval, mode=mode, tol=tol)
     try:
-        parts = _rhs_weight_parts(insts[0], resolved, breakdown.rhs_weight, tol)
+        weights = _rhs_weights(insts[0], resolved)
     except HopialError as exc:
-        parts = exc
+        weights = exc
     # per instance: the lhs plan, and the rhs plan or the error that ends
     # the pass once the lhs is done
     plans, jobs = [], []
@@ -253,9 +205,9 @@ def _passes(insts, tol, breakdown=None):
             plans.append(exc)
             continue
         try:
-            if isinstance(parts, HopialError):
-                raise parts
-            rhs = _rhs_plan(inst, resolved, tol, parts)
+            if isinstance(weights, HopialError):
+                raise weights
+            rhs = _rhs_plan(inst, resolved, tol, weights)
         except HopialError as exc:
             rhs = exc
         plans.append((lhs, rhs))
@@ -285,11 +237,16 @@ def _single_pass(inst, tol, breakdown=None):
     return rep
 
 
+def _tighter(tol):
+    """The tolerance of a re-run: 10x tighter, at most 2e-14."""
+    return max((tol or quad.SMOOTH_TOL) / 10.0, 2e-14)
+
+
 def _retest(inst, tol):
     """A Violated pass re-run at 10x tighter tolerance and, for catalog
     entries with divergent printed/derived readings, in the other mode."""
     ident, info, mode, exps = inst.resolved()
-    tight = max((tol or quad.SMOOTH_TOL) / 10.0, 2e-14)
+    tight = _tighter(tol)
     confirmed = _single_pass(inst, tight)
     detail = f"retested at tol={tight:g}: ratio={confirmed.ratio:.9g}"
     if info.modes_differ:
@@ -533,8 +490,7 @@ def sharpness_search(
     inst = TheoremInstance(ident, r, s, f, exponents, interval, resolved_mode)
     rep = _single_pass(inst, tol, breakdown)
     if rep.ratio > 1.0 + rep.error_budget:
-        tight = max((tol or quad.SMOOTH_TOL) / 10.0, 2e-14)
-        rep = _single_pass(inst, tight)
+        rep = _single_pass(inst, _tighter(tol))
     return SharpnessResult(ident, rep.ratio, tuple(float(v) for v in best_x),
                            evals, rep)
 

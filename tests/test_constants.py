@@ -7,6 +7,7 @@ from hopial import constants as ct
 from hopial import funcspace as fs
 from hopial import quad
 from hopial import special as sp
+from hopial.cli import SUITE_EXPONENTS
 from hopial.errors import NonIntegrable, PreconditionFailed
 
 E = ct.ExponentSet
@@ -149,6 +150,27 @@ class TestHardyConstants:
         with pytest.raises(PreconditionFailed, match="k = q|q < k"):
             ct.hardy_constant("T2.30", one, one, E(p=2.0, k=3.0), unit,
                               mode="as_printed")
+
+    def test_missing_weight_named(self, unit, one):
+        # the constant of T2.9 reads only s, but the theorem takes r
+        with pytest.raises(PreconditionFailed, match="needs the weight r"):
+            ct.hardy_constant("T2.9", None, one, E(), unit)
+        with pytest.raises(PreconditionFailed, match="needs the weight s"):
+            ct.hardy_constant("T2.1", one, None, E(), unit)
+
+    @pytest.mark.parametrize("ident", ct.THEOREM_IDS)
+    def test_sides_have_one_degree(self, ident):
+        # both sides of a row are homogeneous in f of the degree d
+        info = ct.theorem_info(ident)
+        exps = info.check(SUITE_EXPONENTS.get(ident, E()))
+        _, degree = info.lhs(exps)
+        power, outer = info.rhs(exps)
+        assert power * (1.0 if outer is None else outer) == pytest.approx(degree,
+                                                                          rel=1e-14)
+
+    def test_default_modes_from_rows(self):
+        assert {i for i, m in ct.DEFAULT_MODES.items() if m != "as_printed"} == {
+            "T2.30", "T2.31"}
 
     def test_canonical_ids(self):
         assert ct.canonical_id("t2_1") == "T2.1"

@@ -9,6 +9,7 @@ import pytest
 from hopial import constants as ct
 from hopial import funcspace as fs
 from hopial import opial
+from hopial import quad
 from hopial import verify as vf
 from hopial.cli import SUITE_EXPONENTS, suite_weights
 from hopial.errors import HopialError, InvalidSpec, PreconditionFailed
@@ -47,6 +48,40 @@ class TestAssembly:
         assert vf.assemble_rhs(
             inst("T2.22", one, None, one, E(p=2.0), unit)
         ).value == pytest.approx(1.0, rel=1e-12)
+
+
+class TestRhsWeight:
+    """The weight of the right side is data of the theorem's row."""
+
+    @pytest.mark.parametrize("ident,e", [("T2.9", E()), ("T2.18", E(p=1.0))])
+    def test_assemble_rhs_builds_no_constant(self, unit, one, monkeypatch, ident, e):
+        calls = []
+        real = ct.hardy_constant
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ct, "hardy_constant", counting)
+        vf.assemble_rhs(inst(ident, one, one, one, e, unit))
+        assert calls == []
+
+    @pytest.mark.parametrize("ident,alpha,e", [
+        ("T2.9", 0.5, E()), ("T2.10", 0.5, E()),
+        ("T2.18", -0.5, E(p=1.0)), ("T2.19", -0.5, E(p=1.0)),
+    ])
+    def test_budget_counts_the_error_of_R(self, unit, ident, alpha, e):
+        # R has no closed form here: the budget covers the error of the R the
+        # right side integrates against
+        r = fs.Product([fs.PowerLaw(1.0, alpha), fs.Exponential(1.0, 1.0)])
+        s = fs.Sum([ONE, fs.PowerLaw(1.0, 0.3)])
+        f = fs.PiecewiseLinear([(0.0, 0.3), (0.4, 1.0), (1.0, 0.2)])
+        side = "tail" if ct.theorem_info(ident).side == "left" else "head"
+        R = quad.RunningIntegral(r, unit, side)
+        assert R.rel_error > 0.0
+        rep = vf.verify(inst(ident, r, s, f, e, unit))
+        assert rep.status == "Holds"
+        assert rep.error_budget >= R.rel_error
 
 
 class TestVerify:
