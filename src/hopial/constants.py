@@ -8,8 +8,8 @@ and this module computes the constant as a product of named factors.  Odd
 theorem numbers integrate f from the left endpoint and use the tail
 integral R(x,b); their even partners mirror everything through R(a,x).
 
-Each theorem is one row of ``THEOREMS`` (``TheoremInfo``): its sides,
-weights, exponent check, constant builder and default mode, as data.
+Each theorem is one row of ``THEOREMS`` (``TheoremInfo``): its sides and
+their weights, exponent check, constant builder and default mode, as data.
 
 Two evaluation modes exist for the handful of catalog entries whose
 typeset constant differs from the one their derivation supports
@@ -291,9 +291,9 @@ class TheoremInfo:
     [rhs_weight] f^E)^outer.  F integrates f from the ``side`` end, w is r
     (HARDY: (x - a)^-p), d the degree of both sides in f.  ``check`` gives
     the exponents x, and lhs(x) = (P, d), rhs(x) = (E, outer), outer None
-    for the integral itself.  ``weights`` is "rs", "r" or "" (HARDY);
-    ``rhs_weight`` is "", "s", "R" or "R*s", R the running integral of r
-    from the other end."""
+    for the integral itself.  ``rhs_weight`` is "", "s", "R" or "R*s", R
+    the running integral of r from the other end; the theorem takes s
+    where its right side carries it, and r unless it is HARDY."""
 
     ident: str
     side: str
@@ -301,14 +301,14 @@ class TheoremInfo:
     check: Callable  # (ExponentSet) -> dict of resolved exponents
     lhs: Callable
     rhs: Callable
-    weights: str = "r"
     rhs_weight: str = ""
     modes_differ: bool = False
     default_mode: str = "as_printed"
+    needs_r: bool = True
 
     @property
     def needs_s(self) -> bool:
-        return "s" in self.weights
+        return "s" in self.rhs_weight
 
 
 @dataclass
@@ -629,10 +629,12 @@ def _pair(left, right, build, check, lhs, rhs, **fields):
 
 
 # the sides as functions of the resolved exponents x: lhs (P, d), rhs (E, outer)
-_F2, _FP1 = (lambda x: (2.0, 2.0)), (lambda x: (x["p"] + 1.0, x["p"] + 1.0))
+_F2 = lambda x: (2.0, 2.0)  # int r F^2
+_FP1 = lambda x: (x["p"] + 1.0, x["p"] + 1.0)  # int r F^(p+1)
 _ROOT_FP1 = lambda x: (x["p"] + 1.0, 1.0)  # (int r F^(p+1))^(1/(p+1))
-_f2, _fp1 = (lambda x: (2.0, None)), (lambda x: (x["p"] + 1.0, None))
-_fk = lambda x: (x["k"], (x["p"] + 1.0) / x["k"])
+_f2 = lambda x: (2.0, None)  # int [w] f^2
+_fp1 = lambda x: (x["p"] + 1.0, None)  # int [w] f^(p+1)
+_fk = lambda x: (x["k"], (x["p"] + 1.0) / x["k"])  # (int [s] f^k)^((p+1)/k)
 
 
 def _f_pp1(outer):
@@ -642,19 +644,17 @@ def _f_pp1(outer):
 
 THEOREMS: dict = {
     **_pair("T2.1", "T2.2", _build_t2_1, _check_none, lambda x: (1.0, 2.0), _f2,
-            weights="rs", rhs_weight="s"),
-    **_pair("T2.3", "T2.4", _build_t2_3, _check_none, _F2, _f2),
-    **_pair("T2.5", "T2.6", _build_t2_5, _check_none, _F2, _f2, weights="rs",
             rhs_weight="s"),
+    **_pair("T2.3", "T2.4", _build_t2_3, _check_none, _F2, _f2),
+    **_pair("T2.5", "T2.6", _build_t2_5, _check_none, _F2, _f2, rhs_weight="s"),
     **_pair("T2.7", "T2.8", _build_t2_7, _check_conjugate, _F2,
-            lambda x: (x["q"], 2.0 / x["q"]), weights="rs", rhs_weight="s"),
-    **_pair("T2.9", "T2.10", _build_t2_9, _check_none, _F2, _f2, weights="rs",
-            rhs_weight="R*s"),
+            lambda x: (x["q"], 2.0 / x["q"]), rhs_weight="s"),
+    **_pair("T2.9", "T2.10", _build_t2_9, _check_none, _F2, _f2, rhs_weight="R*s"),
     **_pair("T2.11", "T2.12", _build_t2_11, _check_pint(1), _FP1, _fp1),
-    **_pair("T2.13", None, _build_t2_13, _check_pint(1), _FP1, _fp1, weights="rs",
+    **_pair("T2.13", None, _build_t2_13, _check_pint(1), _FP1, _fp1,
             rhs_weight="s"),
     **_pair("T2.14", "T2.15", _build_t2_14, _check_pint(1), _FP1, _fp1,
-            weights="rs", rhs_weight="s"),
+            rhs_weight="s"),
     **_pair("T2.16", "T2.17", _build_t2_16, _check_conj_int, _FP1,
             _f_pp1(lambda p: (p - 1.0) / p), modes_differ=True),
     **_pair("T2.18", "T2.19", _build_t2_18, _check_pint(0), _FP1, _fp1,
@@ -671,17 +671,16 @@ THEOREMS: dict = {
             lambda x: (x["q"], (x["p"] + 1.0) / x["q"]), modes_differ=True),
     **_pair("T2.27", "T2.28", _build_t2_27, _check_pq_gt1, _FP1,
             lambda x: (x["p"] * x["q"] + x["q"], 1.0 / x["q"]),
-            weights="rs", rhs_weight="s", modes_differ=True),
+            rhs_weight="s", modes_differ=True),
     # printed k = q is vacuous there, so the k-free derived reading is default
     **_pair("T2.30", "T2.31", _build_t2_30, _check_beesack_k, _FP1, _fk,
-            weights="rs", rhs_weight="s", modes_differ=True,
-            default_mode="as_derived"),
+            rhs_weight="s", modes_differ=True, default_mode="as_derived"),
     **_pair("C2.1a", "C2.1b", _build_c2_1, _check_conj_int, _ROOT_FP1,
             _f_pp1(lambda p: (p - 1.0) / (p * (p + 1.0)))),
     **_pair("C2.2a", "C2.2b", _build_c2_1, _check_conj_int, _ROOT_FP1,
             _f_pp1(lambda p: (p - 1.0) / (p * (p + 1.0)))),
     **_pair("HARDY", None, _build_hardy, _check_hardy, lambda x: (x["p"], x["p"]),
-            lambda x: (x["p"], None), weights=""),
+            lambda x: (x["p"], None), needs_r=False),
 }
 
 THEOREM_IDS = tuple(sorted(THEOREMS))
@@ -721,8 +720,8 @@ def resolve(ident: str, r, s, e: Optional[ExponentSet], mode: str):
     ident = canonical_id(ident)
     info = THEOREMS[ident]
     mode = resolve_mode(ident, mode)
-    for name, weight in (("s", s), ("r", r)):
-        if name in info.weights and weight is None:
+    for name, needed, weight in (("s", info.needs_s, s), ("r", info.needs_r, r)):
+        if needed and weight is None:
             raise PreconditionFailed(f"{ident} needs the weight {name}")
     return ident, info, mode, info.check(e if e is not None else ExponentSet())
 

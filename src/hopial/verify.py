@@ -110,7 +110,7 @@ def _lhs_plan(inst: TheoremInstance, resolved, tol):
                                    "head" if info.side == "left" else "tail")
     F = running.spec
     power, degree = _powers(info.lhs, exps)
-    if "r" in info.weights:
+    if info.needs_r:
         job = quad.product_job([(inst.r, 1.0), (F, power)], inst.interval, tol)
     else:  # HARDY's weight (x - a)^-p
         job = quad.product_job([(F, power), (fs.PowerLaw(1.0, 1.0), -power)],
@@ -238,7 +238,7 @@ def _single_pass(inst, tol, breakdown=None):
 
 
 def _tighter(tol):
-    """The tolerance of a re-run: 10x tighter, at most 2e-14."""
+    """The tolerance of a re-run: 10x tighter, but not below 2e-14."""
     return max((tol or quad.SMOOTH_TOL) / 10.0, 2e-14)
 
 
