@@ -48,6 +48,7 @@ __all__ = [
     "r_tail",
     "r_head",
     "hardy_constant",
+    "check_weights",
     "beesack_das_K1",
     "beesack_das_K2",
     "beesack_das_balance",
@@ -78,9 +79,11 @@ def _need_p(e: ExponentSet, cond: str = "p required") -> float:
 
 def _conjugate_pair(e: ExponentSet):
     p = _need_p(e, "p > 1 with 1/p + 1/q = 1 required")
-    if p <= 1:
+    if not p > 1:
         raise PreconditionFailed(f"p > 1 required, got p={p}")
     q = float(e.q) if e.q is not None else p / (p - 1.0)
+    if not (math.isfinite(p) and math.isfinite(q)):
+        raise PreconditionFailed(f"finite p and q required (p={p}, q={q})")
     if e.conjugate_check and abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
         raise PreconditionFailed(f"1/p + 1/q = 1 violated (p={p}, q={q})")
     return p, q
@@ -726,6 +729,17 @@ def resolve(ident: str, r, s, e: Optional[ExponentSet], mode: str):
     return ident, info, mode, info.check(e if e is not None else ExponentSet())
 
 
+def check_weights(info: TheoremInfo, r, s, interval: fs.Interval) -> None:
+    """Raise the InvalidSpec of a weight spec that is invalid or negative
+    inside the interval: r wherever given, s where the theorem takes it.
+    Raw callables are not checked."""
+    weights = [w for w, read in ((r, True), (s, info.needs_s))
+               if read and w is not None and not callable(w)]
+    for error in fs.nonnegativity_errors(weights, interval):
+        if error is not None:
+            raise error
+
+
 def hardy_constant(
     ident: str,
     r,
@@ -743,10 +757,7 @@ def hardy_constant(
     a weight integral in the constant diverges.
     """
     ident, info, mode, exps = resolve(ident, r, s, e, mode)
-    if not callable(r) and r is not None:
-        fs.validate_nonnegative(r, interval)
-    if not callable(s) and s is not None and info.needs_s:
-        fs.validate_nonnegative(s, interval)
+    check_weights(info, r, s, interval)
     ctx = _Ctx(
         r=r,
         s=s if info.needs_s else None,

@@ -16,6 +16,7 @@ public catalog and round-trip through JSON like everything else.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -60,6 +61,8 @@ __all__ = [
     "sample_family",
     "compile_program",
     "stack_programs",
+    "Part",
+    "product",
 ]
 
 
@@ -228,9 +231,10 @@ FunctionSpec = Union[
 def validate(spec: FunctionSpec, interval: Interval) -> None:
     """Check structural invariants of ``spec`` on ``interval``.
 
-    Raises InvalidSpec on violations.  Nonnegativity is checked where the
-    structure decides it (coefficients, knot values); composite specs are
-    additionally probed on a sample grid by callers that require it.
+    Raises InvalidSpec on violations.  Signs are not checked here: a sum
+    may have negative terms.  ``nonnegativity_errors`` checks the sign
+    where the structure decides it (coefficients, knot and step values)
+    and probes the rest on a sample grid.
     """
     if isinstance(spec, (Constant, PowerLaw, ShiftedPowerLaw, Exponential)):
         if not math.isfinite(spec.c):
@@ -291,37 +295,95 @@ def validate(spec: FunctionSpec, interval: Interval) -> None:
 
 
 def validate_nonnegative(spec: FunctionSpec, interval: Interval, samples: int = 64) -> None:
-    """Validate plus a sampled nonnegativity probe on interior points."""
+    """Validate plus the nonnegativity check of ``nonnegativity_errors``."""
     error = nonnegativity_errors([spec], interval, samples)[0]
     if error is not None:
         raise error
 
 
+def _negative(values) -> bool:
+    """Whether a value lies below -1e-12 max(1, max |v|), the probe's
+    tolerance."""
+    return min(values) < -1e-12 * max(1.0, max(abs(v) for v in values))
+
+
+def _sign_values(spec: FunctionSpec, interval: Interval):
+    """The values that decide the sign of a leaf on the interval, or None
+    where its structure does not decide it: the coefficient of a constant,
+    power law or exponential, the knot values inside the interval and the
+    interpolated values at its ends for a piecewise-linear spec, the values
+    of the steps that meet it for a step."""
+    a, b = interval.a, interval.b
+    if isinstance(spec, (Constant, PowerLaw, ShiftedPowerLaw, Exponential)):
+        return (spec.c,)
+    if isinstance(spec, PiecewiseLinear):
+        xs, vs = zip(*spec.knots)
+        values = [v for x, v in spec.knots if a < x < b]
+        values += np.interp((a, b), xs, vs).tolist()
+    elif isinstance(spec, Step):
+        last = len(spec.values) - 1
+        lo = min(max(bisect.bisect_right(spec.breaks, a) - 1, 0), last)
+        hi = min(max(bisect.bisect_left(spec.breaks, b) - 1, 0), last)
+        values = spec.values[lo : hi + 1]
+    else:
+        return None
+    return values if all(math.isfinite(v) for v in values) else None
+
+
+def _structural_sign(spec: FunctionSpec, interval: Interval) -> Optional[bool]:
+    """True where the structure proves spec >= 0 on the interval, False
+    where it proves a negative value, None where it does not decide: a
+    sum or product is proven nonnegative when all of its terms are."""
+    values = _sign_values(spec, interval)
+    if values is not None:
+        return not _negative(values)
+    if isinstance(spec, (Sum, Product)) and all(
+            _structural_sign(term, interval) for term in spec.terms):
+        return True
+    return None
+
+
+def stacked_values(progs: Sequence["Program"], xs: np.ndarray) -> list:
+    """The values of every one-row program at ``xs``, one array per
+    program; the programs that share a skeleton run stacked in one kernel
+    call, which gives each row the bits of its one-row program."""
+    out: list = [None] * len(progs)
+    groups: dict = {}
+    for i, prog in enumerate(progs):
+        groups.setdefault(prog.skeleton, []).append(i)
+    for members in groups.values():
+        stacked = stack_programs([progs[i] for i in members])
+        rows = np.repeat(np.arange(len(members)), len(xs))
+        vals = stacked(np.tile(xs, len(members)), rows).reshape(len(members), len(xs))
+        for i, row in zip(members, vals):
+            out[i] = row
+    return out
+
+
 def nonnegativity_errors(specs: Sequence[FunctionSpec], interval: Interval,
                          samples: int = 64) -> list:
     """``validate_nonnegative`` of every spec: None, or the InvalidSpec it
-    raises, per spec.  The probes of all specs that share a program
-    skeleton run as one stacked program in one kernel call."""
-    xs = np.linspace(interval.a, interval.b, samples + 2)[1:-1]
+    raises, per spec.  The sign is decided by the structure where it can
+    be (``_structural_sign``); the rest are probed at ``samples`` interior
+    points, stacked by program skeleton."""
     errors: list = [None] * len(specs)
-    groups: dict = {}
+    probed = []
     for i, spec in enumerate(specs):
         try:
             validate(spec, interval)
-            prog = compile_program(spec, interval)
+            sign = _structural_sign(spec, interval)
+            if sign is None:
+                probed.append((i, compile_program(spec, interval)))
+            elif not sign:
+                errors[i] = InvalidSpec("spec is negative inside the interval")
         except InvalidSpec as exc:
             errors[i] = exc
-            continue
-        groups.setdefault(prog.skeleton, []).append((i, prog))
-    for members in groups.values():
-        stacked = stack_programs([prog for _, prog in members])
-        rows = np.repeat(np.arange(len(members)), samples)
-        vals = stacked(np.tile(xs, len(members)), rows).reshape(len(members), samples)
-        for (i, _), row in zip(members, vals):
-            if np.any(np.isnan(row)):
-                errors[i] = InvalidSpec("spec evaluates to NaN inside the interval")
-            elif np.any(row < -1e-12 * max(1.0, float(np.nanmax(np.abs(row))))):
-                errors[i] = InvalidSpec("spec is negative inside the interval")
+    xs = np.linspace(interval.a, interval.b, samples + 2)[1:-1]
+    for (i, _), row in zip(probed, stacked_values([prog for _, prog in probed], xs)):
+        if np.any(np.isnan(row)):
+            errors[i] = InvalidSpec("spec evaluates to NaN inside the interval")
+        elif _negative(row.tolist()):
+            errors[i] = InvalidSpec("spec is negative inside the interval")
     return errors
 
 
@@ -581,11 +643,19 @@ def _zero_at_left_end(anti, interval: Interval):
 
 def tail_integral_spec(spec: FunctionSpec, interval: Interval) -> Optional[FunctionSpec]:
     """Integral from x to the right endpoint, as a spec (or None)."""
-    anti = closed_antiderivative(spec, interval)
-    if anti is None:
-        return None
-    total = evaluate(anti, interval.b, interval)
-    return Sum([Constant(total), scale(anti, -1.0)])
+    return tail_integral_specs([closed_antiderivative(spec, interval)], interval)[0]
+
+
+def tail_integral_specs(antis: Sequence[Optional[FunctionSpec]], interval: Interval) -> list:
+    """G(b) - G(x) for every closed antiderivative G (None stays None).
+    The totals G(b) come from one stacked kernel call per skeleton."""
+    known = [i for i, anti in enumerate(antis) if anti is not None]
+    totals = stacked_values([compile_program(antis[i], interval) for i in known],
+                            np.array([interval.b]))
+    out: list = [None] * len(antis)
+    for i, total in zip(known, totals):
+        out[i] = Sum([Constant(float(total[0])), scale(antis[i], -1.0)])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -686,21 +756,31 @@ def endpoint_structure(spec: FunctionSpec, interval: Interval, side: str) -> tup
         parts = [endpoint_structure(t, interval, side) for t in spec.terms]
         if isinstance(spec, Sum):
             return min(k for k, _ in parts), min(r for _, r in parts)
-        kappa = sum(k for k, _ in parts)
-        if not math.isfinite(kappa):
-            return kappa, math.inf
-        # each factor is t^kappa_i (1 + O(t^(rho_i - kappa_i)))
-        return kappa, min(r - k for k, r in parts) + kappa
+        return _product_end(parts)
     if isinstance(spec, Power):
-        kappa, rho = endpoint_structure(spec.base, interval, side)
-        if math.isinf(kappa):
-            return (-math.inf if spec.exponent < 0 else kappa * spec.exponent), math.inf
-        lead = kappa * spec.exponent
-        # (t^kappa (1 + O(t^(rho - kappa))))^e = t^(e kappa) (1 + O(t^(rho - kappa)))
-        return lead, (lead if _fractional(lead) == lead else lead + rho - kappa)
+        return _power_end(endpoint_structure(spec.base, interval, side), spec.exponent)
     if isinstance(spec, AbsVal):
         return endpoint_structure(spec.term, interval, side)
     return 0.0, math.inf
+
+
+def _product_end(ends: list) -> tuple:
+    """The Product rule: (kappa, rho) of a product from its factors'."""
+    kappa = sum(k for k, _ in ends)
+    if not math.isfinite(kappa):
+        return kappa, math.inf
+    # each factor is t^kappa_i (1 + O(t^(rho_i - kappa_i)))
+    return kappa, min(r - k for k, r in ends) + kappa
+
+
+def _power_end(end: tuple, exponent: float) -> tuple:
+    """The Power rule: (kappa, rho) of base^exponent from the base's."""
+    kappa, rho = end
+    if math.isinf(kappa):
+        return (-math.inf if exponent < 0 else kappa * exponent), math.inf
+    lead = kappa * exponent
+    # (t^kappa (1 + O(t^(rho - kappa))))^e = t^(e kappa) (1 + O(t^(rho - kappa)))
+    return lead, (lead if _fractional(lead) == lead else lead + rho - kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -1015,13 +1095,8 @@ def _compile_into(spec, interval, ops, fargs, iargs, data):
         iargs.append((off, n))
         return
     if isinstance(spec, (Sum, Product)):
-        opcode = OP_ADD if isinstance(spec, Sum) else OP_MUL
-        for i, term in enumerate(spec.terms):
-            _compile_into(term, interval, ops, fargs, iargs, data)
-            if i > 0:
-                ops.append(opcode)
-                fargs.append((0.0, 0.0, 0.0))
-                iargs.append((0, 0))
+        _postfix(spec.terms, lambda term: _compile_into(term, interval, ops, fargs, iargs, data),
+                 OP_ADD if isinstance(spec, Sum) else OP_MUL, ops, fargs, iargs)
         return
     if isinstance(spec, Power):
         _compile_into(spec.base, interval, ops, fargs, iargs, data)
@@ -1038,6 +1113,17 @@ def _compile_into(spec, interval, ops, fargs, iargs, data):
     raise InvalidSpec(f"cannot compile {type(spec).__name__}")
 
 
+def _postfix(terms, emit, opcode, ops, fargs, iargs) -> None:
+    """The postfix order of an n-ary node: ``emit`` every term, and append
+    the node's opcode after each term from the second on."""
+    for i, term in enumerate(terms):
+        emit(term)
+        if i:
+            ops.append(opcode)
+            fargs.append((0.0, 0.0, 0.0))
+            iargs.append((0, 0))
+
+
 def compile_program(spec: FunctionSpec, interval: Interval) -> Program:
     ops: list = []
     fargs: list = []
@@ -1045,3 +1131,56 @@ def compile_program(spec: FunctionSpec, interval: Interval) -> Program:
     data: list = []
     _compile_into(spec, interval, ops, fargs, iargs, data)
     return Program(ops, fargs, iargs, data)
+
+
+# ---------------------------------------------------------------------------
+# factor parts: a product integrand planned one factor at a time
+# ---------------------------------------------------------------------------
+
+_TABLE_OPS = (OP_PWL, OP_STEP, OP_PPOLY)  # the opcodes whose iargs[0] is a data offset
+
+
+class Part:
+    """One factor of a product integrand, planned once on ``interval``: its
+    spec, its program code (the four lists of ``_compile_into``), its
+    (kappa, rho) at the left and right ends and its interior breakpoints.
+    ``product`` joins parts without walking their specs again, so the
+    factors that many integrals share are walked once."""
+
+    __slots__ = ("spec", "code", "ends", "breaks")
+
+    def __init__(self, spec: FunctionSpec, interval: Interval):
+        self.spec = spec
+        self.code = ([], [], [], [])
+        _compile_into(spec, interval, *self.code)
+        self.ends = (endpoint_structure(spec, interval, "left"),
+                     endpoint_structure(spec, interval, "right"))
+        self.breaks = breakpoints(spec, interval)
+
+
+def product(parts: Sequence[Part]) -> tuple:
+    """(program, (left, right) (kappa, rho), breakpoints) of the product of
+    the parts' specs: what ``compile_program``, ``endpoint_structure`` and
+    ``breakpoints`` give for ``Product([part.spec, ...])``, or for the one
+    part's spec alone."""
+    if len(parts) == 1:
+        part = parts[0]
+        return Program(*part.code), part.ends, part.breaks
+    ops: list = []
+    fargs: list = []
+    iargs: list = []
+    data: list = []
+
+    def emit(part):
+        p_ops, p_fargs, p_iargs, p_data = part.code
+        size = len(data)
+        ops.extend(p_ops)
+        fargs.extend(p_fargs)
+        iargs.extend([(off + size, n) if op in _TABLE_OPS else (off, n)
+                      for op, (off, n) in zip(p_ops, p_iargs)] if size else p_iargs)
+        data.extend(p_data)
+
+    _postfix(parts, emit, OP_MUL, ops, fargs, iargs)
+    ends = tuple(_product_end([part.ends[k] for part in parts]) for k in (0, 1))
+    breaks = sorted(set().union(*(part.breaks for part in parts)))
+    return Program(ops, fargs, iargs, data), ends, breaks

@@ -14,13 +14,17 @@ case of the same loop).  Per job:
   expansion has a non-integer exponent rho (1 + c x^0.3, say), m is the
   least integer >= 2 with m (1 + rho) - 1 >= 6, so the transformed term
   has six derivatives; an integer m keeps the smooth terms smooth.  Both
-  come from one structural walk per endpoint the job touches
-  (``funcspace.endpoint_structure``), made in ``_prepare`` with the
-  breakpoints and the program, and nowhere else;
-* ``endpoint_exponents`` replaces the walk's kappa where the walk cannot
-  see it: a raw callable (``product_job`` declares its spec factors'),
-  and a sum that cancels at the endpoint, whose min rule gives the least
-  exponent of its terms (HARDY's (F / (x - a))^p, Boyd's I at eta = 0);
+  come from the (kappa, rho) the job was planned with: each factor of a
+  product is a ``funcspace.Part`` whose program, structure
+  (``funcspace.endpoint_structure``) and breakpoints are derived once,
+  when the part is made, and ``product_job`` joins the parts by the
+  Product rule.  A sweep makes the parts its integrals share once, and
+  ``_prepare`` walks no spec;
+* ``endpoint_exponents`` replaces the planned kappa where the structure
+  cannot see it: a raw callable (``product_job`` declares its spec
+  factors'), and a sum that cancels at the endpoint, whose min rule gives
+  the least exponent of its terms (HARDY's (F / (x - a))^p, Boyd's I at
+  eta = 0);
 * a spec's program evaluates a substituted point at its exact distance
   u^m from the endpoint: x = a + u^m rounds onto a once u^m is below the
   spacing of a, and x - a would then cancel to 0 (a raw callable sees
@@ -70,6 +74,7 @@ __all__ = [
     "integrate_job",
     "product_job",
     "RunningIntegral",
+    "running_integrals",
     "SupResult",
     "integrate",
     "product_integral",
@@ -211,19 +216,36 @@ def _as_array_fn(f) -> Callable[[np.ndarray], np.ndarray]:
     return wrapped
 
 
+_REGULAR = ((0.0, math.inf), (0.0, math.inf))  # (kappa, rho) at each end
+
+
 @dataclass(frozen=True)
 class Job:
     """One integral for ``integrate_many``: the arguments of ``integrate``,
-    and the breakpoints of the spec factors a raw callable hides
-    (``product_job``)."""
+    planned.  A spec ``f`` is planned where the job is made (unless
+    ``product_job`` planned it from its factors' parts): the job carries
+    its ``program``, its (kappa, rho) at the left and right ends of
+    ``home`` (``ends``) and its breakpoints, merged with any given.  A raw
+    callable has no program, regular ends and the given breakpoints."""
 
     f: Integrand
     interval: fs.Interval
     tol: Optional[float] = None
     home: Optional[fs.Interval] = None
-    breakpoints: Optional[Sequence[float]] = None
+    breakpoints: Sequence[float] = ()
     endpoint_exponents: Optional[tuple] = None
     max_panels: int = DEFAULT_PANEL_BUDGET
+    program: Optional[fs.Program] = None
+    ends: tuple = _REGULAR
+
+    def __post_init__(self):
+        breaks = set(self.breakpoints or ())
+        if self.program is None and not callable(self.f):
+            program, ends, planned = fs.product([fs.Part(self.f, self.home or self.interval)])
+            object.__setattr__(self, "program", program)
+            object.__setattr__(self, "ends", ends)
+            breaks |= set(planned)
+        object.__setattr__(self, "breakpoints", sorted(float(x) for x in breaks))
 
 
 class _Run:
@@ -339,21 +361,13 @@ def _graded(lo, hi, sign, m):
 
 
 def _prepare(job: Job) -> _Run:
-    """Validate a job and cut it into pieces (endpoint substitutions and
-    breakpoint splits).  This is the one place where a spec job's program,
-    breakpoints and endpoint structure are derived: one walk per end the
-    job touches and one for the breakpoints."""
+    """Validate a planned job and cut it into pieces (endpoint
+    substitutions and breakpoint splits).  It walks no spec: the program,
+    breakpoints and (kappa, rho) come with the job."""
     a, b = job.interval.a, job.interval.b
     home = job.home or job.interval
-    f = job.f
-    if callable(f):  # a raw callable or a compiled program
-        target, breaks = f, ()
-        raw = not isinstance(f, fs.Program)
-    else:
-        target, breaks = fs.compile_program(f, home), fs.breakpoints(f, home)
-        raw = False
-    if job.breakpoints:
-        breaks = sorted({float(x) for x in job.breakpoints} | set(breaks))
+    target = job.f if job.program is None else job.program
+    raw = not isinstance(target, fs.Program)
 
     # the endpoint structure describes the home endpoints, so it is only
     # looked at where the job touches one; a strict sub-range is regular
@@ -361,12 +375,9 @@ def _prepare(job: Job) -> _Run:
     ends = []
     for k, (side, touches) in enumerate((("left", a <= home.a + slack),
                                          ("right", b >= home.b - slack))):
-        kappa, rho = 0.0, math.inf
-        if touches:
-            if not callable(f):
-                kappa, rho = fs.endpoint_structure(f, home, side)
-            if job.endpoint_exponents is not None:
-                kappa = job.endpoint_exponents[k]
+        kappa, rho = job.ends[k] if touches else (0.0, math.inf)
+        if touches and job.endpoint_exponents is not None:
+            kappa = job.endpoint_exponents[k]
         if kappa <= -1.0:
             raise NonIntegrable(f"{side} endpoint exponent {kappa} <= -1")
         ends.append((kappa, rho))
@@ -378,7 +389,7 @@ def _prepare(job: Job) -> _Run:
         raise DomainError(f"tolerance {tol} outside accepted range (1e-14, 1e-2)")
 
     eps = 1e-12 * (b - a)
-    edges = [a] + [x for x in breaks if a + eps < x < b - eps] + [b]
+    edges = [a] + [x for x in job.breakpoints if a + eps < x < b - eps] + [b]
     run = _Run(target, tol, raw, job.max_panels, ends)
     m_l, m_r = (_grading(*end) for end in ends)
     last = len(edges) - 2
@@ -678,11 +689,22 @@ def integrate(
     return integrate_job(Job(f, interval, tol, home, None, endpoint_exponents, max_panels))
 
 
-def product_job(parts, interval: fs.Interval, tol: Optional[float] = None) -> Job:
-    """The job of ``product_integral``: the product spec, whose structure
-    ``_prepare`` derives, or a callable where a factor is raw."""
-    specs, fns = [], []
-    for w, ex in parts:
+def product_job(factors, interval: fs.Interval, tol: Optional[float] = None) -> Job:
+    """The job of ``product_integral``, planned from factor parts.
+
+    A factor is an ``fs.Part`` (planned once by a caller that shares it
+    between jobs) or a (w, ex) pair.  Same-anchor power laws and
+    exponentials fold (``fs.merge_product``); a part whose factor survives
+    the fold keeps its program, structure and breakpoints, and every other
+    factor is planned here.  Where a factor is a raw callable the job is a
+    callable, with the spec factors' breakpoints and kappas declared."""
+    specs, fns, parts = [], [], {}
+    for factor in factors:
+        if isinstance(factor, fs.Part):
+            specs.append(factor.spec)
+            parts[id(factor.spec)] = factor
+            continue
+        w, ex = factor
         if w is None or ex == 0:
             continue
         if callable(w):
@@ -690,25 +712,22 @@ def product_job(parts, interval: fs.Interval, tol: Optional[float] = None) -> Jo
         else:
             specs.append(fs.power_of(w, ex))
     specs = fs.merge_product(specs)
+    prog, ends, breaks = fs.product([parts.get(id(sp)) or fs.Part(sp, interval)
+                                     for sp in specs])
     if not fns:
-        return Job(specs[0] if len(specs) == 1 else fs.Product(specs), interval, tol)
-    # the callable hides the spec factors' structure from _prepare
-    known = fs.Product(specs)
-    kappas = tuple(fs.endpoint_structure(known, interval, side)[0]
-                   for side in ("left", "right"))
-    progs = [fs.compile_program(sp, interval) for sp in specs]
+        return Job(specs[0] if len(specs) == 1 else fs.Product(specs), interval, tol,
+                   breakpoints=breaks, program=prog, ends=ends)
 
     def fn(xs):
-        out = np.ones_like(xs)
-        for prog in progs:
-            out = out * prog(xs)
+        out = prog(xs)
         for w, ex in fns:
             vals = np.asarray(w(xs), dtype=float)
             out = out * (vals if ex == 1 else vals**ex)
         return out
 
-    return Job(fn, interval, tol, breakpoints=fs.breakpoints(known, interval),
-               endpoint_exponents=kappas)
+    # the callable hides the spec factors' structure from _prepare
+    return Job(fn, interval, tol, breakpoints=breaks,
+               endpoint_exponents=tuple(kappa for kappa, _ in ends))
 
 
 def product_integral(parts, interval: fs.Interval,
@@ -780,24 +799,50 @@ def cumulative(f: Integrand, interval: fs.Interval, side: str = "head",
     return spec, QuadResult(total, results[0].abs_error_estimate + rounding, len(in_x))
 
 
+def running_integrals(fns: Sequence[Integrand], interval: fs.Interval, side: str,
+                      tol: Optional[float] = None) -> list:
+    """The (spec, rel_error) of ``RunningIntegral`` for every f, or the
+    HopialError it raises alone.  The totals of the closed-form tails come
+    from one stacked kernel call (``fs.tail_integral_specs``)."""
+    if side not in ("tail", "head"):
+        raise DomainError(f"side must be tail|head, got {side}")
+    out: list = [None] * len(fns)
+    antis: list = [None] * len(fns)
+    for i, f in enumerate(fns):
+        if not callable(f):
+            try:
+                antis[i] = fs.closed_antiderivative(f, interval)
+            except HopialError as exc:
+                out[i] = exc
+    if side == "tail":
+        antis = fs.tail_integral_specs(antis, interval)
+    for i, f in enumerate(fns):
+        if out[i] is not None:
+            continue
+        if antis[i] is not None:
+            out[i] = (antis[i], 0.0)
+            continue
+        try:
+            spec, total = cumulative(f, interval, side, tol)
+            out[i] = (spec, total.rel_error)
+        except HopialError as exc:
+            out[i] = exc
+    return out
+
+
 class RunningIntegral:
     """F(a, x) (side="head") or F(x, b) (side="tail") of ``f``, as ``spec``:
     a closed antiderivative (rel_error 0), else ``cumulative``'s panel tree,
-    with rel_error bounding its error at every x relative to F(a, b)."""
+    with rel_error bounding its error at every x relative to F(a, b).  The
+    one-f case of ``running_integrals``."""
 
     def __init__(self, f: Integrand, interval: fs.Interval, side: str,
                  tol: Optional[float] = None):
-        if side not in ("tail", "head"):
-            raise DomainError(f"side must be tail|head, got {side}")
+        (res,) = running_integrals([f], interval, side, tol)
+        if isinstance(res, HopialError):
+            raise res
         self.interval = interval
-        self.spec = None
-        if not callable(f):
-            self.spec = (fs.closed_antiderivative(f, interval) if side == "head"
-                         else fs.tail_integral_spec(f, interval))
-        self.rel_error = 0.0
-        if self.spec is None:
-            self.spec, total = cumulative(f, interval, side, tol)
-            self.rel_error = total.rel_error
+        self.spec, self.rel_error = res
 
     def __call__(self, xs):
         # compiled on first use: a sweep only integrates the spec

@@ -10,8 +10,9 @@ Inconclusive between.  Reports and the ratio rule are the ones the lemma
 checks of ``opial`` use.
 
 One driver, ``verify_many``, checks instances that share all but f: it
-validates every f, builds the constant once and integrates the sides of
-all instances in one ``integrate_many`` call.  ``verify`` is its
+validates every f, builds the constant and plans the weight factors the
+sides share once (``funcspace.Part``), and integrates the sides of all
+instances in one ``integrate_many`` call.  ``verify`` is its
 one-instance case, and ``sweep`` and the CLI's sharpness curve run
 through it.  Any Violated instance is re-run at 10x tighter quadrature
 tolerance and in the alternate constant mode before being reported, which
@@ -101,42 +102,68 @@ def _powers(side, exps) -> tuple:
     return powers
 
 
-def _lhs_plan(inst: TheoremInstance, resolved, tol):
+def _factor(w, interval):
+    """A weight as a product factor: its part, planned once for all the
+    integrals that share it, or (w, 1) for a raw callable."""
+    return (w, 1.0) if callable(w) else fs.Part(w, interval)
+
+
+def _lhs_weight(inst: TheoremInstance, resolved):
+    """The weight factor of the left side, r or HARDY's (x - a)^-p; it
+    depends on the weights only, so a sweep plans it once."""
+    ident, info, mode, exps = resolved
+    if info.needs_r:
+        return _factor(inst.r, inst.interval)
+    power, _ = _powers(info.lhs, exps)
+    return fs.Part(fs.power_of(fs.PowerLaw(1.0, 1.0), -power), inst.interval)
+
+
+def _running(insts, resolved) -> list:
+    """F of every instance's f, from the side's end: (spec, rel_error) or
+    the HopialError it raises."""
+    side = "head" if resolved[1].side == "left" else "tail"
+    return quad.running_integrals([inst.f for inst in insts], insts[0].interval, side)
+
+
+def _lhs_plan(inst: TheoremInstance, resolved, tol, running, weight):
     """(job, powers) for the displayed left side (int w F^P)^(d/P): the side
     is the job's QuadResult ``raised(*powers)`` (outer power d/P, the power
-    d of F in the side, F's relative error)."""
+    d of F in the side, F's relative error).  ``running`` is F's
+    ``_running`` entry and ``weight`` the ``_lhs_weight`` factor (or the
+    error they raised)."""
     ident, info, mode, exps = resolved
-    running = quad.RunningIntegral(inst.f, inst.interval,
-                                   "head" if info.side == "left" else "tail")
-    F = running.spec
+    if isinstance(running, HopialError):
+        raise running
+    F, F_rel = running
     power, degree = _powers(info.lhs, exps)
+    if isinstance(weight, HopialError):
+        raise weight
     if info.needs_r:
-        job = quad.product_job([(inst.r, 1.0), (F, power)], inst.interval, tol)
+        job = quad.product_job([weight, (F, power)], inst.interval, tol)
     else:  # HARDY's weight (x - a)^-p
-        job = quad.product_job([(F, power), (fs.PowerLaw(1.0, 1.0), -power)],
-                               inst.interval, tol)
+        job = quad.product_job([(F, power), weight], inst.interval, tol)
         # F / (x - a) tends to f(a) even where F is a cancelling sum, so the
         # left exponent is p kappa_f(a) (a raw callable f counts as regular);
         # F(b) > 0, so the right end is regular
         kappa_f = 0.0 if callable(inst.f) else fs.endpoint_structure(
             inst.f, inst.interval, "left")[0]
         job = replace(job, endpoint_exponents=(power * kappa_f, 0.0))
-    return job, (degree / power, degree, running.rel_error)
+    return job, (degree / power, degree, F_rel)
 
 
 def _rhs_weights(inst, resolved):
     """The weight factors of the right side, and the relative error of the
     running integral R among them (0 without R); they depend on the
-    weights only, so a sweep builds them once."""
+    weights only, so a sweep plans them once."""
     ident, info, mode, exps = resolved
     parts, rel = [], 0.0
     if "R" in info.rhs_weight:
         R = quad.RunningIntegral(inst.r, inst.interval,
                                  "tail" if info.side == "left" else "head")
-        parts.append((R.spec, 1.0))
+        parts.append(fs.Part(R.spec, inst.interval))
         rel = R.rel_error
     if "s" in info.rhs_weight:
-        parts.append((inst.s, 1.0))
+        parts.append(_factor(inst.s, inst.interval))
     return parts, rel
 
 
@@ -145,6 +172,8 @@ def _rhs_plan(inst: TheoremInstance, resolved, tol, weights):
     (int [weights] f^E)^outer; powers is None where the core is the job's
     integral itself.  R's relative error enters as F's does on the left."""
     ident, info, mode, exps = resolved
+    if isinstance(weights, HopialError):
+        raise weights
     parts, weight_rel = weights
     power, outer = _powers(info.rhs, exps)
     job = quad.product_job(parts + [(inst.f, power)], inst.interval, tol)
@@ -161,16 +190,39 @@ def _finished(plan, res) -> quad.QuadResult:
     return res if plan[1] is None else res.raised(*plan[1])
 
 
+def _shared(inst, resolved, *plans) -> list:
+    """The factors that every instance's sides share, planned once from
+    ``inst`` (``_lhs_weight``, ``_rhs_weights``), or the error planning one
+    raised: an instance meets it where it first needs the factor."""
+    out = []
+    for plan in plans:
+        try:
+            out.append(plan(inst, resolved))
+        except HopialError as exc:
+            out.append(exc)
+    return out
+
+
+def _checked(inst: TheoremInstance):
+    """The instance's resolved theorem, once its weights pass
+    ``ct.check_weights``."""
+    resolved = inst.resolved()
+    ct.check_weights(resolved[1], inst.r, inst.s, inst.interval)
+    return resolved
+
+
 def assemble_lhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.QuadResult:
     """The displayed left-hand side, outer powers applied."""
-    plan = _lhs_plan(inst, inst.resolved(), tol)
+    resolved = _checked(inst)
+    (weight,) = _shared(inst, resolved, _lhs_weight)
+    plan = _lhs_plan(inst, resolved, tol, _running([inst], resolved)[0], weight)
     return _finished(plan, quad.integrate_job(plan[0]))
 
 
 def assemble_rhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.QuadResult:
     """The displayed right-hand side core (the constant excluded)."""
-    resolved = inst.resolved()
-    plan = _rhs_plan(inst, resolved, tol, _rhs_weights(inst, resolved))
+    resolved = _checked(inst)
+    plan = _rhs_plan(inst, resolved, tol, *_shared(inst, resolved, _rhs_weights))
     return _finished(plan, quad.integrate_job(plan[0]))
 
 
@@ -181,33 +233,29 @@ def assemble_rhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.Qua
 
 def _passes(insts, tol, breakdown=None):
     """One pass (both sides and the ratio) of every instance, which share
-    all but f.  The theorem is resolved and the constant built (unless
-    given) once, and the sides of all instances are integrated in one
-    ``integrate_many`` call.  Returns a report, or the HopialError that
-    ends the instance's pass alone, per instance; an error of the shared
-    steps is raised."""
-    ident, info, mode, exps = resolved = insts[0].resolved()
+    all but f.  The theorem is resolved, the weights checked, the constant
+    built (unless given) and the shared factors planned once; the running
+    integrals F of all instances are built together, and their sides are
+    integrated in one ``integrate_many`` call.  Returns a report, or the
+    HopialError that ends the instance's pass alone, per instance; an
+    error of the shared steps is raised."""
+    ident, info, mode, exps = resolved = _checked(insts[0])
     if breakdown is None:
         first = insts[0]
         breakdown = ct.hardy_constant(ident, first.r, first.s, first.exponents,
                                       first.interval, mode=mode, tol=tol)
-    try:
-        weights = _rhs_weights(insts[0], resolved)
-    except HopialError as exc:
-        weights = exc
+    lhs_weight, rhs_weights = _shared(insts[0], resolved, _lhs_weight, _rhs_weights)
     # per instance: the lhs plan, and the rhs plan or the error that ends
     # the pass once the lhs is done
     plans, jobs = [], []
-    for inst in insts:
+    for inst, running in zip(insts, _running(insts, resolved)):
         try:
-            lhs = _lhs_plan(inst, resolved, tol)
+            lhs = _lhs_plan(inst, resolved, tol, running, lhs_weight)
         except HopialError as exc:
             plans.append(exc)
             continue
         try:
-            if isinstance(weights, HopialError):
-                raise weights
-            rhs = _rhs_plan(inst, resolved, tol, weights)
+            rhs = _rhs_plan(inst, resolved, tol, rhs_weights)
         except HopialError as exc:
             rhs = exc
         plans.append((lhs, rhs))
@@ -267,10 +315,11 @@ def verify_many(
     """``verify`` of every instance (they share all but f): a report, or
     the HopialError that ``verify`` of it alone raises, per instance.
 
-    Every f is validated first, with the nonnegativity probes of all of
-    them in one batched evaluation.  Then the theorem is resolved and the
-    constant built (unless given) once, the sides of all instances are
-    integrated together, and every Violated report is re-examined.
+    Every f is validated first: its sign is decided by its structure
+    where it can be, and the nonnegativity probes of the rest run in one
+    batched evaluation.  Then the theorem is resolved, the weights checked
+    and the constant built (unless given) once, the sides of all instances
+    are integrated together, and every Violated report is re-examined.
     """
     out: list = [None] * len(insts)
     specs = [i for i, inst in enumerate(insts) if not callable(inst.f)]

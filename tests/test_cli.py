@@ -105,6 +105,15 @@ class TestCommands:
         assert code == 1
         assert err.startswith("error: ") and "overflows" in err
 
+    def test_negative_dip_exit_one(self, capsys):
+        # the dip lies between two samples of the nonnegativity probe; the
+        # knot values show it
+        code = cli.main(["verify", "--theorem", "HARDY", "--p", "2", "--f",
+                         "pwl:0,1;0.503,1;0.5031,-5;0.5032,1;1,1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: spec is negative inside the interval\n"
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--theorem", "HARDY", "--p", "2", "--f", "const:abc"],
         ["verify", "--theorem", "HARDY", "--p", "2", "--f", "pow:1,2,3"],

@@ -8,7 +8,7 @@ from hopial import funcspace as fs
 from hopial import quad
 from hopial import special as sp
 from hopial.cli import SUITE_EXPONENTS
-from hopial.errors import NonIntegrable, PreconditionFailed
+from hopial.errors import InvalidSpec, NonIntegrable, PreconditionFailed
 
 E = ct.ExponentSet
 
@@ -150,6 +150,17 @@ class TestHardyConstants:
         with pytest.raises(PreconditionFailed, match="k = q|q < k"):
             ct.hardy_constant("T2.30", one, one, E(p=2.0, k=3.0), unit,
                               mode="as_printed")
+
+    @pytest.mark.parametrize("ident", ["T2.7", "T2.8"])
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_non_finite_p_rejected(self, unit, one, ident, p):
+        # p = inf used to give the constant 1.0 (q = nan passed the check)
+        with pytest.raises(PreconditionFailed, match="finite|p > 1"):
+            ct.hardy_constant(ident, one, one, E(p=p), unit)
+
+    def test_negative_weight_rejected(self, unit, one):
+        with pytest.raises(InvalidSpec, match="negative"):
+            ct.hardy_constant("T2.10", fs.PowerLaw(-1.0, 1.0), one, E(), unit)
 
     def test_missing_weight_named(self, unit, one):
         # the constant of T2.9 reads only s, but the theorem takes r

@@ -144,13 +144,20 @@ class TestValidation:
             fs.validate_nonnegative(fs.Constant(-1.0), unit)
 
     def test_batched_probe_matches_one_by_one(self, unit):
-        # the probe as it ran spec by spec, kept as the reference
+        # the check spec by spec, kept as the reference: a leaf's sign is
+        # decided by its coefficient or its knot values (the interval's
+        # ends are knots here), anything else by the sampled probe
         def alone(spec):
             try:
                 fs.validate(spec, unit)
             except InvalidSpec as exc:
                 return str(exc)
-            vals = fs.evaluate_array(spec, np.linspace(0.0, 1.0, 66)[1:-1], unit)
+            if isinstance(spec, fs.PiecewiseLinear):
+                vals = np.array([v for _, v in spec.knots])
+            elif isinstance(spec, (fs.Constant, fs.PowerLaw)):
+                vals = np.array([spec.c])
+            else:
+                vals = fs.evaluate_array(spec, np.linspace(0.0, 1.0, 66)[1:-1], unit)
             if np.any(np.isnan(vals)):
                 return "spec evaluates to NaN inside the interval"
             if np.any(vals < -1e-12 * max(1.0, float(np.nanmax(np.abs(vals))))):
@@ -169,6 +176,38 @@ class TestValidation:
                for err in fs.nonnegativity_errors(specs, unit)]
         assert got == [alone(spec) for spec in specs]
         assert 0 < got.count("spec is negative inside the interval") < len(specs)
+
+    @pytest.mark.parametrize("spec,negative", [
+        # a dip between two samples of the probe
+        (fs.PiecewiseLinear([(0, 1), (0.503, 1), (0.5031, -5), (0.5032, 1), (1, 1)]), True),
+        # the probe's tolerance
+        (fs.Constant(-1e-14), False),
+        (fs.Exponential(-1e-3, 1.0), True),
+        # knots outside the interval count by their interpolated values
+        (fs.PiecewiseLinear([(-1.0, -1.0), (0.5, 1.0), (2.0, 1.0)]), False),
+        (fs.PiecewiseLinear([(-1.0, 1.0), (1.5, -1.5)]), True),
+        (fs.Step([0.0, 0.5, 0.7, 1.0], [1.0, -2e-3, 1.0]), True),
+        (fs.Step([-1.0, 0.0, 1.0, 2.0], [-1.0, 1.0, -1.0]), False),
+        (fs.Product([fs.PowerLaw(2.0, 0.5), fs.Sum([fs.Constant(1.0),
+                                                    fs.ShiftedPowerLaw(1.0, 2.0)])]), False),
+    ])
+    def test_structural_sign(self, unit, spec, negative):
+        message = "spec is negative inside the interval"
+        (error,) = fs.nonnegativity_errors([spec], unit)
+        assert (error is not None and str(error) == message) == negative
+
+    def test_structure_decides_without_a_probe(self, unit, monkeypatch):
+        # only a spec whose structure does not decide its sign is compiled
+        compiled = []
+        real = fs.compile_program
+        monkeypatch.setattr(fs, "compile_program",
+                            lambda spec, iv: compiled.append(spec) or real(spec, iv))
+        undecided = fs.Sum([fs.Exponential(1.0, 1.0), fs.Constant(-0.5)])
+        specs = [fs.PiecewiseLinear([(0.0, 1.0), (1.0, 2.0)]), fs.PowerLaw(-1.0, 1.0),
+                 fs.Sum([fs.Constant(1.0), fs.PowerLaw(1.0, 2.0)]), undecided]
+        errors = fs.nonnegativity_errors(specs, unit)
+        assert [error is None for error in errors] == [True, False, True, True]
+        assert compiled == [undecided]
 
     @pytest.mark.parametrize("spec", [
         fs.PowerLaw(1.0, math.inf),

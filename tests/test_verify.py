@@ -11,6 +11,7 @@ from hopial import funcspace as fs
 from hopial import opial
 from hopial import quad
 from hopial import verify as vf
+from hopial import cli
 from hopial.cli import SUITE_EXPONENTS, suite_weights
 from hopial.errors import HopialError, InvalidSpec, PreconditionFailed
 
@@ -119,6 +120,21 @@ class TestVerify:
     def test_negative_f_rejected(self, unit, one):
         with pytest.raises(Exception):
             vf.verify(inst("T2.1", one, one, fs.Constant(-1.0), E(), unit))
+
+    @pytest.mark.parametrize("ident,e", [("HARDY", E(p=2.0)), ("T2.1", E()),
+                                         ("T2.7", E(p=2.0))])
+    def test_negative_dip_rejected(self, unit, one, ident, e):
+        # f < 0 on (0.503, 0.5032), between two samples of the probe: the
+        # knot values decide it (these checks used to Hold)
+        f = fs.PiecewiseLinear([(0, 1), (0.503, 1), (0.5031, -5), (0.5032, 1), (1, 1)])
+        with pytest.raises(InvalidSpec, match="negative"):
+            vf.verify(inst(ident, one, one, f, e, unit))
+
+    @pytest.mark.parametrize("assemble", [vf.assemble_lhs, vf.assemble_rhs])
+    def test_sides_check_the_weights(self, unit, one, assemble):
+        # assemble_rhs of T2.10 used to give -0.1667 for this r
+        with pytest.raises(InvalidSpec, match="negative"):
+            assemble(inst("T2.10", fs.PowerLaw(-1.0, 1.0), one, one, E(), unit))
 
     def test_f_scaling_invariance_across_catalog(self, unit):
         # both sides are homogeneous of equal degree in f for every entry
@@ -327,13 +343,22 @@ class TestBatchedSweep:
 
 
 class TestStructureWalks:
-    """quad._prepare derives each integral's structure: at most one
-    ``endpoint_structure`` walk per integral end and one ``breakpoints``
-    walk per integral.  A member of these sweeps has two integrals (HARDY
-    walks f once more, for F / (x - a) at the left end)."""
+    """Each integral's factors are planned as ``funcspace.Part``s: a member
+    of these sweeps plans two parts (f^E and F^P), each with one
+    ``endpoint_structure`` walk per end and one ``breakpoints`` walk (HARDY
+    walks f once more, for F / (x - a) at the left end), and the weights
+    the members share are planned once per sweep."""
 
     @staticmethod
-    def walks(monkeypatch, ident, count):
+    def sweep(ident, count, weights=None):
+        iv = fs.Interval(0.0, 1.0)
+        r, s = weights or suite_weights(ident, 0)
+        family = fs.RandomPiecewiseLinear(n_knots=4, value_range=(0.0, 1.0),
+                                          seed=11, interval=iv)
+        sw = vf.sweep(ident, family, r, s, SUITE_EXPONENTS.get(ident, E()), iv, count)
+        assert sw.n_holds == count
+
+    def walks(self, monkeypatch, ident, count):
         counts = {"endpoint_structure": 0, "breakpoints": 0}
         depth = [0]
 
@@ -350,12 +375,7 @@ class TestStructureWalks:
         with monkeypatch.context() as patch:
             for name in counts:
                 patch.setattr(fs, name, counted(name, getattr(fs, name)))
-            iv = fs.Interval(0.0, 1.0)
-            r, s = suite_weights(ident, 0)
-            family = fs.RandomPiecewiseLinear(n_knots=4, value_range=(0.0, 1.0),
-                                              seed=11, interval=iv)
-            sw = vf.sweep(ident, family, r, s, SUITE_EXPONENTS.get(ident, E()), iv, count)
-        assert sw.n_holds == count
+            self.sweep(ident, count)
         return counts
 
     @pytest.mark.parametrize("ident", ["T2.1", "T2.4", "T2.27", "HARDY"])
@@ -365,6 +385,94 @@ class TestStructureWalks:
         per_member = {name: (large[name] - small[name]) / 10 for name in small}
         assert per_member["endpoint_structure"] <= (5 if ident == "HARDY" else 4)
         assert per_member["breakpoints"] <= 2
+
+    def shared_walks(self, monkeypatch, ident, count):
+        """Calls, at any depth, of ``endpoint_structure`` and
+        ``_compile_into`` on the sweep's weight objects r and s."""
+        r, s = suite_weights(ident, 0)
+        calls = [0]
+
+        def counted(real):
+            def wrapper(spec, *args):
+                calls[0] += spec is r or spec is s
+                return real(spec, *args)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for name in ("endpoint_structure", "_compile_into"):
+                patch.setattr(fs, name, counted(getattr(fs, name)))
+            self.sweep(ident, count, (r, s))
+        return calls[0]
+
+    @pytest.mark.parametrize("ident", ["T2.1", "T2.4", "T2.9", "T2.27"])
+    def test_shared_weights_walked_once_per_sweep(self, monkeypatch, ident):
+        small = self.shared_walks(monkeypatch, ident, 10)
+        assert small > 0
+        assert self.shared_walks(monkeypatch, ident, 20) == small
+
+    @staticmethod
+    def jobs(monkeypatch, run):
+        """The jobs ``run`` integrates, and its result."""
+        jobs = []
+        real = quad.integrate_many
+
+        def recording(batch):
+            jobs.extend(batch)
+            return real(batch)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(quad, "integrate_many", recording)
+            return jobs, run()
+
+    def test_prepare_walks_nothing(self, monkeypatch):
+        jobs, _ = self.jobs(monkeypatch, lambda: self.sweep("T2.9", 5))
+
+        def walk(*args):
+            raise AssertionError("_prepare walked a spec")
+
+        with monkeypatch.context() as patch:
+            for name in ("endpoint_structure", "breakpoints", "compile_program",
+                         "_compile_into"):
+                patch.setattr(fs, name, walk)
+            for job in jobs:
+                quad._prepare(job)
+
+    @staticmethod
+    def assert_assembled(job):
+        """The job's program, ends and breakpoints are what the walks of its
+        merged product spec give."""
+        home = job.home or job.interval
+        ref = fs.compile_program(job.f, home)
+        for name in ("ops", "fargs", "iargs", "data"):
+            got, want = getattr(job.program, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert job.ends == tuple(fs.endpoint_structure(job.f, home, side)
+                                 for side in ("left", "right"))
+        assert job.breakpoints == fs.breakpoints(job.f, home)
+
+    @pytest.mark.parametrize("ident", ct.THEOREM_IDS)
+    def test_assembled_jobs_match_the_walks(self, monkeypatch, ident):
+        jobs, _ = self.jobs(monkeypatch, lambda: cli._sweep_case(ident, 0, 5))
+        assert jobs
+        for job in jobs:
+            if job.program is not None:
+                self.assert_assembled(job)
+
+    @pytest.mark.parametrize("ident,r,e,alpha", [
+        ("T2.3", fs.PowerLaw(1.5, 0.7), E(), 3.7),  # r F^2
+        ("HARDY", None, E(p=2.0), 1.0),  # F^2 (x - a)^-2
+    ])
+    def test_folded_factors_are_planned_afresh(self, monkeypatch, unit, ident, r, e,
+                                               alpha):
+        # F = x^1.5 / 1.5 of f = x^0.5 folds into the power-law weight
+        f = fs.PowerLaw(1.0, 0.5)
+        jobs, rep = self.jobs(monkeypatch,
+                              lambda: vf.verify(inst(ident, r, None, f, e, unit)))
+        assert rep.status == "Holds"
+        assert any(isinstance(job.f, fs.PowerLaw) and job.f.alpha == pytest.approx(alpha)
+                   for job in jobs)
+        for job in jobs:
+            self.assert_assembled(job)
 
 
 class TestHardyCancellingAntiderivative:
