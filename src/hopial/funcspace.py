@@ -318,8 +318,10 @@ def _sign_values(spec: FunctionSpec, interval: Interval):
         return (spec.c,)
     if isinstance(spec, PiecewiseLinear):
         xs, vs = zip(*spec.knots)
-        values = [v for x, v in spec.knots if a < x < b]
-        values += np.interp((a, b), xs, vs).tolist()
+        values = [v for x, v in spec.knots if a <= x <= b]
+        between = [end for end in (a, b) if end not in xs]
+        if between:
+            values += np.interp(between, xs, vs).tolist()
     elif isinstance(spec, Step):
         last = len(spec.values) - 1
         lo = min(max(bisect.bisect_right(spec.breaks, a) - 1, 0), last)
