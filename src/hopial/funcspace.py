@@ -768,11 +768,14 @@ def endpoint_structure(spec: FunctionSpec, interval: Interval, side: str) -> tup
 
 def _product_end(ends: list) -> tuple:
     """The Product rule: (kappa, rho) of a product from its factors'."""
-    kappa = sum(k for k, _ in ends)
+    kappa, gap = 0, math.inf
+    for k, r in ends:
+        kappa += k
+        # each factor is t^kappa_i (1 + O(t^(rho_i - kappa_i)))
+        gap = min(gap, r - k)
     if not math.isfinite(kappa):
         return kappa, math.inf
-    # each factor is t^kappa_i (1 + O(t^(rho_i - kappa_i)))
-    return kappa, min(r - k for k, r in ends) + kappa
+    return kappa, gap + kappa
 
 
 def _power_end(end: tuple, exponent: float) -> tuple:
@@ -1183,6 +1186,7 @@ def product(parts: Sequence[Part]) -> tuple:
         data.extend(p_data)
 
     _postfix(parts, emit, OP_MUL, ops, fargs, iargs)
-    ends = tuple(_product_end([part.ends[k] for part in parts]) for k in (0, 1))
-    breaks = sorted(set().union(*(part.breaks for part in parts)))
-    return Program(ops, fargs, iargs, data), ends, breaks
+    ends = (_product_end([part.ends[0] for part in parts]),
+            _product_end([part.ends[1] for part in parts]))
+    breaks = [x for part in parts for x in part.breaks]
+    return Program(ops, fargs, iargs, data), ends, sorted(set(breaks))

@@ -239,13 +239,15 @@ class Job:
     ends: tuple = _REGULAR
 
     def __post_init__(self):
-        breaks = set(self.breakpoints or ())
-        if self.program is None and not callable(self.f):
+        if self.program is not None:  # planned by product_job
+            return
+        breaks = {float(x) for x in self.breakpoints or ()}
+        if not callable(self.f):
             program, ends, planned = fs.product([fs.Part(self.f, self.home or self.interval)])
             object.__setattr__(self, "program", program)
             object.__setattr__(self, "ends", ends)
-            breaks |= set(planned)
-        object.__setattr__(self, "breakpoints", sorted(float(x) for x in breaks))
+            breaks.update(planned)
+        object.__setattr__(self, "breakpoints", sorted(breaks))
 
 
 class _Run:
