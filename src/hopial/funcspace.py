@@ -329,7 +329,7 @@ def _sign_values(spec: FunctionSpec, interval: Interval):
         values = spec.values[lo : hi + 1]
     else:
         return None
-    return values if all(math.isfinite(v) for v in values) else None
+    return values if values and all(math.isfinite(v) for v in values) else None
 
 
 def _structural_sign(spec: FunctionSpec, interval: Interval) -> Optional[bool]:
