@@ -254,8 +254,11 @@ def _graded_ppoly(poly, pieces, n, deg, xs, anchors, ds):
         lo, hi = int(frames[3 * pieces + q]), int(frames[3 * pieces + q + 1])
         j = lo + np.clip(np.searchsorted(vlo[lo:hi], v, side="right") - 1, 0, hi - lo - 1)
         t = (v - origin[j]) * scale[j]
-        s2 = 4.0 * t - 2.0
         c = coeffs[j]
+        if deg < 2:  # no Chebyshev term beyond T_0
+            out[at] = c[:, 0] + t * c[:, 1] if deg else c[:, 0]
+            continue
+        s2 = 4.0 * t - 2.0
         # c[0] + t sum_k c[k + 1] T_k(2t - 1), by Clenshaw's recurrence
         b1, b2 = c[:, deg].copy(), np.zeros_like(t)
         for k in range(deg - 1, 1, -1):

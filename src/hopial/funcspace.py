@@ -60,7 +60,6 @@ __all__ = [
     "spec_from_json",
     "sample_family",
     "compile_program",
-    "stack_programs",
     "Part",
     "product",
 ]
@@ -256,11 +255,15 @@ def validate(spec: FunctionSpec, interval: Interval) -> None:
             raise InvalidSpec("piecewise linear knots must cover the interval")
         return
     if isinstance(spec, Step):
+        if not spec.values:
+            raise InvalidSpec("step needs at least one value")
         if len(spec.breaks) != len(spec.values) + 1:
             raise InvalidSpec("step needs len(breaks) == len(values) + 1")
         if any(x1 <= x0 for x0, x1 in zip(spec.breaks, spec.breaks[1:])):
             raise InvalidSpec("step breaks must be strictly increasing")
         return
+    if isinstance(spec, PiecewisePolynomial) and not (spec.coeffs and all(spec.coeffs)):
+        raise InvalidSpec("piecewise polynomial needs a nonempty coefficient row per piece")
     if isinstance(spec, PiecewisePolynomial) and spec.frames is None:
         if len(spec.breaks) != len(spec.coeffs) + 1:
             raise InvalidSpec("piecewise polynomial needs one coeff row per piece")
@@ -345,19 +348,19 @@ def _structural_sign(spec: FunctionSpec, interval: Interval) -> Optional[bool]:
     return None
 
 
-def stacked_values(progs: Sequence["Program"], xs: np.ndarray) -> list:
-    """The values of every one-row program at ``xs``, one array per
-    program; the programs that share a skeleton run stacked in one kernel
-    call, which gives each row the bits of its one-row program."""
-    out: list = [None] * len(progs)
+def stacked_values(codes: Sequence[tuple], xs: np.ndarray) -> list:
+    """The values at ``xs`` of the program of every code (a ``Part``'s),
+    one array per code; the codes that share a skeleton run ``stacked`` in
+    one kernel call, which gives each row the bits of its one-row
+    program."""
+    out: list = [None] * len(codes)
     groups: dict = {}
-    for i, prog in enumerate(progs):
-        groups.setdefault(prog.skeleton, []).append(i)
+    for i, code in enumerate(codes):
+        groups.setdefault(skeleton(code), []).append(i)
     for members in groups.values():
-        stacked = stack_programs([progs[i] for i in members])
         rows = np.repeat(np.arange(len(members)), len(xs))
-        vals = stacked(np.tile(xs, len(members)), rows).reshape(len(members), len(xs))
-        for i, row in zip(members, vals):
+        vals = stacked([codes[i] for i in members])(np.tile(xs, len(members)), rows)
+        for i, row in zip(members, vals.reshape(len(members), len(xs))):
             out[i] = row
     return out
 
@@ -375,13 +378,13 @@ def nonnegativity_errors(specs: Sequence[FunctionSpec], interval: Interval,
             validate(spec, interval)
             sign = _structural_sign(spec, interval)
             if sign is None:
-                probed.append((i, compile_program(spec, interval)))
+                probed.append((i, Part(spec, interval).code))
             elif not sign:
                 errors[i] = InvalidSpec("spec is negative inside the interval")
         except InvalidSpec as exc:
             errors[i] = exc
     xs = np.linspace(interval.a, interval.b, samples + 2)[1:-1]
-    for (i, _), row in zip(probed, stacked_values([prog for _, prog in probed], xs)):
+    for (i, _), row in zip(probed, stacked_values([code for _, code in probed], xs)):
         if np.any(np.isnan(row)):
             errors[i] = InvalidSpec("spec evaluates to NaN inside the interval")
         elif _negative(row.tolist()):
@@ -652,7 +655,7 @@ def tail_integral_specs(antis: Sequence[Optional[FunctionSpec]], interval: Inter
     """G(b) - G(x) for every closed antiderivative G (None stays None).
     The totals G(b) come from one stacked kernel call per skeleton."""
     known = [i for i, anti in enumerate(antis) if anti is not None]
-    totals = stacked_values([compile_program(antis[i], interval) for i in known],
+    totals = stacked_values([Part(antis[i], interval).code for i in known],
                             np.array([interval.b]))
     out: list = [None] * len(antis)
     for i, total in zip(known, totals):
@@ -666,25 +669,9 @@ def tail_integral_specs(antis: Sequence[Optional[FunctionSpec]], interval: Inter
 
 
 def breakpoints(spec: FunctionSpec, interval: Interval) -> list:
-    """Interior x values where the spec is only piecewise smooth."""
-    pts: set = set()
-
-    def walk(s):
-        if isinstance(s, PiecewiseLinear):
-            pts.update(x for x, _ in s.knots)
-        elif isinstance(s, (Step, PiecewisePolynomial)):
-            pts.update(s.breaks)
-        elif isinstance(s, (Sum, Product)):
-            for t in s.terms:
-                walk(t)
-        elif isinstance(s, Power):
-            walk(s.base)
-        elif isinstance(s, AbsVal):
-            walk(s.term)
-
-    walk(spec)
-    eps = 1e-12 * interval.width
-    return sorted(x for x in pts if interval.a + eps < x < interval.b - eps)
+    """Interior x values where the spec is only piecewise smooth: the
+    breakpoints of its ``Part``."""
+    return Part(spec, interval).breaks
 
 
 def _fractional(e: float) -> float:
@@ -693,7 +680,7 @@ def _fractional(e: float) -> float:
 
 
 def endpoint_structure(spec: FunctionSpec, interval: Interval, side: str) -> tuple:
-    """(kappa, rho) of the spec near one endpoint, in one structural walk.
+    """(kappa, rho) of the spec near one endpoint, read off its ``Part``.
 
     kappa is the power-law exponent: spec(x) ~ C * dist^kappa with C != 0;
     0.0 for a regular nonzero endpoint value, math.inf where the spec
@@ -709,61 +696,35 @@ def endpoint_structure(spec: FunctionSpec, interval: Interval, side: str) -> tup
     caller that knows its kappa passes it to the quadrature as
     ``endpoint_exponents``.
     """
-    left = side == "left"
-    if isinstance(spec, Constant):
-        return (0.0 if spec.c != 0.0 else math.inf), math.inf
-    if isinstance(spec, (PowerLaw, ShiftedPowerLaw)):
-        if spec.c == 0.0:
-            return math.inf, math.inf
-        if left != isinstance(spec, PowerLaw):
-            return 0.0, math.inf
-        return spec.alpha, _fractional(spec.alpha)
-    if isinstance(spec, Exponential):
-        return (0.0 if spec.c != 0.0 else math.inf), math.inf
-    if isinstance(spec, PiecewiseLinear):
-        knots = spec.knots if left else tuple(reversed(spec.knots))
-        v_end = knots[0][1]
-        if v_end != 0.0:
-            return 0.0, math.inf
-        if knots[1][1] != 0.0:
-            return 1.0, math.inf
-        return math.inf, math.inf
-    if isinstance(spec, Step):
-        vals = spec.values if left else tuple(reversed(spec.values))
-        return (0.0 if vals[0] != 0.0 else math.inf), math.inf
-    if isinstance(spec, PiecewisePolynomial):
-        if spec.frames is not None:
-            return spec.ends[0 if left else 1]
-        if left:
-            row = spec.coeffs[0]
-            scale_ref = max((abs(c) for c in row), default=0.0)
-            for j, c in enumerate(row):
-                if abs(c) > 1e-14 * max(scale_ref, 1.0):
-                    return float(j), math.inf
-            return math.inf, math.inf
-        row = spec.coeffs[-1]
-        w = spec.breaks[-1] - spec.breaks[-2]
-        # order of the zero at the right edge of the last piece
-        derivs = list(row)
-        scale_ref = max((abs(c) * w ** j for j, c in enumerate(row)), default=0.0)
-        for j in range(len(row)):
-            val = sum(
-                derivs[k] * math.comb(k, j) * math.factorial(j) * w ** (k - j)
-                for k in range(j, len(row))
-            )
-            if abs(val) > 1e-10 * max(scale_ref, 1e-300):
-                return float(j), math.inf
-        return math.inf, math.inf
-    if isinstance(spec, (Sum, Product)):
-        parts = [endpoint_structure(t, interval, side) for t in spec.terms]
-        if isinstance(spec, Sum):
-            return min(k for k, _ in parts), min(r for _, r in parts)
-        return _product_end(parts)
-    if isinstance(spec, Power):
-        return _power_end(endpoint_structure(spec.base, interval, side), spec.exponent)
-    if isinstance(spec, AbsVal):
-        return endpoint_structure(spec.term, interval, side)
-    return 0.0, math.inf
+    return Part(spec, interval).ends[side != "left"]
+
+
+def _ppoly_ends(spec: PiecewisePolynomial) -> tuple:
+    """(left, right) (kappa, rho) of a piecewise polynomial: the declared
+    ends of the graded form, else the order of the zero at each end."""
+    if spec.frames is not None:
+        return spec.ends
+    row = spec.coeffs[0]
+    tiny = 1e-14 * max(max(map(abs, row), default=0.0), 1.0)
+    left = next(((float(j), math.inf) for j, c in enumerate(row) if abs(c) > tiny),
+                _VANISHING_END)
+    # the derivatives at the right edge of the last piece
+    row = spec.coeffs[-1]
+    w = spec.breaks[-1] - spec.breaks[-2]
+    powers = [w ** j for j in range(len(row))]
+    tiny = 1e-10 * max(max((abs(c) * wj for c, wj in zip(row, powers)), default=0.0), 1e-300)
+    for j in range(len(row)):
+        val = sum(row[k] * math.comb(k, j) * math.factorial(j) * powers[k - j]
+                  for k in range(j, len(row)))
+        if abs(val) > tiny:
+            return left, (float(j), math.inf)
+    return left, _VANISHING_END
+
+
+def _sum_end(ends: list) -> tuple:
+    """The Sum rule: (kappa, rho) of a sum from its terms', the min rule."""
+    kappas, rhos = zip(*ends)
+    return min(kappas), min(rhos)
 
 
 def _product_end(ends: list) -> tuple:
@@ -991,26 +952,16 @@ class Program:
 
     ``fargs`` (rows x ops x 3) and ``data`` (rows x n) hold one parameter
     row per member; ``compile_program`` makes one-row programs and
-    ``stack_programs`` stacks the rows of programs that share a skeleton.
+    ``stacked`` stacks the code of specs that share a skeleton.
     """
 
-    __slots__ = ("ops", "fargs", "iargs", "data", "_skeleton")
+    __slots__ = ("ops", "fargs", "iargs", "data")
 
     def __init__(self, ops, fargs, iargs, data):
         self.ops = np.asarray(ops, dtype=np.int32)
         self.fargs = np.asarray(fargs, dtype=np.float64).reshape(-1, len(ops), 3)
         self.iargs = np.asarray(iargs, dtype=np.int32).reshape(len(ops), 2)
         self.data = np.asarray(data, dtype=np.float64).reshape(len(self.fargs), -1)
-        self._skeleton = None
-
-    @property
-    def skeleton(self):
-        """Opcodes, data layout and polynomial degrees and forms: what the
-        rows of a stacked program share."""
-        if self._skeleton is None:
-            self._skeleton = (self.ops.tobytes(), self.iargs.tobytes(), self.data.shape[1],
-                              self.fargs[0, self.ops == OP_PPOLY, :2].tobytes())
-        return self._skeleton
 
     def __call__(self, xs: np.ndarray, rows: Optional[np.ndarray] = None,
                  offsets: Optional[tuple] = None) -> np.ndarray:
@@ -1029,60 +980,80 @@ class Program:
         return out.reshape(shape)
 
 
-def stack_programs(progs: Sequence[Program]) -> Program:
-    """One program whose row i is the (one-row) program ``progs[i]``."""
-    first = progs[0]
-    if any(p.skeleton != first.skeleton for p in progs):
-        raise InvalidSpec("stacked programs must share opcodes and data layout")
-    return Program(first.ops, np.concatenate([p.fargs for p in progs]), first.iargs,
-                   np.concatenate([p.data for p in progs]))
+def skeleton(code: tuple) -> tuple:
+    """Opcodes, data layout and polynomial degrees and forms of a program's
+    code (the lists ops, fargs, iargs and data): what the rows of a stacked
+    program share."""
+    ops, fargs, iargs, data = code
+    return (tuple(ops), tuple(iargs), len(data),
+            tuple(args[:2] for op, args in zip(ops, fargs) if op == OP_PPOLY))
 
 
-def _compile_into(spec, interval, ops, fargs, iargs, data):
-    """Append the postfix program of ``spec`` to the four lists."""
-    a, b = interval.a, interval.b
-    if isinstance(spec, Constant):
-        ops.append(OP_CONST)
-        fargs.append((spec.c, 0.0, 0.0))
+def stacked(codes: Sequence[tuple]) -> Program:
+    """One program whose row i is the program of ``codes[i]``; the codes
+    share one ``skeleton``."""
+    ops, _, iargs, _ = codes[0]
+    return Program(ops, [code[1] for code in codes], iargs, [code[3] for code in codes])
+
+
+_REGULAR_END = (0.0, math.inf)
+_VANISHING_END = (math.inf, math.inf)
+
+
+def _value_end(values) -> tuple:
+    """(kappa, rho) at the end of a piecewise-linear spec or step whose
+    values run inward from that end: the order of the zero of the first
+    segment."""
+    if values[0] != 0.0:
+        return _REGULAR_END
+    return (1.0, math.inf) if len(values) > 1 and values[1] != 0.0 else _VANISHING_END
+
+
+def _walk(spec, interval, code, breaks) -> tuple:
+    """The one structural walk of a spec: append its postfix program to
+    ``code`` (the lists ops, fargs, iargs and data), add its knots and
+    breaks to ``breaks`` and return its (left, right) (kappa, rho)."""
+    ops, fargs, iargs, data = code
+    if isinstance(spec, (Constant, Exponential)):
+        constant = isinstance(spec, Constant)
+        ops.append(OP_CONST if constant else OP_EXP)
+        fargs.append((spec.c, 0.0 if constant else spec.beta, 0.0))
         iargs.append((0, 0))
-        return
-    if isinstance(spec, PowerLaw):
-        ops.append(OP_POW_LEFT)
-        fargs.append((spec.c, spec.alpha, a))
+        end = _REGULAR_END if spec.c != 0.0 else _VANISHING_END
+        return end, end
+    if isinstance(spec, (PowerLaw, ShiftedPowerLaw)):
+        left = isinstance(spec, PowerLaw)
+        ops.append(OP_POW_LEFT if left else OP_POW_RIGHT)
+        fargs.append((spec.c, spec.alpha, interval.a if left else interval.b))
         iargs.append((0, 0))
-        return
-    if isinstance(spec, ShiftedPowerLaw):
-        ops.append(OP_POW_RIGHT)
-        fargs.append((spec.c, spec.alpha, b))
-        iargs.append((0, 0))
-        return
-    if isinstance(spec, Exponential):
-        ops.append(OP_EXP)
-        fargs.append((spec.c, spec.beta, 0.0))
-        iargs.append((0, 0))
-        return
+        if spec.c == 0.0:
+            return _VANISHING_END, _VANISHING_END
+        anchored = spec.alpha, _fractional(spec.alpha)
+        return (anchored, _REGULAR_END) if left else (_REGULAR_END, anchored)
     if isinstance(spec, PiecewiseLinear):
-        off = len(data)
-        n = len(spec.knots)
-        data.extend(x for x, _ in spec.knots)
-        data.extend(v for _, v in spec.knots)
+        xs = [x for x, _ in spec.knots]
+        vs = [v for _, v in spec.knots]
         ops.append(OP_PWL)
         fargs.append((0.0, 0.0, 0.0))
-        iargs.append((off, n))
-        return
+        iargs.append((len(data), len(xs)))
+        data.extend(xs)
+        data.extend(vs)
+        breaks.extend(xs)
+        return _value_end(vs), _value_end(vs[::-1])
     if isinstance(spec, Step):
-        off = len(data)
-        n = len(spec.values)
-        data.extend(spec.breaks)
-        data.extend(spec.values)
         ops.append(OP_STEP)
         fargs.append((0.0, 0.0, 0.0))
-        iargs.append((off, n))
-        return
+        iargs.append((len(data), len(spec.values)))
+        data.extend(spec.breaks)
+        data.extend(spec.values)
+        breaks.extend(spec.breaks)
+        # a step is constant next to each end
+        return _value_end(spec.values[:1]), _value_end(spec.values[-1:])
     if isinstance(spec, PiecewisePolynomial):
-        off = len(data)
-        n = len(spec.coeffs)
-        deg = max(len(row) for row in spec.coeffs) - 1
+        deg = max(map(len, spec.coeffs)) - 1
+        ops.append(OP_PPOLY)
+        fargs.append((float(deg), float(len(spec.frames or ())), 0.0))
+        iargs.append((len(data), len(spec.coeffs)))
         data.extend(spec.breaks)
         if spec.frames is not None:  # the layout _kernel reads for the graded form
             anchors, signs, ms, starts, vbs = zip(*spec.frames)
@@ -1093,28 +1064,29 @@ def _compile_into(spec, interval, ops, fargs, iargs, data):
                         for start, vb in zip(starts, vbs) for j in range(len(vb) - 1)]
             data.extend(x for column in zip(*segments) for x in column)
         for row in spec.coeffs:
-            padded = list(row) + [0.0] * (deg + 1 - len(row))
-            data.extend(padded)
-        ops.append(OP_PPOLY)
-        fargs.append((float(deg), float(len(spec.frames or ())), 0.0))
-        iargs.append((off, n))
-        return
+            data.extend(row)
+            if len(row) <= deg:
+                data.extend([0.0] * (deg + 1 - len(row)))
+        breaks.extend(spec.breaks)
+        return _ppoly_ends(spec)
     if isinstance(spec, (Sum, Product)):
-        _postfix(spec.terms, lambda term: _compile_into(term, interval, ops, fargs, iargs, data),
+        ends: list = []
+        _postfix(spec.terms, lambda term: ends.append(_walk(term, interval, code, breaks)),
                  OP_ADD if isinstance(spec, Sum) else OP_MUL, ops, fargs, iargs)
-        return
+        rule = _sum_end if isinstance(spec, Sum) else _product_end
+        return rule([left for left, _ in ends]), rule([right for _, right in ends])
     if isinstance(spec, Power):
-        _compile_into(spec.base, interval, ops, fargs, iargs, data)
+        left, right = _walk(spec.base, interval, code, breaks)
         ops.append(OP_POWER)
         fargs.append((spec.exponent, 0.0, 0.0))
         iargs.append((0, 0))
-        return
+        return _power_end(left, spec.exponent), _power_end(right, spec.exponent)
     if isinstance(spec, AbsVal):
-        _compile_into(spec.term, interval, ops, fargs, iargs, data)
+        ends = _walk(spec.term, interval, code, breaks)
         ops.append(OP_ABS)
         fargs.append((0.0, 0.0, 0.0))
         iargs.append((0, 0))
-        return
+        return ends
     raise InvalidSpec(f"cannot compile {type(spec).__name__}")
 
 
@@ -1130,12 +1102,8 @@ def _postfix(terms, emit, opcode, ops, fargs, iargs) -> None:
 
 
 def compile_program(spec: FunctionSpec, interval: Interval) -> Program:
-    ops: list = []
-    fargs: list = []
-    iargs: list = []
-    data: list = []
-    _compile_into(spec, interval, ops, fargs, iargs, data)
-    return Program(ops, fargs, iargs, data)
+    """The one-row program of ``spec``: the code of its ``Part``."""
+    return Program(*Part(spec, interval).code)
 
 
 # ---------------------------------------------------------------------------
@@ -1146,35 +1114,33 @@ _TABLE_OPS = (OP_PWL, OP_STEP, OP_PPOLY)  # the opcodes whose iargs[0] is a data
 
 
 class Part:
-    """One factor of a product integrand, planned once on ``interval``: its
-    spec, its program code (the four lists of ``_compile_into``), its
-    (kappa, rho) at the left and right ends and its interior breakpoints.
-    ``product`` joins parts without walking their specs again, so the
-    factors that many integrals share are walked once."""
+    """A spec planned on ``interval`` by one walk (``_walk``): its program
+    code (the lists ops, fargs, iargs and data), its (kappa, rho) at the
+    left and right ends and its interior breakpoints.  ``compile_program``,
+    ``endpoint_structure`` and ``breakpoints`` read a part, and
+    ``product`` joins the parts of a product integrand's factors without
+    walking their specs again, so the factors that many integrals share
+    are walked once."""
 
     __slots__ = ("spec", "code", "ends", "breaks")
 
     def __init__(self, spec: FunctionSpec, interval: Interval):
         self.spec = spec
         self.code = ([], [], [], [])
-        _compile_into(spec, interval, *self.code)
-        self.ends = (endpoint_structure(spec, interval, "left"),
-                     endpoint_structure(spec, interval, "right"))
-        self.breaks = breakpoints(spec, interval)
+        pts: list = []
+        self.ends = _walk(spec, interval, self.code, pts)
+        eps = 1e-12 * interval.width
+        self.breaks = sorted(x for x in set(pts) if interval.a + eps < x < interval.b - eps)
 
 
 def product(parts: Sequence[Part]) -> tuple:
-    """(program, (left, right) (kappa, rho), breakpoints) of the product of
-    the parts' specs: what ``compile_program``, ``endpoint_structure`` and
-    ``breakpoints`` give for ``Product([part.spec, ...])``, or for the one
-    part's spec alone."""
+    """(code, (left, right) (kappa, rho), breakpoints) of the product of
+    the parts' specs: what the ``Part`` of ``Product([part.spec, ...])``
+    holds, or the one part's own."""
     if len(parts) == 1:
         part = parts[0]
-        return Program(*part.code), part.ends, part.breaks
-    ops: list = []
-    fargs: list = []
-    iargs: list = []
-    data: list = []
+        return part.code, part.ends, part.breaks
+    code = ops, fargs, iargs, data = ([], [], [], [])
 
     def emit(part):
         p_ops, p_fargs, p_iargs, p_data = part.code
@@ -1189,4 +1155,4 @@ def product(parts: Sequence[Part]) -> tuple:
     ends = (_product_end([part.ends[0] for part in parts]),
             _product_end([part.ends[1] for part in parts]))
     breaks = [x for part in parts for x in part.breaks]
-    return Program(ops, fargs, iargs, data), ends, sorted(set(breaks))
+    return code, ends, sorted(set(breaks))

@@ -15,11 +15,10 @@ case of the same loop).  Per job:
   least integer >= 2 with m (1 + rho) - 1 >= 6, so the transformed term
   has six derivatives; an integer m keeps the smooth terms smooth.  Both
   come from the (kappa, rho) the job was planned with: each factor of a
-  product is a ``funcspace.Part`` whose program, structure
-  (``funcspace.endpoint_structure``) and breakpoints are derived once,
-  when the part is made, and ``product_job`` joins the parts by the
-  Product rule.  A sweep makes the parts its integrals share once, and
-  ``_prepare`` walks no spec;
+  product is a ``funcspace.Part``, whose program code, structure and
+  breakpoints come from one walk of its spec, and ``product_job`` joins
+  the parts' code lists by the Product rule.  A sweep makes the parts its
+  integrals share once, and ``_prepare`` walks no spec;
 * ``endpoint_exponents`` replaces the planned kappa where the structure
   cannot see it: a raw callable (``product_job`` declares its spec
   factors'), and a sum that cancels at the endpoint, whose min rule gives
@@ -41,12 +40,13 @@ the graded form of ``funcspace.PiecewisePolynomial``.
 Each piece of a job keeps its own panel tree, stop rule and share of the
 job's panel budget, exactly as when the job runs alone.  The loop refines
 the pieces of all jobs in rounds, and in each round the new panels of all
-pieces that share an integrand are evaluated in one kernel call.  Specs
-that compile to the same opcode skeleton share one batched program, with
-one parameter row per job (``funcspace.stack_programs``).  A job gets the
-same bits in any batch: the kernel gives a row the bits of its one-row
-program, and the panel rule reduces every panel on its own (a BLAS gemv
-would not: its result for a row changes with the number of rows).
+pieces that share an integrand are evaluated in one kernel call.  Jobs
+whose code has the same opcode skeleton share one batched program, built
+once per group with one parameter row per job (``funcspace.stacked``).
+A job gets the same bits in any batch: the kernel gives a row the bits of
+its one-row program, and the panel rule reduces every panel on its own (a
+BLAS gemv would not: its result for a row changes with the number of
+rows).
 
 Default relative tolerances: 1e-7 when an endpoint exponent is negative,
 else 1e-10 (a graded finite endpoint keeps 1e-10).  Constants downstream
@@ -224,9 +224,10 @@ class Job:
     """One integral for ``integrate_many``: the arguments of ``integrate``,
     planned.  A spec ``f`` is planned where the job is made (unless
     ``product_job`` planned it from its factors' parts): the job carries
-    its ``program``, its (kappa, rho) at the left and right ends of
-    ``home`` (``ends``) and its breakpoints, merged with any given.  A raw
-    callable has no program, regular ends and the given breakpoints."""
+    its program ``code`` (the lists of a ``funcspace.Part``), its (kappa,
+    rho) at the left and right ends of ``home`` (``ends``) and its
+    breakpoints, merged with any given.  A raw callable has no code,
+    regular ends and the given breakpoints."""
 
     f: Integrand
     interval: fs.Interval
@@ -235,18 +236,18 @@ class Job:
     breakpoints: Sequence[float] = ()
     endpoint_exponents: Optional[tuple] = None
     max_panels: int = DEFAULT_PANEL_BUDGET
-    program: Optional[fs.Program] = None
+    code: Optional[tuple] = None
     ends: tuple = _REGULAR
 
     def __post_init__(self):
-        if self.program is not None:  # planned by product_job
+        if self.code is not None:  # planned by product_job
             return
         breaks = {float(x) for x in self.breakpoints or ()}
         if not callable(self.f):
-            program, ends, planned = fs.product([fs.Part(self.f, self.home or self.interval)])
-            object.__setattr__(self, "program", program)
-            object.__setattr__(self, "ends", ends)
-            breaks.update(planned)
+            part = fs.Part(self.f, self.home or self.interval)
+            object.__setattr__(self, "code", part.code)
+            object.__setattr__(self, "ends", part.ends)
+            breaks.update(part.breaks)
         object.__setattr__(self, "breakpoints", sorted(breaks))
 
 
@@ -364,12 +365,12 @@ def _graded(lo, hi, sign, m):
 
 def _prepare(job: Job) -> _Run:
     """Validate a planned job and cut it into pieces (endpoint
-    substitutions and breakpoint splits).  It walks no spec: the program,
+    substitutions and breakpoint splits).  It walks no spec: the code,
     breakpoints and (kappa, rho) come with the job."""
     a, b = job.interval.a, job.interval.b
     home = job.home or job.interval
-    target = job.f if job.program is None else job.program
-    raw = not isinstance(target, fs.Program)
+    raw = job.code is None
+    target = job.f if raw else job.code
 
     # the endpoint structure describes the home endpoints, so it is only
     # looked at where the job touches one; a strict sub-range is regular
@@ -386,14 +387,14 @@ def _prepare(job: Job) -> _Run:
 
     tol = job.tol
     if tol is None:
-        tol = SINGULAR_TOL if any(kappa < 0.0 for kappa, _ in ends) else SMOOTH_TOL
+        tol = SINGULAR_TOL if ends[0][0] < 0.0 or ends[1][0] < 0.0 else SMOOTH_TOL
     if not (1e-14 < tol < 1e-2):
         raise DomainError(f"tolerance {tol} outside accepted range (1e-14, 1e-2)")
 
     eps = 1e-12 * (b - a)
     edges = [a] + [x for x in job.breakpoints if a + eps < x < b - eps] + [b]
     run = _Run(target, tol, raw, job.max_panels, ends)
-    m_l, m_r = (_grading(*end) for end in ends)
+    m_l, m_r = _grading(*ends[0]), _grading(*ends[1])
     last = len(edges) - 2
     for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
         m_lo = m_l if i == 0 else None
@@ -414,33 +415,27 @@ def _assign_groups(runs) -> list:
     """Give every piece its group and parameter row; returns the groups'
     integrands as (fn, batched) pairs.
 
-    Programs that share a skeleton are stacked into one batched program,
-    whose ``fn(xs, rows, offsets)`` takes a parameter row and an exact
-    endpoint offset per point; a raw callable is a group of its own and
-    sees only xs.
+    The codes that share a skeleton make one program, built once per
+    group with a parameter row per code (``funcspace.stacked``), whose
+    ``fn(xs, rows, offsets)`` takes a parameter row and an exact endpoint
+    offset per point; a raw callable is a group of its own and sees only
+    xs.
     """
     fns: list = []
     of: dict = {}
     by_skeleton: dict = {}
     for run in runs:
         f = run.target
-        if isinstance(f, fs.Program):
-            by_skeleton.setdefault(f.skeleton, {})[id(f)] = f
+        if not run.raw:
+            by_skeleton.setdefault(fs.skeleton(f), {})[id(f)] = f
         elif id(f) not in of:
             fn = _as_array_fn(f)
             of[id(f)] = (len(fns), None)
             fns.append((lambda xs, rows, offsets, fn=fn: fn(xs), False))
-    for progs in by_skeleton.values():
-        progs = list(progs.values())
-        if len(progs) == 1 and len(progs[0].fargs) == 1:
-            of[id(progs[0])] = (len(fns), None)
-            fns.append((progs[0], False))
-            continue
-        row = 0
-        for prog in progs:
-            of[id(prog)] = (len(fns), row)
-            row += len(prog.fargs)
-        fns.append((fs.stack_programs(progs), True))
+    for codes in by_skeleton.values():
+        for row, key in enumerate(codes):
+            of[key] = (len(fns), row)
+        fns.append((fs.stacked(list(codes.values())), len(codes) > 1))
     for run in runs:
         group, row = of[id(run.target)]
         for pc in run.pieces:
@@ -714,11 +709,12 @@ def product_job(factors, interval: fs.Interval, tol: Optional[float] = None) -> 
         else:
             specs.append(fs.power_of(w, ex))
     specs = fs.merge_product(specs)
-    prog, ends, breaks = fs.product([parts.get(id(sp)) or fs.Part(sp, interval)
+    code, ends, breaks = fs.product([parts.get(id(sp)) or fs.Part(sp, interval)
                                      for sp in specs])
     if not fns:
         return Job(specs[0] if len(specs) == 1 else fs.Product(specs), interval, tol,
-                   breakpoints=breaks, program=prog, ends=ends)
+                   breakpoints=breaks, code=code, ends=ends)
+    prog = fs.Program(*code)
 
     def fn(xs):
         out = prog(xs)

@@ -121,7 +121,14 @@ class TestCommands:
          '{"variant":"PowerLaw","c":1}'],
         "config",
         ["lemma", "--variant", "OPIAL", "--path", "hat:x"],
-    ], ids=["const-abc", "pow-three-args", "json-no-alpha", "config-c-x", "path-hat-x"])
+        ["verify", "--theorem", "HARDY", "--p", "2", "--f",
+         '{"variant":"Step","breaks":[0.5],"values":[]}'],
+        ["verify", "--theorem", "HARDY", "--p", "2", "--f",
+         '{"variant":"PiecewisePolynomial","breaks":[0],"coeffs":[]}'],
+        ["verify", "--theorem", "HARDY", "--p", "2", "--f",
+         '{"variant":"PiecewisePolynomial","breaks":[0,1],"coeffs":[[]]}'],
+    ], ids=["const-abc", "pow-three-args", "json-no-alpha", "config-c-x", "path-hat-x",
+            "step-no-values", "ppoly-no-pieces", "ppoly-empty-row"])
     def test_malformed_function_exit_one(self, argv, tmp_path, capsys):
         if argv == "config":
             config = cli.RunConfig(command="verify", theorem="HARDY", p=2.0,

@@ -65,10 +65,22 @@ class TestEvaluate:
             assert [exact[0], exact[2]] == want
             assert exact[1::2].tolist() == plain[1::2].tolist()
         # the same with a parameter row per point
-        stacked = fs.stack_programs([fs.compile_program(fs.PowerLaw(c, -0.5), iv)
-                                     for c in (1.0, 3.0)])
+        stacked = fs.stacked([fs.Part(fs.PowerLaw(c, -0.5), iv).code for c in (1.0, 3.0)])
         out = stacked(xs, np.array([1, 0, 1, 0]), (anchors, ds))
         assert out[0] == 3e10 and out[1] == 2.0
+
+    @pytest.mark.parametrize("row,want", [
+        ([0.5], [0.5, 0.5, 0.5]),
+        ([0.5, 2.0], [0.5, 1.0, 2.5]),
+        ([0.5, 2.0, 3.0], [0.5, 0.625, 5.5]),
+    ])
+    def test_graded_short_rows(self, row, want):
+        # c[0] + t sum_k c[k + 1] T_k(2t - 1), t = (x - 1) / 2 on (1, 3)
+        iv = fs.Interval(1.0, 3.0)
+        spec = fs.PiecewisePolynomial([1.0, 3.0], [row], [(1.0, 1.0, 1.0, 0, [0.0, 2.0])],
+                                      ((0.0, math.inf), (0.0, math.inf)))
+        got = fs.evaluate_array(spec, np.array([1.0, 1.5, 3.0]), iv)
+        assert got.tolist() == want
 
     def test_outside_interval_rejected(self, unit):
         with pytest.raises(DomainError):
@@ -81,43 +93,100 @@ class TestEvaluate:
         assert np.allclose(fs.evaluate_array(spec, xs, unit), expected, rtol=1e-14)
 
 
+# hypothesis strategies for stacked programs: a shape fixes the opcodes and
+# the data layout, and every member drawn for it has its own parameters
+_shape = st.recursive(
+    st.one_of(
+        st.sampled_from([("const",), ("left",), ("right",), ("exp",)]),
+        st.tuples(st.just("pwl"), st.integers(2, 5)),
+        st.tuples(st.just("step"), st.integers(1, 4)),
+        st.tuples(st.just("ppoly"), st.integers(1, 3), st.integers(0, 3)),
+        st.tuples(st.just("graded"), st.integers(1, 3), st.integers(0, 3)),
+    ),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["sum", "product"]), st.lists(kids, min_size=2, max_size=3)),
+        st.tuples(st.sampled_from(["power", "abs"]), kids),
+    ),
+    max_leaves=4,
+)
+# -1, 0.5 and 2 take np.power's scalar shortcuts (0 and 1 too)
+_exponent = st.sampled_from([-1.0, 0.5, 2.0, 0.0, 1.0, 1.3, -0.4])
+_coef = st.floats(-2.0, 2.0)
+
+
+def _knots(draw, lo, hi, n):
+    """n strictly increasing points from lo to hi."""
+    gaps = np.cumsum(draw(st.lists(st.floats(0.1, 1.0), min_size=n - 1, max_size=n - 1)))
+    return [lo] + (lo + (hi - lo) * gaps[:-1] / gaps[-1]).tolist() + [hi]
+
+
+def _member(draw, shape, iv):
+    """A spec of ``shape`` on ``iv`` with freshly drawn parameters."""
+    kind, a, b = shape[0], iv.a, iv.b
+    if kind == "const":
+        return fs.Constant(draw(_coef))
+    if kind in ("left", "right"):
+        law = fs.PowerLaw if kind == "left" else fs.ShiftedPowerLaw
+        return law(draw(_coef), draw(_exponent))
+    if kind == "exp":
+        return fs.Exponential(draw(_coef), draw(st.floats(-1.5, 1.5)))
+    if kind == "pwl":
+        return fs.PiecewiseLinear([(x, draw(_coef)) for x in _knots(draw, a, b, shape[1])])
+    if kind == "step":
+        return fs.Step(_knots(draw, a, b, shape[1] + 1), [draw(_coef) for _ in range(shape[1])])
+    if kind == "ppoly":
+        return fs.PiecewisePolynomial(_knots(draw, a, b, shape[1] + 1),
+                                      [[draw(_coef) for _ in range(shape[2] + 1)]
+                                       for _ in range(shape[1])])
+    if kind == "graded":
+        # two pieces, anchored at a and at b, with shape[1] segments each
+        m = draw(st.sampled_from([1.0, 2.0, 3.0]))
+        mid = a + (b - a) * draw(st.floats(0.2, 0.8))
+        frames = [(anchor, sign, m, start, _knots(draw, 0.0, span ** (1.0 / m), shape[1] + 1))
+                  for anchor, sign, start, span in ((a, 1.0, 0, mid - a), (b, -1.0, 1, b - mid))]
+        coeffs = [[draw(_coef) for _ in range(shape[2] + 1)] for _ in range(2 * shape[1])]
+        return fs.PiecewisePolynomial([a, mid, b], coeffs, frames,
+                                      ((0.0, math.inf), (0.0, math.inf)))
+    terms = [_member(draw, kid, iv) for kid in shape[1]] if kind in ("sum", "product") else [
+        _member(draw, shape[1], iv)]
+    if kind == "sum":
+        return fs.Sum(terms)
+    if kind == "product":
+        return fs.Product(terms)
+    if kind == "power":
+        return fs.Power(terms[0], draw(_exponent))
+    return fs.AbsVal(terms[0])
+
+
 class TestStackedPrograms:
     """Rows of a stacked program give the bits of their one-row programs."""
 
-    @staticmethod
-    def members(unit):
-        rng = np.random.default_rng(4)
-        fam = fs.RandomPiecewiseLinear(5, (0.0, 2.0), seed=9, interval=unit)
-        pwls = fs.sample_family(fam, 4)
-        # exponents 2.0, 0.5 and -1.0 take np.power's scalar shortcuts
-        alphas = [2.0, 0.5, -1.0, 1.3, 0.0, 2.0]
-        return [
-            [fs.Product([fs.PowerLaw(float(c), a), fs.Exponential(1.0, float(c))])
-             for a, c in zip(alphas, rng.uniform(0.5, 2.0, len(alphas)))],
-            [fs.Power(fs.Sum([fs.Constant(0.3), pwl]), e)
-             for pwl, e in zip(pwls, [2.0, 0.5, 3.0, 2.0])],
-            [fs.closed_antiderivative(pwl, unit) for pwl in pwls],
-            [fs.derivative(pwl, unit) for pwl in pwls],
-            pwls[:1] * 3 + pwls[1:],
-        ]
-
-    def test_rows_match_one_row_programs(self, unit):
-        rng = np.random.default_rng(5)
-        for specs in self.members(unit):
-            progs = [fs.compile_program(sp, unit) for sp in specs]
-            stacked = fs.stack_programs(progs)
-            xs = np.concatenate([rng.uniform(0.0, 1.0, 300), [0.0, 1.0],
-                                 [x for x, _ in specs[-1].knots]
-                                 if isinstance(specs[-1], fs.PiecewiseLinear) else []])
-            rows = rng.integers(0, len(progs), len(xs))
-            mixed = stacked(xs, rows)
-            for i, prog in enumerate(progs):
-                np.testing.assert_array_equal(mixed[rows == i], prog(xs[rows == i]))
-
-    def test_stacking_needs_one_skeleton(self, unit):
-        with pytest.raises(InvalidSpec):
-            fs.stack_programs([fs.compile_program(fs.PowerLaw(1.0, 1.0), unit),
-                               fs.compile_program(fs.Exponential(1.0, 1.0), unit)])
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_stacked_rows_match_one_row_programs(self, data):
+        draw = data.draw
+        a = draw(st.floats(-3.0, 3.0))
+        iv = fs.Interval(a, a + draw(st.floats(0.25, 4.0)))
+        shape = draw(_shape)
+        specs = [_member(draw, shape, iv) for _ in range(draw(st.integers(1, 4)))]
+        if draw(st.booleans()):  # a parameter the rows share stays a scalar
+            specs.append(specs[0])
+        codes = [fs.Part(spec, iv).code for spec in specs]
+        assert len({fs.skeleton(code) for code in codes}) == 1
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        xs = np.concatenate([rng.uniform(iv.a, iv.b, 64), [iv.a, iv.b],
+                             fs.Part(specs[0], iv).breaks])
+        rows = rng.integers(0, len(codes), len(xs))
+        # exact offsets from either end for some points, none for the rest
+        anchors = np.array([np.nan, iv.a, iv.b])[rng.integers(0, 3, len(xs))]
+        ds = np.where(np.isnan(anchors), 0.0, xs - anchors)
+        prog = fs.stacked(codes)
+        plain, exact = prog(xs, rows), prog(xs, rows, (anchors, ds))
+        for i, code in enumerate(codes):
+            at = rows == i
+            alone = fs.Program(*code)
+            np.testing.assert_array_equal(plain[at], alone(xs[at]))
+            np.testing.assert_array_equal(exact[at], alone(xs[at], None, (anchors[at], ds[at])))
 
 
 class TestValidation:
@@ -138,6 +207,16 @@ class TestValidation:
     def test_empty_product(self, unit):
         with pytest.raises(InvalidSpec):
             fs.validate(fs.Product([]), unit)
+
+    @pytest.mark.parametrize("spec", [
+        fs.Step([0.5], []),
+        fs.PiecewisePolynomial([0.0], []),
+        fs.PiecewisePolynomial([0.0, 1.0], [[]]),
+        fs.PiecewisePolynomial([0.0], [], [], ((0.0, 0.0), (0.0, 0.0))),
+    ], ids=["step-no-values", "ppoly-no-pieces", "ppoly-empty-row", "graded-no-pieces"])
+    def test_empty_tables_rejected(self, unit, spec):
+        with pytest.raises(InvalidSpec):
+            fs.validate(spec, unit)
 
     def test_negative_spec_flagged(self, unit):
         with pytest.raises(InvalidSpec):
@@ -197,11 +276,11 @@ class TestValidation:
         assert (error is not None and str(error) == message) == negative
 
     def test_structure_decides_without_a_probe(self, unit, monkeypatch):
-        # only a spec whose structure does not decide its sign is compiled
+        # only a spec whose structure does not decide its sign is walked
         compiled = []
-        real = fs.compile_program
-        monkeypatch.setattr(fs, "compile_program",
-                            lambda spec, iv: compiled.append(spec) or real(spec, iv))
+        real = fs.Part.__init__
+        monkeypatch.setattr(fs.Part, "__init__",
+                            lambda part, spec, iv: compiled.append(spec) or real(part, spec, iv))
         undecided = fs.Sum([fs.Exponential(1.0, 1.0), fs.Constant(-0.5)])
         specs = [fs.PiecewiseLinear([(0.0, 1.0), (1.0, 2.0)]), fs.PowerLaw(-1.0, 1.0),
                  fs.Sum([fs.Constant(1.0), fs.PowerLaw(1.0, 2.0)]), undecided]

@@ -47,3 +47,11 @@ def test_tracer_sees_verify_and_lemma_runs():
     for module_name, attr, _ in tracing.TARGETS:
         assert not hasattr(getattr(importlib.import_module(module_name), attr),
                            "__wrapped__")
+
+
+def test_traced_names_exist():
+    # every (module, attribute) the tracer wraps is still a hopial name
+    for module_name, attr, _ in _load_tracing().TARGETS:
+        assert module_name.startswith("hopial."), module_name
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), (
+            module_name, attr)

@@ -343,11 +343,13 @@ class TestBatchedSweep:
 
 
 class TestStructureWalks:
-    """Each integral's factors are planned as ``funcspace.Part``s: a member
-    of these sweeps plans two parts (f^E and F^P), each with one
-    ``endpoint_structure`` walk per end and one ``breakpoints`` walk (HARDY
-    walks f once more, for F / (x - a) at the left end), and the weights
-    the members share are planned once per sweep."""
+    """A spec is planned by one walk (``funcspace.Part``), which gives its
+    program code, its (kappa, rho) at both ends and its breakpoints.  A
+    member of these sweeps walks its two parts (f^E and F^P); HARDY walks f
+    once more, for F / (x - a) at the left end, and a side whose F runs
+    from the right end walks F's antiderivative once for its total.  The
+    weights the members share are walked once per sweep, and a sweep
+    builds one kernel program per skeleton group, not one per member."""
 
     @staticmethod
     def sweep(ident, count, weights=None):
@@ -359,48 +361,44 @@ class TestStructureWalks:
         assert sw.n_holds == count
 
     def walks(self, monkeypatch, ident, count):
-        counts = {"endpoint_structure": 0, "breakpoints": 0}
+        """Walks of a whole spec (calls of ``_walk`` from outside it)."""
+        calls = [0]
         depth = [0]
+        real = fs._walk
 
-        def counted(name, real):
-            def wrapper(*args):
-                counts[name] += depth[0] == 0
-                depth[0] += 1
-                try:
-                    return real(*args)
-                finally:
-                    depth[0] -= 1
-            return wrapper
+        def wrapper(*args):
+            calls[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[0] -= 1
 
         with monkeypatch.context() as patch:
-            for name in counts:
-                patch.setattr(fs, name, counted(name, getattr(fs, name)))
+            patch.setattr(fs, "_walk", wrapper)
             self.sweep(ident, count)
-        return counts
+        return calls[0]
 
     @pytest.mark.parametrize("ident", ["T2.1", "T2.4", "T2.27", "HARDY"])
     def test_one_walk_per_integral_end(self, monkeypatch, ident):
-        small = self.walks(monkeypatch, ident, 10)
-        large = self.walks(monkeypatch, ident, 20)
-        per_member = {name: (large[name] - small[name]) / 10 for name in small}
-        assert per_member["endpoint_structure"] <= (5 if ident == "HARDY" else 4)
-        assert per_member["breakpoints"] <= 2
+        per_member = (self.walks(monkeypatch, ident, 20)
+                      - self.walks(monkeypatch, ident, 10)) / 10
+        tail_total = ct.THEOREMS[ident].side == "right"
+        assert per_member == 2 + (ident == "HARDY") + tail_total
 
     def shared_walks(self, monkeypatch, ident, count):
-        """Calls, at any depth, of ``endpoint_structure`` and
-        ``_compile_into`` on the sweep's weight objects r and s."""
+        """Calls of ``_walk``, at any depth, on the sweep's weight objects r
+        and s."""
         r, s = suite_weights(ident, 0)
         calls = [0]
+        real = fs._walk
 
-        def counted(real):
-            def wrapper(spec, *args):
-                calls[0] += spec is r or spec is s
-                return real(spec, *args)
-            return wrapper
+        def wrapper(spec, *args):
+            calls[0] += spec is r or spec is s
+            return real(spec, *args)
 
         with monkeypatch.context() as patch:
-            for name in ("endpoint_structure", "_compile_into"):
-                patch.setattr(fs, name, counted(getattr(fs, name)))
+            patch.setattr(fs, "_walk", wrapper)
             self.sweep(ident, count, (r, s))
         return calls[0]
 
@@ -409,6 +407,26 @@ class TestStructureWalks:
         small = self.shared_walks(monkeypatch, ident, 10)
         assert small > 0
         assert self.shared_walks(monkeypatch, ident, 20) == small
+
+    def programs(self, monkeypatch, ident, count):
+        """``Program``s built in a sweep."""
+        built = [0]
+        real = fs.Program.__init__
+
+        def counting(prog, *args):
+            built[0] += 1
+            real(prog, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fs.Program, "__init__", counting)
+            self.sweep(ident, count)
+        return built[0]
+
+    @pytest.mark.parametrize("ident", ["T2.1", "T2.4", "T2.27", "HARDY"])
+    def test_programs_built_once_per_group(self, monkeypatch, ident):
+        small = self.programs(monkeypatch, ident, 10)
+        assert small > 0
+        assert self.programs(monkeypatch, ident, 20) == small
 
     @staticmethod
     def jobs(monkeypatch, run):
@@ -431,31 +449,26 @@ class TestStructureWalks:
             raise AssertionError("_prepare walked a spec")
 
         with monkeypatch.context() as patch:
-            for name in ("endpoint_structure", "breakpoints", "compile_program",
-                         "_compile_into"):
+            for name in ("endpoint_structure", "breakpoints", "compile_program", "_walk"):
                 patch.setattr(fs, name, walk)
             for job in jobs:
                 quad._prepare(job)
 
     @staticmethod
     def assert_assembled(job):
-        """The job's program, ends and breakpoints are what the walks of its
-        merged product spec give."""
-        home = job.home or job.interval
-        ref = fs.compile_program(job.f, home)
-        for name in ("ops", "fargs", "iargs", "data"):
-            got, want = getattr(job.program, name), getattr(ref, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
-        assert job.ends == tuple(fs.endpoint_structure(job.f, home, side)
-                                 for side in ("left", "right"))
-        assert job.breakpoints == fs.breakpoints(job.f, home)
+        """The job's code, ends and breakpoints are what the walk of its
+        merged product spec gives."""
+        ref = fs.Part(job.f, job.home or job.interval)
+        assert job.code == ref.code
+        assert job.ends == ref.ends
+        assert job.breakpoints == ref.breaks
 
     @pytest.mark.parametrize("ident", ct.THEOREM_IDS)
     def test_assembled_jobs_match_the_walks(self, monkeypatch, ident):
         jobs, _ = self.jobs(monkeypatch, lambda: cli._sweep_case(ident, 0, 5))
         assert jobs
         for job in jobs:
-            if job.program is not None:
+            if job.code is not None:
                 self.assert_assembled(job)
 
     @pytest.mark.parametrize("ident,r,e,alpha", [
