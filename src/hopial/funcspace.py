@@ -706,16 +706,20 @@ def _ppoly_ends(spec: PiecewisePolynomial) -> tuple:
         return spec.ends
     row = spec.coeffs[0]
     tiny = 1e-14 * max(max(map(abs, row), default=0.0), 1.0)
-    left = next(((float(j), math.inf) for j, c in enumerate(row) if abs(c) > tiny),
-                _VANISHING_END)
-    # the derivatives at the right edge of the last piece
+    left = _VANISHING_END
+    for j, c in enumerate(row):
+        if abs(c) > tiny:
+            left = float(j), math.inf
+            break
+    # the derivatives at the right edge of the last piece (w > 0), the value first
     row = spec.coeffs[-1]
     w = spec.breaks[-1] - spec.breaks[-2]
     powers = [w ** j for j in range(len(row))]
-    tiny = 1e-10 * max(max((abs(c) * wj for c, wj in zip(row, powers)), default=0.0), 1e-300)
+    terms = [c * wj for c, wj in zip(row, powers)]
+    tiny = 1e-10 * max(max(map(abs, terms), default=0.0), 1e-300)
     for j in range(len(row)):
-        val = sum(row[k] * math.comb(k, j) * math.factorial(j) * powers[k - j]
-                  for k in range(j, len(row)))
+        val = sum(terms) if j == 0 else sum([row[k] * math.comb(k, j) * math.factorial(j)
+                                             * powers[k - j] for k in range(j, len(row))])
         if abs(val) > tiny:
             return left, (float(j), math.inf)
     return left, _VANISHING_END
@@ -998,6 +1002,7 @@ def stacked(codes: Sequence[tuple]) -> Program:
 
 _REGULAR_END = (0.0, math.inf)
 _VANISHING_END = (math.inf, math.inf)
+_TABLE_OPS = (OP_PWL, OP_STEP, OP_PPOLY)  # the opcodes whose iargs[0] is a data offset
 
 
 def _value_end(values) -> tuple:
@@ -1012,17 +1017,21 @@ def _value_end(values) -> tuple:
 def _walk(spec, interval, code, breaks) -> tuple:
     """The one structural walk of a spec: append its postfix program to
     ``code`` (the lists ops, fargs, iargs and data), add its knots and
-    breaks to ``breaks`` and return its (left, right) (kappa, rho)."""
+    breaks to ``breaks`` and return its (left, right) (kappa, rho).  A
+    ``Part`` in the spec is joined with the results of its own walk.  The
+    variants have no subclasses, so the walk dispatches on the exact
+    type."""
     ops, fargs, iargs, data = code
-    if isinstance(spec, (Constant, Exponential)):
-        constant = isinstance(spec, Constant)
+    kind = type(spec)
+    if kind is Constant or kind is Exponential:
+        constant = kind is Constant
         ops.append(OP_CONST if constant else OP_EXP)
         fargs.append((spec.c, 0.0 if constant else spec.beta, 0.0))
         iargs.append((0, 0))
         end = _REGULAR_END if spec.c != 0.0 else _VANISHING_END
         return end, end
-    if isinstance(spec, (PowerLaw, ShiftedPowerLaw)):
-        left = isinstance(spec, PowerLaw)
+    if kind is PowerLaw or kind is ShiftedPowerLaw:
+        left = kind is PowerLaw
         ops.append(OP_POW_LEFT if left else OP_POW_RIGHT)
         fargs.append((spec.c, spec.alpha, interval.a if left else interval.b))
         iargs.append((0, 0))
@@ -1030,7 +1039,7 @@ def _walk(spec, interval, code, breaks) -> tuple:
             return _VANISHING_END, _VANISHING_END
         anchored = spec.alpha, _fractional(spec.alpha)
         return (anchored, _REGULAR_END) if left else (_REGULAR_END, anchored)
-    if isinstance(spec, PiecewiseLinear):
+    if kind is PiecewiseLinear:
         xs = [x for x, _ in spec.knots]
         vs = [v for _, v in spec.knots]
         ops.append(OP_PWL)
@@ -1040,7 +1049,7 @@ def _walk(spec, interval, code, breaks) -> tuple:
         data.extend(vs)
         breaks.extend(xs)
         return _value_end(vs), _value_end(vs[::-1])
-    if isinstance(spec, Step):
+    if kind is Step:
         ops.append(OP_STEP)
         fargs.append((0.0, 0.0, 0.0))
         iargs.append((len(data), len(spec.values)))
@@ -1049,7 +1058,7 @@ def _walk(spec, interval, code, breaks) -> tuple:
         breaks.extend(spec.breaks)
         # a step is constant next to each end
         return _value_end(spec.values[:1]), _value_end(spec.values[-1:])
-    if isinstance(spec, PiecewisePolynomial):
+    if kind is PiecewisePolynomial:
         deg = max(map(len, spec.coeffs)) - 1
         ops.append(OP_PPOLY)
         fargs.append((float(deg), float(len(spec.frames or ())), 0.0))
@@ -1069,36 +1078,42 @@ def _walk(spec, interval, code, breaks) -> tuple:
                 data.extend([0.0] * (deg + 1 - len(row)))
         breaks.extend(spec.breaks)
         return _ppoly_ends(spec)
-    if isinstance(spec, (Sum, Product)):
-        ends: list = []
-        _postfix(spec.terms, lambda term: ends.append(_walk(term, interval, code, breaks)),
-                 OP_ADD if isinstance(spec, Sum) else OP_MUL, ops, fargs, iargs)
-        rule = _sum_end if isinstance(spec, Sum) else _product_end
-        return rule([left for left, _ in ends]), rule([right for _, right in ends])
-    if isinstance(spec, Power):
+    if kind is Sum or kind is Product:
+        opcode = OP_ADD if kind is Sum else OP_MUL
+        lefts, rights = [], []
+        for i, term in enumerate(spec.terms):
+            left, right = _walk(term, interval, code, breaks)
+            lefts.append(left)
+            rights.append(right)
+            if i:  # postfix: the node's opcode after each term from the second on
+                ops.append(opcode)
+                fargs.append((0.0, 0.0, 0.0))
+                iargs.append((0, 0))
+        rule = _sum_end if kind is Sum else _product_end
+        return rule(lefts), rule(rights)
+    if kind is Power:
         left, right = _walk(spec.base, interval, code, breaks)
         ops.append(OP_POWER)
         fargs.append((spec.exponent, 0.0, 0.0))
         iargs.append((0, 0))
         return _power_end(left, spec.exponent), _power_end(right, spec.exponent)
-    if isinstance(spec, AbsVal):
+    if kind is AbsVal:
         ends = _walk(spec.term, interval, code, breaks)
         ops.append(OP_ABS)
         fargs.append((0.0, 0.0, 0.0))
         iargs.append((0, 0))
         return ends
-    raise InvalidSpec(f"cannot compile {type(spec).__name__}")
-
-
-def _postfix(terms, emit, opcode, ops, fargs, iargs) -> None:
-    """The postfix order of an n-ary node: ``emit`` every term, and append
-    the node's opcode after each term from the second on."""
-    for i, term in enumerate(terms):
-        emit(term)
-        if i:
-            ops.append(opcode)
-            fargs.append((0.0, 0.0, 0.0))
-            iargs.append((0, 0))
+    if kind is Part:  # planned already: its code, moved past the data so far
+        p_ops, p_fargs, p_iargs, p_data = spec.code
+        size = len(data)
+        ops.extend(p_ops)
+        fargs.extend(p_fargs)
+        iargs.extend([(off + size, n) if op in _TABLE_OPS else (off, n)
+                      for op, (off, n) in zip(p_ops, p_iargs)] if size else p_iargs)
+        data.extend(p_data)
+        breaks.extend(spec.breaks)
+        return spec.ends
+    raise InvalidSpec(f"cannot compile {kind.__name__}")
 
 
 def compile_program(spec: FunctionSpec, interval: Interval) -> Program:
@@ -1110,49 +1125,28 @@ def compile_program(spec: FunctionSpec, interval: Interval) -> Program:
 # factor parts: a product integrand planned one factor at a time
 # ---------------------------------------------------------------------------
 
-_TABLE_OPS = (OP_PWL, OP_STEP, OP_PPOLY)  # the opcodes whose iargs[0] is a data offset
-
-
 class Part:
     """A spec planned on ``interval`` by one walk (``_walk``): its program
     code (the lists ops, fargs, iargs and data), its (kappa, rho) at the
     left and right ends and its interior breakpoints.  ``compile_program``,
-    ``endpoint_structure`` and ``breakpoints`` read a part, and
-    ``product`` joins the parts of a product integrand's factors without
-    walking their specs again, so the factors that many integrals share
-    are walked once."""
+    ``endpoint_structure`` and ``breakpoints`` read a part.  A factor that
+    many integrals share is made a part once, and ``product`` joins its
+    code without walking its spec again."""
 
     __slots__ = ("spec", "code", "ends", "breaks")
 
     def __init__(self, spec: FunctionSpec, interval: Interval):
         self.spec = spec
-        self.code = ([], [], [], [])
-        pts: list = []
-        self.ends = _walk(spec, interval, self.code, pts)
-        eps = 1e-12 * interval.width
-        self.breaks = sorted(x for x in set(pts) if interval.a + eps < x < interval.b - eps)
+        self.code, self.ends, self.breaks = product([spec], interval)
 
 
-def product(parts: Sequence[Part]) -> tuple:
+def product(factors: Sequence, interval: Interval) -> tuple:
     """(code, (left, right) (kappa, rho), breakpoints) of the product of
-    the parts' specs: what the ``Part`` of ``Product([part.spec, ...])``
-    holds, or the one part's own."""
-    if len(parts) == 1:
-        part = parts[0]
-        return part.code, part.ends, part.breaks
-    code = ops, fargs, iargs, data = ([], [], [], [])
-
-    def emit(part):
-        p_ops, p_fargs, p_iargs, p_data = part.code
-        size = len(data)
-        ops.extend(p_ops)
-        fargs.extend(p_fargs)
-        iargs.extend([(off + size, n) if op in _TABLE_OPS else (off, n)
-                      for op, (off, n) in zip(p_ops, p_iargs)] if size else p_iargs)
-        data.extend(p_data)
-
-    _postfix(parts, emit, OP_MUL, ops, fargs, iargs)
-    ends = (_product_end([part.ends[0] for part in parts]),
-            _product_end([part.ends[1] for part in parts]))
-    breaks = [x for part in parts for x in part.breaks]
-    return code, ends, sorted(set(breaks))
+    the factors, from one walk: what the ``Part`` of ``Product([...])`` of
+    their specs holds, or of the one factor's spec.  A factor is a spec,
+    walked here, or a ``Part``, whose code the walk joins as it is."""
+    code = ([], [], [], [])
+    pts: list = []
+    ends = _walk(factors[0] if len(factors) == 1 else Product(factors), interval, code, pts)
+    eps = 1e-12 * interval.width
+    return code, ends, sorted([x for x in set(pts) if interval.a + eps < x < interval.b - eps])

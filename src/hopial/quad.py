@@ -692,9 +692,10 @@ def product_job(factors, interval: fs.Interval, tol: Optional[float] = None) -> 
     A factor is an ``fs.Part`` (planned once by a caller that shares it
     between jobs) or a (w, ex) pair.  Same-anchor power laws and
     exponentials fold (``fs.merge_product``); a part whose factor survives
-    the fold keeps its program, structure and breakpoints, and every other
-    factor is planned here.  Where a factor is a raw callable the job is a
-    callable, with the spec factors' breakpoints and kappas declared."""
+    the fold keeps its code, structure and breakpoints, and every other
+    factor is walked here, straight into the job's code (``fs.product``).
+    Where a factor is a raw callable the job is a callable, with the spec
+    factors' breakpoints and kappas declared."""
     specs, fns, parts = [], [], {}
     for factor in factors:
         if isinstance(factor, fs.Part):
@@ -709,8 +710,7 @@ def product_job(factors, interval: fs.Interval, tol: Optional[float] = None) -> 
         else:
             specs.append(fs.power_of(w, ex))
     specs = fs.merge_product(specs)
-    code, ends, breaks = fs.product([parts.get(id(sp)) or fs.Part(sp, interval)
-                                     for sp in specs])
+    code, ends, breaks = fs.product([parts.get(id(sp), sp) for sp in specs], interval)
     if not fns:
         return Job(specs[0] if len(specs) == 1 else fs.Product(specs), interval, tol,
                    breakpoints=breaks, code=code, ends=ends)

@@ -343,13 +343,15 @@ class TestBatchedSweep:
 
 
 class TestStructureWalks:
-    """A spec is planned by one walk (``funcspace.Part``), which gives its
-    program code, its (kappa, rho) at both ends and its breakpoints.  A
-    member of these sweeps walks its two parts (f^E and F^P); HARDY walks f
-    once more, for F / (x - a) at the left end, and a side whose F runs
-    from the right end walks F's antiderivative once for its total.  The
-    weights the members share are walked once per sweep, and a sweep
-    builds one kernel program per skeleton group, not one per member."""
+    """An integral is planned by one walk (``funcspace.product``), which
+    gives its program code, its (kappa, rho) at both ends and its
+    breakpoints.  A member of these sweeps makes two walks, one per side,
+    each walking its own factor (f^E or F^P) and joining the part of the
+    shared weights; HARDY walks f once more, for F / (x - a) at the left
+    end, and a side whose F runs from the right end walks F's
+    antiderivative once for its total.  The weights are walked once per
+    sweep, and a sweep builds one kernel program per skeleton group, not
+    one per member."""
 
     @staticmethod
     def sweep(ident, count, weights=None):
