@@ -138,8 +138,8 @@ class Step:
     values: tuple
 
     def __init__(self, breaks, values):
-        object.__setattr__(self, "breaks", tuple(float(x) for x in breaks))
-        object.__setattr__(self, "values", tuple(float(v) for v in values))
+        object.__setattr__(self, "breaks", tuple(map(float, breaks)))
+        object.__setattr__(self, "values", tuple(map(float, values)))
 
 
 @dataclass(frozen=True)
@@ -165,10 +165,8 @@ class PiecewisePolynomial:
     ends: Optional[tuple] = None
 
     def __init__(self, breaks, coeffs, frames=None, ends=None):
-        object.__setattr__(self, "breaks", tuple(float(x) for x in breaks))
-        object.__setattr__(
-            self, "coeffs", tuple(tuple(float(c) for c in row) for row in coeffs)
-        )
+        object.__setattr__(self, "breaks", tuple(map(float, breaks)))
+        object.__setattr__(self, "coeffs", tuple(tuple(map(float, row)) for row in coeffs))
         if frames is not None:
             frames = tuple((float(anchor), float(sign), float(m), int(start),
                             tuple(float(v) for v in vb))

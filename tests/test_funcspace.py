@@ -163,7 +163,7 @@ class TestStackedPrograms:
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
-    def test_stacked_rows_match_one_row_programs(self, data):
+    def test_rows_match_one_row_programs(self, data):
         draw = data.draw
         a = draw(st.floats(-3.0, 3.0))
         iv = fs.Interval(a, a + draw(st.floats(0.25, 4.0)))
