@@ -697,6 +697,10 @@ def endpoint_structure(spec: FunctionSpec, interval: Interval, side: str) -> tup
     return Part(spec, interval).ends[side != "left"]
 
 
+_REGULAR_END = (0.0, math.inf)
+_VANISHING_END = (math.inf, math.inf)
+
+
 def _ppoly_ends(spec: PiecewisePolynomial) -> tuple:
     """(left, right) (kappa, rho) of a piecewise polynomial: the declared
     ends of the graded form, else the order of the zero at each end."""
@@ -998,8 +1002,6 @@ def stacked(codes: Sequence[tuple]) -> Program:
     return Program(ops, [code[1] for code in codes], iargs, [code[3] for code in codes])
 
 
-_REGULAR_END = (0.0, math.inf)
-_VANISHING_END = (math.inf, math.inf)
 _TABLE_OPS = (OP_PWL, OP_STEP, OP_PPOLY)  # the opcodes whose iargs[0] is a data offset
 
 
