@@ -11,7 +11,7 @@ from scipy import special
 from hopial import _kernel
 from hopial import funcspace as fs
 from hopial import quad
-from hopial.errors import BudgetExceeded, DomainError, NonIntegrable
+from hopial.errors import BudgetExceeded, DomainError, HopialError, NonIntegrable
 
 
 class TestIntegrate:
@@ -427,6 +427,61 @@ class TestIntegrateMany:
 
     def test_empty(self):
         assert quad.integrate_many([]) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(jobs=st.lists(st.deferred(lambda: _parity_jobs()), min_size=1, max_size=6))
+    def test_batch_parity(self, jobs):
+        """Every job of a mixed batch gets the bits, or the error type and
+        message, of ``integrate_job`` of that job alone."""
+        for job, res in zip(jobs, quad.integrate_many(jobs)):
+            try:
+                alone = quad.integrate_job(job)
+            except HopialError as exc:
+                alone = exc
+            assert _same(res, alone), job
+
+
+@st.composite
+def _parity_jobs(draw):
+    """One job of a parity batch: graded ends, breakpoints, a shifted
+    interval or a sub-range of one, a mixed tolerance and at times a panel
+    budget small enough to run out; or a raw callable that turns
+    non-finite only once refinement gets near a point."""
+    a = draw(st.floats(-3.0, 100.0))
+    iv = fs.Interval(a, a + draw(WIDTHS))
+    w = iv.b - iv.a
+    c, alpha, beta = draw(COEFS), draw(EXPONENTS), draw(EXPONENTS)
+    kind = draw(st.sampled_from(["left", "right", "both", "sum", "pwl", "raw", "divergent"]))
+    ts = sorted(set(draw(st.lists(st.floats(0.05, 0.95), max_size=3))))
+    breaks = [a + t * w for t in ts]
+    tol = draw(st.sampled_from([None, 1e-6, 1e-9, 1e-12]))
+    max_panels = draw(st.sampled_from([quad.DEFAULT_PANEL_BUDGET, 1, 2, 5, 12, 30]))
+    home = None
+    if kind == "left":
+        spec = fs.PowerLaw(c, alpha)
+    elif kind == "right":
+        spec = fs.ShiftedPowerLaw(c, alpha)
+    elif kind == "both":
+        spec = fs.Product([fs.PowerLaw(c, alpha), fs.ShiftedPowerLaw(1.0, beta)])
+    elif kind == "sum":
+        spec = fs.Sum([fs.Constant(1.0), fs.PowerLaw(c, alpha),
+                       fs.Exponential(1.0, draw(st.floats(-20.0, 20.0)) / w)])
+    elif kind == "pwl":
+        knots = [(iv.a, 1.0)] + [(x, draw(COEFS)) for x in breaks] + [(iv.b, 0.5)]
+        spec = fs.Product([fs.PiecewiseLinear(knots),
+                           fs.Exponential(1.0, draw(st.floats(-30.0, 30.0)) / w)])
+    elif kind == "raw":
+        t0 = draw(st.floats(0.1, 0.9))
+        spec = lambda x: np.where(np.abs((x - a) / w - t0) < 4e-3, np.nan,
+                                  np.exp(30.0 * (x - a) / w))
+    else:
+        spec = fs.PowerLaw(1.0, -1.5)
+    if draw(st.booleans()):  # a sub-range of the home interval
+        lo, hi = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2,
+                                      unique=True)))
+        if hi - lo > 0.05:
+            home, iv = iv, fs.Interval(a + lo * w, a + hi * w)
+    return quad.Job(spec, iv, tol, home, breaks, None, max_panels)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hopial import _kernel
 from hopial import constants as ct
 from hopial import funcspace as fs
 from hopial import opial
@@ -429,6 +430,25 @@ class TestStructureWalks:
         small = self.programs(monkeypatch, ident, 10)
         assert small > 0
         assert self.programs(monkeypatch, ident, 20) == small
+
+    @pytest.mark.parametrize("ident, calls, points", [
+        ("T2.1", 10, 1876), ("T2.9", 9, 1996), ("T2.27", 16, 2056), ("HARDY", 6, 1320)])
+    def test_kernel_rounds(self, monkeypatch, ident, calls, points):
+        """A 10-member sweep makes the kernel calls, on the points, that it
+        made when each piece of a job was refined on its own: the batched
+        loop evaluates the new panels of every piece of one skeleton group
+        in one call per round."""
+        seen = [0, 0]
+        real = _kernel.eval_program
+
+        def counting(*args):
+            seen[0] += 1
+            seen[1] += len(args[4])
+            return real(*args)
+
+        monkeypatch.setattr(_kernel, "eval_program", counting)
+        self.sweep(ident, 10)
+        assert seen == [calls, points]
 
     @staticmethod
     def jobs(monkeypatch, run):
