@@ -896,28 +896,28 @@ def _random_pwl(fam: RandomPiecewiseLinear, index: int) -> PiecewiseLinear:
     n = fam.n_knots
     if n < 2:
         raise InvalidSpec("need at least 2 knots")
-    if n == 2:
-        xs = np.array([a, b])
-    else:
-        inner = np.sort(rng.uniform(a, b, size=n - 2))
+    # rng.uniform(lo, hi) draws lo + (hi - lo) u, here in Python floats
+    xs = [a, b]
+    if n > 2:
+        inner = sorted([a + (b - a) * u for u in rng.random(n - 2).tolist()])
         # keep knots separated so slopes stay bounded
         min_gap = 1e-3 * (b - a) / n
         for i in range(1, len(inner)):
             if inner[i] - inner[i - 1] < min_gap:
                 inner[i] = inner[i - 1] + min_gap
-        inner = np.clip(inner, a + min_gap, b - min_gap)
-        xs = np.concatenate([[a], inner, [b]])
-    vals = rng.uniform(lo, hi, size=n)
+        xs = [a] + [min(max(x, a + min_gap), b - min_gap) for x in inner] + [b]
+        # knots clipped together near an end (rounding aside): space them
+        # down from b - min_gap, then up from a + min_gap
+        if any(y - x < (1.0 - 1e-9) * min_gap for x, y in zip(xs, xs[1:])):
+            for i in range(n - 2, 0, -1):
+                xs[i] = min(xs[i], xs[i + 1] - min_gap)
+            for i in range(1, n - 1):
+                xs[i] = max(xs[i], xs[i - 1] + min_gap)
+    vals = [lo + (hi - lo) * u for u in rng.random(n).tolist()]
     floor = lo + 0.1 * (hi - lo)
-    if fam.vanish_at in ("left", "both"):
-        vals[0] = 0.0
-    else:
-        vals[0] = max(vals[0], floor)
-    if fam.vanish_at in ("right", "both"):
-        vals[-1] = 0.0
-    else:
-        vals[-1] = max(vals[-1], floor)
-    return PiecewiseLinear(list(zip(xs.tolist(), vals.tolist())))
+    vals[0] = 0.0 if fam.vanish_at in ("left", "both") else max(vals[0], floor)
+    vals[-1] = 0.0 if fam.vanish_at in ("right", "both") else max(vals[-1], floor)
+    return PiecewiseLinear(list(zip(xs, vals)))
 
 
 def sample_family(family: FamilySpec, count: int) -> list:

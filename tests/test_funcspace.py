@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopial import _kernel
+from hopial import cli
 from hopial import funcspace as fs
 from hopial import quad
 from hopial.errors import DomainError, InvalidSpec
@@ -406,6 +407,30 @@ class TestFamilies:
         for spec in fs.sample_family(fam, 5):
             assert spec.knots[0][1] == 0.0
             assert spec.knots[-1][1] == 0.0
+
+    def test_pwl_knots_clipped_together_are_spaced(self, unit):
+        # two inner knots above b - min_gap used to clip onto one x and
+        # make an invalid member (the sweep reported it Inconclusive)
+        fam = fs.RandomPiecewiseLinear(4, (0.0, 1.0), seed=121659850, interval=unit)
+        knots = [x for x, _ in fs.sample_family(fam, 30)[29].knots]
+        assert knots == pytest.approx([0.0, 1.0 - 2.0 * 2.5e-4, 1.0 - 2.5e-4, 1.0],
+                                      rel=0.0, abs=1e-15)
+        rep = cli._sweep_case("T2.30", 121800639, 50).reports[29]
+        assert rep.status == "Holds"
+
+    @pytest.mark.parametrize("n_knots", [3, 4, 7])
+    def test_pwl_knots_keep_min_gap(self, n_knots):
+        # 5,000 members over several seeds and intervals; rounding aside,
+        # consecutive knots are min_gap = 1e-3 (b - a) / n apart
+        for seed, iv in enumerate([fs.Interval(0.0, 1.0), fs.Interval(100.0, 100.3),
+                                   fs.Interval(-3.0, -1.0), fs.Interval(1.0, 1.0 + 1e-3),
+                                   fs.Interval(0.0, 25.0)]):
+            fam = fs.RandomPiecewiseLinear(n_knots, (0.0, 1.0), seed=seed, interval=iv)
+            min_gap = 1e-3 * iv.width / n_knots
+            for member in fs.sample_family(fam, 1000):
+                xs = np.array([x for x, _ in member.knots])
+                assert xs[0] == iv.a and xs[-1] == iv.b
+                assert np.all(np.diff(xs) >= (1.0 - 1e-9) * min_gap)
 
     def test_grid_power_law_enumerates(self):
         fam = fs.GridPowerLaw([0.0, 1.0, 2.0])
