@@ -251,48 +251,6 @@ class Job:
         object.__setattr__(self, "breakpoints", sorted(breaks))
 
 
-class _Run:
-    """A validated job: its integrand, stop rule, pieces and the (kappa,
-    rho) it found at each end."""
-
-    __slots__ = ("target", "tol", "raw", "max_panels", "abs_floor", "pieces", "ends")
-
-    def __init__(self, target, tol, raw, max_panels, ends):
-        self.target = target
-        self.tol = tol
-        self.raw = raw
-        self.max_panels = max_panels
-        self.abs_floor = 0.0
-        self.pieces = []
-        self.ends = ends
-
-
-class _Piece:
-    """One smooth piece of a run with its own panel tree.
-
-    ``span`` is the piece's (lo, hi) in x.  ``sub`` is None, or
-    (sign, anchor, m) for the substitution x = anchor + sign * u^m that
-    removes an endpoint singularity; the panels are in the piece's own
-    variable.  They are Python lists, kept in the order a bisection keeps
-    them: the unsplit panels, then the left halves, then the right halves.
-    A running integral's pieces keep each panel's 15 node values in
-    ``nodes``.  ``last_split`` is the panel count at the last split
-    decision, which the budget check looks at.
-    """
-
-    __slots__ = ("span", "sub", "group", "row", "los", "his", "vals", "errs", "nodes",
-                 "keep", "used", "last_split", "total", "total_err", "error")
-
-    def __init__(self, span, sub, lo, hi):
-        self.span, self.sub = span, sub
-        self.group = self.row = None
-        self.los, self.his = [lo], [hi]
-        self.vals = self.errs = self.nodes = self.keep = self.total = self.total_err = None
-        self.used = 1
-        self.last_split = -1
-        self.error = None
-
-
 def _panel_rule(ys, half):
     """Kronrod-15 values and |K15 - G7| errors, one row per panel.  A
     panel's error is at least 16 eps half sum |w_k y_k|, the rounding of
@@ -315,30 +273,28 @@ def _running_rule(ys, half):
     return vals, np.maximum(errs, gaps)
 
 
-def _sum(xs, lo=0, n=None):
-    """sum(xs[lo:lo + n]) in the order of ndarray.sum, bit for bit: numpy's
-    pairwise summation (left to right below 8 terms, 8 running sums up to
-    128, halves above)."""
-    if n is None:
-        n = len(xs)
-    if n < 8:
-        total = 0.0
-        for x in xs[lo : lo + n]:
-            total += x
-        return total
-    if n <= 128:
-        r = xs[lo : lo + 8]
-        i = 8
-        while i < n - n % 8:
-            for j in range(8):
-                r[j] += xs[lo + i + j]
-            i += 8
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for x in xs[lo + i : lo + n]:
-            total += x
-        return total
-    half = n // 2 - (n // 2) % 8
-    return _sum(xs, lo, half) + _sum(xs, lo + half, n - half)
+def _piece_sums(xs, start, count):
+    """Per piece, the sum of ``xs[..., start:start + count]`` with the bits
+    of ``np.sum`` (pairwise summation).  The pieces with the same count
+    are gathered into one C-contiguous block and summed along its rows,
+    which runs numpy's pairwise loop on each row; ``np.add.reduceat``, or
+    the rows of a strided block, add in other orders."""
+    out = np.empty(xs.shape[:-1] + count.shape)
+    for n in np.flatnonzero(np.bincount(count)).tolist():
+        at = np.flatnonzero(count == n)
+        out[..., at] = np.ascontiguousarray(xs[..., start[at, None] + np.arange(n)]).sum(axis=-1)
+    return out
+
+
+def _run_sums(xs, first, count):
+    """Per run, 0.0 + xs[..., first] + xs[..., first + 1] + ... over its
+    ``count`` pieces, added in piece order."""
+    out = np.zeros(xs.shape[:-1] + count.shape)
+    for n in np.flatnonzero(np.bincount(count)).tolist():
+        at = np.flatnonzero(count == n)
+        for j in range(n):
+            out[..., at] += xs[..., first[at] + j]
+    return out
 
 
 def _grading(kappa, rho):
@@ -358,19 +314,23 @@ def _grading(kappa, rho):
     return float(m)
 
 
-def _graded(lo, hi, sign, m):
-    """The piece (lo, hi) in u, with x = lo + u^m (sign 1) or hi - u^m."""
-    return _Piece((lo, hi), (sign, lo if sign > 0 else hi, m), 0.0, (hi - lo) ** (1.0 / m))
+_CUT = 7  # the length of a piece's row in the cuts of _prepare
 
 
-def _prepare(job: Job) -> _Run:
+def _prepare(job: Job, cuts: list) -> tuple:
     """Validate a planned job and cut it into pieces (endpoint
     substitutions and breakpoint splits).  It walks no spec: the code,
-    breakpoints and (kappa, rho) come with the job."""
+    breakpoints and (kappa, rho) come with the job.
+
+    Appends a row (lo, hi, sign, anchor, m, u0, u1) per piece to the flat
+    list ``cuts``:
+    the piece's span in x, its substitution x = anchor + sign u^m (sign 0,
+    anchor nan and m 1 for none) and its first panel (u0, u1) in the
+    piece's own variable.  Returns the run: (integrand, raw, tol,
+    max_panels, the (kappa, rho) at each end, number of pieces)."""
     a, b = job.interval.a, job.interval.b
     home = job.home or job.interval
     raw = job.code is None
-    target = job.f if raw else job.code
 
     # the endpoint structure describes the home endpoints, so it is only
     # looked at where the job touches one; a strict sub-range is regular
@@ -393,27 +353,29 @@ def _prepare(job: Job) -> _Run:
 
     eps = 1e-12 * (b - a)
     edges = [a] + [x for x in job.breakpoints if a + eps < x < b - eps] + [b]
-    run = _Run(target, tol, raw, job.max_panels, ends)
     m_l, m_r = _grading(*ends[0]), _grading(*ends[1])
+    before = len(cuts)
     last = len(edges) - 2
     for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
         m_lo = m_l if i == 0 else None
         m_hi = m_r if i == last else None
         if m_lo is not None and m_hi is not None:
             mid = 0.5 * (lo + hi)
-            run.pieces += [_graded(lo, mid, 1, m_lo), _graded(mid, hi, -1, m_hi)]
+            cuts += (lo, mid, 1.0, lo, m_lo, 0.0, (mid - lo) ** (1.0 / m_lo),
+                     mid, hi, -1.0, hi, m_hi, 0.0, (hi - mid) ** (1.0 / m_hi))
         elif m_lo is not None:
-            run.pieces.append(_graded(lo, hi, 1, m_lo))
+            cuts += (lo, hi, 1.0, lo, m_lo, 0.0, (hi - lo) ** (1.0 / m_lo))
         elif m_hi is not None:
-            run.pieces.append(_graded(lo, hi, -1, m_hi))
+            cuts += (lo, hi, -1.0, hi, m_hi, 0.0, (hi - lo) ** (1.0 / m_hi))
         else:
-            run.pieces.append(_Piece((lo, hi), None, lo, hi))
-    return run
+            cuts += (lo, hi, 0.0, math.nan, 1.0, lo, hi)
+    return (job.f if raw else job.code, raw, tol, job.max_panels, ends,
+            (len(cuts) - before) // _CUT)
 
 
-def _assign_groups(runs) -> list:
-    """Give every piece its group and parameter row; returns the groups'
-    integrands as (fn, batched) pairs.
+def _assign_groups(targets, raw) -> tuple:
+    """The groups' integrands as (fn, batched) pairs, and each run's group
+    and parameter row.
 
     The codes that share a skeleton make one program, built once per
     group with a parameter row per code (``funcspace.stacked``), whose
@@ -424,155 +386,103 @@ def _assign_groups(runs) -> list:
     fns: list = []
     of: dict = {}
     by_skeleton: dict = {}
-    for run in runs:
-        f = run.target
-        if not run.raw:
+    for f, is_raw in zip(targets, raw):
+        if not is_raw:
             by_skeleton.setdefault(fs.skeleton(f), {})[id(f)] = f
         elif id(f) not in of:
             fn = _as_array_fn(f)
-            of[id(f)] = (len(fns), None)
+            of[id(f)] = (len(fns), 0)
             fns.append((lambda xs, rows, offsets, fn=fn: fn(xs), False))
     for codes in by_skeleton.values():
         for row, key in enumerate(codes):
             of[key] = (len(fns), row)
         fns.append((fs.stacked(list(codes.values())), len(codes) > 1))
-    for run in runs:
-        group, row = of[id(run.target)]
-        for pc in run.pieces:
-            pc.group, pc.row = group, row
-    return fns
+    group, row = zip(*[of[id(f)] for f in targets])
+    return fns, np.array(group), np.array(row)
 
 
-def _group_values(fn, batched, pieces, counts, us):
-    """The integrand of one group at nodes ``us`` (one row of 15 per panel;
-    ``counts[i]`` rows belong to ``pieces[i]``), with each piece's
-    substitution and its Jacobian applied."""
-    subs = list(dict.fromkeys(pc.sub for pc in pieces))
-    if subs == [None]:
-        masks = []
-    elif len(subs) == 1:
-        masks = [(subs[0], slice(None))]
-    else:
-        which = np.repeat([subs.index(pc.sub) for pc in pieces], counts)
-        masks = [(sub, which == k) for k, sub in enumerate(subs) if sub is not None]
+def _group_values(fn, batched, pieces, at, us):
+    """The integrand of one group at nodes ``us`` (one row of 15 per panel
+    of piece ``at``), with each piece's substitution and its Jacobian
+    applied."""
+    sign = pieces.sign[at]
+    graded = sign != 0.0
     xs, offsets = us, None
-    if masks:
+    if graded.any():
         # x = anchor + d exactly; the kernel reads d where x - anchor
-        # would round
-        xs = us.copy()
-        anchors = np.full(us.shape, np.nan)
-        ds = np.zeros(us.shape)
-        for (sign, anchor, m), mask in masks:
-            d = sign * us[mask] ** m
-            xs[mask] = anchor + d
-            ds[mask] = d
-            anchors[mask] = anchor
-        offsets = (anchors.ravel(), ds.ravel())
-    rows = None
-    if batched:
-        rows = np.repeat([pc.row for pc in pieces], np.multiply(counts, 15))
+        # would round.  A piece without a substitution (m = 1) keeps x = u
+        # and the Jacobian 1
+        code = pieces.m_code[at]
+        power, jacobian = np.zeros(us.shape), np.ones(us.shape)
+        # per distinct m: numpy's x ** m takes fast paths for some scalar
+        # m (2.0 squares) that an array of exponents does not
+        for c in np.flatnonzero(np.bincount(code)).tolist():
+            m = pieces.m_values[c]
+            if m != 1.0:
+                k = code == c
+                power[k] = us[k] ** m
+                jacobian[k] = us[k] ** (m - 1.0)
+        d = sign[:, None] * power
+        anchors = np.repeat(pieces.anchor[at], 15)
+        xs = np.where(graded[:, None], anchors.reshape(us.shape) + d, us)
+        offsets = (anchors, d.ravel())
+    rows = np.repeat(pieces.row[at], 15) if batched else None
     ys = fn(xs.ravel(), rows, offsets).reshape(us.shape)
-    for (sign, anchor, m), mask in masks:
-        ys[mask] = ys[mask] * m * us[mask] ** (m - 1.0)
+    if offsets is not None:
+        ys = ys * pieces.m[at, None] * jacobian
     return ys
 
 
-def _evaluate(fns, requests, rule=None):
-    """Evaluate (piece, los, his) panel requests, one kernel call per group.
+def _evaluate(fns, pieces, at, lo, hi, rule=None):
+    """Evaluate the panels (lo, hi) of pieces ``at`` (a piece's panels
+    consecutive), one kernel call per group.
 
-    Returns per request the lists of panel values and errors of ``rule``
-    (default ``_panel_rule``) and the node values, a row per panel; or the
-    DomainError of a request whose integrand is non-finite at a node.
+    Returns their values and errors by ``rule`` (default ``_panel_rule``),
+    their node values (a row per panel) and a dict of the DomainError of
+    each piece whose integrand is non-finite at a node, naming the first
+    such node in panel order.
     """
-    counts = [len(req[1]) for req in requests]
-    lo = np.array([x for req in requests for x in req[1]])
-    hi = np.array([x for req in requests for x in req[2]])
     half = 0.5 * (hi - lo)
     us = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES[None, :]
-    by_group: dict = {}
-    for i, req in enumerate(requests):
-        by_group.setdefault(req[0].group, []).append(i)
+    group = pieces.group[at]
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        if len(by_group) == 1:
-            ys = _group_values(*fns[requests[0][0].group],
-                               [req[0] for req in requests], counts, us)
+        if group.min() == group.max():
+            ys = _group_values(*fns[group[0]], pieces, at, us)
         else:
             ys = np.empty(us.shape)
-            slot = {g: k for k, g in enumerate(by_group)}
-            owner = np.repeat([slot[req[0].group] for req in requests], counts)
-            for k, (g, idx) in enumerate(by_group.items()):
-                sel = np.flatnonzero(owner == k)
-                ys[sel] = _group_values(*fns[g], [requests[i][0] for i in idx],
-                                        [counts[i] for i in idx], us[sel])
+            for g in np.flatnonzero(np.bincount(group)).tolist():
+                sel = np.flatnonzero(group == g)
+                ys[sel] = _group_values(*fns[g], pieces, at[sel], us[sel])
         vals, errs = (rule or _panel_rule)(ys, half)
-    vals, errs = vals.tolist(), errs.tolist()
     finite = np.isfinite(ys)
-    ok = [True] * len(lo) if finite.all() else finite.all(axis=1).tolist()
-    out = []
-    stop = 0
-    for n in counts:
-        start, stop = stop, stop + n
-        if all(ok[start:stop]):
-            out.append((vals[start:stop], errs[start:stop], ys[start:stop]))
-            continue
-        bad = us[start:stop].ravel()[~finite[start:stop].ravel()][:1]
-        sub = requests[len(out)][0].sub
-        if sub is not None:  # the node is u, at x = anchor + sign u^m
-            bad = sub[1] + sub[0] * bad ** sub[2]
-        out.append(DomainError(f"integrand evaluated non-finite near x={bad}"))
-    return out
+    errors = {}
+    if not finite.all():
+        for j in np.flatnonzero(~finite.all(axis=1)).tolist():
+            p = int(at[j])
+            if p in errors:
+                continue
+            bad = us[j][~finite[j]][:1]
+            if pieces.sign[p] != 0.0:  # the node is u, at x = anchor + sign u^m
+                bad = float(pieces.anchor[p]) + float(pieces.sign[p]) * bad ** float(pieces.m[p])
+            errors[p] = DomainError(f"integrand evaluated non-finite near x={bad}")
+    return vals, errs, ys, errors
 
 
-def _step(run, pc, before):
-    """One round of piece ``pc`` of ``run``, whose earlier pieces hold
-    ``before`` panels: stop, or split its worst panels and return the
-    request for the new halves."""
-    rel_tol = 0.5 * run.tol
-    total = _sum(pc.vals)
-    total_err = _sum(pc.errs)
-    target = max(rel_tol * abs(total), run.abs_floor)
-    if total_err <= target:
-        pc.total, pc.total_err = total, total_err
-        return None
-    pc.last_split = pc.used
-    if pc.used >= run.max_panels - before:
-        # at the budget a lone run would give it: the run fails here or at
-        # an earlier piece, so the piece stops (_result words the error)
-        pc.error = BudgetExceeded()
-        return None
-    errs = pc.errs
-    share = target / (2.0 * len(errs))
-    split = [e > share for e in errs]
-    if not any(split):
-        split[errs.index(max(errs))] = True
-    los = [lo for lo, s in zip(pc.los, split) if s]
-    his = [hi for hi, s in zip(pc.his, split) if s]
-    mids = [0.5 * (lo + hi) for lo, hi in zip(los, his)]
-    pc.keep = [not s for s in split]
-    pc.los = [lo for lo, k in zip(pc.los, pc.keep) if k] + los + mids
-    pc.his = [hi for hi, k in zip(pc.his, pc.keep) if k] + mids + his
-    pc.used += 2 * len(los)
-    return pc, los + mids, mids + his
+class _Pieces:
+    """The pieces of a batch, one entry per piece in flat arrays: its run,
+    its substitution (``sign``, ``anchor``, ``m``; sign 0, anchor nan and
+    m 1 for none, and ``m_code`` indexing the distinct ``m_values``) and
+    its kernel ``group`` and parameter ``row``.  The pieces of a run are
+    consecutive, in the order the job was cut."""
 
+    __slots__ = ("run", "sign", "anchor", "m", "m_values", "m_code", "group", "row")
 
-def _result(run):
-    """The run's QuadResult, or the error it raises alone: its pieces in
-    order, each with the budget the earlier pieces left."""
-    total = total_err = 0.0
-    used = 0
-    for pc in run.pieces:
-        budget = run.max_panels - used
-        if pc.last_split >= budget:
-            return BudgetExceeded(f"needed more than {budget} panels "
-                                  f"for tolerance {0.5 * run.tol:g}")
-        if pc.error is not None:
-            return pc.error
-        total += pc.total
-        total_err += pc.total_err
-        used += pc.used
-    if run.raw:
-        total_err *= _RAW_CALLABLE_INFLATION
-    return QuadResult(total, total_err, used)
+    def __init__(self, cut, run, group, row):
+        self.run = run
+        self.sign, self.anchor, self.m = cut[:, 2], cut[:, 3], cut[:, 4]
+        self.m_values = sorted(set(self.m.tolist()))
+        self.m_code = np.searchsorted(self.m_values, self.m)
+        self.group, self.row = group[run], row[run]
 
 
 def integrate_many(jobs: Sequence[Job]) -> list:
@@ -585,72 +495,165 @@ def integrate_many(jobs: Sequence[Job]) -> list:
     return _integrate(jobs)[0]
 
 
+_LO, _HI, _VAL, _ERR = range(4)  # the columns of a panel
+
+
 def _integrate(jobs, rule=None):
-    """``integrate_many``'s results and runs; with a ``rule`` the panels are
-    judged by it and every piece keeps its panels' node values."""
+    """``integrate_many``'s results, the runs' ends, the pieces' cuts (see
+    ``_prepare``) and, with a ``rule``, every final panel as (piece, lo,
+    hi, value, node values) judged by it.
+
+    Each round refines the live pieces of all runs together.  A piece's
+    panels are consecutive rows of ``panel`` (lo, hi, value, error), in
+    the order a bisection keeps them: the unsplit panels, then the left
+    halves, then the right halves.  A piece stops when its error is within
+    its share of the tolerance.  A piece over what the earlier pieces of
+    its run left of the panel budget (after their splits in the same
+    round), or whose integrand is non-finite at a node, stops its run
+    there: the pieces after it cannot change the run's result.
+    """
     results: list = [None] * len(jobs)
-    runs = {}
+    runs, cuts, index = [], [], []
     for i, job in enumerate(jobs):
         try:
-            runs[i] = _prepare(job)
+            runs.append(_prepare(job, cuts))
         except HopialError as exc:
             results[i] = exc
-    fns = _assign_groups(runs.values())
+            continue
+        index.append(i)
+    if not runs:
+        return results, [], None, None
+    targets, raw, tol, max_panels, ends, count = zip(*runs)
+    cut = np.array(cuts, dtype=float).reshape(-1, _CUT)
+    count = np.array(count)
+    first = np.cumsum(count) - count
+    run = np.repeat(np.arange(len(runs)), count)
+    fns, group, row = _assign_groups(targets, raw)
+    pieces = _Pieces(cut, run, group, row)
+    half_tol = 0.5 * np.array(tol)
+    budget = np.array(max_panels, dtype=float)
+    stop = first + count  # a run's pieces from stop[r] on no longer step
+    used = np.ones(len(cut), dtype=np.int64)
+    last_split = np.full(len(cut), -1, dtype=np.int64)
+    total = np.zeros((2, len(cut)))  # value and error of each stopped piece
+    errors: dict = {}
+    kept: list = []
 
     # round 0: the first panel of every piece, which also scales the
     # absolute floor of its run; a failure there ends the run
-    pieces = [pc for run in runs.values() for pc in run.pieces]
-    for pc, res in zip(pieces, _evaluate(fns, [(pc, pc.los, pc.his) for pc in pieces], rule)
-                       if pieces else ()):
-        if isinstance(res, HopialError):
-            pc.error = res
-        else:
-            pc.vals, pc.errs, pc.nodes = res
-    live = []
-    for i, run in runs.items():
-        failed = [pc.error for pc in run.pieces if pc.error is not None]
-        if failed:
-            results[i] = failed[0]
+    live = owner = np.arange(len(cut))
+    panel = np.zeros((len(cut), 4))
+    panel[:, :2] = cut[:, 5:]
+    panel[:, _VAL], panel[:, _ERR], nodes, failed = _evaluate(fns, pieces, live, cut[:, 5],
+                                                              cut[:, 6], rule)
+    if rule is None:
+        nodes = None  # only a running integral keeps its node values
+    for p in sorted(failed):
+        if stop[run[p]] > first[run[p]]:
+            stop[run[p]] = first[run[p]]
+            results[index[run[p]]] = failed[p]
+    rough = _run_sums(np.abs(panel[:, _VAL]), first, count)
+    floor = np.maximum(np.array(tol) * rough, 1e-300) / (2 * count)
+
+    while True:
+        if failed:  # drop the pieces of stopped runs
+            alive = live < stop[run[live]]
+            keep = alive[owner]
+            live, owner, panel = live[alive], (np.cumsum(alive) - 1)[owner[keep]], panel[keep]
+            nodes = None if nodes is None else nodes[keep]
+        if not live.size:
+            break
+        n = np.bincount(owner, minlength=len(live))
+        start = np.cumsum(n) - n
+        value, error = _piece_sums(panel[:, _VAL:].T, start, n)
+        r = run[live]
+        target = np.maximum(half_tol[r] * np.abs(value), floor[r])
+        done = error <= target
+        todo = ~done
+        split = (panel[:, _ERR] > (target / (2.0 * n))[owner]) & todo[owner]
+        splits = np.bincount(owner[split], minlength=len(live))
+        for j in np.flatnonzero(todo & (splits == 0)).tolist():
+            # no panel above its share: split the worst
+            errs = panel[start[j]:start[j] + n[j], _ERR].tolist()
+            split[start[j] + errs.index(max(errs))] = True
+            splits[j] = 1
+
+        # the budget check sees the earlier pieces' splits of this round.
+        # The pieces after one over its budget stop with it, so what they
+        # record no longer counts
+        now = used[live]
+        used[live] = now + 2 * splits
+        spent = np.cumsum(used) - used
+        over = todo & (now >= budget[r] - (spent[live] - spent[first[r]]))
+        if over.any():
+            np.minimum.at(stop, r[over], live[over])
+        step = todo & (live < stop[r])
+        last_split[live[todo]] = now[todo]
+        total[:, live[done]] = value[done], error[done]
+        if nodes is not None:
+            keep = (done & (live < stop[r]))[owner]
+            kept.append((live[owner[keep]], *panel[keep, :_ERR].T, nodes[keep]))
+
+        # the stepping pieces' new layout: per piece its unsplit panels,
+        # then the left halves, then the right halves
+        whole, halved = step[owner] & ~split, step[owner] & split
+        left = panel[halved]
+        right = left.copy()
+        left[:, _HI] = right[:, _LO] = 0.5 * (left[:, _LO] + left[:, _HI])
+        by = np.concatenate([owner[whole], owner[halved], owner[halved]])
+        order = np.argsort(by, kind="stable")
+        fresh = order >= len(by) - 2 * len(left)
+        live, owner = live[step], (np.cumsum(step) - 1)[by[order]]
+        panel = np.concatenate([panel[whole], left, right])[order]
+        failed = {}
+        if not live.size:
+            break
+        halves = panel[fresh]
+        panel[fresh, _VAL], panel[fresh, _ERR], ys, failed = _evaluate(
+            fns, pieces, live[owner[fresh]], halves[:, _LO], halves[:, _HI], rule)
+        if nodes is not None:
+            nodes = np.concatenate([nodes[whole], ys])[order]
+            nodes[fresh] = ys
+        for p, exc in failed.items():
+            errors[p] = exc
+            stop[run[p]] = min(stop[run[p]], p)
+
+    _results(results, index, raw, tol, max_panels, first, count, run, budget,
+             used, last_split, total, errors)
+    panels = None if nodes is None else tuple(map(np.concatenate, zip(*kept)))
+    return results, ends, cut, panels
+
+
+def _results(results, index, raw, tol, max_panels, first, count, run, budget,
+             used, last_split, total, errors):
+    """Fill in each run's QuadResult, or the error it raises alone: its
+    pieces in order, each with the budget the earlier pieces left."""
+    spent = np.cumsum(used) - used
+    bad = last_split >= budget[run] - (spent - spent[first[run]])
+    bad[list(errors)] = True
+    flagged = np.zeros(len(first), dtype=bool)
+    flagged[run[bad]] = True
+    value, error = _run_sums(total, first, count)
+    error[np.array(raw)] *= _RAW_CALLABLE_INFLATION
+    for r, (i, v, e, u, f) in enumerate(zip(index, value.tolist(), error.tolist(),
+                                            np.add.reduceat(used, first).tolist(),
+                                            flagged.tolist())):
+        if results[i] is not None:
             continue
-        rough = 0.0
-        for pc in run.pieces:
-            rough += abs(pc.vals[0])
-        run.abs_floor = max(run.tol * rough, 1e-300) / (2 * len(run.pieces))
-        live.append(run)
-
-    while live:
-        requests = []
-        still = []
-        for run in live:
-            before = 0
-            for pc in run.pieces:
-                if pc.error is not None:
-                    break  # later pieces cannot change the run's result
-                if pc.total is None:
-                    req = _step(run, pc, before)
-                    if req is not None:
-                        requests.append(req)
-                        if not still or still[-1] is not run:
-                            still.append(run)
-                    elif pc.error is not None:
-                        break
-                before += pc.used
-        live = still
-        if requests:
-            for (pc, _, _), res in zip(requests, _evaluate(fns, requests, rule)):
-                if isinstance(res, HopialError):
-                    pc.error = res
-                else:
-                    keep = pc.keep
-                    pc.vals = [v for v, k in zip(pc.vals, keep) if k] + res[0]
-                    pc.errs = [e for e, k in zip(pc.errs, keep) if k] + res[1]
-                    if rule is not None:
-                        pc.nodes = np.concatenate([pc.nodes[keep], res[2]])
-
-    for i, run in runs.items():
-        if results[i] is None:
-            results[i] = _result(run)
-    return results, runs
+        if not f:
+            results[i] = QuadResult(v, e, u)
+            continue
+        before = 0
+        for p in range(first[r], first[r] + count[r]):
+            left = max_panels[r] - before
+            if last_split[p] >= left:
+                results[i] = BudgetExceeded(f"needed more than {left} panels "
+                                            f"for tolerance {0.5 * tol[r]:g}")
+                break
+            if p in errors:
+                results[i] = errors[p]
+                break
+            before += int(used[p])
 
 
 def integrate_job(job: Job) -> QuadResult:
@@ -754,17 +757,19 @@ def cumulative(f: Integrand, interval: fs.Interval, side: str = "head",
     so F is 0 there exactly.  The error adds the panel errors and the
     rounding of the running sum, the coefficients and Clenshaw's rule.
     """
-    results, runs = _integrate([Job(f, interval, tol)], _running_rule)
+    results, ends, cut, panels = _integrate([Job(f, interval, tol)], _running_rule)
     if isinstance(results[0], HopialError):
         raise results[0]
     head = side == "head"
+    piece, p_lo, p_hi, p_val, p_nodes = panels
     pieces = []
-    for pc in runs[0].pieces:
-        k = np.argsort(pc.los)
-        los, his, nodes = np.array(pc.los)[k], np.array(pc.his)[k], pc.nodes[k]
-        vals, half = np.array(pc.vals)[k], 0.5 * (his - los)
-        sign, anchor, m = pc.sub or ((1.0, pc.span[0], 1.0) if head else (-1.0, pc.span[1], 1.0))
-        if pc.sub is None:  # v = sign (x - anchor), against the panels' x in a tail
+    for p, (x0, x1, sign, anchor, m) in enumerate(cut[:, :5].tolist()):
+        at = np.flatnonzero(piece == p)
+        k = at[np.argsort(p_lo[at])]
+        los, his, nodes, vals = p_lo[k], p_hi[k], p_nodes[k], p_val[k]
+        half = 0.5 * (his - los)
+        if sign == 0.0:  # v = sign (x - anchor), against the panels' x in a tail
+            sign, anchor = (1.0, x0) if head else (-1.0, x1)
             los, his = sign * (los - anchor), sign * (his - anchor)
             if sign < 0:
                 los, his, nodes, vals, half = (his[::-1], los[::-1], nodes[::-1, ::-1],
@@ -788,11 +793,11 @@ def cumulative(f: Integrand, interval: fs.Interval, side: str = "head",
                                         + np.abs(nodes).max(axis=1) * reach)))
     rounding = np.finfo(float).eps * (worst + len(in_x) * float(np.abs(in_x).sum()))
     # one order more than f at each end; the total at the far end
-    ends = [(kappa + 1.0, rho + 1.0) for kappa, rho in runs[0].ends]
+    ends = [(kappa + 1.0, rho + 1.0) for kappa, rho in ends[0]]
     total = edges[-1] if head else edges[0]
     if total:
         ends[head] = (0.0, ends[head][1])
-    spec = fs.PiecewisePolynomial([pc.span[0] for pc in runs[0].pieces] + [interval.b],
+    spec = fs.PiecewisePolynomial(cut[:, 0].tolist() + [interval.b],
                                   rows, [frame for frame, *_ in pieces], ends)
     return spec, QuadResult(total, results[0].abs_error_estimate + rounding, len(in_x))
 

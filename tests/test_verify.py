@@ -473,8 +473,10 @@ class TestStructureWalks:
         with monkeypatch.context() as patch:
             for name in ("endpoint_structure", "breakpoints", "compile_program", "_walk"):
                 patch.setattr(fs, name, walk)
+            cuts = []
             for job in jobs:
-                quad._prepare(job)
+                quad._prepare(job, cuts)
+            assert len(cuts) >= len(jobs)
 
     @staticmethod
     def assert_assembled(job):
