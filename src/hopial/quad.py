@@ -273,27 +273,21 @@ def _running_rule(ys, half):
     return vals, np.maximum(errs, gaps)
 
 
-def _piece_sums(xs, start, count):
-    """Per piece, the sum of ``xs[..., start:start + count]`` with the bits
-    of ``np.sum`` (pairwise summation).  The pieces with the same count
-    are gathered into one C-contiguous block and summed along its rows,
-    which runs numpy's pairwise loop on each row; ``np.add.reduceat``, or
-    the rows of a strided block, add in other orders."""
+def _piece_sums(xs, count):
+    """Per piece, the sum of its ``count`` consecutive entries of ``xs``
+    (along the last axis) with the bits of ``np.sum`` (pairwise
+    summation).  The pieces with the same count are gathered into one
+    C-contiguous block and summed along its rows, which runs numpy's
+    pairwise loop on each row; ``np.add.reduceat``, or the rows of a
+    strided block, add in other orders."""
+    counts = np.flatnonzero(np.bincount(count)).tolist()
+    if len(counts) == 1:  # the pieces' entries tile xs
+        return np.ascontiguousarray(xs.reshape(xs.shape[:-1] + (-1, counts[0]))).sum(axis=-1)
+    start = count.cumsum() - count
     out = np.empty(xs.shape[:-1] + count.shape)
-    for n in np.flatnonzero(np.bincount(count)).tolist():
+    for n in counts:
         at = np.flatnonzero(count == n)
         out[..., at] = np.ascontiguousarray(xs[..., start[at, None] + np.arange(n)]).sum(axis=-1)
-    return out
-
-
-def _run_sums(xs, first, count):
-    """Per run, 0.0 + xs[..., first] + xs[..., first + 1] + ... over its
-    ``count`` pieces, added in piece order."""
-    out = np.zeros(xs.shape[:-1] + count.shape)
-    for n in np.flatnonzero(np.bincount(count)).tolist():
-        at = np.flatnonzero(count == n)
-        for j in range(n):
-            out[..., at] += xs[..., first[at] + j]
     return out
 
 
@@ -401,88 +395,78 @@ def _assign_groups(targets, raw) -> tuple:
     return fns, np.array(group), np.array(row)
 
 
-def _group_values(fn, batched, pieces, at, us):
-    """The integrand of one group at nodes ``us`` (one row of 15 per panel
-    of piece ``at``), with each piece's substitution and its Jacobian
+def _group_values(fn, batched, m_values, panels, us):
+    """The integrand of one group at nodes ``us`` (one row of 15 per row
+    of ``panels``), with each panel's substitution and its Jacobian
     applied."""
-    sign = pieces.sign[at]
+    sign = panels[:, _SIGN]
     graded = sign != 0.0
+    subs = np.count_nonzero(graded)
     xs, offsets = us, None
-    if graded.any():
+    if subs:
         # x = anchor + d exactly; the kernel reads d where x - anchor
-        # would round.  A piece without a substitution (m = 1) keeps x = u
-        # and the Jacobian 1
-        code = pieces.m_code[at]
-        power, jacobian = np.zeros(us.shape), np.ones(us.shape)
-        # per distinct m: numpy's x ** m takes fast paths for some scalar
-        # m (2.0 squares) that an array of exponents does not
-        for c in np.flatnonzero(np.bincount(code)).tolist():
-            m = pieces.m_values[c]
-            if m != 1.0:
+        # would round.  numpy's x ** m takes fast paths for some scalar m
+        # (2.0 squares) that an array of exponents does not: the powers
+        # are taken per distinct m
+        ms = [m for m in m_values if m != 1.0]
+        if len(ms) == 1:
+            power, jacobian = us ** ms[0], us ** (ms[0] - 1.0)
+        else:
+            code = panels[:, _M_CODE]
+            power, jacobian = np.zeros(us.shape), np.ones(us.shape)
+            for c, m in enumerate(m_values):
                 k = code == c
-                power[k] = us[k] ** m
-                jacobian[k] = us[k] ** (m - 1.0)
+                if m != 1.0 and np.count_nonzero(k):
+                    power[k] = us[k] ** m
+                    jacobian[k] = us[k] ** (m - 1.0)
         d = sign[:, None] * power
-        anchors = np.repeat(pieces.anchor[at], 15)
-        xs = np.where(graded[:, None], anchors.reshape(us.shape) + d, us)
+        anchors = panels[:, _ANCHOR].repeat(15)
+        xs = anchors.reshape(us.shape) + d
+        if subs < len(sign):  # a panel without a substitution keeps x = u
+            xs = np.where(graded[:, None], xs, us)
         offsets = (anchors, d.ravel())
-    rows = np.repeat(pieces.row[at], 15) if batched else None
+    rows = panels[:, _ROW].astype(np.intp).repeat(15) if batched else None
     ys = fn(xs.ravel(), rows, offsets).reshape(us.shape)
-    if offsets is not None:
-        ys = ys * pieces.m[at, None] * jacobian
+    if subs:
+        scaled = ys * panels[:, _M, None] * jacobian
+        ys = scaled if subs == len(sign) else np.where(graded[:, None], scaled, ys)
     return ys
 
 
-def _evaluate(fns, pieces, at, lo, hi, rule=None):
-    """Evaluate the panels (lo, hi) of pieces ``at`` (a piece's panels
-    consecutive), one kernel call per group.
+def _evaluate(fns, m_values, panels, rule):
+    """Evaluate ``panels`` (rows in the layout of ``_integrate``; a
+    piece's panels consecutive), one kernel call per group, under
+    ``_integrate``'s errstate.
 
-    Returns their values and errors by ``rule`` (default ``_panel_rule``),
-    their node values (a row per panel) and a dict of the DomainError of
-    each piece whose integrand is non-finite at a node, naming the first
-    such node in panel order.
+    Returns their values and errors by ``rule``, their node values (a row
+    per panel) and a dict of the DomainError of each piece whose integrand
+    is non-finite at a node, naming the first such node in panel order.
     """
+    lo, hi = panels[:, _LO], panels[:, _HI]
     half = 0.5 * (hi - lo)
     us = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES[None, :]
-    group = pieces.group[at]
-    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        if group.min() == group.max():
-            ys = _group_values(*fns[group[0]], pieces, at, us)
-        else:
-            ys = np.empty(us.shape)
-            for g in np.flatnonzero(np.bincount(group)).tolist():
-                sel = np.flatnonzero(group == g)
-                ys[sel] = _group_values(*fns[g], pieces, at[sel], us[sel])
-        vals, errs = (rule or _panel_rule)(ys, half)
+    if len(fns) == 1:
+        ys = _group_values(*fns[0], m_values, panels, us)
+    else:
+        group = panels[:, _GROUP].astype(np.intp)
+        ys = np.empty(us.shape)
+        for g in np.flatnonzero(np.bincount(group)).tolist():
+            sel = np.flatnonzero(group == g)
+            ys[sel] = _group_values(*fns[g], m_values, panels[sel], us[sel])
+    vals, errs = rule(ys, half)
     finite = np.isfinite(ys)
     errors = {}
-    if not finite.all():
+    if np.count_nonzero(finite) < finite.size:
         for j in np.flatnonzero(~finite.all(axis=1)).tolist():
-            p = int(at[j])
+            p = int(panels[j, _PIECE])
             if p in errors:
                 continue
             bad = us[j][~finite[j]][:1]
-            if pieces.sign[p] != 0.0:  # the node is u, at x = anchor + sign u^m
-                bad = float(pieces.anchor[p]) + float(pieces.sign[p]) * bad ** float(pieces.m[p])
+            sign, anchor, m = panels[j, _SIGN:_M + 1].tolist()
+            if sign != 0.0:  # the node is u, at x = anchor + sign u^m
+                bad = anchor + sign * bad ** m
             errors[p] = DomainError(f"integrand evaluated non-finite near x={bad}")
     return vals, errs, ys, errors
-
-
-class _Pieces:
-    """The pieces of a batch, one entry per piece in flat arrays: its run,
-    its substitution (``sign``, ``anchor``, ``m``; sign 0, anchor nan and
-    m 1 for none, and ``m_code`` indexing the distinct ``m_values``) and
-    its kernel ``group`` and parameter ``row``.  The pieces of a run are
-    consecutive, in the order the job was cut."""
-
-    __slots__ = ("run", "sign", "anchor", "m", "m_values", "m_code", "group", "row")
-
-    def __init__(self, cut, run, group, row):
-        self.run = run
-        self.sign, self.anchor, self.m = cut[:, 2], cut[:, 3], cut[:, 4]
-        self.m_values = sorted(set(self.m.tolist()))
-        self.m_code = np.searchsorted(self.m_values, self.m)
-        self.group, self.row = group[run], row[run]
 
 
 def integrate_many(jobs: Sequence[Job]) -> list:
@@ -495,22 +479,31 @@ def integrate_many(jobs: Sequence[Job]) -> list:
     return _integrate(jobs)[0]
 
 
-_LO, _HI, _VAL, _ERR = range(4)  # the columns of a panel
+# A panel row of _integrate: its ends in its piece's own variable, its
+# value and error by the rule, its piece, and the piece's substitution
+# x = anchor + sign u^m (sign 0, anchor nan and m 1 for none; m_code
+# indexes the batch's sorted m values), kernel group and parameter row.
+_LO, _HI, _VAL, _ERR, _PIECE, _SIGN, _ANCHOR, _M, _M_CODE, _GROUP, _ROW = range(11)
+# A piece row: its id and run, half its run's tolerance, its run's
+# absolute floor, its value and error, the panels it used and their
+# number at its last split decision.
+_ID, _RUN, _HALF_TOL, _FLOOR, _TOTAL, _TOTAL_ERR, _USED, _LAST = range(8)
 
 
 def _integrate(jobs, rule=None):
     """``integrate_many``'s results, the runs' ends, the pieces' cuts (see
-    ``_prepare``) and, with a ``rule``, every final panel as (piece, lo,
-    hi, value, node values) judged by it.
+    ``_prepare``) and, with a ``rule``, every final panel's piece, lo, hi,
+    value and node values, judged by that rule.
 
-    Each round refines the live pieces of all runs together.  A piece's
-    panels are consecutive rows of ``panel`` (lo, hi, value, error), in
-    the order a bisection keeps them: the unsplit panels, then the left
-    halves, then the right halves.  A piece stops when its error is within
-    its share of the tolerance.  A piece over what the earlier pieces of
-    its run left of the panel budget (after their splits in the same
-    round), or whose integrand is non-finite at a node, stops its run
-    there: the pieces after it cannot change the run's result.
+    Each round refines the live pieces of all runs together, one row per
+    piece in ``piece`` and one per panel in ``panel``.  A piece's panels
+    are consecutive, in the order a bisection keeps them: the unsplit
+    panels, then the left halves, then the right halves.  A piece stops
+    when its error is within its share of the tolerance.  A piece over
+    what the earlier pieces of its run left of the panel budget (after
+    their splits in the same round), or whose integrand is non-finite at
+    a node, stops its run there: the pieces after it cannot change the
+    run's result.
     """
     results: list = [None] * len(jobs)
     runs, cuts, index = [], [], []
@@ -525,135 +518,179 @@ def _integrate(jobs, rule=None):
         return results, [], None, None
     targets, raw, tol, max_panels, ends, count = zip(*runs)
     cut = np.array(cuts, dtype=float).reshape(-1, _CUT)
+    pieces = len(cut)
     count = np.array(count)
-    first = np.cumsum(count) - count
-    run = np.repeat(np.arange(len(runs)), count)
+    first = count.cumsum() - count
+    run = np.arange(len(runs)).repeat(count)
     fns, group, row = _assign_groups(targets, raw)
-    pieces = _Pieces(cut, run, group, row)
-    half_tol = 0.5 * np.array(tol)
-    budget = np.array(max_panels, dtype=float)
-    stop = first + count  # a run's pieces from stop[r] on no longer step
-    used = np.ones(len(cut), dtype=np.int64)
-    last_split = np.full(len(cut), -1, dtype=np.int64)
-    total = np.zeros((2, len(cut)))  # value and error of each stopped piece
-    errors: dict = {}
-    kept: list = []
+    m_values = sorted(set(cut[:, 4].tolist()))
+    keep_nodes = rule is not None
+    rule = rule or _panel_rule
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        # round 0: the first panel of every piece, which also scales the
+        # absolute floor of its run; a failure there ends the run
+        panel = np.zeros((pieces, 11))
+        panel[:, _LO:_HI + 1] = cut[:, 5:]
+        panel[:, _PIECE] = np.arange(pieces)
+        panel[:, _SIGN:_M + 1] = cut[:, 2:5]
+        if len(m_values) > 1:
+            panel[:, _M_CODE] = np.searchsorted(m_values, cut[:, 4])
+        if len(fns) > 1:
+            panel[:, _GROUP] = group[run]
+        if len(runs) > 1:
+            panel[:, _ROW] = row[run]
+        panel[:, _VAL], panel[:, _ERR], nodes, failed = _evaluate(fns, m_values, panel, rule)
+        stop = first + count  # a run's pieces from stop[r] on no longer step
+        for p in sorted(failed):
+            if stop[run[p]] > first[run[p]]:
+                stop[run[p]] = first[run[p]]
+                results[index[run[p]]] = failed[p]
+        floor = []
+        size = np.abs(panel[:, _VAL]).tolist()
+        for t, start, n in zip(tol, first.tolist(), count.tolist()):
+            rough = 0.0
+            for x in size[start:start + n]:
+                rough += x
+            floor.append(max(t * rough, 1e-300) / (2 * n))
+        piece = np.zeros((pieces, 8))
+        piece[:, _ID], piece[:, _RUN] = panel[:, _PIECE], run
+        piece[:, _HALF_TOL] = (0.5 * np.array(tol))[run]
+        piece[:, _FLOOR] = np.array(floor)[run]
+        piece[:, _USED], piece[:, _LAST] = 1.0, -1.0
+        owner = np.arange(pieces)
+        if not keep_nodes:
+            nodes = None  # only a running integral keeps its node values
+        errors: dict = {}
+        retired: list = []  # the rows of the pieces that stopped
+        kept: list = []
+        # no piece can be over its budget while the batch holds fewer panels
+        halved, least_budget = 0, min(max_panels)
 
-    # round 0: the first panel of every piece, which also scales the
-    # absolute floor of its run; a failure there ends the run
-    live = owner = np.arange(len(cut))
-    panel = np.zeros((len(cut), 4))
-    panel[:, :2] = cut[:, 5:]
-    panel[:, _VAL], panel[:, _ERR], nodes, failed = _evaluate(fns, pieces, live, cut[:, 5],
-                                                              cut[:, 6], rule)
-    if rule is None:
-        nodes = None  # only a running integral keeps its node values
-    for p in sorted(failed):
-        if stop[run[p]] > first[run[p]]:
-            stop[run[p]] = first[run[p]]
-            results[index[run[p]]] = failed[p]
-    rough = _run_sums(np.abs(panel[:, _VAL]), first, count)
-    floor = np.maximum(np.array(tol) * rough, 1e-300) / (2 * count)
+        while True:
+            if failed:  # retire each stopped piece of a run and those after it
+                alive = piece[:, _ID] < stop[piece[:, _RUN].astype(np.intp)]
+                retired.append(piece[~alive])
+                keep = alive[owner]
+                owner, piece, panel = (alive.cumsum() - 1)[owner[keep]], piece[alive], panel[keep]
+                nodes = None if nodes is None else nodes[keep]
+                if not len(piece):
+                    break
+            n = np.bincount(owner)
+            piece[:, _TOTAL:_TOTAL_ERR + 1] = _piece_sums(panel[:, _VAL:_ERR + 1].T, n).T
+            target = np.maximum(piece[:, _HALF_TOL] * np.abs(piece[:, _TOTAL]),
+                                piece[:, _FLOOR])
+            done = piece[:, _TOTAL_ERR] <= target
+            stopping = np.count_nonzero(done)
+            if stopping == len(piece):
+                retired.append(piece)
+                if nodes is not None:
+                    kept.append((panel, nodes))
+                break
+            share = target / (2.0 * n)
+            share[done] = np.inf
+            split = panel[:, _ERR] > share[owner]
+            splits = np.bincount(owner[split], minlength=len(piece))
+            if np.count_nonzero(splits) + stopping < len(piece):
+                start = n.cumsum() - n
+                for j in np.flatnonzero(~done & (splits == 0)).tolist():
+                    # no panel above its share: split the worst
+                    errs = panel[start[j]:start[j] + n[j], _ERR].tolist()
+                    split[start[j] + errs.index(max(errs))] = True
+                    splits[j] = 1
+            step = ~done
+            np.copyto(piece[:, _LAST], piece[:, _USED], where=step)
+            piece[:, _USED] += 2 * splits
+            left = panel[split]
+            halved += len(left)
+            if pieces + 2 * halved >= least_budget:
+                # the budget check sees the earlier pieces' splits of this
+                # round; the pieces after one over its budget stop with it,
+                # so what they record no longer counts
+                step = _within_budget(piece, step, retired, max_panels, first, stop)
+                split &= step[owner]
+                left = panel[split]
+                stopping = len(piece) - np.count_nonzero(step)
+            if stopping:
+                retired.append(piece[~step])
+                if nodes is not None:
+                    gone = ~step[owner]
+                    kept.append((panel[gone], nodes[gone]))
 
-    while True:
-        if failed:  # drop the pieces of stopped runs
-            alive = live < stop[run[live]]
-            keep = alive[owner]
-            live, owner, panel = live[alive], (np.cumsum(alive) - 1)[owner[keep]], panel[keep]
-            nodes = None if nodes is None else nodes[keep]
-        if not live.size:
-            break
-        n = np.bincount(owner, minlength=len(live))
-        start = np.cumsum(n) - n
-        value, error = _piece_sums(panel[:, _VAL:].T, start, n)
-        r = run[live]
-        target = np.maximum(half_tol[r] * np.abs(value), floor[r])
-        done = error <= target
-        todo = ~done
-        split = (panel[:, _ERR] > (target / (2.0 * n))[owner]) & todo[owner]
-        splits = np.bincount(owner[split], minlength=len(live))
-        for j in np.flatnonzero(todo & (splits == 0)).tolist():
-            # no panel above its share: split the worst
-            errs = panel[start[j]:start[j] + n[j], _ERR].tolist()
-            split[start[j] + errs.index(max(errs))] = True
-            splits[j] = 1
+            # the stepping pieces' new layout: per piece its unsplit
+            # panels, then the left halves, then the right halves
+            whole = step[owner] & ~split
+            right = left.copy()
+            left[:, _HI] = right[:, _LO] = 0.5 * (left[:, _LO] + left[:, _HI])
+            halves = owner[split]
+            by = np.concatenate((owner[whole], halves, halves))
+            order = by.argsort(kind="stable")
+            fresh = order >= len(by) - 2 * len(left)
+            owner = by[order]
+            panel = np.concatenate((panel[whole], left, right))[order]
+            if stopping:
+                owner, piece = (step.cumsum() - 1)[owner], piece[step]
+                if not len(piece):
+                    break
+            panel[fresh, _VAL], panel[fresh, _ERR], ys, failed = _evaluate(
+                fns, m_values, panel[fresh], rule)
+            if nodes is not None:
+                nodes = np.concatenate((nodes[whole], ys))[order]
+                nodes[fresh] = ys
+            for p, exc in failed.items():
+                errors[p] = exc
+                stop[run[p]] = min(stop[run[p]], p)
 
-        # the budget check sees the earlier pieces' splits of this round.
-        # The pieces after one over its budget stop with it, so what they
-        # record no longer counts
-        now = used[live]
-        used[live] = now + 2 * splits
-        spent = np.cumsum(used) - used
-        over = todo & (now >= budget[r] - (spent[live] - spent[first[r]]))
-        if over.any():
-            np.minimum.at(stop, r[over], live[over])
-        step = todo & (live < stop[r])
-        last_split[live[todo]] = now[todo]
-        total[:, live[done]] = value[done], error[done]
-        if nodes is not None:
-            keep = (done & (live < stop[r]))[owner]
-            kept.append((live[owner[keep]], *panel[keep, :_ERR].T, nodes[keep]))
-
-        # the stepping pieces' new layout: per piece its unsplit panels,
-        # then the left halves, then the right halves
-        whole, halved = step[owner] & ~split, step[owner] & split
-        left = panel[halved]
-        right = left.copy()
-        left[:, _HI] = right[:, _LO] = 0.5 * (left[:, _LO] + left[:, _HI])
-        by = np.concatenate([owner[whole], owner[halved], owner[halved]])
-        order = np.argsort(by, kind="stable")
-        fresh = order >= len(by) - 2 * len(left)
-        live, owner = live[step], (np.cumsum(step) - 1)[by[order]]
-        panel = np.concatenate([panel[whole], left, right])[order]
-        failed = {}
-        if not live.size:
-            break
-        halves = panel[fresh]
-        panel[fresh, _VAL], panel[fresh, _ERR], ys, failed = _evaluate(
-            fns, pieces, live[owner[fresh]], halves[:, _LO], halves[:, _HI], rule)
-        if nodes is not None:
-            nodes = np.concatenate([nodes[whole], ys])[order]
-            nodes[fresh] = ys
-        for p, exc in failed.items():
-            errors[p] = exc
-            stop[run[p]] = min(stop[run[p]], p)
-
-    _results(results, index, raw, tol, max_panels, first, count, run, budget,
-             used, last_split, total, errors)
-    panels = None if nodes is None else tuple(map(np.concatenate, zip(*kept)))
+    state = np.empty((pieces, 8))
+    rows = np.concatenate(retired)
+    state[rows[:, _ID].astype(np.intp)] = rows
+    _results(results, index, runs, first.tolist(), state, errors)
+    panels = None
+    if kept:
+        rows, values = map(np.concatenate, zip(*kept))
+        panels = (rows[:, _PIECE].astype(np.intp), rows[:, _LO], rows[:, _HI], rows[:, _VAL],
+                  values)
     return results, ends, cut, panels
 
 
-def _results(results, index, raw, tol, max_panels, first, count, run, budget,
-             used, last_split, total, errors):
+def _within_budget(piece, step, retired, max_panels, first, stop):
+    """Which live pieces step on: a stepping piece stops its run where it
+    is over what the earlier pieces of its run (after their splits in
+    this round) left of the panel budget."""
+    used = np.ones(sum(len(rows) for rows in retired) + len(piece))
+    for rows in retired + [piece]:
+        used[rows[:, _ID].astype(np.intp)] = rows[:, _USED]
+    spent = used.cumsum() - used
+    ids, run = piece[:, _ID].astype(np.intp), piece[:, _RUN].astype(np.intp)
+    over = step & (piece[:, _LAST] >= np.array(max_panels, dtype=float)[run] - (
+        spent[ids] - spent[first[run]]))
+    np.minimum.at(stop, run[over], ids[over])
+    return step & (ids < stop[run])
+
+
+def _results(results, index, runs, first, state, errors):
     """Fill in each run's QuadResult, or the error it raises alone: its
     pieces in order, each with the budget the earlier pieces left."""
-    spent = np.cumsum(used) - used
-    bad = last_split >= budget[run] - (spent - spent[first[run]])
-    bad[list(errors)] = True
-    flagged = np.zeros(len(first), dtype=bool)
-    flagged[run[bad]] = True
-    value, error = _run_sums(total, first, count)
-    error[np.array(raw)] *= _RAW_CALLABLE_INFLATION
-    for r, (i, v, e, u, f) in enumerate(zip(index, value.tolist(), error.tolist(),
-                                            np.add.reduceat(used, first).tolist(),
-                                            flagged.tolist())):
+    total, total_err, used, last_split = state[:, _TOTAL:].T.tolist()
+    for r, (i, (_, raw, tol, max_panels, _, count)) in enumerate(zip(index, runs)):
         if results[i] is not None:
             continue
-        if not f:
-            results[i] = QuadResult(v, e, u)
-            continue
-        before = 0
-        for p in range(first[r], first[r] + count[r]):
-            left = max_panels[r] - before
-            if last_split[p] >= left:
-                results[i] = BudgetExceeded(f"needed more than {left} panels "
-                                            f"for tolerance {0.5 * tol[r]:g}")
+        value = error = 0.0
+        spent = 0
+        for p in range(first[r], first[r] + count):
+            budget = max_panels - spent
+            if last_split[p] >= budget:
+                results[i] = BudgetExceeded(f"needed more than {budget} panels "
+                                            f"for tolerance {0.5 * tol:g}")
                 break
             if p in errors:
                 results[i] = errors[p]
                 break
-            before += int(used[p])
+            value += total[p]
+            error += total_err[p]
+            spent += int(used[p])
+        else:
+            results[i] = QuadResult(value, error * _RAW_CALLABLE_INFLATION if raw else error,
+                                    spent)
 
 
 def integrate_job(job: Job) -> QuadResult:

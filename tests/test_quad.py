@@ -441,6 +441,35 @@ class TestIntegrateMany:
             assert _same(res, alone), job
 
 
+class TestPieceSums:
+    """A piece's total is np.sum of its panels in bisection order."""
+
+    @staticmethod
+    def mixed(rng, size):
+        return rng.standard_normal(size) * 10.0 ** rng.integers(-20, 21, size)
+
+    def test_grouped_rows_match_np_sum(self):
+        rng = np.random.default_rng(17)
+        counts = np.concatenate([np.arange(1, 301), rng.integers(1, 301, 200)])
+        rng.shuffle(counts)
+        start = np.cumsum(counts) - counts
+        xs = self.mixed(rng, (2, int(counts.sum())))
+        # the loop passes (value, error) as a strided view of its panel rows
+        panel = np.empty((xs.shape[1], 4))
+        panel[:, 2:] = xs.T
+        got = quad._piece_sums(panel[:, 2:].T, counts)
+        for row in range(2):
+            want = [np.sum(xs[row, s:s + n]) for s, n in zip(start, counts)]
+            assert got[row].tolist() == want
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 127, 128, 129, 300])
+    def test_equal_counts_match_np_sum(self, n):
+        rng = np.random.default_rng(n)
+        xs = self.mixed(rng, 5 * n)
+        got = quad._piece_sums(xs, np.full(5, n))
+        assert got.tolist() == [np.sum(xs[i * n:(i + 1) * n]) for i in range(5)]
+
+
 @st.composite
 def _parity_jobs(draw):
     """One job of a parity batch: graded ends, breakpoints, a shifted
