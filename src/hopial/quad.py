@@ -37,16 +37,22 @@ panels keep their node values, and F is the running sum of the panels
 plus the exact integral of each panel's degree-14 interpolant, a spec in
 the graded form of ``funcspace.PiecewisePolynomial``.
 
-Each piece of a job keeps its own panel tree, stop rule and share of the
+Each piece of a job keeps its own panels, stop rule and share of the
 job's panel budget, exactly as when the job runs alone.  The loop refines
-the pieces of all jobs in rounds, and in each round the new panels of all
-pieces that share an integrand are evaluated in one kernel call.  Jobs
-whose code has the same opcode skeleton share one batched program, built
-once per group with one parameter row per job (``funcspace.stacked``).
-A job gets the same bits in any batch: the kernel gives a row the bits of
-its one-row program, and the panel rule reduces every panel on its own (a
-BLAS gemv would not: its result for a row changes with the number of
-rows).
+the pieces of all jobs in rounds (after Shampine, "Vectorized adaptive
+quadrature in MATLAB", J. Comput. Appl. Math. 211, 2008): the pieces and
+their panels are rows of two flat arrays, each piece's panels consecutive
+in the order a bisection keeps them, and the stop rule, the split choice,
+the budget and the new halves are array operations over all pieces of
+all jobs.  A piece's total is ``np.sum`` of its panels, whatever the
+batch: the pieces with one panel count are summed as the rows of one
+C-contiguous block.  In each round the new panels of all pieces that
+share an integrand are evaluated in one kernel call.  Jobs whose code has
+the same opcode skeleton share one batched program, built once per group
+with one parameter row per job (``funcspace.stacked``).  A job gets the
+same bits in any batch: the kernel gives a row the bits of its one-row
+program, and the panel rule reduces every panel on its own (a BLAS gemv
+would not: its result for a row changes with the number of rows).
 
 Default relative tolerances: 1e-7 when an endpoint exponent is negative,
 else 1e-10 (a graded finite endpoint keeps 1e-10).  Constants downstream
@@ -280,7 +286,7 @@ def _piece_sums(xs, count):
     C-contiguous block and summed along its rows, which runs numpy's
     pairwise loop on each row; ``np.add.reduceat``, or the rows of a
     strided block, add in other orders."""
-    counts = np.flatnonzero(np.bincount(count)).tolist()
+    counts = [xs.shape[-1]] if len(count) == 1 else np.flatnonzero(np.bincount(count)).tolist()
     if len(counts) == 1:  # the pieces' entries tile xs
         return np.ascontiguousarray(xs.reshape(xs.shape[:-1] + (-1, counts[0]))).sum(axis=-1)
     start = count.cumsum() - count
@@ -545,18 +551,17 @@ def _integrate(jobs, rule=None):
             if stop[run[p]] > first[run[p]]:
                 stop[run[p]] = first[run[p]]
                 results[index[run[p]]] = failed[p]
-        floor = []
+        scale = []  # per run half its tolerance and its absolute floor
         size = np.abs(panel[:, _VAL]).tolist()
         for t, start, n in zip(tol, first.tolist(), count.tolist()):
             rough = 0.0
             for x in size[start:start + n]:
                 rough += x
-            floor.append(max(t * rough, 1e-300) / (2 * n))
-        piece = np.zeros((pieces, 8))
+            scale.append((0.5 * t, max(t * rough, 1e-300) / (2 * n)))
+        piece = np.empty((pieces, 8))
         piece[:, _ID], piece[:, _RUN] = panel[:, _PIECE], run
-        piece[:, _HALF_TOL] = (0.5 * np.array(tol))[run]
-        piece[:, _FLOOR] = np.array(floor)[run]
-        piece[:, _USED], piece[:, _LAST] = 1.0, -1.0
+        piece[:, _HALF_TOL:_FLOOR + 1] = np.array(scale)[run]
+        piece[:, _USED:] = 1.0, -1.0
         owner = np.arange(pieces)
         if not keep_nodes:
             nodes = None  # only a running integral keeps its node values
@@ -575,8 +580,12 @@ def _integrate(jobs, rule=None):
                 nodes = None if nodes is None else nodes[keep]
                 if not len(piece):
                     break
-            n = np.bincount(owner)
-            piece[:, _TOTAL:_TOTAL_ERR + 1] = _piece_sums(panel[:, _VAL:_ERR + 1].T, n).T
+            if len(owner) == len(piece):  # one panel each: np.sum of a term is 0.0 + it
+                n = 1
+                piece[:, _TOTAL:_TOTAL_ERR + 1] = panel[:, _VAL:_ERR + 1] + 0.0
+            else:
+                n = np.bincount(owner)
+                piece[:, _TOTAL:_TOTAL_ERR + 1] = _piece_sums(panel[:, _VAL:_ERR + 1].T, n).T
             target = np.maximum(piece[:, _HALF_TOL] * np.abs(piece[:, _TOTAL]),
                                 piece[:, _FLOOR])
             done = piece[:, _TOTAL_ERR] <= target
@@ -591,6 +600,7 @@ def _integrate(jobs, rule=None):
             split = panel[:, _ERR] > share[owner]
             splits = np.bincount(owner[split], minlength=len(piece))
             if np.count_nonzero(splits) + stopping < len(piece):
+                n = np.bincount(owner)
                 start = n.cumsum() - n
                 for j in np.flatnonzero(~done & (splits == 0)).tolist():
                     # no panel above its share: split the worst
@@ -656,9 +666,9 @@ def _within_budget(piece, step, retired, max_panels, first, stop):
     """Which live pieces step on: a stepping piece stops its run where it
     is over what the earlier pieces of its run (after their splits in
     this round) left of the panel budget."""
-    used = np.ones(sum(len(rows) for rows in retired) + len(piece))
-    for rows in retired + [piece]:
-        used[rows[:, _ID].astype(np.intp)] = rows[:, _USED]
+    rows = np.concatenate(retired + [piece])  # every piece once
+    used = np.empty(len(rows))
+    used[rows[:, _ID].astype(np.intp)] = rows[:, _USED]
     spent = used.cumsum() - used
     ids, run = piece[:, _ID].astype(np.intp), piece[:, _RUN].astype(np.intp)
     over = step & (piece[:, _LAST] >= np.array(max_panels, dtype=float)[run] - (
