@@ -314,7 +314,7 @@ def _grading(kappa, rho):
     return float(m)
 
 
-_CUT = 7  # the length of a piece's row in the cuts of _prepare
+_CUT = 10  # a cut of _prepare: a panel row's first eight columns, then the span
 
 
 def _prepare(job: Job, cuts: list) -> tuple:
@@ -322,12 +322,13 @@ def _prepare(job: Job, cuts: list) -> tuple:
     substitutions and breakpoint splits).  It walks no spec: the code,
     breakpoints and (kappa, rho) come with the job.
 
-    Appends a row (lo, hi, sign, anchor, m, u0, u1) per piece to the flat
-    list ``cuts``:
-    the piece's span in x, its substitution x = anchor + sign u^m (sign 0,
-    anchor nan and m 1 for none) and its first panel (u0, u1) in the
-    piece's own variable.  Returns the run: (integrand, raw, tol,
-    max_panels, the (kappa, rho) at each end, number of pieces)."""
+    Appends a row per piece to the flat list ``cuts``: the first eight
+    columns of the row of its first panel in ``_integrate`` (its ends in
+    the piece's own variable, the piece's index in ``cuts`` and its
+    substitution x = anchor + sign u^m; sign 0, anchor nan and m 1 for
+    none), then the piece's span (lo, hi) in x.  Returns the run:
+    (integrand, raw, tol, max_panels, the (kappa, rho) at each end, number
+    of pieces)."""
     a, b = job.interval.a, job.interval.b
     home = job.home or job.interval
     raw = job.code is None
@@ -359,16 +360,17 @@ def _prepare(job: Job, cuts: list) -> tuple:
     for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
         m_lo = m_l if i == 0 else None
         m_hi = m_r if i == last else None
+        p = len(cuts) // _CUT
         if m_lo is not None and m_hi is not None:
             mid = 0.5 * (lo + hi)
-            cuts += (lo, mid, 1.0, lo, m_lo, 0.0, (mid - lo) ** (1.0 / m_lo),
-                     mid, hi, -1.0, hi, m_hi, 0.0, (hi - mid) ** (1.0 / m_hi))
+            cuts += (0.0, (mid - lo) ** (1.0 / m_lo), 0.0, 0.0, p, 1.0, lo, m_lo, lo, mid,
+                     0.0, (hi - mid) ** (1.0 / m_hi), 0.0, 0.0, p + 1, -1.0, hi, m_hi, mid, hi)
         elif m_lo is not None:
-            cuts += (lo, hi, 1.0, lo, m_lo, 0.0, (hi - lo) ** (1.0 / m_lo))
+            cuts += (0.0, (hi - lo) ** (1.0 / m_lo), 0.0, 0.0, p, 1.0, lo, m_lo, lo, hi)
         elif m_hi is not None:
-            cuts += (lo, hi, -1.0, hi, m_hi, 0.0, (hi - lo) ** (1.0 / m_hi))
+            cuts += (0.0, (hi - lo) ** (1.0 / m_hi), 0.0, 0.0, p, -1.0, hi, m_hi, lo, hi)
         else:
-            cuts += (lo, hi, 0.0, math.nan, 1.0, lo, hi)
+            cuts += (lo, hi, 0.0, 0.0, p, 0.0, math.nan, 1.0, lo, hi)
     return (job.f if raw else job.code, raw, tol, job.max_panels, ends,
             (len(cuts) - before) // _CUT)
 
@@ -525,35 +527,32 @@ def _integrate(jobs, rule=None):
     targets, raw, tol, max_panels, ends, count = zip(*runs)
     cut = np.array(cuts, dtype=float).reshape(-1, _CUT)
     pieces = len(cut)
-    count = np.array(count)
-    first = count.cumsum() - count
+    first = list(itertools.accumulate(count, initial=0))  # and the end of the last run
     run = np.arange(len(runs)).repeat(count)
     fns, group, row = _assign_groups(targets, raw)
-    m_values = sorted(set(cut[:, 4].tolist()))
+    m_values = sorted(set(cut[:, _M].tolist()))
     keep_nodes = rule is not None
     rule = rule or _panel_rule
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         # round 0: the first panel of every piece, which also scales the
         # absolute floor of its run; a failure there ends the run
         panel = np.zeros((pieces, 11))
-        panel[:, _LO:_HI + 1] = cut[:, 5:]
-        panel[:, _PIECE] = np.arange(pieces)
-        panel[:, _SIGN:_M + 1] = cut[:, 2:5]
-        if len(m_values) > 1:
-            panel[:, _M_CODE] = np.searchsorted(m_values, cut[:, 4])
+        panel[:, :_M + 1] = cut[:, :_M + 1]
+        if sum(m != 1.0 for m in m_values) > 1:  # _group_values tells them apart
+            panel[:, _M_CODE] = np.searchsorted(m_values, cut[:, _M])
         if len(fns) > 1:
             panel[:, _GROUP] = group[run]
         if len(runs) > 1:
             panel[:, _ROW] = row[run]
         panel[:, _VAL], panel[:, _ERR], nodes, failed = _evaluate(fns, m_values, panel, rule)
-        stop = first + count  # a run's pieces from stop[r] on no longer step
+        stop = np.array(first[1:])  # a run's pieces from stop[r] on no longer step
         for p in sorted(failed):
             if stop[run[p]] > first[run[p]]:
                 stop[run[p]] = first[run[p]]
                 results[index[run[p]]] = failed[p]
         scale = []  # per run half its tolerance and its absolute floor
         size = np.abs(panel[:, _VAL]).tolist()
-        for t, start, n in zip(tol, first.tolist(), count.tolist()):
+        for t, start, n in zip(tol, first, count):
             rough = 0.0
             for x in size[start:start + n]:
                 rough += x
@@ -581,70 +580,86 @@ def _integrate(jobs, rule=None):
                 if not len(piece):
                     break
             if len(owner) == len(piece):  # one panel each: np.sum of a term is 0.0 + it
-                n = 1
+                n = [1] * len(piece)
                 piece[:, _TOTAL:_TOTAL_ERR + 1] = panel[:, _VAL:_ERR + 1] + 0.0
             else:
                 n = np.bincount(owner)
                 piece[:, _TOTAL:_TOTAL_ERR + 1] = _piece_sums(panel[:, _VAL:_ERR + 1].T, n).T
-            target = np.maximum(piece[:, _HALF_TOL] * np.abs(piece[:, _TOTAL]),
-                                piece[:, _FLOOR])
-            done = piece[:, _TOTAL_ERR] <= target
-            stopping = np.count_nonzero(done)
-            if stopping == len(piece):
-                retired.append(piece)
-                if nodes is not None:
-                    kept.append((panel, nodes))
-                break
-            share = target / (2.0 * n)
-            share[done] = np.inf
-            split = panel[:, _ERR] > share[owner]
-            splits = np.bincount(owner[split], minlength=len(piece))
-            if np.count_nonzero(splits) + stopping < len(piece):
-                n = np.bincount(owner)
-                start = n.cumsum() - n
-                for j in np.flatnonzero(~done & (splits == 0)).tolist():
-                    # no panel above its share: split the worst
-                    errs = panel[start[j]:start[j] + n[j], _ERR].tolist()
-                    split[start[j] + errs.index(max(errs))] = True
-                    splits[j] = 1
-            step = ~done
-            np.copyto(piece[:, _LAST], piece[:, _USED], where=step)
-            piece[:, _USED] += 2 * splits
-            left = panel[split]
-            halved += len(left)
-            if pieces + 2 * halved >= least_budget:
-                # the budget check sees the earlier pieces' splits of this
-                # round; the pieces after one over its budget stop with it,
-                # so what they record no longer counts
-                step = _within_budget(piece, step, retired, max_panels, first, stop)
-                split &= step[owner]
-                left = panel[split]
-                stopping = len(piece) - np.count_nonzero(step)
-            if stopping:
-                retired.append(piece[~step])
-                if nodes is not None:
-                    gone = ~step[owner]
-                    kept.append((panel[gone], nodes[gone]))
-
-            # the stepping pieces' new layout: per piece its unsplit
-            # panels, then the left halves, then the right halves
-            whole = step[owner] & ~split
-            right = left.copy()
-            left[:, _HI] = right[:, _LO] = 0.5 * (left[:, _LO] + left[:, _HI])
-            halves = owner[split]
-            by = np.concatenate((owner[whole], halves, halves))
-            order = by.argsort(kind="stable")
-            fresh = order >= len(by) - 2 * len(left)
-            owner = by[order]
-            panel = np.concatenate((panel[whole], left, right))[order]
-            if stopping:
-                owner, piece = (step.cumsum() - 1)[owner], piece[step]
-                if not len(piece):
+            if len(piece) <= _FEW and pieces + 2 * (halved + len(owner)) < least_budget:
+                rows, piece, owner, fresh, src, gone = _few_round(piece, panel, n)
+                if gone:
+                    retired.append(np.array(gone))
+                    if nodes is not None:
+                        stops = np.ones(len(panel), dtype=bool)
+                        stops[src] = False
+                        kept.append((panel[stops], nodes[stops]))
+                if not piece:
                     break
+                halved += fresh.count(True) // 2
+                piece, owner, fresh = np.array(piece), np.array(owner), np.array(fresh)
+                panel = np.array(rows)
+                if nodes is not None:
+                    nodes = nodes[src]
+            else:
+                n = np.asarray(n)
+                target = np.maximum(piece[:, _HALF_TOL] * np.abs(piece[:, _TOTAL]),
+                                    piece[:, _FLOOR])
+                done = piece[:, _TOTAL_ERR] <= target
+                stopping = np.count_nonzero(done)
+                if stopping == len(piece):
+                    retired.append(piece)
+                    if nodes is not None:
+                        kept.append((panel, nodes))
+                    break
+                share = target / (2.0 * n)
+                share[done] = np.inf
+                split = panel[:, _ERR] > share[owner]
+                splits = np.bincount(owner[split], minlength=len(piece))
+                if np.count_nonzero(splits) + stopping < len(piece):
+                    start = n.cumsum() - n
+                    for j in np.flatnonzero(~done & (splits == 0)).tolist():
+                        # no panel above its share: split the worst
+                        errs = panel[start[j]:start[j] + n[j], _ERR].tolist()
+                        split[start[j] + errs.index(max(errs))] = True
+                        splits[j] = 1
+                step = ~done
+                np.copyto(piece[:, _LAST], piece[:, _USED], where=step)
+                piece[:, _USED] += 2 * splits
+                halved += np.count_nonzero(split)
+                if pieces + 2 * halved >= least_budget:
+                    # the budget check sees the earlier pieces' splits of
+                    # this round; the pieces after one over its budget stop
+                    # with it, so what they record no longer counts
+                    step = _within_budget(piece, step, retired, max_panels, first, stop)
+                    split &= step[owner]
+                    stopping = len(piece) - np.count_nonzero(step)
+                if stopping:
+                    retired.append(piece[~step])
+                    if nodes is not None:
+                        gone = ~step[owner]
+                        kept.append((panel[gone], nodes[gone]))
+
+                # the stepping pieces' new layout: per piece its unsplit
+                # panels, then the left halves, then the right halves
+                whole = step[owner] & ~split
+                left = panel[split]
+                right = left.copy()
+                left[:, _HI] = right[:, _LO] = 0.5 * (left[:, _LO] + left[:, _HI])
+                halves = owner[split]
+                by = np.concatenate((owner[whole], halves, halves))
+                order = by.argsort(kind="stable")
+                fresh = order >= len(by) - 2 * len(left)
+                owner = by[order]
+                panel = np.concatenate((panel[whole], left, right))[order]
+                if nodes is not None:
+                    nodes = np.concatenate((nodes[whole], nodes[split], nodes[split]))[order]
+                if stopping:
+                    owner, piece = (step.cumsum() - 1)[owner], piece[step]
+                    if not len(piece):
+                        break
             panel[fresh, _VAL], panel[fresh, _ERR], ys, failed = _evaluate(
                 fns, m_values, panel[fresh], rule)
             if nodes is not None:
-                nodes = np.concatenate((nodes[whole], ys))[order]
                 nodes[fresh] = ys
             for p, exc in failed.items():
                 errors[p] = exc
@@ -653,13 +668,56 @@ def _integrate(jobs, rule=None):
     state = np.empty((pieces, 8))
     rows = np.concatenate(retired)
     state[rows[:, _ID].astype(np.intp)] = rows
-    _results(results, index, runs, first.tolist(), state, errors)
+    _results(results, index, runs, first, state, errors)
     panels = None
     if kept:
         rows, values = map(np.concatenate, zip(*kept))
         panels = (rows[:, _PIECE].astype(np.intp), rows[:, _LO], rows[:, _HI], rows[:, _VAL],
                   values)
     return results, ends, cut, panels
+
+
+_FEW = 8  # live pieces up to which a round runs in Python (numpy costs about 1 us a call)
+
+
+def _few_round(piece, panel, n):
+    """A round of ``_integrate`` over a few live pieces in Python, where
+    numpy's fixed cost per call would outweigh their work, for a batch
+    too small for any piece to be over its budget: the array round's stop
+    rule, split choice and new layout.  Returns the new panel rows, the
+    rows of the pieces that go on, each new panel's piece and source row
+    and whether it is a new half, and the rows of the pieces that stop."""
+    rows = panel.tolist()
+    new, live, owner, src, fresh, gone = [], [], [], [], [], []
+    start = 0
+    for row, k in zip(piece.tolist(), n):
+        target = max(row[_HALF_TOL] * abs(row[_TOTAL]), row[_FLOOR])
+        if row[_TOTAL_ERR] <= target:
+            gone.append(row)
+            start += k
+            continue
+        share = target / (2.0 * k)
+        errs = [r[_ERR] for r in rows[start:start + k]]
+        split = [e > share for e in errs]
+        if not any(split):  # no panel above its share: split the worst
+            split[errs.index(max(errs))] = True
+        whole = [start + i for i in range(k) if not split[i]]
+        halves = [start + i for i in range(k) if split[i]]
+        lefts, rights = [], []
+        for i in halves:
+            left, right = rows[i][:], rows[i][:]
+            left[_HI] = right[_LO] = 0.5 * (rows[i][_LO] + rows[i][_HI])
+            lefts.append(left)
+            rights.append(right)
+        new += [rows[i] for i in whole] + lefts + rights
+        owner += [len(live)] * (len(whole) + 2 * len(halves))
+        src += whole + halves + halves
+        fresh += [False] * len(whole) + [True] * (2 * len(halves))
+        row[_LAST] = row[_USED]
+        row[_USED] += 2 * len(halves)
+        live.append(row)
+        start += k
+    return new, live, owner, fresh, src, gone
 
 
 def _within_budget(piece, step, retired, max_panels, first, stop):
@@ -672,7 +730,7 @@ def _within_budget(piece, step, retired, max_panels, first, stop):
     spent = used.cumsum() - used
     ids, run = piece[:, _ID].astype(np.intp), piece[:, _RUN].astype(np.intp)
     over = step & (piece[:, _LAST] >= np.array(max_panels, dtype=float)[run] - (
-        spent[ids] - spent[first[run]]))
+        spent[ids] - spent[np.array(first)[run]]))
     np.minimum.at(stop, run[over], ids[over])
     return step & (ids < stop[run])
 
@@ -810,7 +868,7 @@ def cumulative(f: Integrand, interval: fs.Interval, side: str = "head",
     head = side == "head"
     piece, p_lo, p_hi, p_val, p_nodes = panels
     pieces = []
-    for p, (x0, x1, sign, anchor, m) in enumerate(cut[:, :5].tolist()):
+    for p, (sign, anchor, m, x0, x1) in enumerate(cut[:, _SIGN:].tolist()):
         at = np.flatnonzero(piece == p)
         k = at[np.argsort(p_lo[at])]
         los, his, nodes, vals = p_lo[k], p_hi[k], p_nodes[k], p_val[k]
@@ -844,7 +902,7 @@ def cumulative(f: Integrand, interval: fs.Interval, side: str = "head",
     total = edges[-1] if head else edges[0]
     if total:
         ends[head] = (0.0, ends[head][1])
-    spec = fs.PiecewisePolynomial(cut[:, 0].tolist() + [interval.b],
+    spec = fs.PiecewisePolynomial(cut[:, _M + 1].tolist() + [interval.b],
                                   rows, [frame for frame, *_ in pieces], ends)
     return spec, QuadResult(total, results[0].abs_error_estimate + rounding, len(in_x))
 

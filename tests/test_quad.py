@@ -429,10 +429,12 @@ class TestIntegrateMany:
         assert quad.integrate_many([]) == []
 
     @settings(max_examples=60, deadline=None)
-    @given(jobs=st.lists(st.deferred(lambda: _parity_jobs()), min_size=1, max_size=6))
+    @given(jobs=st.lists(st.deferred(lambda: _parity_jobs()), min_size=1, max_size=12))
     def test_batch_parity(self, jobs):
         """Every job of a mixed batch gets the bits, or the error type and
-        message, of ``integrate_job`` of that job alone."""
+        message, of ``integrate_job`` of that job alone.  A batch of more
+        than a few pieces refines them with array rounds, a job alone with
+        rounds in Python."""
         for job, res in zip(jobs, quad.integrate_many(jobs)):
             try:
                 alone = quad.integrate_job(job)
