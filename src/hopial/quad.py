@@ -685,8 +685,8 @@ def _few_round(piece, panel, n):
     numpy's fixed cost per call would outweigh their work, for a batch
     too small for any piece to be over its budget: the array round's stop
     rule, split choice and new layout.  Returns the new panel rows, the
-    rows of the pieces that go on, each new panel's piece and source row
-    and whether it is a new half, and the rows of the pieces that stop."""
+    rows of the pieces that go on, each new panel's piece, whether it is
+    a new half and its source row, and the rows of the pieces that stop."""
     rows = panel.tolist()
     new, live, owner, src, fresh, gone = [], [], [], [], [], []
     start = 0
