@@ -44,15 +44,17 @@ quadrature in MATLAB", J. Comput. Appl. Math. 211, 2008): the pieces and
 their panels are rows of two flat arrays, each piece's panels consecutive
 in the order a bisection keeps them, and the stop rule, the split choice,
 the budget and the new halves are array operations over all pieces of
-all jobs.  A piece's total is ``np.sum`` of its panels, whatever the
-batch: the pieces with one panel count are summed as the rows of one
-C-contiguous block.  In each round the new panels of all pieces that
-share an integrand are evaluated in one kernel call.  Jobs whose code has
-the same opcode skeleton share one batched program, built once per group
-with one parameter row per job (``funcspace.stacked``).  A job gets the
-same bits in any batch: the kernel gives a row the bits of its one-row
-program, and the panel rule reduces every panel on its own (a BLAS gemv
-would not: its result for a row changes with the number of rows).
+all jobs (a round over a few live pieces takes them in Python, where
+numpy's fixed cost per call would outweigh the work).  A piece's total
+is ``np.sum`` of its panels, whatever the batch: the pieces with one
+panel count are summed as the rows of one C-contiguous block.  In each
+round the new panels of all pieces that share an integrand are evaluated
+in one kernel call.  Jobs whose code has the same opcode skeleton share
+one batched program, built once per group with one parameter row per job
+(``funcspace.stacked``).  A job gets the same bits in any batch: the
+kernel gives a row the bits of its one-row program, and the panel rule
+reduces every panel on its own (a BLAS gemv would not: its result for a
+row changes with the number of rows).
 
 Default relative tolerances: 1e-7 when an endpoint exponent is negative,
 else 1e-10 (a graded finite endpoint keeps 1e-10).  Constants downstream
