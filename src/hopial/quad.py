@@ -692,7 +692,7 @@ def _few_round(piece, panel, n):
     rows = panel.tolist()
     new, live, owner, src, fresh, gone = [], [], [], [], [], []
     start = 0
-    for row, k in zip(piece.tolist(), n):
+    for row, k in zip(piece.tolist(), np.asarray(n).tolist()):
         target = max(row[_HALF_TOL] * abs(row[_TOTAL]), row[_FLOOR])
         if row[_TOTAL_ERR] <= target:
             gone.append(row)
