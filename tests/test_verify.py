@@ -434,10 +434,9 @@ class TestStructureWalks:
     @pytest.mark.parametrize("ident, calls, points", [
         ("T2.1", 10, 1876), ("T2.9", 9, 1996), ("T2.27", 16, 2056), ("HARDY", 6, 1320)])
     def test_kernel_rounds(self, monkeypatch, ident, calls, points):
-        """A 10-member sweep makes the kernel calls, on the points, that it
-        made when each piece of a job was refined on its own: the batched
-        loop evaluates the new panels of every piece of one skeleton group
-        in one call per round."""
+        """A 10-member sweep makes exactly these kernel calls, on these
+        points: each round evaluates the new panels of all pieces of one
+        skeleton group in one call, so the loop's bookkeeping adds none."""
         seen = [0, 0]
         real = _kernel.eval_program
 
