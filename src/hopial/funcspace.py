@@ -27,7 +27,7 @@ from . import _kernel
 from ._kernel.fallback import (OP_ABS, OP_ADD, OP_CONST, OP_EXP, OP_MUL,
                                OP_POW_LEFT, OP_POW_RIGHT, OP_POWER, OP_PPOLY,
                                OP_PWL, OP_STEP)
-from .errors import DomainError, InvalidSpec
+from .errors import DomainError, HopialError, InvalidSpec
 
 __all__ = [
     "Interval",
@@ -62,6 +62,7 @@ __all__ = [
     "compile_program",
     "Part",
     "product",
+    "plan_groups",
 ]
 
 
@@ -346,29 +347,12 @@ def _structural_sign(spec: FunctionSpec, interval: Interval) -> Optional[bool]:
     return None
 
 
-def stacked_values(codes: Sequence[tuple], xs: np.ndarray) -> list:
-    """The values at ``xs`` of the program of every code (a ``Part``'s),
-    one array per code; the codes that share a skeleton run ``stacked`` in
-    one kernel call, which gives each row the bits of its one-row
-    program."""
-    out: list = [None] * len(codes)
-    groups: dict = {}
-    for i, code in enumerate(codes):
-        groups.setdefault(skeleton(code), []).append(i)
-    for members in groups.values():
-        rows = np.repeat(np.arange(len(members)), len(xs))
-        vals = stacked([codes[i] for i in members])(np.tile(xs, len(members)), rows)
-        for i, row in zip(members, vals.reshape(len(members), len(xs))):
-            out[i] = row
-    return out
-
-
 def nonnegativity_errors(specs: Sequence[FunctionSpec], interval: Interval,
                          samples: int = 64) -> list:
     """``validate_nonnegative`` of every spec: None, or the InvalidSpec it
     raises, per spec.  The sign is decided by the structure where it can
     be (``_structural_sign``); the rest are probed at ``samples`` interior
-    points, stacked by program skeleton."""
+    points."""
     errors: list = [None] * len(specs)
     probed = []
     for i, spec in enumerate(specs):
@@ -376,13 +360,14 @@ def nonnegativity_errors(specs: Sequence[FunctionSpec], interval: Interval,
             validate(spec, interval)
             sign = _structural_sign(spec, interval)
             if sign is None:
-                probed.append((i, Part(spec, interval).code))
+                probed.append(i)
             elif not sign:
                 errors[i] = InvalidSpec("spec is negative inside the interval")
         except InvalidSpec as exc:
             errors[i] = exc
     xs = np.linspace(interval.a, interval.b, samples + 2)[1:-1]
-    for (i, _), row in zip(probed, stacked_values([code for _, code in probed], xs)):
+    for i in probed:
+        row = compile_program(specs[i], interval)(xs)
         if np.any(np.isnan(row)):
             errors[i] = InvalidSpec("spec evaluates to NaN inside the interval")
         elif _negative(row.tolist()):
@@ -599,14 +584,9 @@ def closed_antiderivative(spec: FunctionSpec, interval: Interval) -> Optional[Fu
         k = spec.c / spec.beta
         return Sum([Exponential(k, spec.beta), Constant(-k * math.exp(spec.beta * a))])
     if isinstance(spec, PiecewiseLinear):
-        xs = [x for x, _ in spec.knots]
-        rows = []
-        acc = 0.0
-        for (x0, v0), (x1, v1) in zip(spec.knots, spec.knots[1:]):
-            slope = (v1 - v0) / (x1 - x0)
-            rows.append((acc, v0, slope / 2.0))
-            acc += (v0 + v1) / 2.0 * (x1 - x0)
-        return _zero_at_left_end(PiecewisePolynomial(xs, rows), interval)
+        xs, vs = np.array(spec.knots).T
+        coeffs = _pwl_antiderivative(xs[None], vs[None])[0]
+        return _zero_at_left_end(PiecewisePolynomial(xs.tolist(), coeffs.tolist()), interval)
     if isinstance(spec, Step):
         xs = list(spec.breaks)
         vals = [0.0]
@@ -645,20 +625,12 @@ def _zero_at_left_end(anti, interval: Interval):
 
 
 def tail_integral_spec(spec: FunctionSpec, interval: Interval) -> Optional[FunctionSpec]:
-    """Integral from x to the right endpoint, as a spec (or None)."""
-    return tail_integral_specs([closed_antiderivative(spec, interval)], interval)[0]
-
-
-def tail_integral_specs(antis: Sequence[Optional[FunctionSpec]], interval: Interval) -> list:
-    """G(b) - G(x) for every closed antiderivative G (None stays None).
-    The totals G(b) come from one stacked kernel call per skeleton."""
-    known = [i for i, anti in enumerate(antis) if anti is not None]
-    totals = stacked_values([Part(antis[i], interval).code for i in known],
-                            np.array([interval.b]))
-    out: list = [None] * len(antis)
-    for i, total in zip(known, totals):
-        out[i] = Sum([Constant(float(total[0])), scale(antis[i], -1.0)])
-    return out
+    """Integral from x to the right endpoint, G(b) - G(x) for the closed
+    antiderivative G, as a spec (or None)."""
+    anti = closed_antiderivative(spec, interval)
+    if anti is None:
+        return None
+    return Sum([Constant(evaluate(anti, interval.b, interval)), scale(anti, -1.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -701,27 +673,23 @@ _REGULAR_END = (0.0, math.inf)
 _VANISHING_END = (math.inf, math.inf)
 
 
-def _ppoly_ends(spec: PiecewisePolynomial) -> tuple:
-    """(left, right) (kappa, rho) of a piecewise polynomial: the declared
-    ends of the graded form, else the order of the zero at each end."""
-    if spec.frames is not None:
-        return spec.ends
-    row = spec.coeffs[0]
-    tiny = 1e-14 * max(max(map(abs, row), default=0.0), 1.0)
+def _ppoly_ends(first, last, w) -> tuple:
+    """(left, right) (kappa, rho) of a plain piecewise polynomial with first
+    and last coefficient rows ``first`` and ``last``, its last piece of
+    width ``w``: the order of the zero at each end."""
+    tiny = 1e-14 * max(max(map(abs, first), default=0.0), 1.0)
     left = _VANISHING_END
-    for j, c in enumerate(row):
+    for j, c in enumerate(first):
         if abs(c) > tiny:
             left = float(j), math.inf
             break
     # the derivatives at the right edge of the last piece (w > 0), the value first
-    row = spec.coeffs[-1]
-    w = spec.breaks[-1] - spec.breaks[-2]
-    powers = [w ** j for j in range(len(row))]
-    terms = [c * wj for c, wj in zip(row, powers)]
+    powers = [w ** j for j in range(len(last))]
+    terms = [c * wj for c, wj in zip(last, powers)]
     tiny = 1e-10 * max(max(map(abs, terms), default=0.0), 1e-300)
-    for j in range(len(row)):
-        val = sum(terms) if j == 0 else sum([row[k] * math.comb(k, j) * math.factorial(j)
-                                             * powers[k - j] for k in range(j, len(row))])
+    for j in range(len(last)):
+        val = sum(terms) if j == 0 else sum([last[k] * math.comb(k, j) * math.factorial(j)
+                                             * powers[k - j] for k in range(j, len(last))])
         if abs(val) > tiny:
             return left, (float(j), math.inf)
     return left, _VANISHING_END
@@ -957,8 +925,8 @@ class Program:
     """Flat postfix program evaluating a spec on float64 arrays.
 
     ``fargs`` (rows x ops x 3) and ``data`` (rows x n) hold one parameter
-    row per member; ``compile_program`` makes one-row programs and
-    ``stacked`` stacks the code of specs that share a skeleton.
+    row per member; ``compile_program`` makes one-row programs, and a
+    group's plan (``product``) one with a row per member.
     """
 
     __slots__ = ("ops", "fargs", "iargs", "data")
@@ -986,22 +954,6 @@ class Program:
         return out.reshape(shape)
 
 
-def skeleton(code: tuple) -> tuple:
-    """Opcodes, data layout and polynomial degrees and forms of a program's
-    code (the lists ops, fargs, iargs and data): what the rows of a stacked
-    program share."""
-    ops, fargs, iargs, data = code
-    return (tuple(ops), tuple(iargs), len(data),
-            tuple(args[:2] for op, args in zip(ops, fargs) if op == OP_PPOLY))
-
-
-def stacked(codes: Sequence[tuple]) -> Program:
-    """One program whose row i is the program of ``codes[i]``; the codes
-    share one ``skeleton``."""
-    ops, _, iargs, _ = codes[0]
-    return Program(ops, [code[1] for code in codes], iargs, [code[3] for code in codes])
-
-
 _TABLE_OPS = (OP_PWL, OP_STEP, OP_PPOLY)  # the opcodes whose iargs[0] is a data offset
 
 
@@ -1014,13 +966,14 @@ def _value_end(values) -> tuple:
     return (1.0, math.inf) if len(values) > 1 and values[1] != 0.0 else _VANISHING_END
 
 
-def _walk(spec, interval, code, breaks) -> tuple:
+def _walk(spec, interval, code, breaks, joined) -> tuple:
     """The one structural walk of a spec: append its postfix program to
     ``code`` (the lists ops, fargs, iargs and data), add its knots and
     breaks to ``breaks`` and return its (left, right) (kappa, rho).  A
-    ``Part`` in the spec is joined with the results of its own walk.  The
-    variants have no subclasses, so the walk dispatches on the exact
-    type."""
+    ``Part`` in the spec is joined with the results of its own walk; a
+    group's part is also recorded in ``joined`` with its op, data and
+    break offsets.  The variants have no subclasses, so the walk
+    dispatches on the exact type."""
     ops, fargs, iargs, data = code
     kind = type(spec)
     if kind is Constant or kind is Exponential:
@@ -1077,12 +1030,14 @@ def _walk(spec, interval, code, breaks) -> tuple:
             if len(row) <= deg:
                 data.extend([0.0] * (deg + 1 - len(row)))
         breaks.extend(spec.breaks)
-        return _ppoly_ends(spec)
+        if spec.frames is not None:
+            return spec.ends
+        return _ppoly_ends(spec.coeffs[0], spec.coeffs[-1], spec.breaks[-1] - spec.breaks[-2])
     if kind is Sum or kind is Product:
         opcode = OP_ADD if kind is Sum else OP_MUL
         lefts, rights = [], []
         for i, term in enumerate(spec.terms):
-            left, right = _walk(term, interval, code, breaks)
+            left, right = _walk(term, interval, code, breaks, joined)
             lefts.append(left)
             rights.append(right)
             if i:  # postfix: the node's opcode after each term from the second on
@@ -1092,13 +1047,13 @@ def _walk(spec, interval, code, breaks) -> tuple:
         rule = _sum_end if kind is Sum else _product_end
         return rule(lefts), rule(rights)
     if kind is Power:
-        left, right = _walk(spec.base, interval, code, breaks)
+        left, right = _walk(spec.base, interval, code, breaks, joined)
         ops.append(OP_POWER)
         fargs.append((spec.exponent, 0.0, 0.0))
         iargs.append((0, 0))
         return _power_end(left, spec.exponent), _power_end(right, spec.exponent)
     if kind is AbsVal:
-        ends = _walk(spec.term, interval, code, breaks)
+        ends = _walk(spec.term, interval, code, breaks, joined)
         ops.append(OP_ABS)
         fargs.append((0.0, 0.0, 0.0))
         iargs.append((0, 0))
@@ -1106,6 +1061,8 @@ def _walk(spec, interval, code, breaks) -> tuple:
     if kind is Part:  # planned already: its code, moved past the data so far
         p_ops, p_fargs, p_iargs, p_data = spec.code
         size = len(data)
+        if spec.rows is not None:
+            joined.append((spec, len(ops), size, len(breaks)))
         ops.extend(p_ops)
         fargs.extend(p_fargs)
         iargs.extend([(off + size, n) if op in _TABLE_OPS else (off, n)
@@ -1131,22 +1088,148 @@ class Part:
     left and right ends and its interior breakpoints.  ``compile_program``,
     ``endpoint_structure`` and ``breakpoints`` read a part.  A factor that
     many integrals share is made a part once, and ``product`` joins its
-    code without walking its spec again."""
+    code without walking its spec again.
 
-    __slots__ = ("spec", "code", "ends", "breaks")
+    The part of a group (``plan_groups``) stands for specs of one
+    structure, its spec the first of them: ``rows`` holds every member's
+    parameter rows (fargs k x ops x 3, None where they are the first's,
+    and data k x n arrays) and breakpoints, and the members share its
+    ends.  It is None for one spec."""
+
+    __slots__ = ("spec", "code", "ends", "breaks", "rows")
 
     def __init__(self, spec: FunctionSpec, interval: Interval):
         self.spec = spec
-        self.code, self.ends, self.breaks = product([spec], interval)
+        self.code, self.ends, self.breaks, _ = product([spec], interval)
+        self.rows = None
 
 
 def product(factors: Sequence, interval: Interval) -> tuple:
-    """(code, (left, right) (kappa, rho), breakpoints) of the product of
-    the factors, from one walk: what the ``Part`` of ``Product([...])`` of
-    their specs holds, or of the one factor's spec.  A factor is a spec,
-    walked here, or a ``Part``, whose code the walk joins as it is."""
-    code = ([], [], [], [])
-    pts: list = []
-    ends = _walk(factors[0] if len(factors) == 1 else Product(factors), interval, code, pts)
+    """(code, (left, right) (kappa, rho), breakpoints, rows) of the product
+    of the factors, from one walk: what the ``Part`` of ``Product([...])``
+    of their specs holds, or of the one factor's spec.  A factor is a
+    spec, walked here, or a ``Part``, whose code the walk joins as it is.
+
+    Where one factor is a group's part, the product is the group's: the
+    walk joins the first member's code, and fargs and data become arrays
+    with a parameter row per member, the part's rows in its place; rows
+    holds each member's breakpoints.  Otherwise rows is None."""
+    code, pts, joined = ([], [], [], []), [], []
+    ends = _walk(factors[0] if len(factors) == 1 else Product(factors), interval, code,
+                 pts, joined)
     eps = 1e-12 * interval.width
-    return code, ends, sorted([x for x in set(pts) if interval.a + eps < x < interval.b - eps])
+    lo, hi = interval.a + eps, interval.b - eps
+    breaks = sorted([x for x in set(pts) if lo < x < hi])
+    if not joined:
+        return code, ends, breaks, None
+    (part, op_at, data_at, pts_at), = joined
+    p_fargs, p_data, p_breaks = part.rows
+    ops, fargs, iargs, data = code
+    fargs = np.repeat(np.array(fargs, dtype=float).reshape(1, -1, 3), len(p_data), axis=0)
+    if p_fargs is not None:  # else the members share the first one's
+        fargs[:, op_at:op_at + p_fargs.shape[1]] = p_fargs
+    data = np.repeat(np.array(data, dtype=float).reshape(1, -1), len(p_data), axis=0)
+    data[:, data_at:data_at + p_data.shape[1]] = p_data
+    # the other factors' breakpoints join each member's
+    shared = pts[:pts_at] + pts[pts_at + len(part.breaks):]
+    rows = p_breaks if not shared else [sorted([x for x in set(shared + b) if lo < x < hi])
+                                        for b in p_breaks]
+    return (ops, fargs, iargs, data), ends, breaks, rows
+
+
+# ---------------------------------------------------------------------------
+# template plans: the specs of one structure planned as the rows of a group
+# ---------------------------------------------------------------------------
+
+def _pwl_antiderivative(xs, vs) -> np.ndarray:
+    """The coefficient rows (G at the piece's left knot, v0, slope / 2) of
+    the antiderivatives G, zero at the first knot, of piecewise-linear
+    specs with knots ``xs`` and values ``vs`` (k x n, a spec per row):
+    k x (n - 1) x 3, in the arithmetic of a loop over the pieces."""
+    dx = xs[:, 1:] - xs[:, :-1]
+    areas = (vs[:, :-1] + vs[:, 1:]) / 2.0 * dx
+    acc = np.add.accumulate(np.hstack([np.zeros((len(xs), 1)), areas[:, :-1]]), axis=1)
+    return np.stack([acc, vs[:, :-1], (vs[:, 1:] - vs[:, :-1]) / dx / 2.0], axis=2)
+
+
+def _rows_part(spec, interval: Interval, data, breaks, totals=None) -> Part:
+    """The part of a group whose first member is ``spec``, with every
+    member's data row and breakpoints; ``totals`` (a tail's) is the first
+    argument of the first op, and the members share the other arguments."""
+    part = Part(spec, interval)
+    fargs = None
+    if totals is not None:
+        fargs = np.repeat(np.array(part.code[1], dtype=float)[None], len(data), axis=0)
+        fargs[:, 0, 0] = totals
+    part.rows = (fargs, data, breaks)
+    return part
+
+
+def _pwl_groups(specs: Sequence[PiecewiseLinear], interval: Interval, side: str) -> list:
+    """``plan_groups`` of piecewise-linear specs with as many knots, with
+    indices into ``specs``.  The data rows take the walk's layouts: knots
+    then values, and G's breaks then its coefficient rows."""
+    k = len(specs)
+    knots = np.array([spec.knots for spec in specs])
+    xs, vs = knots[..., 0], knots[..., 1]
+    coeffs, x_rows = _pwl_antiderivative(xs, vs), xs.tolist()
+    for i, row in enumerate(x_rows):
+        if row[0] < interval.a:  # a knot left of a
+            coeffs[i] = _zero_at_left_end(PiecewisePolynomial(row, coeffs[i].tolist()),
+                                          interval).coeffs
+    eps = 1e-12 * interval.width
+    breaks = [sorted([x for x in set(row) if interval.a + eps < x < interval.b - eps])
+              for row in x_rows]
+    F_data, totals = np.concatenate([xs, coeffs.reshape(k, -1)], axis=1), None
+    if side == "tail":  # F = G(b) - G, G(b) from one kernel call on G's rows
+        G = Program([OP_PPOLY], np.tile([2.0, 0.0, 0.0], k), [(0, len(coeffs[0]))], F_data)
+        totals = G(np.full(k, interval.b), np.arange(k)).tolist()
+        coeffs = -1.0 * coeffs
+        F_data[:, xs.shape[1]:] *= -1.0
+    # a group shares the ends of f and of G and, in a tail, whether G(b) is 0
+    groups: dict = {None: [0]} if k == 1 else {}
+    for i, (v, first, last, w) in enumerate(zip(vs.tolist(), coeffs[:, 0].tolist(),
+                                                coeffs[:, -1].tolist(),
+                                                (xs[:, -1] - xs[:, -2]).tolist())):
+        if k > 1:
+            key = (_value_end(v), _value_end(v[::-1]), _ppoly_ends(first, last, w),
+                   totals is not None and totals[i] == 0.0)
+            groups.setdefault(key, []).append(i)
+    f_data, out = np.concatenate([xs, vs], axis=1), []
+    for at in groups.values():
+        i, rows = at[0], slice(None) if len(at) == k else at
+        F = PiecewisePolynomial(x_rows[i], coeffs[i].tolist())
+        if totals is not None:
+            F = Sum([Constant(totals[i]), F])
+        at_breaks = [breaks[j] for j in at]
+        out.append((at, _rows_part(specs[i], interval, f_data[rows], at_breaks),
+                    _rows_part(F, interval, F_data[rows], at_breaks,
+                               None if totals is None else [totals[j] for j in at])))
+    return out
+
+
+def plan_groups(specs: Sequence, interval: Interval, side: str) -> list:
+    """The specs grouped by structure, each group planned once: a list of
+    (members, f, F), members the indices of its specs.  Piecewise-linear
+    specs with as many knots, the same ends and running integrals with the
+    same ends form a group: f and F are group parts (``Part.rows``) of the
+    specs and of their closed running integrals from ``side`` ("head":
+    F(a, x), "tail": F(x, b)), computed for all as row arrays, and only
+    the first member is walked.  Any other spec is a group of one, f the
+    spec and F its closed running integral, None where it has none (a
+    callable has none), or the HopialError computing it raised."""
+    out, pwl = [], {}
+    for i, spec in enumerate(specs):
+        if type(spec) is PiecewiseLinear:
+            pwl.setdefault(len(spec.knots), []).append(i)
+            continue
+        try:
+            F = None if callable(spec) else (
+                tail_integral_spec if side == "tail" else closed_antiderivative)(spec, interval)
+        except HopialError as exc:
+            F = exc
+        out.append(([i], spec, F))
+    for members in pwl.values():
+        out += [([members[j] for j in at], f, F)
+                for at, f, F in _pwl_groups([specs[i] for i in members], interval, side)]
+    return out

@@ -15,10 +15,10 @@ case of the same loop).  Per job:
   least integer >= 2 with m (1 + rho) - 1 >= 6, so the transformed term
   has six derivatives; an integer m keeps the smooth terms smooth.  Both
   come from the (kappa, rho) the job was planned with: each factor of a
-  product is a ``funcspace.Part``, whose program code, structure and
-  breakpoints come from one walk of its spec, and ``product_job`` joins
-  the parts' code lists by the Product rule.  A sweep makes the parts its
-  integrals share once, and ``_prepare`` walks no spec;
+  product is a ``funcspace.Part`` (one walk of its spec), and
+  ``product_job`` joins the parts' code by the Product rule.  A job can
+  be a template plan for a group of integrals of one structure, its code
+  holding a parameter row per member; ``_prepare`` walks no spec;
 * ``endpoint_exponents`` replaces the planned kappa where the structure
   cannot see it: a raw callable (``product_job`` declares its spec
   factors'), and a sum that cancels at the endpoint, whose min rule gives
@@ -48,13 +48,12 @@ all jobs (a round over a few live pieces takes them in Python, where
 numpy's fixed cost per call would outweigh the work).  A piece's total
 is ``np.sum`` of its panels, whatever the batch: the pieces with one
 panel count are summed as the rows of one C-contiguous block.  In each
-round the new panels of all pieces that share an integrand are evaluated
-in one kernel call.  Jobs whose code has the same opcode skeleton share
-one batched program, built once per group with one parameter row per job
-(``funcspace.stacked``).  A job gets the same bits in any batch: the
-kernel gives a row the bits of its one-row program, and the panel rule
-reduces every panel on its own (a BLAS gemv would not: its result for a
-row changes with the number of rows).
+round the new panels of all pieces of a job are evaluated in one kernel
+call, on the job's program, built once from its rows.  An integral gets
+the same bits in any batch and in any group: the kernel gives a row the
+bits of its one-row program, and the panel rule reduces every panel on
+its own (a BLAS gemv would not: its result for a row changes with the
+number of rows).
 
 Default relative tolerances: 1e-7 when an endpoint exponent is negative,
 else 1e-10 (a graded finite endpoint keeps 1e-10).  Constants downstream
@@ -235,7 +234,11 @@ class Job:
     its program ``code`` (the lists of a ``funcspace.Part``), its (kappa,
     rho) at the left and right ends of ``home`` (``ends``) and its
     breakpoints, merged with any given.  A raw callable has no code,
-    regular ends and the given breakpoints."""
+    regular ends and the given breakpoints.  A template plan (the job of
+    a group's part) is the integrals of the group's members: f, code and
+    breakpoints are its first member's, but fargs and data hold a row per
+    member, ``rows`` holds each one's breakpoints, and a callable f takes
+    (xs, rows); they share the rest."""
 
     f: Integrand
     interval: fs.Interval
@@ -246,6 +249,7 @@ class Job:
     max_panels: int = DEFAULT_PANEL_BUDGET
     code: Optional[tuple] = None
     ends: tuple = _REGULAR
+    rows: Optional[Sequence] = None
 
     def __post_init__(self):
         if self.code is not None:  # planned by product_job
@@ -320,17 +324,18 @@ _CUT = 10  # a cut of _prepare: a panel row's first eight columns, then the span
 
 
 def _prepare(job: Job, cuts: list) -> tuple:
-    """Validate a planned job and cut it into pieces (endpoint
-    substitutions and breakpoint splits).  It walks no spec: the code,
-    breakpoints and (kappa, rho) come with the job.
+    """Validate a planned job and cut each of its members into pieces
+    (endpoint substitutions and breakpoint splits).  It walks no spec: the
+    code, breakpoints and (kappa, rho) come with the job, and a group's
+    members differ only in their breakpoints.
 
     Appends a row per piece to the flat list ``cuts``: the first eight
     columns of the row of its first panel in ``_integrate`` (its ends in
     the piece's own variable, the piece's index in ``cuts`` and its
     substitution x = anchor + sign u^m; sign 0, anchor nan and m 1 for
-    none), then the piece's span (lo, hi) in x.  Returns the run:
-    (integrand, raw, tol, max_panels, the (kappa, rho) at each end, number
-    of pieces)."""
+    none), then the piece's span (lo, hi) in x.  Returns the job's plan:
+    (integrand, raw, tol, max_panels, the (kappa, rho) at each end, each
+    member's number of pieces)."""
     a, b = job.interval.a, job.interval.b
     home = job.home or job.interval
     raw = job.code is None
@@ -355,54 +360,48 @@ def _prepare(job: Job, cuts: list) -> tuple:
         raise DomainError(f"tolerance {tol} outside accepted range (1e-14, 1e-2)")
 
     eps = 1e-12 * (b - a)
-    edges = [a] + [x for x in job.breakpoints if a + eps < x < b - eps] + [b]
     m_l, m_r = _grading(*ends[0]), _grading(*ends[1])
-    before = len(cuts)
-    last = len(edges) - 2
-    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        m_lo = m_l if i == 0 else None
-        m_hi = m_r if i == last else None
-        p = len(cuts) // _CUT
-        if m_lo is not None and m_hi is not None:
-            mid = 0.5 * (lo + hi)
-            cuts += (0.0, (mid - lo) ** (1.0 / m_lo), 0.0, 0.0, p, 1.0, lo, m_lo, lo, mid,
-                     0.0, (hi - mid) ** (1.0 / m_hi), 0.0, 0.0, p + 1, -1.0, hi, m_hi, mid, hi)
-        elif m_lo is not None:
-            cuts += (0.0, (hi - lo) ** (1.0 / m_lo), 0.0, 0.0, p, 1.0, lo, m_lo, lo, hi)
-        elif m_hi is not None:
-            cuts += (0.0, (hi - lo) ** (1.0 / m_hi), 0.0, 0.0, p, -1.0, hi, m_hi, lo, hi)
+    counts = []
+    for breaks in job.rows or (job.breakpoints,):
+        edges = [a] + [x for x in breaks if a + eps < x < b - eps] + [b]
+        before = len(cuts)
+        last = len(edges) - 2
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            m_lo = m_l if i == 0 else None
+            m_hi = m_r if i == last else None
+            p = len(cuts) // _CUT
+            if m_lo is not None and m_hi is not None:
+                mid = 0.5 * (lo + hi)
+                cuts += (0.0, (mid - lo) ** (1.0 / m_lo), 0.0, 0.0, p, 1.0, lo, m_lo, lo, mid,
+                         0.0, (hi - mid) ** (1.0 / m_hi), 0.0, 0.0, p + 1, -1.0, hi, m_hi, mid,
+                         hi)
+            elif m_lo is not None:
+                cuts += (0.0, (hi - lo) ** (1.0 / m_lo), 0.0, 0.0, p, 1.0, lo, m_lo, lo, hi)
+            elif m_hi is not None:
+                cuts += (0.0, (hi - lo) ** (1.0 / m_hi), 0.0, 0.0, p, -1.0, hi, m_hi, lo, hi)
+            else:
+                cuts += (lo, hi, 0.0, 0.0, p, 0.0, math.nan, 1.0, lo, hi)
+        counts.append((len(cuts) - before) // _CUT)
+    return job.f if raw else job.code, raw, tol, job.max_panels, ends, counts
+
+
+def _assign_groups(plans) -> list:
+    """Each planned job's integrand as a kernel group (fn, batched).  A
+    job's code makes one program, built from its arrays with a parameter
+    row per member, whose ``fn(xs, rows, offsets)`` takes a parameter row
+    and an exact endpoint offset per point; a raw callable sees only xs
+    (and the rows, for a group's)."""
+    fns = []
+    for target, raw, *_, counts in plans:
+        if not raw:
+            prog = fs.Program(*target)
+            fns.append((prog, len(prog.fargs) > 1))
+        elif len(counts) > 1:
+            fns.append((lambda xs, rows, offsets, fn=target: fn(xs, rows), True))
         else:
-            cuts += (lo, hi, 0.0, 0.0, p, 0.0, math.nan, 1.0, lo, hi)
-    return (job.f if raw else job.code, raw, tol, job.max_panels, ends,
-            (len(cuts) - before) // _CUT)
-
-
-def _assign_groups(targets, raw) -> tuple:
-    """The groups' integrands as (fn, batched) pairs, and each run's group
-    and parameter row.
-
-    The codes that share a skeleton make one program, built once per
-    group with a parameter row per code (``funcspace.stacked``), whose
-    ``fn(xs, rows, offsets)`` takes a parameter row and an exact endpoint
-    offset per point; a raw callable is a group of its own and sees only
-    xs.
-    """
-    fns: list = []
-    of: dict = {}
-    by_skeleton: dict = {}
-    for f, is_raw in zip(targets, raw):
-        if not is_raw:
-            by_skeleton.setdefault(fs.skeleton(f), {})[id(f)] = f
-        elif id(f) not in of:
-            fn = _as_array_fn(f)
-            of[id(f)] = (len(fns), 0)
+            fn = _as_array_fn(target)
             fns.append((lambda xs, rows, offsets, fn=fn: fn(xs), False))
-    for codes in by_skeleton.values():
-        for row, key in enumerate(codes):
-            of[key] = (len(fns), row)
-        fns.append((fs.stacked(list(codes.values())), len(codes) > 1))
-    group, row = zip(*[of[id(f)] for f in targets])
-    return fns, np.array(group), np.array(row)
+    return fns
 
 
 def _group_values(fn, batched, m_values, panels, us):
@@ -480,11 +479,12 @@ def _evaluate(fns, m_values, panels, rule):
 
 
 def integrate_many(jobs: Sequence[Job]) -> list:
-    """Integrate every job; returns one QuadResult or HopialError per job.
+    """Integrate every job; returns one QuadResult or HopialError per
+    integral: per job, or per member of a group's job, in order.
 
-    One adaptive loop runs all jobs at once, and a job gets the same
-    result, bit for bit, as alone (see the module docstring).  A job that
-    fails does not stop the others.
+    One adaptive loop runs all jobs at once, and an integral gets the
+    same result, bit for bit, as alone (see the module docstring).  One
+    that fails does not stop the others.
     """
     return _integrate(jobs)[0]
 
@@ -515,23 +515,29 @@ def _integrate(jobs, rule=None):
     a node, stops its run there: the pieces after it cannot change the
     run's result.
     """
-    results: list = [None] * len(jobs)
-    runs, cuts, index = [], [], []
-    for i, job in enumerate(jobs):
+    results: list = []
+    plans, cuts, index = [], [], []  # index: each run's slot in results
+    for job in jobs:
+        members = len(job.rows) if job.rows else 1
         try:
-            runs.append(_prepare(job, cuts))
+            plans.append(_prepare(job, cuts))
         except HopialError as exc:
-            results[i] = exc
+            results += [exc] * members
             continue
-        index.append(i)
-    if not runs:
+        index += range(len(results), len(results) + members)
+        results += [None] * members
+    if not plans:
         return results, [], None, None
-    targets, raw, tol, max_panels, ends, count = zip(*runs)
+    # a run per member: its job's kernel group and its parameter row
+    runs = [(g, row, raw, tol, max_panels, ends, n)
+            for g, (_, raw, tol, max_panels, ends, counts) in enumerate(plans)
+            for row, n in enumerate(counts)]
+    group, row, raw, tol, max_panels, ends, count = zip(*runs)
     cut = np.array(cuts, dtype=float).reshape(-1, _CUT)
     pieces = len(cut)
     first = list(itertools.accumulate(count, initial=0))  # and the end of the last run
     run = np.arange(len(runs)).repeat(count)
-    fns, group, row = _assign_groups(targets, raw)
+    fns = _assign_groups(plans)
     m_values = sorted(set(cut[:, _M].tolist()))
     keep_nodes = rule is not None
     rule = rule or _panel_rule
@@ -543,9 +549,9 @@ def _integrate(jobs, rule=None):
         if sum(m != 1.0 for m in m_values) > 1:  # _group_values tells them apart
             panel[:, _M_CODE] = np.searchsorted(m_values, cut[:, _M])
         if len(fns) > 1:
-            panel[:, _GROUP] = group[run]
-        if len(runs) > 1:
-            panel[:, _ROW] = row[run]
+            panel[:, _GROUP] = np.array(group)[run]
+        if len(runs) > len(fns):
+            panel[:, _ROW] = np.array(row)[run]
         panel[:, _VAL], panel[:, _ERR], nodes, failed = _evaluate(fns, m_values, panel, rule)
         stop = np.array(first[1:])  # a run's pieces from stop[r] on no longer step
         for p in sorted(failed):
@@ -741,7 +747,7 @@ def _results(results, index, runs, first, state, errors):
     """Fill in each run's QuadResult, or the error it raises alone: its
     pieces in order, each with the budget the earlier pieces left."""
     total, total_err, used, last_split = state[:, _TOTAL:].T.tolist()
-    for r, (i, (_, raw, tol, max_panels, _, count)) in enumerate(zip(index, runs)):
+    for r, (i, (_, _, raw, tol, max_panels, _, count)) in enumerate(zip(index, runs)):
         if results[i] is not None:
             continue
         value = error = 0.0
@@ -804,7 +810,9 @@ def product_job(factors, interval: fs.Interval, tol: Optional[float] = None) -> 
     exponentials fold (``fs.merge_product``); a part whose factor survives
     the fold keeps its code, structure and breakpoints, and every other
     factor is walked here, straight into the job's code (``fs.product``).
-    Where a factor is a raw callable the job is a callable, with the spec
+    Where w is a group's part (``fs.plan_groups``), the job is the group's
+    template plan: one walk, with a parameter row per member.  Where a
+    factor is a raw callable the job is a callable, with the spec
     factors' breakpoints and kappas declared."""
     specs, fns, parts = [], [], {}
     for factor in factors:
@@ -820,22 +828,23 @@ def product_job(factors, interval: fs.Interval, tol: Optional[float] = None) -> 
         else:
             specs.append(fs.power_of(w, ex))
     specs = fs.merge_product(specs)
-    code, ends, breaks = fs.product([parts.get(id(sp), sp) for sp in specs], interval)
+    code, ends, breaks, rows = fs.product([parts.get(id(sp), sp) for sp in specs], interval)
     if not fns:
         return Job(specs[0] if len(specs) == 1 else fs.Product(specs), interval, tol,
-                   breakpoints=breaks, code=code, ends=ends)
+                   breakpoints=breaks, code=code, ends=ends, rows=rows)
     prog = fs.Program(*code)
+    fns = [(_as_array_fn(w), ex) for w, ex in fns]
 
-    def fn(xs):
-        out = prog(xs)
+    def fn(xs, rows=None):
+        out = prog(xs, rows)
         for w, ex in fns:
-            vals = np.asarray(w(xs), dtype=float)
+            vals = w(xs)
             out = out * (vals if ex == 1 else vals**ex)
         return out
 
     # the callable hides the spec factors' structure from _prepare
     return Job(fn, interval, tol, breakpoints=breaks,
-               endpoint_exponents=tuple(kappa for kappa, _ in ends))
+               endpoint_exponents=tuple(kappa for kappa, _ in ends), rows=rows)
 
 
 def product_integral(parts, interval: fs.Interval,
@@ -911,32 +920,24 @@ def cumulative(f: Integrand, interval: fs.Interval, side: str = "head",
 
 def running_integrals(fns: Sequence[Integrand], interval: fs.Interval, side: str,
                       tol: Optional[float] = None) -> list:
-    """The (spec, rel_error) of ``RunningIntegral`` for every f, or the
-    HopialError it raises alone.  The totals of the closed-form tails come
-    from one stacked kernel call (``fs.tail_integral_specs``)."""
+    """The running integrals of every f, planned by group
+    (``fs.plan_groups``): a list of (members, f, F), F the (spec or
+    group's part, rel_error) of ``RunningIntegral`` for the group's
+    members, or the HopialError it raises for each alone.  A group without
+    a closed form is one f, whose F is read off ``cumulative``."""
     if side not in ("tail", "head"):
         raise DomainError(f"side must be tail|head, got {side}")
-    out: list = [None] * len(fns)
-    antis: list = [None] * len(fns)
-    for i, f in enumerate(fns):
-        if not callable(f):
+    out = []
+    for members, f, F in fs.plan_groups(fns, interval, side):
+        if F is None:
             try:
-                antis[i] = fs.closed_antiderivative(f, interval)
+                spec, total = cumulative(f, interval, side, tol)
+                F = (spec, total.rel_error)
             except HopialError as exc:
-                out[i] = exc
-    if side == "tail":
-        antis = fs.tail_integral_specs(antis, interval)
-    for i, f in enumerate(fns):
-        if out[i] is not None:
-            continue
-        if antis[i] is not None:
-            out[i] = (antis[i], 0.0)
-            continue
-        try:
-            spec, total = cumulative(f, interval, side, tol)
-            out[i] = (spec, total.rel_error)
-        except HopialError as exc:
-            out[i] = exc
+                F = exc
+        elif not isinstance(F, HopialError):
+            F = (F, 0.0)
+        out.append((members, f, F))
     return out
 
 
@@ -948,11 +949,12 @@ class RunningIntegral:
 
     def __init__(self, f: Integrand, interval: fs.Interval, side: str,
                  tol: Optional[float] = None):
-        (res,) = running_integrals([f], interval, side, tol)
+        ((_, _, res),) = running_integrals([f], interval, side, tol)
         if isinstance(res, HopialError):
             raise res
         self.interval = interval
-        self.spec, self.rel_error = res
+        spec, self.rel_error = res
+        self.spec = spec.spec if isinstance(spec, fs.Part) else spec
 
     def __call__(self, xs):
         # compiled on first use: a sweep only integrates the spec

@@ -11,18 +11,22 @@ checks of ``opial`` use.
 
 One driver, ``verify_many``, checks instances that share all but f: it
 validates every f, builds the constant and plans the weight factors the
-sides share once (``funcspace.Part``), and integrates the sides of all
-instances in one ``integrate_many`` call.  ``verify`` is its
-one-instance case, and ``sweep`` and the CLI's sharpness curve run
-through it.  Any Violated instance is re-run at 10x tighter quadrature
-tolerance and in the alternate constant mode before being reported, which
-separates typo-level constant issues from numerical noise.
+sides share once (``funcspace.Part``), groups the instances by the
+structure of f (``funcspace.plan_groups``) and plans each side of a
+group once, as a template plan with a parameter row per member.  The
+sides of all instances are integrated in one ``integrate_many`` call.
+``verify`` is its one-instance case, a group of one, and ``sweep`` and
+the CLI's sharpness curve run through it.  Any Violated instance is re-run
+at 10x tighter quadrature tolerance and in the alternate constant mode
+before being reported, which separates typo-level constant issues from
+numerical noise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -118,19 +122,19 @@ def _lhs_weight(inst: TheoremInstance, resolved):
     return fs.Part(fs.power_of(fs.PowerLaw(1.0, 1.0), -power), inst.interval)
 
 
-def _running(insts, resolved) -> list:
-    """F of every instance's f, from the side's end: (spec, rel_error) or
-    the HopialError it raises."""
+def _groups(insts, resolved, tol) -> list:
+    """The instances grouped by the structure of f, with F from the side's
+    end: ``quad.running_integrals``' (members, f, F) per group."""
     side = "head" if resolved[1].side == "left" else "tail"
     return quad.running_integrals([inst.f for inst in insts], insts[0].interval, side)
 
 
-def _lhs_plan(inst: TheoremInstance, resolved, tol, running, weight):
-    """(job, powers) for the displayed left side (int w F^P)^(d/P): the side
-    is the job's QuadResult ``raised(*powers)`` (outer power d/P, the power
-    d of F in the side, F's relative error).  ``running`` is F's
-    ``_running`` entry and ``weight`` the ``_lhs_weight`` factor (or the
-    error they raised)."""
+def _lhs_plan(inst: TheoremInstance, resolved, tol, f, running, weight):
+    """(job, powers) for the displayed left side (int w F^P)^(d/P) of a
+    group: the side is a member's QuadResult ``raised(*powers)`` (outer
+    power d/P, the power d of F in the side, F's relative error).  ``f``
+    and ``running`` are the group's f and F (``_groups``) and ``weight``
+    the ``_lhs_weight`` factor (or the error they raised)."""
     ident, info, mode, exps = resolved
     if isinstance(running, HopialError):
         raise running
@@ -145,21 +149,22 @@ def _lhs_plan(inst: TheoremInstance, resolved, tol, running, weight):
         # F / (x - a) tends to f(a) even where F is a cancelling sum, so the
         # left exponent is p kappa_f(a) (a raw callable f counts as regular);
         # F(b) > 0, so the right end is regular
-        kappa_f = 0.0 if callable(inst.f) else fs.endpoint_structure(
-            inst.f, inst.interval, "left")[0]
+        kappa_f = 0.0 if callable(f) else (
+            f if isinstance(f, fs.Part) else fs.Part(f, inst.interval)).ends[0][0]
         job = replace(job, endpoint_exponents=(power * kappa_f, 0.0))
     return job, (degree / power, degree, F_rel)
 
 
-def _rhs_weights(inst, resolved):
+def _rhs_weights(inst, resolved, tol):
     """The weight factors of the right side, and the relative error of the
     running integral R among them (0 without R); they depend on the
-    weights only, so a sweep plans them once."""
+    weights only, so a sweep plans them once.  R is built to the pass's
+    tolerance."""
     ident, info, mode, exps = resolved
     parts, rel = [], 0.0
     if "R" in info.rhs_weight:
         R = quad.RunningIntegral(inst.r, inst.interval,
-                                 "tail" if info.side == "left" else "head")
+                                 "tail" if info.side == "left" else "head", tol)
         parts.append(fs.Part(R.spec, inst.interval))
         rel = R.rel_error
     if "s" in info.rhs_weight:
@@ -167,16 +172,17 @@ def _rhs_weights(inst, resolved):
     return parts, rel
 
 
-def _rhs_plan(inst: TheoremInstance, resolved, tol, weights):
+def _rhs_plan(inst: TheoremInstance, resolved, tol, f, weights):
     """(job, powers) for the displayed right-hand side core
-    (int [weights] f^E)^outer; powers is None where the core is the job's
-    integral itself.  R's relative error enters as F's does on the left."""
+    (int [weights] f^E)^outer of a group whose f (``_groups``) is ``f``;
+    powers is None where the core is the job's integral itself.  R's
+    relative error enters as F's does on the left."""
     ident, info, mode, exps = resolved
     if isinstance(weights, HopialError):
         raise weights
     parts, weight_rel = weights
     power, outer = _powers(info.rhs, exps)
-    job = quad.product_job(parts + [(inst.f, power)], inst.interval, tol)
+    job = quad.product_job(parts + [(f, power)], inst.interval, tol)
     if outer is None and not weight_rel:
         return job, None
     outer = 1.0 if outer is None else outer
@@ -215,14 +221,17 @@ def assemble_lhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.Qua
     """The displayed left-hand side, outer powers applied."""
     resolved = _checked(inst)
     (weight,) = _shared(inst, resolved, _lhs_weight)
-    plan = _lhs_plan(inst, resolved, tol, _running([inst], resolved)[0], weight)
+    ((_, f, running),) = _groups([inst], resolved, tol)
+    plan = _lhs_plan(inst, resolved, tol, f, running, weight)
     return _finished(plan, quad.integrate_job(plan[0]))
 
 
 def assemble_rhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.QuadResult:
     """The displayed right-hand side core (the constant excluded)."""
     resolved = _checked(inst)
-    plan = _rhs_plan(inst, resolved, tol, *_shared(inst, resolved, _rhs_weights))
+    ((_, f, _),) = _groups([inst], resolved, tol)
+    plan = _rhs_plan(inst, resolved, tol, f,
+                     *_shared(inst, resolved, partial(_rhs_weights, tol=tol)))
     return _finished(plan, quad.integrate_job(plan[0]))
 
 
@@ -233,48 +242,52 @@ def assemble_rhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.Qua
 
 def _passes(insts, tol, breakdown=None):
     """One pass (both sides and the ratio) of every instance, which share
-    all but f.  The theorem is resolved, the weights checked, the constant
-    built (unless given) and the shared factors planned once; the running
-    integrals F of all instances are built together, and their sides are
+    all but f.  The theorem is resolved, the weights checked once, the
+    constant built (unless given) and the shared factors planned once;
+    the instances are grouped by the structure of f, each side of a group
+    is planned once with a parameter row per member, and all sides are
     integrated in one ``integrate_many`` call.  Returns a report, or the
     HopialError that ends the instance's pass alone, per instance; an
     error of the shared steps is raised."""
-    ident, info, mode, exps = resolved = _checked(insts[0])
-    if breakdown is None:
-        first = insts[0]
-        breakdown = ct.hardy_constant(ident, first.r, first.s, first.exponents,
-                                      first.interval, mode=mode, tol=tol)
-    lhs_weight, rhs_weights = _shared(insts[0], resolved, _lhs_weight, _rhs_weights)
-    # per instance: the lhs plan, and the rhs plan or the error that ends
-    # the pass once the lhs is done
+    first = insts[0]
+    if breakdown is None:  # hardy_constant checks the weights
+        resolved = first.resolved()
+        breakdown = ct.hardy_constant(first.ident, first.r, first.s, first.exponents,
+                                      first.interval, mode=resolved[2], tol=tol)
+    else:
+        resolved = _checked(first)
+    ident, info, mode, exps = resolved
+    lhs_weight, rhs_weights = _shared(first, resolved, _lhs_weight,
+                                      partial(_rhs_weights, tol=tol))
+    # per group: its members, the lhs plan, and the rhs plan or the error
+    # that ends the pass once the lhs is done
+    out: list = [None] * len(insts)
     plans, jobs = [], []
-    for inst, running in zip(insts, _running(insts, resolved)):
+    for members, f, running in _groups(insts, resolved, tol):
         try:
-            lhs = _lhs_plan(inst, resolved, tol, running, lhs_weight)
+            lhs = _lhs_plan(first, resolved, tol, f, running, lhs_weight)
         except HopialError as exc:
-            plans.append(exc)
+            for i in members:
+                out[i] = exc
             continue
         try:
-            rhs = _rhs_plan(inst, resolved, tol, rhs_weights)
+            rhs = _rhs_plan(first, resolved, tol, f, rhs_weights)
         except HopialError as exc:
             rhs = exc
-        plans.append((lhs, rhs))
+        plans.append((members, lhs, rhs))
         jobs += [lhs[0]] if isinstance(rhs, HopialError) else [lhs[0], rhs[0]]
     results = iter(quad.integrate_many(jobs))
-    out = []
-    for pair in plans:
-        if isinstance(pair, HopialError):
-            out.append(pair)
-            continue
-        lhs, rhs = pair
-        lhs_res = next(results)
-        rhs_res = rhs if isinstance(rhs, HopialError) else next(results)
-        try:
-            lhs_side = _finished(lhs, lhs_res)
-            out.append(report(ident, mode, lhs_side, _finished(rhs, rhs_res),
-                              breakdown.value, breakdown.error_estimate, breakdown))
-        except HopialError as exc:
-            out.append(exc)
+    for members, lhs, rhs in plans:
+        lhs_res = [next(results) for _ in members]
+        rhs_res = ([rhs] * len(members) if isinstance(rhs, HopialError)
+                   else [next(results) for _ in members])
+        for i, lhs_i, rhs_i in zip(members, lhs_res, rhs_res):
+            try:
+                lhs_side = _finished(lhs, lhs_i)
+                out[i] = report(ident, mode, lhs_side, _finished(rhs, rhs_i),
+                                breakdown.value, breakdown.error_estimate, breakdown)
+            except HopialError as exc:
+                out[i] = exc
     return out
 
 
@@ -316,10 +329,14 @@ def verify_many(
     the HopialError that ``verify`` of it alone raises, per instance.
 
     Every f is validated first: its sign is decided by its structure
-    where it can be, and the nonnegativity probes of the rest run in one
-    batched evaluation.  Then the theorem is resolved, the weights checked
-    and the constant built (unless given) once, the sides of all instances
-    are integrated together, and every Violated report is re-examined.
+    where it can be, and the rest are probed.  Then the theorem is
+    resolved, the weights checked and the constant built (unless given)
+    once.  The instances are grouped by the structure of f: each side of
+    a group is a template plan, the walk of its first member with every
+    other member's values (knots, F's coefficients and tail total,
+    breakpoints) as parameter rows, so planning does not grow with the
+    group.  The sides of all instances are integrated together, and every
+    Violated report is re-examined.
     """
     out: list = [None] * len(insts)
     specs = [i for i, inst in enumerate(insts) if not callable(inst.f)]
@@ -383,8 +400,10 @@ def sweep(
     """Verify `count` family members against fixed weights.
 
     The constant depends only on the weights, so it is computed once and
-    shared, and the sides of all members are integrated together; each
-    report equals ``verify`` of its member alone with that constant.
+    shared; the members of one structure (a piecewise-linear family is
+    one) are planned as one template plan (``verify_many``), and the
+    sides of all members are integrated together.  Each report equals
+    ``verify`` of its member alone with that constant.
     Per-instance failures are recorded as Inconclusive reports with the
     reason, never aborting the sweep.  Deterministic for a fixed family
     seed.

@@ -66,7 +66,7 @@ class TestEvaluate:
             assert [exact[0], exact[2]] == want
             assert exact[1::2].tolist() == plain[1::2].tolist()
         # the same with a parameter row per point
-        stacked = fs.stacked([fs.Part(fs.PowerLaw(c, -0.5), iv).code for c in (1.0, 3.0)])
+        stacked = _stacked([fs.Part(fs.PowerLaw(c, -0.5), iv).code for c in (1.0, 3.0)])
         out = stacked(xs, np.array([1, 0, 1, 0]), (anchors, ds))
         assert out[0] == 3e10 and out[1] == 2.0
 
@@ -159,6 +159,14 @@ def _member(draw, shape, iv):
     return fs.AbsVal(terms[0])
 
 
+def _stacked(codes):
+    """One program whose row i is the program of ``codes[i]`` (codes of one
+    layout: the same ops, iargs and data length)."""
+    ops, _, iargs, data = codes[0]
+    assert all((code[0], code[2], len(code[3])) == (ops, iargs, len(data)) for code in codes)
+    return fs.Program(ops, [code[1] for code in codes], iargs, [code[3] for code in codes])
+
+
 class TestStackedPrograms:
     """Rows of a stacked program give the bits of their one-row programs."""
 
@@ -173,7 +181,6 @@ class TestStackedPrograms:
         if draw(st.booleans()):  # a parameter the rows share stays a scalar
             specs.append(specs[0])
         codes = [fs.Part(spec, iv).code for spec in specs]
-        assert len({fs.skeleton(code) for code in codes}) == 1
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         xs = np.concatenate([rng.uniform(iv.a, iv.b, 64), [iv.a, iv.b],
                              fs.Part(specs[0], iv).breaks])
@@ -181,7 +188,7 @@ class TestStackedPrograms:
         # exact offsets from either end for some points, none for the rest
         anchors = np.array([np.nan, iv.a, iv.b])[rng.integers(0, 3, len(xs))]
         ds = np.where(np.isnan(anchors), 0.0, xs - anchors)
-        prog = fs.stacked(codes)
+        prog = _stacked(codes)
         plain, exact = prog(xs, rows), prog(xs, rows, (anchors, ds))
         for i, code in enumerate(codes):
             at = rows == i
@@ -299,6 +306,85 @@ class TestValidation:
     def test_non_finite_exponent_rejected(self, unit, spec):
         with pytest.raises(InvalidSpec):
             fs.validate(spec, unit)
+
+
+def _loop_antiderivative(knots, iv):
+    """The antiderivative of a piecewise-linear spec by the per-piece loop
+    that the row arrays replaced: the reference of its bits."""
+    rows, acc = [], 0.0
+    for (x0, v0), (x1, v1) in zip(knots, knots[1:]):
+        slope = (v1 - v0) / (x1 - x0)
+        rows.append((acc, v0, slope / 2.0))
+        acc += (v0 + v1) / 2.0 * (x1 - x0)
+    return fs._zero_at_left_end(fs.PiecewisePolynomial([x for x, _ in knots], rows), iv)
+
+
+_value = st.one_of(st.just(0.0), st.just(1e-17), st.floats(0.0, 2.0))
+
+
+class TestTemplatePlans:
+    """``plan_groups`` plans piecewise-linear specs of one structure as
+    parameter rows of their first member's walk: every row holds the code
+    of its member's own walk, and the members of a group share ends."""
+
+    @staticmethod
+    def row(part, i):
+        """The code, ends and breakpoints of member i of a group's part."""
+        fargs, data, breaks = part.rows
+        ops, first, iargs, _ = part.code
+        fargs = [tuple(args) for args in (first if fargs is None else fargs[i].tolist())]
+        return (ops, fargs, iargs, data[i].tolist()), part.ends, breaks[i]
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_rows_match_each_members_walk(self, data):
+        draw = data.draw
+        a = draw(st.sampled_from([-3.0, 0.0, 100.0]))
+        iv = fs.Interval(a, a + draw(st.floats(0.25, 4.0)))
+        side = draw(st.sampled_from(["head", "tail"]))
+        specs = []
+        for _ in range(draw(st.integers(1, 8))):
+            lo = a - draw(st.sampled_from([0.0, 0.0, 0.5]))  # a first knot left of a
+            xs = _knots(draw, lo, iv.b, draw(st.integers(2, 4)))
+            specs.append(fs.PiecewiseLinear([(x, draw(_value)) for x in xs]))
+        groups = fs.plan_groups(specs, iv, side)
+        assert sorted(i for members, _, _ in groups for i in members) == list(range(len(specs)))
+        for members, f, F in groups:
+            for row, i in enumerate(members):
+                spec = specs[i]
+                anti = _loop_antiderivative(spec.knots, iv)
+                if side == "tail":  # G(b) - G, G(b) from its own program
+                    anti = fs.Sum([fs.Constant(fs.evaluate(anti, iv.b, iv)),
+                                   fs.scale(anti, -1.0)])
+                for part, ref in ((f, fs.Part(spec, iv)), (F, fs.Part(anti, iv))):
+                    assert self.row(part, row) == (ref.code, ref.ends, ref.breaks)
+        # the closed antiderivative of one spec is the same computation
+        for spec in specs:
+            assert fs.closed_antiderivative(spec, iv) == _loop_antiderivative(spec.knots, iv)
+
+    def test_a_zero_total_splits_a_group(self, unit):
+        # G = x - x^2 ends at G(1) = 0 exactly and the second G at 5e-13;
+        # the two G have the same ends, but F = G(b) - G does not
+        specs = [fs.PiecewiseLinear([(0.0, 1.0), (1.0, -1.0)]),
+                 fs.PiecewiseLinear([(0.0, 1.0), (1.0, -1.0 + 1e-12)])]
+        groups = fs.plan_groups(specs, unit, "tail")
+        assert [members for members, _, _ in groups] == [[0], [1]]
+        assert [F.ends[1] for _, _, F in groups] == [(1.0, math.inf), (0.0, math.inf)]
+
+    def test_one_family_is_one_group(self, unit):
+        family = fs.RandomPiecewiseLinear(4, (0.0, 1.0), seed=3, interval=unit)
+        ((members, f, F),) = fs.plan_groups(fs.sample_family(family, 50), unit, "tail")
+        assert members == list(range(50))
+        assert len(f.rows[1]) == len(F.rows[1]) == 50
+
+    def test_other_specs_are_groups_of_one(self, unit):
+        specs = [fs.PowerLaw(1.0, 0.5), lambda x: x,
+                 fs.Product([fs.PowerLaw(1.0, 0.5), fs.Exponential(1.0, 1.0)])]
+        groups = fs.plan_groups(specs, unit, "head")
+        assert [(members, f is specs[members[0]]) for members, f, _ in groups] == [
+            ([0], True), ([1], True), ([2], True)]
+        assert groups[0][2] == fs.closed_antiderivative(specs[0], unit)
+        assert [F for _, _, F in groups[1:]] == [None, None]
 
 
 class TestAntiderivative:

@@ -85,6 +85,20 @@ class TestRhsWeight:
         assert rep.status == "Holds"
         assert rep.error_budget >= R.rel_error
 
+    def test_tolerance_reaches_R(self, unit, one):
+        # R of this r has no closed form; a tighter tolerance builds a
+        # tighter R, and the budget, which counts R's error, shrinks with it
+        r = fs.Product([fs.PiecewiseLinear([(0.0, 1.0), (0.4, 2.0), (1.0, 1.5)]),
+                        fs.Exponential(1.0, 1.3)])
+        case = inst("T2.18", r, one, one, E(p=1.0), unit)
+        resolved = case.resolved()
+        loose = vf._rhs_weights(case, resolved, None)[1]
+        tight = vf._rhs_weights(case, resolved, 1e-12)[1]
+        assert 0.0 < tight < loose
+        assert loose == quad.RunningIntegral(r, unit, "tail").rel_error
+        budgets = [vf.verify(case, tol=tol).error_budget for tol in (None, 1e-12)]
+        assert budgets[1] < budgets[0]
+
 
 class TestVerify:
     def test_non_finite_exponent_rejected(self, unit):
@@ -130,6 +144,25 @@ class TestVerify:
         f = fs.PiecewiseLinear([(0, 1), (0.503, 1), (0.5031, -5), (0.5032, 1), (1, 1)])
         with pytest.raises(InvalidSpec, match="negative"):
             vf.verify(inst(ident, one, one, f, e, unit))
+
+    @pytest.mark.parametrize("r,message", [
+        (fs.PowerLaw(-1.0, 0.5), "spec is negative inside the interval"),
+        (fs.PiecewiseLinear([(0.0, 1.0), (0.6, 2.0), (0.5, 1.0), (1.0, 1.0)]),
+         "piecewise linear knots must be strictly increasing"),
+    ])
+    def test_weights_checked_once_per_verify(self, unit, one, monkeypatch, r, message):
+        calls = []
+        real = ct.check_weights
+        monkeypatch.setattr(ct, "check_weights",
+                            lambda *args: calls.append(args) or real(*args))
+        vf.verify(inst("T2.9", fs.PowerLaw(1.0, 0.5), one, one, E(), unit))
+        assert len(calls) == 1
+        # an invalid or negative weight raises the error it raised before
+        calls.clear()
+        with pytest.raises(InvalidSpec) as err:
+            vf.verify(inst("T2.9", r, one, one, E(), unit))
+        assert str(err.value) == message
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("assemble", [vf.assemble_lhs, vf.assemble_rhs])
     def test_sides_check_the_weights(self, unit, one, assemble):
@@ -265,6 +298,69 @@ class TestBatchedSweep:
             assert sw.n_violated >= 1
             assert all("retested" in rep.detail for rep in sw.violated)
 
+    def assert_alone(self, ident, family, r, s, exps, iv, count, mode="default"):
+        sw = vf.sweep(ident, family, r, s, exps, iv, count, mode=mode)
+        alone = self.alone(ident, family, r, s, exps, iv, count, mode)
+        assert [repr(rep) if isinstance(ref, vf.VerificationReport) else rep.detail
+                for rep, ref in zip(sw.reports, alone)] == [
+            repr(ref) if isinstance(ref, vf.VerificationReport) else ref for ref in alone]
+        return sw
+
+    @pytest.mark.parametrize("ident", ["T2.1", "T2.4", "T2.9", "T2.18", "T2.27", "HARDY"])
+    @pytest.mark.parametrize("a", [100.0, -3.0])
+    def test_shifted_intervals_equal_verify_alone(self, ident, a):
+        iv = fs.Interval(a, a + 1.0)
+        family = fs.RandomPiecewiseLinear(4, (0.0, 1.0), seed=17, interval=iv)
+        exps = E(p=2.0) if ident == "HARDY" else SUITE_EXPONENTS.get(ident, E())
+        sw = self.assert_alone(ident, family, fs.PowerLaw(1.3, 0.4),
+                               fs.Sum([ONE, fs.PowerLaw(0.5, 1.5)]), exps, iv, 10)
+        assert sw.n_holds == 10
+
+    @pytest.mark.parametrize("ident", ["T2.3", "T2.4", "T2.22", "HARDY"])
+    @pytest.mark.parametrize("family", [
+        fs.RandomPiecewiseLinear(4, (0.0, 1.0), 3, vanish_at="left"),
+        fs.RandomPiecewiseLinear(4, (0.0, 1.0), 4, vanish_at="right"),
+        fs.RandomPiecewiseLinear(4, (0.0, 1.0), 5, vanish_at="both"),
+        fs.RandomPiecewiseLinear(2, (0.0, 1.0), 6),
+        fs.RandomPiecewiseLinear(6, (0.5, 2.0), 7),
+        fs.RandomPowerLaw((-0.1, 2.0), (0.5, 2.0), 8),
+        fs.GridPowerLaw([0.1, 0.5, 1.0, 2.5, 3.0, -0.05, 1.5, 0.75]),
+    ], ids=["vanish-left", "vanish-right", "vanish-both", "knots-2", "knots-6",
+            "power-law", "grid"])
+    def test_families_equal_verify_alone(self, unit, ident, family):
+        exps = E(p=2.0) if ident == "HARDY" else SUITE_EXPONENTS.get(ident, E())
+        self.assert_alone(ident, family, fs.PowerLaw(1.2, 0.5), None, exps, unit, 8)
+
+    @pytest.mark.parametrize("ident", ["T2.3", "T2.4", "T2.9", "T2.27", "HARDY"])
+    def test_mixed_members_equal_verify_alone(self, unit, monkeypatch, ident):
+        # members of several structures in one sweep: knot counts, vanishing
+        # ends, a running integral with a double zero at a (f(a) = 1e-17), a
+        # first knot left of a, f = 0, power laws and a sum
+        members = [
+            fs.PiecewiseLinear([(0.0, 0.3), (0.5, 1.0), (1.0, 0.5)]),
+            fs.PiecewiseLinear([(0.0, 0.0), (0.5, 1.0), (1.0, 0.5)]),
+            fs.PiecewiseLinear([(0.0, 1e-17), (0.5, 1.0), (1.0, 0.5)]),
+            fs.PowerLaw(1.0, 0.5),
+            fs.PiecewiseLinear([(0.0, 0.7), (0.2, 0.1), (0.6, 0.9), (1.0, 0.0)]),
+            fs.PiecewiseLinear([(-0.5, 0.4), (0.5, 1.0), (1.0, 0.6)]),
+            fs.PiecewiseLinear([(0.0, 0.6), (0.25, 0.2), (1.0, 0.9)]),
+            fs.PiecewiseLinear([(0.0, 0.0), (1.0, 0.0)]),
+            fs.Sum([ONE, fs.Exponential(0.5, 1.0)]),
+            fs.PiecewiseLinear([(0.0, 0.0), (0.5, 1.0), (1.0, 0.25)]),
+        ]
+        monkeypatch.setattr(fs, "sample_family", lambda family, count: members)
+        exps = E(p=2.0) if ident == "HARDY" else SUITE_EXPONENTS.get(ident, E())
+        r, s = suite_weights(ident, 3)
+        if ident == "HARDY":
+            r = s = None
+        self.assert_alone(ident, None, r, s, exps, unit, len(members))
+
+    def test_callable_weight_rows_equal_verify_alone(self, unit):
+        # a raw callable weight makes each side a callable with a row per member
+        family = fs.RandomPiecewiseLinear(4, (0.0, 1.0), seed=9, interval=unit)
+        self.assert_alone("T2.9", family, lambda x: 1.0 + x ** 2, fs.Constant(1.0), E(),
+                          unit, 6)
+
     def test_member_errors_match_alone(self, monkeypatch):
         # member 1 is singular at a shifted endpoint (m = 100 substitution,
         # exact offsets), member 3 has a non-integrable endpoint and member 5
@@ -346,13 +442,11 @@ class TestBatchedSweep:
 class TestStructureWalks:
     """An integral is planned by one walk (``funcspace.product``), which
     gives its program code, its (kappa, rho) at both ends and its
-    breakpoints.  A member of these sweeps makes two walks, one per side,
-    each walking its own factor (f^E or F^P) and joining the part of the
-    shared weights; HARDY walks f once more, for F / (x - a) at the left
-    end, and a side whose F runs from the right end walks F's
-    antiderivative once for its total.  The weights are walked once per
-    sweep, and a sweep builds one kernel program per skeleton group, not
-    one per member."""
+    breakpoints.  A sweep groups its members by the structure of f and
+    plans each side of a group once, by a walk of its first member that
+    joins the part of the shared weights; the other members are parameter
+    rows of that plan.  The weights are walked once per sweep, and a sweep
+    builds one kernel program per group's side, not one per member."""
 
     @staticmethod
     def sweep(ident, count, weights=None):
@@ -383,11 +477,12 @@ class TestStructureWalks:
         return calls[0]
 
     @pytest.mark.parametrize("ident", ["T2.1", "T2.4", "T2.27", "HARDY"])
-    def test_one_walk_per_integral_end(self, monkeypatch, ident):
-        per_member = (self.walks(monkeypatch, ident, 20)
-                      - self.walks(monkeypatch, ident, 10)) / 10
-        tail_total = ct.THEOREMS[ident].side == "right"
-        assert per_member == 2 + (ident == "HARDY") + tail_total
+    def test_work_per_sweep_does_not_grow_with_members(self, monkeypatch, ident):
+        # a family of one structure is one group: the first member is walked
+        # and every other one is a parameter row
+        counts = [(self.walks(monkeypatch, ident, count),
+                   self.programs(monkeypatch, ident, count)) for count in (10, 50)]
+        assert counts[0] == counts[1]
 
     def shared_walks(self, monkeypatch, ident, count):
         """Calls of ``_walk``, at any depth, on the sweep's weight objects r
@@ -479,12 +574,19 @@ class TestStructureWalks:
 
     @staticmethod
     def assert_assembled(job):
-        """The job's code, ends and breakpoints are what the walk of its
-        merged product spec gives."""
-        ref = fs.Part(job.f, job.home or job.interval)
-        assert job.code == ref.code
-        assert job.ends == ref.ends
-        assert job.breakpoints == ref.breaks
+        """The job's code, ends and breakpoints are what a walk of its merged
+        product spec gives; a group's job (a template plan, whose spec holds
+        the group's part) in every parameter row."""
+        code, ends, breaks, rows = fs.product([job.f], job.home or job.interval)
+
+        def rows_of(code):
+            ops, fargs, iargs, data = code
+            fargs = np.asarray(fargs, dtype=float).reshape(-1, len(ops), 3)
+            return ops, iargs, fargs.tolist(), np.asarray(data, dtype=float).reshape(
+                len(fargs), -1).tolist()
+
+        assert rows_of(job.code) == rows_of(code)
+        assert (job.ends, job.breakpoints, job.rows) == (ends, breaks, rows)
 
     @pytest.mark.parametrize("ident", ct.THEOREM_IDS)
     def test_assembled_jobs_match_the_walks(self, monkeypatch, ident):
