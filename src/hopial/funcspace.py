@@ -1124,11 +1124,11 @@ def product(factors: Sequence, interval: Interval) -> tuple:
         return code, ends, breaks, None
     (part, op_at, data_at, pts_at), = joined
     p_fargs, p_data, p_breaks = part.rows
-    ops, fargs, iargs, data = code
-    fargs = np.repeat(np.array(fargs, dtype=float).reshape(1, -1, 3), len(p_data), axis=0)
+    ops, first_fargs, iargs, first_data = code
+    fargs, data = np.empty((len(p_data), len(ops), 3)), np.empty((len(p_data), len(first_data)))
+    fargs[:], data[:] = first_fargs, first_data
     if p_fargs is not None:  # else the members share the first one's
         fargs[:, op_at:op_at + p_fargs.shape[1]] = p_fargs
-    data = np.repeat(np.array(data, dtype=float).reshape(1, -1), len(p_data), axis=0)
     data[:, data_at:data_at + p_data.shape[1]] = p_data
     # the other factors' breakpoints join each member's
     shared = pts[:pts_at] + pts[pts_at + len(part.breaks):]
@@ -1146,10 +1146,15 @@ def _pwl_antiderivative(xs, vs) -> np.ndarray:
     the antiderivatives G, zero at the first knot, of piecewise-linear
     specs with knots ``xs`` and values ``vs`` (k x n, a spec per row):
     k x (n - 1) x 3, in the arithmetic of a loop over the pieces."""
+    out = np.empty(vs.shape + (3,))[:, 1:]
     dx = xs[:, 1:] - xs[:, :-1]
     areas = (vs[:, :-1] + vs[:, 1:]) / 2.0 * dx
-    acc = np.add.accumulate(np.hstack([np.zeros((len(xs), 1)), areas[:, :-1]]), axis=1)
-    return np.stack([acc, vs[:, :-1], (vs[:, 1:] - vs[:, :-1]) / dx / 2.0], axis=2)
+    areas[:, 0] += 0.0  # the loop's 0.0 + area: -0.0 becomes 0.0
+    out[:, 0, 0] = 0.0
+    np.add.accumulate(areas[:, :-1], axis=1, out=out[:, 1:, 0])
+    out[..., 1] = vs[:, :-1]
+    out[..., 2] = (vs[:, 1:] - vs[:, :-1]) / dx / 2.0
+    return out
 
 
 def _rows_part(spec, interval: Interval, data, breaks, totals=None) -> Part:
@@ -1187,11 +1192,13 @@ def _pwl_groups(specs: Sequence[PiecewiseLinear], interval: Interval, side: str)
         coeffs = -1.0 * coeffs
         F_data[:, xs.shape[1]:] *= -1.0
     # a group shares the ends of f and of G and, in a tail, whether G(b) is 0
-    groups: dict = {None: [0]} if k == 1 else {}
-    for i, (v, first, last, w) in enumerate(zip(vs.tolist(), coeffs[:, 0].tolist(),
-                                                coeffs[:, -1].tolist(),
-                                                (xs[:, -1] - xs[:, -2]).tolist())):
-        if k > 1:
+    groups: dict = {}
+    if k == 1:  # nothing to tell apart
+        groups[None] = [0]
+    else:
+        for i, (v, first, last, w) in enumerate(zip(vs.tolist(), coeffs[:, 0].tolist(),
+                                                    coeffs[:, -1].tolist(),
+                                                    (xs[:, -1] - xs[:, -2]).tolist())):
             key = (_value_end(v), _value_end(v[::-1]), _ppoly_ends(first, last, w),
                    totals is not None and totals[i] == 0.0)
             groups.setdefault(key, []).append(i)

@@ -319,13 +319,14 @@ def _loop_antiderivative(knots, iv):
     return fs._zero_at_left_end(fs.PiecewisePolynomial([x for x, _ in knots], rows), iv)
 
 
-_value = st.one_of(st.just(0.0), st.just(1e-17), st.floats(0.0, 2.0))
+_value = st.one_of(st.sampled_from([0.0, -0.0, 1e-17]), st.floats(0.0, 2.0))
 
 
 class TestTemplatePlans:
     """``plan_groups`` plans piecewise-linear specs of one structure as
     parameter rows of their first member's walk: every row holds the code
-    of its member's own walk, and the members of a group share ends."""
+    of its member's own walk, bit for bit (``repr`` tells -0.0 from 0.0),
+    and the members of a group share ends."""
 
     @staticmethod
     def row(part, i):
@@ -357,10 +358,11 @@ class TestTemplatePlans:
                     anti = fs.Sum([fs.Constant(fs.evaluate(anti, iv.b, iv)),
                                    fs.scale(anti, -1.0)])
                 for part, ref in ((f, fs.Part(spec, iv)), (F, fs.Part(anti, iv))):
-                    assert self.row(part, row) == (ref.code, ref.ends, ref.breaks)
+                    assert repr(self.row(part, row)) == repr((ref.code, ref.ends, ref.breaks))
         # the closed antiderivative of one spec is the same computation
         for spec in specs:
-            assert fs.closed_antiderivative(spec, iv) == _loop_antiderivative(spec.knots, iv)
+            assert repr(fs.closed_antiderivative(spec, iv)) == repr(
+                _loop_antiderivative(spec.knots, iv))
 
     def test_a_zero_total_splits_a_group(self, unit):
         # G = x - x^2 ends at G(1) = 0 exactly and the second G at 5e-13;
