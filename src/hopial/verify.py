@@ -124,9 +124,10 @@ def _lhs_weight(inst: TheoremInstance, resolved):
 
 def _groups(insts, resolved, tol) -> list:
     """The instances grouped by the structure of f, with F from the side's
-    end: ``quad.running_integrals``' (members, f, F) per group."""
+    end built to the pass's tolerance: ``quad.running_integrals``'
+    (members, f, F) per group."""
     side = "head" if resolved[1].side == "left" else "tail"
-    return quad.running_integrals([inst.f for inst in insts], insts[0].interval, side)
+    return quad.running_integrals([inst.f for inst in insts], insts[0].interval, side, tol)
 
 
 def _lhs_plan(inst: TheoremInstance, resolved, tol, f, running, weight):

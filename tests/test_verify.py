@@ -99,6 +99,17 @@ class TestRhsWeight:
         budgets = [vf.verify(case, tol=tol).error_budget for tol in (None, 1e-12)]
         assert budgets[1] < budgets[0]
 
+    def test_tolerance_reaches_F(self, unit):
+        # F of this f has no closed form either: it is built to the pass's
+        # tolerance too
+        f = fs.Product([fs.PiecewiseLinear([(0.0, 0.5), (0.4, 1.2), (1.0, 0.9)]),
+                        fs.Exponential(1.0, 2.0)])
+        case = inst("T2.3", fs.PowerLaw(1.0, 0.5), None, f, E(), unit)
+        resolved = case.resolved()
+        ((_, _, (_, loose)),) = vf._groups([case], resolved, None)
+        ((_, _, (_, tight)),) = vf._groups([case], resolved, 1e-12)
+        assert 0.0 < tight < loose
+
 
 class TestVerify:
     def test_non_finite_exponent_rejected(self, unit):
