@@ -33,10 +33,14 @@ Interpolation in u_end instead stalls, since after a crossing u at the
 stop is a sawtooth of size h |u'|.  The refinement keeps the ladder's
 values and the bisection's stop rule and midpoint, so the accuracy
 contract is that of a sign bisection; it takes a fraction of the marches.
-A search with a reference value at hand starts from a bracket 1e-4
-(relative) around it and climbs its own ladder only when that bracket
-misses: at p = 1 the reference is the finite-element value, at p > 1 the
-fine value seeds the search at half the steps behind the error estimate.
+A search with a reference value at hand starts from a bracket around it
+and climbs its own ladder only when that bracket misses.  At p = 1 the
+reference is the finite-element value and the bracket 1e-4 (relative).
+At p > 1 the search runs coarse to fine: the ladder and Illinois run once,
+on a march of 256 steps; its root seeds the 1024-step search, and that
+root the 2048-step one, whose root is the value.  These brackets start at
+1e-6 and widen x100 up to 1e-4 on a miss.  The two finer roots differ by
+the discretization part of the error estimate.
 
 A leading coefficient that vanishes at an endpoint -- the tail integral
 R(x, b) always does at b -- is handled by truncating to b - delta for
@@ -88,10 +92,12 @@ _BRACKET_LO = 1e-8
 _BRACKET_HI = 1e8
 _FD_NODES = 2048
 _SHOOT_STEPS = 2048
-# half-width (relative) of the bracket a reference value gives a shooting
-# search (the finite-element value at p = 1, the fine value for the p > 1
-# coarse search); a bracket that misses falls back to the full ladder
+# half-width (relative) of the bracket around a reference value that a
+# shooting search tries last before the full ladder: the only one around
+# the finite-element value at p = 1; at p > 1 a level's bracket around the
+# root one level coarser starts at _REFINE_BRACKET and widens x100 to it
 _SEED_BRACKET = 1e-4
+_REFINE_BRACKET = 1e-6
 
 
 @dataclass(frozen=True)
@@ -293,7 +299,8 @@ def _ladder_start(floor):
 
 
 def _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left=None, wall_right=None,
-                    n_steps=_SHOOT_STEPS, bracket=None, boundary="both"):
+                    n_steps=_SHOOT_STEPS, seed=None, half_width=_SEED_BRACKET,
+                    boundary="both"):
     legs_data = _prepare_legs(R_fn, m_fn, lo, hi, p, wall_left, wall_right,
                               n_steps)
     length = sum(_leg_length(R_vals, h) for R_vals, _, h in legs_data)
@@ -322,7 +329,7 @@ def _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left=None, wall_right=None,
         return crossed, value
 
     f_lo = f_hi = math.nan
-    if bracket is None:
+    if seed is None:
         # the ladder starts a factor 4 below the Rayleigh floor; a start that
         # already crosses falls back to the full ladder from _BRACKET_LO
         lo_l, hi_l = _BRACKET_LO, _BRACKET_LO
@@ -342,11 +349,17 @@ def _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left=None, wall_right=None,
                 f"no sign change for lambda in [{_BRACKET_LO}, {_BRACKET_HI}]"
             )
     else:
-        lo_l, hi_l = bracket
-        (crossed_lo, f_lo), (crossed_hi, f_hi) = probe(lo_l), probe(hi_l)
-        if crossed_lo or not crossed_hi:
-            return _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left, wall_right,
-                                   n_steps, None, boundary)
+        # a bracket half_width (relative) around the seed, widened x100 on a
+        # miss; one that still misses at _SEED_BRACKET takes the full ladder
+        while True:
+            lo_l, hi_l = seed * (1.0 - half_width), seed * (1.0 + half_width)
+            (crossed_lo, f_lo), (crossed_hi, f_hi) = probe(lo_l), probe(hi_l)
+            if not crossed_lo and crossed_hi:
+                break
+            if half_width >= _SEED_BRACKET:
+                return _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left,
+                                       wall_right, n_steps, boundary=boundary)
+            half_width = min(100.0 * half_width, _SEED_BRACKET)
 
     return _illinois(probe, lo_l, f_lo, hi_l, f_hi, max(tol, 1e-12))
 
@@ -390,9 +403,7 @@ def _fem_and_shooting(R_fn, m_fn, lo, hi, wall_left, wall_right, boundary, tol):
     lam_fd, err_fd = _fem_richardson(R_fn, m_fn, lo, hi, wall_left, wall_right,
                                      boundary == "left_zero")
     lam_sh = _shoot_smallest(R_fn, m_fn, lo, hi, 1.0, tol, wall_left, wall_right,
-                             bracket=(lam_fd * (1.0 - _SEED_BRACKET),
-                                      lam_fd * (1.0 + _SEED_BRACKET)),
-                             boundary=boundary)
+                             seed=lam_fd, boundary=boundary)
     return lam_fd, err_fd, lam_sh
 
 
@@ -454,14 +465,12 @@ def solve_smallest(prob: EigenProblem, tol: float = 1e-8) -> EigenResult:
                     f"eigenvalue routes disagree: fem={lam_fd!r} shooting={lam_sh!r}"
                 )
             return lam_fd, err_fd + gap
-        lam = _shoot_smallest(R_fn, m_fn, lo, hi, prob.p, min(tol, 1e-9),
-                              wall_left, wall_right, boundary=prob.boundary)
-        lam_coarse = _shoot_smallest(R_fn, m_fn, lo, hi, prob.p, min(tol, 1e-9),
-                                     wall_left, wall_right, n_steps=_SHOOT_STEPS // 2,
-                                     bracket=(lam * (1.0 - _SEED_BRACKET),
-                                              lam * (1.0 + _SEED_BRACKET)),
-                                     boundary=prob.boundary)
-        return lam, abs(lam - lam_coarse) + tol * abs(lam)
+        lam_half = lam = None
+        for n_steps in (_SHOOT_STEPS // 8, _SHOOT_STEPS // 2, _SHOOT_STEPS):
+            lam_half, lam = lam, _shoot_smallest(
+                R_fn, m_fn, lo, hi, prob.p, min(tol, 1e-9), wall_left, wall_right,
+                n_steps, lam, _REFINE_BRACKET, prob.boundary)
+        return lam, abs(lam - lam_half) + tol * abs(lam)
 
     if not (sing_left or sing_right):
         lam, err = solve_on(a, b, None, None)

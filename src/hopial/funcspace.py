@@ -673,17 +673,42 @@ _REGULAR_END = (0.0, math.inf)
 _VANISHING_END = (math.inf, math.inf)
 
 
-def _ppoly_ends(first, last, w) -> tuple:
-    """(left, right) (kappa, rho) of a plain piecewise polynomial with first
-    and last coefficient rows ``first`` and ``last``, its last piece of
-    width ``w``: the order of the zero at each end."""
+def _pieces_at_ends(breaks, interval: Interval) -> tuple:
+    """The pieces of a piecewise spec with ``breaks`` that hold a (from the
+    right) and b (from the left); the breaks may reach past the interval."""
+    last = len(breaks) - 2
+    return (min(max(bisect.bisect_right(breaks, interval.a) - 1, 0), last),
+            min(max(bisect.bisect_left(breaks, interval.b) - 1, 0), last))
+
+
+def _pwl_ends(xs, vs, interval: Interval) -> tuple:
+    """(left, right) (kappa, rho) of the interpolant of knots (xs, vs): the
+    order of the zero of its segments at a and at b."""
+    i, j = _pieces_at_ends(xs, interval)
+    at_a, at_b = vs[i], vs[j + 1]
+    if xs[i] < interval.a:
+        at_a += (vs[i + 1] - vs[i]) * (interval.a - xs[i]) / (xs[i + 1] - xs[i])
+    if xs[j + 1] > interval.b:
+        at_b += (vs[j] - vs[j + 1]) * (xs[j + 1] - interval.b) / (xs[j + 1] - xs[j])
+    return _value_end((at_a, vs[i + 1])), _value_end((at_b, vs[j]))
+
+
+def _ppoly_ends(breaks, coeffs, interval: Interval) -> tuple:
+    """(left, right) (kappa, rho) of a plain piecewise polynomial: the order
+    of its zero at a and at b."""
+    left_piece, right_piece = _pieces_at_ends(breaks, interval)
+    first, d = coeffs[left_piece], interval.a - breaks[left_piece]
+    if d:  # the row in powers of (x - a)
+        first = [sum([first[k] * math.comb(k, j) * d ** (k - j) for k in range(j, len(first))])
+                 for j in range(len(first))]
     tiny = 1e-14 * max(max(map(abs, first), default=0.0), 1.0)
     left = _VANISHING_END
     for j, c in enumerate(first):
         if abs(c) > tiny:
             left = float(j), math.inf
             break
-    # the derivatives at the right edge of the last piece (w > 0), the value first
+    # the derivatives at b, from the left (w > 0), the value first
+    last, w = coeffs[right_piece], interval.b - breaks[right_piece]
     powers = [w ** j for j in range(len(last))]
     terms = [c * wj for c, wj in zip(last, powers)]
     tiny = 1e-10 * max(max(map(abs, terms), default=0.0), 1e-300)
@@ -1001,7 +1026,7 @@ def _walk(spec, interval, code, breaks, joined) -> tuple:
         data.extend(xs)
         data.extend(vs)
         breaks.extend(xs)
-        return _value_end(vs), _value_end(vs[::-1])
+        return _pwl_ends(xs, vs, interval)
     if kind is Step:
         ops.append(OP_STEP)
         fargs.append((0.0, 0.0, 0.0))
@@ -1010,7 +1035,8 @@ def _walk(spec, interval, code, breaks, joined) -> tuple:
         data.extend(spec.values)
         breaks.extend(spec.breaks)
         # a step is constant next to each end
-        return _value_end(spec.values[:1]), _value_end(spec.values[-1:])
+        i, j = _pieces_at_ends(spec.breaks, interval)
+        return _value_end(spec.values[i:i + 1]), _value_end(spec.values[j:j + 1])
     if kind is PiecewisePolynomial:
         deg = max(map(len, spec.coeffs)) - 1
         ops.append(OP_PPOLY)
@@ -1032,7 +1058,7 @@ def _walk(spec, interval, code, breaks, joined) -> tuple:
         breaks.extend(spec.breaks)
         if spec.frames is not None:
             return spec.ends
-        return _ppoly_ends(spec.coeffs[0], spec.coeffs[-1], spec.breaks[-1] - spec.breaks[-2])
+        return _ppoly_ends(spec.breaks, spec.coeffs, interval)
     if kind is Sum or kind is Product:
         opcode = OP_ADD if kind is Sum else OP_MUL
         lefts, rights = [], []
@@ -1196,10 +1222,8 @@ def _pwl_groups(specs: Sequence[PiecewiseLinear], interval: Interval, side: str)
     if k == 1:  # nothing to tell apart
         groups[None] = [0]
     else:
-        for i, (v, first, last, w) in enumerate(zip(vs.tolist(), coeffs[:, 0].tolist(),
-                                                    coeffs[:, -1].tolist(),
-                                                    (xs[:, -1] - xs[:, -2]).tolist())):
-            key = (_value_end(v), _value_end(v[::-1]), _ppoly_ends(first, last, w),
+        for i, (x, v, c) in enumerate(zip(x_rows, vs.tolist(), coeffs.tolist())):
+            key = (_pwl_ends(x, v, interval), _ppoly_ends(x, c, interval),
                    totals is not None and totals[i] == 0.0)
             groups.setdefault(key, []).append(i)
     f_data, out = np.concatenate([xs, vs], axis=1), []

@@ -114,7 +114,7 @@ class TestSingularCoefficient:
         lam_fem, _ = eigen._fem_richardson(R_fn, m_fn, 0.0, hi, None, 1.0)
         lam_sh = eigen._shoot_smallest(R_fn, m_fn, 0.0, hi, 1.0, 1e-9,
                                        wall_right=1.0,
-                                       bracket=(0.5 * lam_fem, 1.5 * lam_fem))
+                                       seed=lam_fem, half_width=0.5)
         assert abs(lam_fem - lam_sh) <= 1e-6 * lam_fem
 
     def test_interior_zero_rejected(self, unit, one):
@@ -180,51 +180,70 @@ class TestQuasilinear:
 
 
 class TestCoarseSearch:
-    """At p > 1 the error estimate's coarse search starts from a bracket
-    around the fine value instead of its own ladder."""
+    """At p > 1 the ladder runs once, on a coarse march; the 1024- and
+    2048-step searches start from a bracket around the root one level
+    coarser."""
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("boundary", ["both", "left_zero"])
-    def test_bracketed_agrees_with_ladder(self, unit, monkeypatch, p, boundary):
+    def test_bracketed_agrees_with_ladder(self, unit, marches, p, boundary):
         R = fs.Sum([fs.Constant(1.0), fs.PowerLaw(1.0, 2.0)])
         R_fn = eigen._as_fn(R, unit)
         m_fn = eigen._as_fn(fs.Exponential(1.0, 0.5), unit)
-        marches = []
-        real = eigen._march
-
-        def counting(*args):
-            marches.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(eigen, "_march", counting)
         fine = eigen._shoot_smallest(R_fn, m_fn, 0.0, 1.0, p, 1e-9, boundary=boundary)
         del marches[:]
         ladder = eigen._shoot_smallest(R_fn, m_fn, 0.0, 1.0, p, 1e-9, n_steps=1024,
                                        boundary=boundary)
         ladder_marches = len(marches)
         del marches[:]
-        bracket = (fine * (1 - eigen._SEED_BRACKET),
-                   fine * (1 + eigen._SEED_BRACKET))
         bracketed = eigen._shoot_smallest(R_fn, m_fn, 0.0, 1.0, p, 1e-9, n_steps=1024,
-                                          bracket=bracket, boundary=boundary)
+                                          seed=fine, boundary=boundary)
         assert bracketed == pytest.approx(ladder, rel=2e-9)
         assert len(marches) <= 6 < ladder_marches
 
-    def test_solve_uses_the_bracket(self, unit, one, monkeypatch):
+    def test_solve_searches_coarse_to_fine(self, unit, one, monkeypatch):
         calls = []
         real = eigen._shoot_smallest
 
-        def spy(*args, **kwargs):
-            calls.append(kwargs.get("bracket"))
-            return real(*args, **kwargs)
+        def spy(*args):
+            lam = real(*args)
+            calls.append((args[8:11], lam))
+            return lam
 
         monkeypatch.setattr(eigen, "_shoot_smallest", spy)
         res = eigen.solve_smallest(eigen.EigenProblem(one, fs.Exponential(1.0, 0.5),
                                                       2.0, unit))
-        fine, coarse = calls
-        assert fine is None
-        assert coarse == pytest.approx((res.value * (1 - 1e-4), res.value * (1 + 1e-4)),
-                                       rel=1e-15)
+        (coarse_args, coarse), (half_args, half), (fine_args, fine) = calls
+        assert coarse_args == (256, None, eigen._REFINE_BRACKET)
+        assert half_args == (1024, coarse, eigen._REFINE_BRACKET)
+        assert fine_args == (2048, half, eigen._REFINE_BRACKET)
+        assert res.value == fine
+        assert res.error_estimate == abs(fine - half) + 1e-8 * fine
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("boundary", ["both", "left_zero"])
+    def test_few_fine_marches_and_the_ladder_value(self, unit, marches, p, boundary):
+        # the 2048-step root comes from a bracket around the 1024-step one:
+        # two certified ends and a few Illinois steps, where the ladder
+        # on 2048 steps takes 8 or more, and the same root
+        for R in COEFFS:
+            for m in DENSITIES:
+                del marches[:]
+                prob = eigen.EigenProblem(R, m, p, unit, boundary)
+                value = eigen.solve_smallest(prob).value
+                assert marches.count(2048) <= 5, (R, m)
+                ladder = eigen._shoot_smallest(eigen._as_fn(R, unit), eigen._as_fn(m, unit),
+                                               0.0, 1.0, p, 1e-9, boundary=boundary)
+                assert value == pytest.approx(ladder, rel=2e-9), (R, m)
+
+    def test_wall_solve_steps(self, unit, one, marches):
+        # R = x vanishes at 0: three truncated solves, whose ladders climb
+        # from a low Rayleigh floor on coarse marches (101,376 steps when
+        # they ran on 2048 steps)
+        res = eigen.solve_smallest(eigen.EigenProblem(fs.PowerLaw(1.0, 1.0), one,
+                                                      2.0, unit))
+        assert sum(marches) <= 64_000
+        assert abs(res.value - 6.906458975721357) <= res.error_estimate
 
 
 class TestP1Marches:
@@ -232,28 +251,16 @@ class TestP1Marches:
     finite-element value and refines it by Illinois steps: a few marches
     per solve, where a sign bisection from (0.5, 1.5) x fem takes 32."""
 
-    @staticmethod
-    def _marches(monkeypatch, prob):
-        calls = []
-        real = eigen._march
-
-        def counting(legs_data, lam, p):
-            calls.append(lam)
-            return real(legs_data, lam, p)
-
-        monkeypatch.setattr(eigen, "_march", counting)
-        eigen.solve_smallest(prob)
-        return len(calls)
-
     @pytest.mark.parametrize("m", DENSITIES)
     @pytest.mark.parametrize("R", COEFFS)
-    def test_grid_solve(self, unit, monkeypatch, R, m):
-        assert self._marches(monkeypatch, eigen.EigenProblem(R, m, 1.0, unit)) <= 8
+    def test_grid_solve(self, unit, marches, R, m):
+        eigen.solve_smallest(eigen.EigenProblem(R, m, 1.0, unit))
+        assert len(marches) <= 8
 
-    def test_wall_solve(self, unit, one, monkeypatch):
+    def test_wall_solve(self, unit, one, marches):
         # R = x vanishes at 0: three truncated solves
-        prob = eigen.EigenProblem(fs.PowerLaw(1.0, 1.0), one, 1.0, unit)
-        assert self._marches(monkeypatch, prob) <= 24
+        eigen.solve_smallest(eigen.EigenProblem(fs.PowerLaw(1.0, 1.0), one, 1.0, unit))
+        assert len(marches) <= 24
 
 
 class TestT213Constant:

@@ -636,6 +636,24 @@ class TestStructure:
         assert both(fs.Power(fs.Sum([fs.Constant(1.0), fs.PowerLaw(1.0, 1.0)]), 0.5)) == (
             0.0, inf)
 
+    def test_piecewise_ends_are_read_at_a_and_b(self, unit):
+        # knots past the interval: f(a) = 1 and f(b) = 1, not the values at
+        # the first and last knots
+        inf = math.inf
+        left = fs.PiecewiseLinear([(-1, 0), (0, 1), (1, 1)])
+        right = fs.PiecewiseLinear([(0, 1), (1, 1), (2, 0)])
+        assert fs.endpoint_structure(left, unit, "left") == (0.0, inf)
+        assert fs.endpoint_structure(right, unit, "right") == (0.0, inf)
+        # G(a) = 0 and G'(a) = f(a) = 1
+        anti = fs.closed_antiderivative(left, unit)
+        assert fs.endpoint_structure(anti, unit, "left") == (1.0, inf)
+        assert fs.endpoint_structure(fs.Step([-1, 0, 2], [0, 3]), unit, "left") == (0.0, inf)
+        # the group key follows the same rule
+        specs = [left, fs.PiecewiseLinear([(0, 0), (0.5, 1), (1, 1)])]
+        groups = fs.plan_groups(specs, unit, "head")
+        assert [(members, f.ends[0], F.ends[0]) for members, f, F in groups] == [
+            ([0], (0.0, inf), (1.0, inf)), ([1], (1.0, inf), (2.0, inf))]
+
     def test_breakpoints_collects_knots(self, unit):
         spec = fs.Product(
             [

@@ -128,14 +128,12 @@ class TestLinearScan:
             for m in GRID_M:
                 R_fn, m_fn = _fns(R, m)
                 lam_fd, _ = eigen._fem_richardson(R_fn, m_fn, 0.0, 1.0, None, None)
-                bracket = (lam_fd * (1.0 - eigen._SEED_BRACKET),
-                           lam_fd * (1.0 + eigen._SEED_BRACKET))
                 found = []
                 for kernel in (fallback.shoot_quasilinear, _loop_kernel):
                     with monkeypatch.context() as mp:
                         mp.setattr(eigen._kernel, "shoot_quasilinear", kernel)
                         found.append(eigen._shoot_smallest(
-                            R_fn, m_fn, 0.0, 1.0, 1.0, 1e-9, bracket=bracket))
+                            R_fn, m_fn, 0.0, 1.0, 1.0, 1e-9, seed=lam_fd))
                 assert found[0] == pytest.approx(found[1], rel=1e-9, abs=0.0)
 
 
