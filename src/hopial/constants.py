@@ -152,18 +152,10 @@ def _beesack_integral(r, s, er, es, e_in, gamma, side, sub, full, tol, lead, pow
     full from its left (side="head") or right ("tail") end.  A
     nonpositive J gives (0, 0).
     """
-    if callable(s):
-        def target(xs):
-            return np.asarray(s(xs), dtype=float) ** gamma
-    else:
-        target = fs.power_of(s, gamma)
-        kappa = fs.endpoint_structure(
-            target, full, "left" if side == "head" else "right"
-        )[0]
-        if kappa <= -1.0:
-            raise NonIntegrable(
-                f"inner weight integral diverges (exponent {kappa:.3g})"
-            )
+    target = fs.power_of(s, gamma)
+    kappa = fs.endpoint_structure(target, full, "left" if side == "head" else "right")[0]
+    if kappa <= -1.0:
+        raise NonIntegrable(f"inner weight integral diverges (exponent {kappa:.3g})")
     inner = quad.RunningIntegral(target, full, side, tol)
     job = quad.product_job([(r, er), (s, es), (inner.spec, e_in)], full, tol)
     outer = quad.integrate_job(replace(job, interval=sub, home=full))
@@ -344,9 +336,7 @@ class _Ctx:
         nonincreasing and R_head nondecreasing, so the supremum is R at the
         end where the running integral is widest."""
         iv = self.interval
-        if not callable(self.r) and min(
-            fs.endpoint_structure(self.r, iv, end)[0] for end in ("left", "right")
-        ) <= -1.0:
+        if min(fs.endpoint_structure(self.r, iv, end)[0] for end in ("left", "right")) <= -1.0:
             raise NonIntegrable("the weight integral R(a, b) diverges")
         return (f"sup {self.R_name}",
                 self.R.value_at(iv.a if self.side == "left" else iv.b))
@@ -731,10 +721,8 @@ def resolve(ident: str, r, s, e: Optional[ExponentSet], mode: str):
 
 def check_weights(info: TheoremInfo, r, s, interval: fs.Interval) -> None:
     """Raise the InvalidSpec of a weight spec that is invalid or negative
-    inside the interval: r wherever given, s where the theorem takes it.
-    Raw callables are not checked."""
-    weights = [w for w, read in ((r, True), (s, info.needs_s))
-               if read and w is not None and not callable(w)]
+    inside the interval: r wherever given, s where the theorem takes it."""
+    weights = [w for w, read in ((r, True), (s, info.needs_s)) if read and w is not None]
     for error in fs.nonnegativity_errors(weights, interval):
         if error is not None:
             raise error
@@ -751,8 +739,8 @@ def hardy_constant(
 ) -> ConstantBreakdown:
     """The multiplicative constant of one catalog inequality.
 
-    r and s are weight specs (or callables); theorems that take no second
-    weight ignore s.  Raises PreconditionFailed when a weight is missing
+    r and s are weight specs; theorems that take no second weight ignore
+    s.  Raises PreconditionFailed when a weight is missing
     or the exponents violate the stated hypotheses and NonIntegrable when
     a weight integral in the constant diverges.
     """

@@ -39,8 +39,9 @@ reference is the finite-element value and the bracket 1e-4 (relative).
 At p > 1 the search runs coarse to fine: the ladder and Illinois run once,
 on a march of 256 steps; its root seeds the 1024-step search, and that
 root the 2048-step one, whose root is the value.  These brackets start at
-1e-6 and widen x100 up to 1e-4 on a miss.  The two finer roots differ by
-the discretization part of the error estimate.
+1e-6 and widen x100 up to 1e-4 on a miss, keeping the end that missed.
+The two finer roots differ by the discretization part of the error
+estimate.
 
 A leading coefficient that vanishes at an endpoint -- the tail integral
 R(x, b) always does at b -- is handled by truncating to b - delta for
@@ -102,6 +103,12 @@ _REFINE_BRACKET = 1e-6
 
 @dataclass(frozen=True)
 class EigenProblem:
+    """The problem of the module docstring on ``interval``, with R =
+    ``weight_R`` and m = ``weight_m``.  Each coefficient is a function
+    spec, compiled on the interval, or a vectorized callable: an array of
+    x in, an array of the same shape out (a compiled ``fs.Program``, or
+    the finite-difference density of ``_derivative_fn``)."""
+
     weight_R: Union["fs.FunctionSpec", Callable]
     weight_m: Union["fs.FunctionSpec", Callable]
     p: float
@@ -127,11 +134,7 @@ class EigenResult:
 
 
 def _as_fn(w, interval):
-    if isinstance(w, fs.Program):
-        return w
-    if callable(w):
-        return quad._as_array_fn(w)
-    return fs.compile_program(w, interval)
+    return w if callable(w) else fs.compile_program(w, interval)
 
 
 # -- meshes and coordinate maps ---------------------------------------------
@@ -350,16 +353,24 @@ def _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left=None, wall_right=None,
             )
     else:
         # a bracket half_width (relative) around the seed, widened x100 on a
-        # miss; one that still misses at _SEED_BRACKET takes the full ladder
-        while True:
-            lo_l, hi_l = seed * (1.0 - half_width), seed * (1.0 + half_width)
-            (crossed_lo, f_lo), (crossed_hi, f_hi) = probe(lo_l), probe(hi_l)
-            if not crossed_lo and crossed_hi:
-                break
+        # miss; one that still misses at _SEED_BRACKET takes the full ladder.
+        # The end that missed is certified on the root's side, so a widening
+        # keeps it as the other end and probes only the new far end
+        lo_l, hi_l = seed * (1.0 - half_width), seed * (1.0 + half_width)
+        (crossed_lo, f_lo), (crossed_hi, f_hi) = probe(lo_l), probe(hi_l)
+        while crossed_lo or not crossed_hi:
             if half_width >= _SEED_BRACKET:
                 return _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left,
                                        wall_right, n_steps, boundary=boundary)
             half_width = min(100.0 * half_width, _SEED_BRACKET)
+            if crossed_lo:  # the root lies below lo_l
+                hi_l, f_hi, crossed_hi = lo_l, f_lo, True
+                lo_l = seed * (1.0 - half_width)
+                crossed_lo, f_lo = probe(lo_l)
+            else:  # above hi_l
+                lo_l, f_lo = hi_l, f_hi
+                hi_l = seed * (1.0 + half_width)
+                crossed_hi, f_hi = probe(hi_l)
 
     return _illinois(probe, lo_l, f_lo, hi_l, f_hi, max(tol, 1e-12))
 
@@ -525,13 +536,10 @@ def _derivative_fn(s, interval):
         )
     if isinstance(s, fs.Step):
         raise NonDifferentiableWeight("step weights are not differentiable")
-    if callable(s) and not isinstance(s, fs.Program):
-        fn = s
-    else:
-        ds = fs.derivative(s, interval)
-        if ds is not None:
-            return fs.compile_program(ds, interval), ds
-        fn = fs.compile_program(s, interval)
+    ds = fs.derivative(s, interval)
+    if ds is not None:
+        return fs.compile_program(ds, interval), ds
+    fn = fs.compile_program(s, interval)
     h = 1e-6 * interval.width
 
     def diff(xs):
@@ -552,7 +560,6 @@ def t2_13_constant_result(r, s, p, interval: fs.Interval, tol: float = 1e-8):
     if not (p >= 1 and float(p).is_integer()):
         raise PreconditionFailed(f"p must be a positive integer, got {p}")
     m_fn, _ = _derivative_fn(s, interval)
-    m_fn = _as_fn(m_fn, interval)
     probe = np.linspace(interval.a, interval.b, 513)[1:-1]
     m_vals = np.asarray(m_fn(probe), dtype=float)
     s_fn = _as_fn(s, interval)

@@ -8,10 +8,9 @@ raw callables, so that downstream code can
 * use closed-form antiderivatives and derivatives where they exist,
 * compile the tree to a flat program evaluated by the array kernel.
 
-A raw-callable escape hatch exists at the quadrature layer but disables
-those fast paths.  Piecewise-constant steps and piecewise polynomials are
-internal variants: they arise as exact derivatives/antiderivatives of the
-public catalog and round-trip through JSON like everything else.
+Piecewise-constant steps and piecewise polynomials are internal variants:
+they arise as exact derivatives/antiderivatives of the public catalog and
+round-trip through JSON like everything else.
 """
 
 from __future__ import annotations
@@ -293,7 +292,15 @@ def validate(spec: FunctionSpec, interval: Interval) -> None:
     if isinstance(spec, AbsVal):
         validate(spec.term, interval)
         return
-    raise InvalidSpec(f"unknown spec variant {type(spec).__name__}")
+    raise _not_a_spec(spec)
+
+
+def _not_a_spec(obj) -> InvalidSpec:
+    """The one error for an integrand or weight that is no spec."""
+    return InvalidSpec(
+        f"{type(obj).__name__} is not a function spec: an integrand or weight is one of "
+        f"{', '.join(kind.__name__ for kind in _VARIANT_NAMES)} (in JSON, an object that "
+        'spec_from_json reads, such as {"variant": "PowerLaw", "c": 1, "alpha": 0.5})')
 
 
 def validate_nonnegative(spec: FunctionSpec, interval: Interval, samples: int = 64) -> None:
@@ -1096,7 +1103,7 @@ def _walk(spec, interval, code, breaks, joined) -> tuple:
         data.extend(p_data)
         breaks.extend(spec.breaks)
         return spec.ends
-    raise InvalidSpec(f"cannot compile {kind.__name__}")
+    raise _not_a_spec(spec)
 
 
 def compile_program(spec: FunctionSpec, interval: Interval) -> Program:
@@ -1247,16 +1254,15 @@ def plan_groups(specs: Sequence, interval: Interval, side: str) -> list:
     specs and of their closed running integrals from ``side`` ("head":
     F(a, x), "tail": F(x, b)), computed for all as row arrays, and only
     the first member is walked.  Any other spec is a group of one, f the
-    spec and F its closed running integral, None where it has none (a
-    callable has none), or the HopialError computing it raised."""
+    spec and F its closed running integral, None where it has none, or the
+    HopialError computing it raised."""
     out, pwl = [], {}
     for i, spec in enumerate(specs):
         if type(spec) is PiecewiseLinear:
             pwl.setdefault(len(spec.knots), []).append(i)
             continue
         try:
-            F = None if callable(spec) else (
-                tail_integral_spec if side == "tail" else closed_antiderivative)(spec, interval)
+            F = (tail_integral_spec if side == "tail" else closed_antiderivative)(spec, interval)
         except HopialError as exc:
             F = exc
         out.append(([i], spec, F))

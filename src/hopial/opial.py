@@ -488,8 +488,7 @@ def opial_lhs(v: OpialVariant, path: TestPath, weights=None, exponents=None,
 def _monotone_audit(w, interval, boundary):
     """The left-side weight must not grow away from the vanishing end."""
     xs = np.linspace(interval.a, interval.b, 257)
-    vals = np.asarray(fs.evaluate_array(w, xs, interval) if not callable(w)
-                      else w(xs), dtype=float)
+    vals = fs.evaluate_array(w, xs, interval)
     slack = 1e-10 * max(1.0, float(np.max(np.abs(vals))))
     growth = np.diff(vals) if boundary == "left" else -np.diff(vals)
     if np.any(growth > slack):

@@ -20,17 +20,16 @@ case of the same loop).  Per job:
   be a template plan for a group of integrals of one structure, its code
   holding a parameter row per member; ``_prepare`` walks no spec;
 * ``endpoint_exponents`` replaces the planned kappa where the structure
-  cannot see it: a raw callable (``product_job`` declares its spec
-  factors'), and a sum that cancels at the endpoint, whose min rule gives
+  cannot see it: a sum that cancels at the endpoint, whose min rule gives
   the least exponent of its terms (HARDY's (F / (x - a))^p, Boyd's I at
   eta = 0);
 * a spec's program evaluates a substituted point at its exact distance
   u^m from the endpoint: x = a + u^m rounds onto a once u^m is below the
-  spacing of a, and x - a would then cancel to 0 (a raw callable sees
-  only x);
-* exponents <= -1 are rejected as divergent before any evaluation;
-* raw callables (no structure) are integrated with the open Kronrod rule
-  only and their error estimate is inflated by a factor of 10.
+  spacing of a, and x - a would then cancel to 0;
+* exponents <= -1 are rejected as divergent before any evaluation.
+
+Every integrand is a ``funcspace`` spec; anything else raises
+InvalidSpec where its job is made.
 
 ``cumulative`` reads a running integral F off one such integration: the
 panels keep their node values, and F is the running sum of the panels
@@ -66,7 +65,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -95,7 +94,6 @@ __all__ = [
 SMOOTH_TOL = 1e-10
 SINGULAR_TOL = 1e-7
 DEFAULT_PANEL_BUDGET = 10_000
-_RAW_CALLABLE_INFLATION = 10.0
 _ROUNDING = 16.0 * np.finfo(float).eps
 
 # Kronrod-15 abscissae (ascending) with embedded Gauss-7 weights.
@@ -206,41 +204,20 @@ class SupResult:
     value: float
 
 
-Integrand = Union["fs.FunctionSpec", Callable[[np.ndarray], np.ndarray]]
-
-
-def _as_array_fn(f) -> Callable[[np.ndarray], np.ndarray]:
-    def wrapped(xs: np.ndarray) -> np.ndarray:
-        try:
-            out = f(xs)
-            out = np.asarray(out, dtype=float)
-            if out.shape != xs.shape:
-                raise ValueError
-            return out
-        except (TypeError, ValueError):
-            return np.array([float(f(float(x))) for x in xs])
-
-    return wrapped
-
-
-_REGULAR = ((0.0, math.inf), (0.0, math.inf))  # (kappa, rho) at each end
-
-
 @dataclass(frozen=True)
 class Job:
     """One integral for ``integrate_many``: the arguments of ``integrate``,
-    planned.  A spec ``f`` is planned where the job is made (unless
+    planned.  The spec ``f`` is planned where the job is made (unless
     ``product_job`` planned it from its factors' parts): the job carries
     its program ``code`` (the lists of a ``funcspace.Part``), its (kappa,
     rho) at the left and right ends of ``home`` (``ends``) and its
-    breakpoints, merged with any given.  A raw callable has no code,
-    regular ends and the given breakpoints.  A template plan (the job of
-    a group's part) is the integrals of the group's members: f, code and
+    breakpoints, merged with any given.  A template plan (the job of a
+    group's part) is the integrals of the group's members: f, code and
     breakpoints are its first member's, but fargs and data hold a row per
-    member, ``rows`` holds each one's breakpoints, and a callable f takes
-    (xs, rows); they share the rest."""
+    member and ``rows`` holds each one's breakpoints; they share the
+    rest."""
 
-    f: Integrand
+    f: fs.FunctionSpec
     interval: fs.Interval
     tol: Optional[float] = None
     home: Optional[fs.Interval] = None
@@ -248,19 +225,17 @@ class Job:
     endpoint_exponents: Optional[tuple] = None
     max_panels: int = DEFAULT_PANEL_BUDGET
     code: Optional[tuple] = None
-    ends: tuple = _REGULAR
+    ends: Optional[tuple] = None
     rows: Optional[Sequence] = None
 
     def __post_init__(self):
         if self.code is not None:  # planned by product_job
             return
+        part = fs.Part(self.f, self.home or self.interval)
+        object.__setattr__(self, "code", part.code)
+        object.__setattr__(self, "ends", part.ends)
         breaks = {float(x) for x in self.breakpoints or ()}
-        if not callable(self.f):
-            part = fs.Part(self.f, self.home or self.interval)
-            object.__setattr__(self, "code", part.code)
-            object.__setattr__(self, "ends", part.ends)
-            breaks.update(part.breaks)
-        object.__setattr__(self, "breakpoints", sorted(breaks))
+        object.__setattr__(self, "breakpoints", sorted(breaks.union(part.breaks)))
 
 
 def _panel_rule(ys, half):
@@ -334,11 +309,10 @@ def _prepare(job: Job, cuts: list) -> tuple:
     the piece's own variable, the piece's index in ``cuts`` and its
     substitution x = anchor + sign u^m; sign 0, anchor nan and m 1 for
     none), then the piece's span (lo, hi) in x.  Returns the job's plan:
-    (integrand, raw, tol, max_panels, the (kappa, rho) at each end, each
-    member's number of pieces)."""
+    (code, tol, max_panels, the (kappa, rho) at each end, each member's
+    number of pieces)."""
     a, b = job.interval.a, job.interval.b
     home = job.home or job.interval
-    raw = job.code is None
 
     # the endpoint structure describes the home endpoints, so it is only
     # looked at where the job touches one; a strict sub-range is regular
@@ -382,31 +356,13 @@ def _prepare(job: Job, cuts: list) -> tuple:
             else:
                 cuts += (lo, hi, 0.0, 0.0, p, 0.0, math.nan, 1.0, lo, hi)
         counts.append((len(cuts) - before) // _CUT)
-    return job.f if raw else job.code, raw, tol, job.max_panels, ends, counts
+    return job.code, tol, job.max_panels, ends, counts
 
 
-def _assign_groups(plans) -> list:
-    """Each planned job's integrand as a kernel group (fn, batched).  A
-    job's code makes one program, built from its arrays with a parameter
-    row per member, whose ``fn(xs, rows, offsets)`` takes a parameter row
-    and an exact endpoint offset per point; a raw callable sees only xs
-    (and the rows, for a group's)."""
-    fns = []
-    for target, raw, *_, counts in plans:
-        if not raw:
-            prog = fs.Program(*target)
-            fns.append((prog, len(prog.fargs) > 1))
-        elif len(counts) > 1:
-            fns.append((lambda xs, rows, offsets, fn=target: fn(xs, rows), True))
-        else:
-            fn = _as_array_fn(target)
-            fns.append((lambda xs, rows, offsets, fn=fn: fn(xs), False))
-    return fns
-
-
-def _group_values(fn, batched, m_values, panels, us):
-    """The integrand of one group at nodes ``us`` (one row of 15 per row
-    of ``panels``), with each panel's substitution and its Jacobian
+def _group_values(prog, m_values, panels, us):
+    """The integrand of one group, its job's program ``prog`` (a parameter
+    row per member), at nodes ``us`` (one row of 15 per row of
+    ``panels``), with each panel's substitution and its Jacobian
     applied."""
     sign = panels[:, _SIGN]
     graded = sign != 0.0
@@ -434,15 +390,15 @@ def _group_values(fn, batched, m_values, panels, us):
         if subs < len(sign):  # a panel without a substitution keeps x = u
             xs = np.where(graded[:, None], xs, us)
         offsets = (anchors, d.ravel())
-    rows = panels[:, _ROW].astype(np.intp).repeat(15) if batched else None
-    ys = fn(xs.ravel(), rows, offsets).reshape(us.shape)
+    rows = panels[:, _ROW].astype(np.intp).repeat(15) if len(prog.fargs) > 1 else None
+    ys = prog(xs.ravel(), rows, offsets).reshape(us.shape)
     if subs:
         scaled = ys * panels[:, _M, None] * jacobian
         ys = scaled if subs == len(sign) else np.where(graded[:, None], scaled, ys)
     return ys
 
 
-def _evaluate(fns, m_values, panels, rule):
+def _evaluate(progs, m_values, panels, rule):
     """Evaluate ``panels`` (rows in the layout of ``_integrate``; a
     piece's panels consecutive), one kernel call per group, under
     ``_integrate``'s errstate.
@@ -454,14 +410,14 @@ def _evaluate(fns, m_values, panels, rule):
     lo, hi = panels[:, _LO], panels[:, _HI]
     half = 0.5 * (hi - lo)
     us = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES[None, :]
-    if len(fns) == 1:
-        ys = _group_values(*fns[0], m_values, panels, us)
+    if len(progs) == 1:
+        ys = _group_values(progs[0], m_values, panels, us)
     else:
         group = panels[:, _GROUP].astype(np.intp)
         ys = np.empty(us.shape)
         for g in np.flatnonzero(np.bincount(group)).tolist():
             sel = np.flatnonzero(group == g)
-            ys[sel] = _group_values(*fns[g], m_values, panels[sel], us[sel])
+            ys[sel] = _group_values(progs[g], m_values, panels[sel], us[sel])
     vals, errs = rule(ys, half)
     finite = np.isfinite(ys)
     errors = {}
@@ -529,15 +485,15 @@ def _integrate(jobs, rule=None):
     if not plans:
         return results, [], None, None
     # a run per member: its job's kernel group and its parameter row
-    runs = [(g, row, raw, tol, max_panels, ends, n)
-            for g, (_, raw, tol, max_panels, ends, counts) in enumerate(plans)
+    runs = [(g, row, tol, max_panels, ends, n)
+            for g, (_, tol, max_panels, ends, counts) in enumerate(plans)
             for row, n in enumerate(counts)]
-    group, row, raw, tol, max_panels, ends, count = zip(*runs)
+    group, row, tol, max_panels, ends, count = zip(*runs)
     cut = np.array(cuts, dtype=float).reshape(-1, _CUT)
     pieces = len(cut)
     first = list(itertools.accumulate(count, initial=0))  # and the end of the last run
     run = np.arange(len(runs)).repeat(count)
-    fns = _assign_groups(plans)
+    progs = [fs.Program(*code) for code, *_ in plans]  # a kernel group per job
     m_values = sorted(set(cut[:, _M].tolist()))
     keep_nodes = rule is not None
     rule = rule or _panel_rule
@@ -548,11 +504,11 @@ def _integrate(jobs, rule=None):
         panel[:, :_M + 1] = cut[:, :_M + 1]
         if sum(m != 1.0 for m in m_values) > 1:  # _group_values tells them apart
             panel[:, _M_CODE] = np.searchsorted(m_values, cut[:, _M])
-        if len(fns) > 1:
+        if len(progs) > 1:
             panel[:, _GROUP] = np.array(group)[run]
-        if len(runs) > len(fns):
+        if len(runs) > len(progs):
             panel[:, _ROW] = np.array(row)[run]
-        panel[:, _VAL], panel[:, _ERR], nodes, failed = _evaluate(fns, m_values, panel, rule)
+        panel[:, _VAL], panel[:, _ERR], nodes, failed = _evaluate(progs, m_values, panel, rule)
         stop = np.array(first[1:])  # a run's pieces from stop[r] on no longer step
         for p in sorted(failed):
             if stop[run[p]] > first[run[p]]:
@@ -666,7 +622,7 @@ def _integrate(jobs, rule=None):
                     if not len(piece):
                         break
             panel[fresh, _VAL], panel[fresh, _ERR], ys, failed = _evaluate(
-                fns, m_values, panel[fresh], rule)
+                progs, m_values, panel[fresh], rule)
             if nodes is not None:
                 nodes[fresh] = ys
             for p, exc in failed.items():
@@ -747,7 +703,7 @@ def _results(results, index, runs, first, state, errors):
     """Fill in each run's QuadResult, or the error it raises alone: its
     pieces in order, each with the budget the earlier pieces left."""
     total, total_err, used, last_split = state[:, _TOTAL:].T.tolist()
-    for r, (i, (_, _, raw, tol, max_panels, _, count)) in enumerate(zip(index, runs)):
+    for r, (i, (_, _, tol, max_panels, _, count)) in enumerate(zip(index, runs)):
         if results[i] is not None:
             continue
         value = error = 0.0
@@ -765,8 +721,7 @@ def _results(results, index, runs, first, state, errors):
             error += total_err[p]
             spent += int(used[p])
         else:
-            results[i] = QuadResult(value, error * _RAW_CALLABLE_INFLATION if raw else error,
-                                    spent)
+            results[i] = QuadResult(value, error, spent)
 
 
 def integrate_job(job: Job) -> QuadResult:
@@ -778,7 +733,7 @@ def integrate_job(job: Job) -> QuadResult:
 
 
 def integrate(
-    f: Integrand,
+    f: fs.FunctionSpec,
     interval: fs.Interval,
     tol: Optional[float] = None,
     *,
@@ -788,16 +743,15 @@ def integrate(
 ) -> QuadResult:
     """Integrate ``f`` over ``interval`` to a relative tolerance.
 
-    ``f`` is either a function spec (structure drives breakpoint splits and
-    singular substitutions) or a vectorized callable.  ``home`` is the
-    interval the spec's anchored variants refer to when integrating over a
-    sub-range.  ``endpoint_exponents`` replaces the (left, right) kappa of
-    the structural walk, for a caller that knows what the walk cannot see:
-    the exponents of a raw callable, or of a cancelling sum, whose min rule
-    gives the smallest exponent of its terms where the sum vanishes to a
-    higher order.  The non-integer exponents that grade a finite endpoint
-    still come from the spec's structure.  Exponents <= -1 raise
-    NonIntegrable.
+    ``f`` is a function spec, whose structure drives breakpoint splits and
+    singular substitutions.  ``home`` is the interval the spec's anchored
+    variants refer to when integrating over a sub-range.
+    ``endpoint_exponents`` replaces the (left, right) kappa of the
+    structural walk, for a caller that knows what the walk cannot see: the
+    exponents of a cancelling sum, whose min rule gives the smallest
+    exponent of its terms where the sum vanishes to a higher order.  The
+    non-integer exponents that grade a finite endpoint still come from the
+    spec's structure.  Exponents <= -1 raise NonIntegrable.
     """
     return integrate_job(Job(f, interval, tol, home, None, endpoint_exponents, max_panels))
 
@@ -811,10 +765,8 @@ def product_job(factors, interval: fs.Interval, tol: Optional[float] = None) -> 
     the fold keeps its code, structure and breakpoints, and every other
     factor is walked here, straight into the job's code (``fs.product``).
     Where w is a group's part (``fs.plan_groups``), the job is the group's
-    template plan: one walk, with a parameter row per member.  Where a
-    factor is a raw callable the job is a callable, with the spec
-    factors' breakpoints and kappas declared."""
-    specs, fns, parts = [], [], {}
+    template plan: one walk, with a parameter row per member."""
+    specs, parts = [], {}
     for factor in factors:
         if isinstance(factor, fs.Part):
             specs.append(factor.spec)
@@ -823,43 +775,25 @@ def product_job(factors, interval: fs.Interval, tol: Optional[float] = None) -> 
         w, ex = factor
         if w is None or ex == 0:
             continue
-        if callable(w):
-            fns.append((w, ex))
-        else:
-            specs.append(fs.power_of(w, ex))
+        specs.append(fs.power_of(w, ex))
     specs = fs.merge_product(specs)
     code, ends, breaks, rows = fs.product([parts.get(id(sp), sp) for sp in specs], interval)
-    if not fns:
-        return Job(specs[0] if len(specs) == 1 else fs.Product(specs), interval, tol,
-                   breakpoints=breaks, code=code, ends=ends, rows=rows)
-    prog = fs.Program(*code)
-    fns = [(_as_array_fn(w), ex) for w, ex in fns]
-
-    def fn(xs, rows=None):
-        out = prog(xs, rows)
-        for w, ex in fns:
-            vals = w(xs)
-            out = out * (vals if ex == 1 else vals**ex)
-        return out
-
-    # the callable hides the spec factors' structure from _prepare
-    return Job(fn, interval, tol, breakpoints=breaks,
-               endpoint_exponents=tuple(kappa for kappa, _ in ends), rows=rows)
+    return Job(specs[0] if len(specs) == 1 else fs.Product(specs), interval, tol,
+               breakpoints=breaks, code=code, ends=ends, rows=rows)
 
 
 def product_integral(parts, interval: fs.Interval,
                      tol: Optional[float] = None) -> QuadResult:
     """Integral over ``interval`` of the product of w^ex for (w, ex) parts.
 
-    ``w`` is a spec or a callable; None weights and zero exponents are
-    skipped.  Spec factors keep their structure: same-anchor power laws
-    are merged, endpoint exponents add up and breakpoints carry over to
-    the callable factors.
+    ``w`` is a spec; None weights and zero exponents are skipped.  The
+    factors keep their structure: same-anchor power laws are merged,
+    endpoint exponents add up and breakpoints carry over.
     """
     return integrate_job(product_job(parts, interval, tol))
 
 
-def cumulative(f: Integrand, interval: fs.Interval, side: str = "head",
+def cumulative(f: fs.FunctionSpec, interval: fs.Interval, side: str = "head",
                tol: Optional[float] = None) -> tuple:
     """(F, total): F the graded ``PiecewisePolynomial`` of the integral of f
     over (a, x) (side="head") or (x, b) ("tail"), total the QuadResult of
@@ -918,7 +852,7 @@ def cumulative(f: Integrand, interval: fs.Interval, side: str = "head",
     return spec, QuadResult(total, results[0].abs_error_estimate + rounding, len(in_x))
 
 
-def running_integrals(fns: Sequence[Integrand], interval: fs.Interval, side: str,
+def running_integrals(fns: Sequence[fs.FunctionSpec], interval: fs.Interval, side: str,
                       tol: Optional[float] = None) -> list:
     """The running integrals of every f, planned by group
     (``fs.plan_groups``): a list of (members, f, F), F the (spec or
@@ -947,7 +881,7 @@ class RunningIntegral:
     with rel_error bounding its error at every x relative to F(a, b).  The
     one-f case of ``running_integrals``."""
 
-    def __init__(self, f: Integrand, interval: fs.Interval, side: str,
+    def __init__(self, f: fs.FunctionSpec, interval: fs.Interval, side: str,
                  tol: Optional[float] = None):
         ((_, _, res),) = running_integrals([f], interval, side, tol)
         if isinstance(res, HopialError):
@@ -965,7 +899,7 @@ class RunningIntegral:
 
 
 def sup_on_interval(
-    g: Integrand,
+    g: fs.FunctionSpec,
     interval: fs.Interval,
     *,
     home: Optional[fs.Interval] = None,
@@ -981,13 +915,9 @@ def sup_on_interval(
     """
     a, b = interval.a, interval.b
     home = home or interval
-    if not callable(g):
-        kappa_l = fs.endpoint_structure(g, home, "left")[0]
-        kappa_r = fs.endpoint_structure(g, home, "right")[0]
-        eval_fn = fs.compile_program(g, home)
-    else:
-        kappa_l = kappa_r = 0.0
-        eval_fn = _as_array_fn(g)
+    kappa_l = fs.endpoint_structure(g, home, "left")[0]
+    kappa_r = fs.endpoint_structure(g, home, "right")[0]
+    eval_fn = fs.compile_program(g, home)
 
     eps = 1e-12 * (b - a)
     lo = a + eps if kappa_l < 0 else a
@@ -1005,20 +935,20 @@ def sup_on_interval(
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = right - invphi * (right - left)
     x2 = left + invphi * (right - left)
-    f1 = float(np.asarray(eval_fn(np.array([x1])))[0])
-    f2 = float(np.asarray(eval_fn(np.array([x2])))[0])
+    f1 = float(eval_fn(np.array([x1]))[0])
+    f2 = float(eval_fn(np.array([x2]))[0])
     xtol = xtol_factor * (b - a)
     while right - left > xtol:
         if f1 < f2:
             left, x1, f1 = x1, x2, f2
             x2 = left + invphi * (right - left)
-            f2 = float(np.asarray(eval_fn(np.array([x2])))[0])
+            f2 = float(eval_fn(np.array([x2]))[0])
         else:
             right, x2, f2 = x2, x1, f1
             x1 = right - invphi * (right - left)
-            f1 = float(np.asarray(eval_fn(np.array([x1])))[0])
+            f1 = float(eval_fn(np.array([x1]))[0])
     xm = 0.5 * (left + right)
-    fm = float(np.asarray(eval_fn(np.array([xm])))[0])
+    fm = float(eval_fn(np.array([xm]))[0])
     if fm > best_y:
         best_x, best_y = xm, fm
     return SupResult(best_x, best_y)

@@ -106,18 +106,12 @@ def _powers(side, exps) -> tuple:
     return powers
 
 
-def _factor(w, interval):
-    """A weight as a product factor: its part, planned once for all the
-    integrals that share it, or (w, 1) for a raw callable."""
-    return (w, 1.0) if callable(w) else fs.Part(w, interval)
-
-
 def _lhs_weight(inst: TheoremInstance, resolved):
     """The weight factor of the left side, r or HARDY's (x - a)^-p; it
     depends on the weights only, so a sweep plans it once."""
     ident, info, mode, exps = resolved
     if info.needs_r:
-        return _factor(inst.r, inst.interval)
+        return fs.Part(inst.r, inst.interval)
     power, _ = _powers(info.lhs, exps)
     return fs.Part(fs.power_of(fs.PowerLaw(1.0, 1.0), -power), inst.interval)
 
@@ -148,10 +142,8 @@ def _lhs_plan(inst: TheoremInstance, resolved, tol, f, running, weight):
     else:  # HARDY's weight (x - a)^-p
         job = quad.product_job([(F, power), weight], inst.interval, tol)
         # F / (x - a) tends to f(a) even where F is a cancelling sum, so the
-        # left exponent is p kappa_f(a) (a raw callable f counts as regular);
-        # F(b) > 0, so the right end is regular
-        kappa_f = 0.0 if callable(f) else (
-            f if isinstance(f, fs.Part) else fs.Part(f, inst.interval)).ends[0][0]
+        # left exponent is p kappa_f(a); F(b) > 0, so the right end is regular
+        kappa_f = (f if isinstance(f, fs.Part) else fs.Part(f, inst.interval)).ends[0][0]
         job = replace(job, endpoint_exponents=(power * kappa_f, 0.0))
     return job, (degree / power, degree, F_rel)
 
@@ -169,7 +161,7 @@ def _rhs_weights(inst, resolved, tol):
         parts.append(fs.Part(R.spec, inst.interval))
         rel = R.rel_error
     if "s" in info.rhs_weight:
-        parts.append(_factor(inst.s, inst.interval))
+        parts.append(fs.Part(inst.s, inst.interval))
     return parts, rel
 
 
@@ -339,13 +331,7 @@ def verify_many(
     group.  The sides of all instances are integrated together, and every
     Violated report is re-examined.
     """
-    out: list = [None] * len(insts)
-    specs = [i for i, inst in enumerate(insts) if not callable(inst.f)]
-    if specs:
-        errors = fs.nonnegativity_errors([insts[i].f for i in specs],
-                                         insts[0].interval)
-        for i, error in zip(specs, errors):
-            out[i] = error
+    out = fs.nonnegativity_errors([inst.f for inst in insts], insts[0].interval)
     todo = [i for i, res in enumerate(out) if res is None]
     if not todo:
         return out

@@ -190,31 +190,6 @@ class TestHardyConstants:
         assert len(ct.THEOREM_IDS) == 32
 
 
-class TestCallableEscapeHatch:
-    # raw callables disable the closed-form fast paths but must still work
-    # across the catalog (with inflated error estimates)
-
-    def test_constants_with_callable_weights(self, unit):
-        r_call = lambda x: 1.0 + 0.5 * np.sin(3.0 * x) ** 2
-        s_call = lambda x: 1.0 + x**2
-        b = ct.hardy_constant("T2.3", r_call, None, E(), unit)
-        # sup of the tail integral is at the left endpoint:
-        # int_0^1 (1 + 0.5 sin^2 3x) dx = 1.5 - sin(6)/24
-        expected = 1.25 - math.sin(6.0) / 24.0
-        assert b.value == pytest.approx(expected, rel=1e-8)
-        for ident, e in (("T2.1", E()), ("T2.14", E(p=2.0)),
-                         ("T2.27", E(p=2.0)), ("T2.30", E(p=2.0, k=3.0))):
-            assert ct.hardy_constant(ident, r_call, s_call, e, unit).value > 0
-
-    def test_k1_callable_matches_spec_route(self, unit, one):
-        e = E(p=1.0, q=1.0, conjugate_check=False)
-        spec_val = ct.beesack_das_K1(e, one, one, unit, unit)
-        call_val = ct.beesack_das_K1(
-            e, lambda x: np.ones_like(x), lambda x: np.ones_like(x), unit, unit
-        )
-        assert call_val == pytest.approx(spec_val, rel=1e-7)
-
-
 class TestSupFactor:
     # r >= 0: sup R_tail = R(a) and sup R_head = R(b), both the total
     @pytest.mark.parametrize("iv", [fs.Interval(0.0, 1.0), fs.Interval(1.0, 2.0)])
@@ -222,7 +197,7 @@ class TestSupFactor:
         fs.PowerLaw(2.0, 0.5),
         fs.Exponential(1.0, -1.0),
         fs.PiecewiseLinear([(0.0, 0.3), (0.6, 0.0), (1.4, 2.0), (2.0, 0.5)]),
-        lambda x: 1.0 + 0.5 * np.sin(3.0 * x) ** 2,
+        fs.Product([fs.PowerLaw(1.0, 1.0), fs.Exponential(1.0, -1.0)]),  # panel tree
     ])
     def test_sup_is_R_at_the_endpoint(self, iv, r):
         total = quad.integrate(r, iv)

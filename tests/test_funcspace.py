@@ -380,7 +380,8 @@ class TestTemplatePlans:
         assert len(f.rows[1]) == len(F.rows[1]) == 50
 
     def test_other_specs_are_groups_of_one(self, unit):
-        specs = [fs.PowerLaw(1.0, 0.5), lambda x: x,
+        specs = [fs.PowerLaw(1.0, 0.5),
+                 fs.Power(fs.Sum([fs.Constant(1.0), fs.PowerLaw(1.0, 1.0)]), 0.5),
                  fs.Product([fs.PowerLaw(1.0, 0.5), fs.Exponential(1.0, 1.0)])]
         groups = fs.plan_groups(specs, unit, "head")
         assert [(members, f is specs[members[0]]) for members, f, _ in groups] == [

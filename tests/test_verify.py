@@ -218,15 +218,6 @@ class TestVerify:
                 1.0 + 1e-9
             )
 
-    def test_callable_weights_and_f(self, unit):
-        r_call = lambda x: 1.0 + 0.5 * np.sin(3.0 * x) ** 2
-        s_call = lambda x: 1.0 + x**2
-        f_call = lambda x: np.cos(x) ** 2
-        rep = vf.verify(vf.TheoremInstance("T2.1", r_call, s_call, f_call,
-                                           E(), unit))
-        assert rep.status == "Holds"
-        assert 0.0 < rep.ratio < 1.0
-
     def test_violation_triage_detail(self, unit, one):
         # the derived L reading is numerically refuted even by f = 1; the
         # report must carry the retest and the alternate-mode outcome
@@ -236,6 +227,43 @@ class TestVerify:
         assert rep.status == "Violated"
         assert "retested" in rep.detail
         assert "as_printed" in rep.detail
+
+
+def _identity(xs):
+    return xs
+
+
+UNIT = fs.Interval(0.0, 1.0)
+LINEAR = opial.linear_path(UNIT)
+
+
+class TestNotASpec:
+    """Every integrand and weight is a spec: a callable gets the one
+    InvalidSpec message at each public entry point."""
+
+    @pytest.mark.parametrize("call", [
+        lambda g: quad.integrate(g, UNIT),
+        lambda g: quad.Job(g, UNIT),
+        lambda g: quad.product_integral([(ONE, 1.0), (g, 2.0)], UNIT),
+        lambda g: quad.cumulative(g, UNIT),
+        lambda g: quad.RunningIntegral(g, UNIT, "tail"),
+        lambda g: quad.sup_on_interval(g, UNIT),
+        lambda g: ct.hardy_constant("T2.1", g, ONE, E(), UNIT),
+        lambda g: ct.hardy_constant("T2.1", ONE, g, E(), UNIT),
+        lambda g: vf.verify(inst("T2.1", g, ONE, ONE, E(), UNIT)),
+        lambda g: vf.verify(inst("T2.1", ONE, g, ONE, E(), UNIT)),
+        lambda g: vf.verify(inst("T2.1", ONE, ONE, g, E(), UNIT)),
+        lambda g: opial.verify_variant(opial.variant("Y"), LINEAR, weights={"r": g, "s": ONE}),
+        lambda g: opial.verify_variant(opial.variant("Y"), LINEAR,
+                                       weights={"r": fs.ShiftedPowerLaw(1.0, 1.0), "s": g}),
+    ], ids=["integrate", "Job", "product_integral", "cumulative", "RunningIntegral",
+            "sup_on_interval", "hardy_constant-r", "hardy_constant-s", "verify-r", "verify-s",
+            "verify-f", "verify_variant-r", "verify_variant-s"])
+    def test_callable_rejected(self, call):
+        with pytest.raises(InvalidSpec) as exc:
+            call(_identity)
+        assert str(exc.value) == str(fs._not_a_spec(_identity))
+        assert str(exc.value).startswith("function is not a function spec")
 
 
 class TestSweep:
@@ -365,12 +393,6 @@ class TestBatchedSweep:
         if ident == "HARDY":
             r = s = None
         self.assert_alone(ident, None, r, s, exps, unit, len(members))
-
-    def test_callable_weight_rows_equal_verify_alone(self, unit):
-        # a raw callable weight makes each side a callable with a row per member
-        family = fs.RandomPiecewiseLinear(4, (0.0, 1.0), seed=9, interval=unit)
-        self.assert_alone("T2.9", family, lambda x: 1.0 + x ** 2, fs.Constant(1.0), E(),
-                          unit, 6)
 
     def test_member_errors_match_alone(self, monkeypatch):
         # member 1 is singular at a shifted endpoint (m = 100 substitution,
