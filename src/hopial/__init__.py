@@ -7,9 +7,9 @@ Subpackage map:
 * quad      - adaptive singularity-aware quadrature, cumulative integrals,
               supremum location
 * special   - Gamma and the Boyd inequality constants N, sigma, I, L
-* constants - per-theorem multiplicative constants with factor breakdowns
+* constants - the theorem and lemma rows, and their constants with factors
 * eigen     - smallest eigenvalue of the associated boundary value problems
-* opial     - direct verification of the underlying Opial-type lemmas
+* opial     - test paths and the front end of the Opial-type lemma checks
 * verify    - end-to-end inequality verification, sweeps, sharpness search
 * cli       - command line front end (JSON/CSV reports, SVG ratio plots)
 """

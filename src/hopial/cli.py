@@ -308,11 +308,13 @@ def _run_sharpness(config: RunConfig):
         )
     builder, default_bounds = _SHARPNESS_BUILDERS[kind]
     bounds = config.bounds if config.bounds is not None else default_bounds
+    ident = ct.canonical_id(config.theorem)  # a theorem command: no lemma ids
     res = vf.sharpness_search(
-        config.theorem, builder, bounds, config.spec("r"), config.spec("s"),
+        ident, builder, bounds, config.spec("r"), config.spec("s"),
         config.exponents(), iv, budget=config.budget, mode=config.mode,
         tol=config.tol,
     )
+    best = res.best_report
     params = ", ".join(f"{v:.6g}" for v in res.best_params)
     print(
         f"{res.ident} sharpness over {kind}: best_ratio={res.best_ratio:.9g} "
@@ -324,25 +326,18 @@ def _run_sharpness(config: RunConfig):
         lo, hi = bounds[0]
         xs = list(np.linspace(lo, hi, 33))
         r, s = config.spec("r"), config.spec("s")
-        insts = [vf.TheoremInstance(config.theorem, r, s, builder((x,)),
+        insts = [vf.TheoremInstance(ident, r, s, builder((x,)),
                                     config.exponents(), iv, config.mode) for x in xs]
         ratios = [math.nan if isinstance(rep, HopialError) else rep.ratio
-                  for rep in vf.verify_many(insts, config.tol,
-                                            res.best_report.breakdown)]
+                  for rep in vf.verify_many(insts, config.tol, best.breakdown)]
     doc = reportio.report_doc(
-        "sharpness", ct.canonical_id(config.theorem),
-        res.best_report.mode if res.best_report else config.mode,
-        res.best_report.breakdown if res.best_report else None,
-        [res.best_report] if res.best_report else [],
-        res.best_ratio, config.seed,
-        extra={"best_params": list(res.best_params),
-               "evaluations": res.evaluations, "family": kind},
+        "sharpness", ident, best.mode, best.breakdown, [best], res.best_ratio,
+        config.seed, extra={"best_params": list(res.best_params),
+                            "evaluations": res.evaluations, "family": kind},
     )
-    rows = [res.best_report] if res.best_report else []
-    _emit(config, doc, rows=rows, ratios=ratios, xs=xs,
-          title=f"{ct.canonical_id(config.theorem)} sharpness", x_label="parameter")
-    status = res.best_report.status if res.best_report else "Holds"
-    return _exit_code([status]), doc
+    _emit(config, doc, rows=[best], ratios=ratios, xs=xs,
+          title=f"{ident} sharpness", x_label="parameter")
+    return _exit_code([best.status]), doc
 
 
 def _parse_path(config: RunConfig, iv: fs.Interval, boundary: str):
@@ -516,10 +511,9 @@ def suite_report(seed: int = 0, count: int = 200, out_dir: Optional[str] = None)
                                     exponents=ct.ExponentSet(p=2.0))),
     ]
     statuses.extend(recd.status for _, recd in witnesses)
-    hat_search = vf.lemma_sharpness(
-        opial.variant("OPIAL"),
-        lambda prm: opial.hat_path(iv, float(prm[0])),
-        [(0.2, 0.8)], budget=80,
+    hat_search = vf.sharpness_search(
+        "OPIAL", lambda prm: opial.hat_path(iv, float(prm[0])), [(0.2, 0.8)],
+        None, None, ct.ExponentSet(), iv, budget=80,
     )
     cases.append({
         "name": "opial_equality_witnesses",

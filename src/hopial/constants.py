@@ -1,15 +1,18 @@
-"""Per-theorem multiplicative constants with factor-level breakdowns.
+"""The catalog's inequalities as rows, and their multiplicative constants
+with factor-level breakdowns.
 
-Each Hardy-type bound in the catalog has the shape
+Each Hardy-type bound and each Opial-type lemma has the shape
 
-    LHS(f)  <=  constant(r, s, exponents, interval) * RHS(f),
+    LHS  <=  constant(r, s, exponents, interval) * RHS,
 
 and this module computes the constant as a product of named factors.  Odd
 theorem numbers integrate f from the left endpoint and use the tail
 integral R(x,b); their even partners mirror everything through R(a,x).
 
-Each theorem is one row of ``THEOREMS`` (``TheoremInfo``): its sides and
-their weights, exponent check, constant builder and default mode, as data.
+Every inequality is one ``Row``: its two sides and their weights, its
+boundaries, exponent check, constant builder and default mode, as data.
+The 32 theorems are ``THEOREMS`` and the 16 lemmas ``LEMMAS``; a theorem
+is a lemma applied to y = F, so ``verify`` checks both in one pass.
 
 Two evaluation modes exist for the handful of catalog entries whose
 typeset constant differs from the one their derivation supports
@@ -21,6 +24,7 @@ Beesack k = q substitution); see DEFAULT_MODES.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -41,9 +45,12 @@ from .errors import (
 __all__ = [
     "ExponentSet",
     "ConstantBreakdown",
+    "Row",
     "THEOREM_IDS",
+    "LEMMAS",
     "DEFAULT_MODES",
     "theorem_info",
+    "lemma_row",
     "canonical_id",
     "r_tail",
     "r_head",
@@ -71,29 +78,15 @@ class ExponentSet:
     conjugate_check: bool = True
 
 
-def _need_p(e: ExponentSet, cond: str = "p required") -> float:
-    if e.p is None:
-        raise PreconditionFailed(cond)
-    return float(e.p)
-
-
 def _conjugate_pair(e: ExponentSet):
-    p = _need_p(e, "p > 1 with 1/p + 1/q = 1 required")
-    if not p > 1:
-        raise PreconditionFailed(f"p > 1 required, got p={p}")
+    _require(e.p is not None, "p > 1 with 1/p + 1/q = 1 required")
+    p = float(e.p)
+    _require(p > 1, f"p > 1 required, got p={p}")
     q = float(e.q) if e.q is not None else p / (p - 1.0)
-    if not (math.isfinite(p) and math.isfinite(q)):
-        raise PreconditionFailed(f"finite p and q required (p={p}, q={q})")
-    if e.conjugate_check and abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
-        raise PreconditionFailed(f"1/p + 1/q = 1 violated (p={p}, q={q})")
+    _require(math.isfinite(p) and math.isfinite(q), f"finite p and q required (p={p}, q={q})")
+    _require(not (e.conjugate_check and abs(1.0 / p + 1.0 / q - 1.0) > 1e-12),
+             f"1/p + 1/q = 1 violated (p={p}, q={q})")
     return p, q
-
-
-def _positive_integer_p(e: ExponentSet, minimum: int = 1) -> float:
-    p = _need_p(e, "positive integer p required")
-    if not (float(p).is_integer() and p >= minimum):
-        raise PreconditionFailed(f"p must be an integer >= {minimum}, got {p}")
-    return float(p)
 
 
 @dataclass(frozen=True)
@@ -116,7 +109,8 @@ class ConstantBreakdown:
         prod = 1.0
         for _, v in self.factors:
             prod *= v
-        if not (self.value > 0 and math.isfinite(self.value)):
+        if isinstance(self.value, complex) or not (self.value > 0
+                                                   and math.isfinite(self.value)):
             raise DomainError(f"constant must be positive finite, got {self.value}")
         if abs(prod - self.value) > 1e-12 * abs(self.value):
             raise DomainError("factor product does not reproduce the constant")
@@ -281,25 +275,41 @@ def beesack_K(e: ExponentSet, r, s, interval: fs.Interval, side: str = "left",
 
 
 @dataclass(frozen=True)
-class TheoremInfo:
-    """A theorem, a lemma applied to y = F: (int w F^P)^(d/P) <= C (int
-    [rhs_weight] f^E)^outer.  F integrates f from the ``side`` end, w is r
-    (HARDY: (x - a)^-p), d the degree of both sides in f.  ``check`` gives
-    the exponents x, and lhs(x) = (P, d), rhs(x) = (E, outer), outer None
-    for the integral itself.  ``rhs_weight`` is "", "s", "R" or "R*s", R
-    the running integral of r from the other end; the theorem takes s
-    where its right side carries it, and r unless it is HARDY."""
+class Row:
+    """One inequality of the catalog: an Opial-type lemma, or a theorem,
+    which is a lemma applied to y = F.  The lemma reads, on a path y that
+    vanishes at its side, int [w] |y|^P |y'|^Q <= C (int [weights]
+    |y'|^E)^outer; a theorem reads (int w F^P)^(d/P) <= C (int [weights]
+    f^E)^outer with F the running integral of f from its side's end, so
+    Q = 0.  ``check`` gives the exponents x, and lhs(x) = (P, d), d None
+    for a lemma's integral itself, rhs(x) = (E, outer), outer None for the
+    integral itself.  ``lhs_weight`` w is "r", "" or HARDY's "x-a";
+    ``rhs_weight`` is read letter by letter, in factor order: s, r, and R
+    the running integral of r from the other end ("R*s", "sr").
+    ``sides`` are the lemma's boundaries ("left", "right", "both"; a
+    theorem has one side), and a ``monotone`` lemma's r must not grow away
+    from the vanishing end."""
 
     ident: str
-    side: str
+    sides: tuple
     build: Callable  # (ctx) -> ConstantBreakdown
     check: Callable  # (ExponentSet) -> dict of resolved exponents
     lhs: Callable
     rhs: Callable
+    Q: Callable = lambda x: 0.0
+    lhs_weight: str = "r"
     rhs_weight: str = ""
     modes_differ: bool = False
     default_mode: str = "as_printed"
-    needs_r: bool = True
+    monotone: bool = False
+
+    @property
+    def side(self) -> str:
+        return self.sides[0]
+
+    @property
+    def needs_r(self) -> bool:
+        return self.lhs_weight == "r" or "r" in self.rhs_weight
 
     @property
     def needs_s(self) -> bool:
@@ -548,11 +558,123 @@ def _build_hardy(ctx: _Ctx):
     return _breakdown(ctx, [("(p/(p-1))^p", (p / (p - 1.0)) ** p)], 0.0)
 
 
+# -- lemma builders (ctx.side is the lemma's boundary) -------------------------
+
+
+def _build_opial(ctx: _Ctx):
+    return _breakdown(ctx, [("(b-a)/4", ctx.width() / 4.0)], 0.0)
+
+
+def _build_b1(ctx: _Ctx):
+    name, value = (("b/2", ctx.interval.b / 2.0) if ctx.mode == "as_printed"
+                   else ("(b-a)/2", ctx.width() / 2.0))
+    _require(value > 0, "printed constant b/2 is nonpositive on this interval; "
+                        "use as_derived")
+    return _breakdown(ctx, [(name, value)], 0.0)
+
+
+def _build_inv(name, e, power, divisor):
+    """The builder of (int s^e)^power / divisor, where e, power and divisor
+    are functions of p (B2, Y, M1 and AG)."""
+    def build(ctx: _Ctx):
+        p = ctx.exps.get("p")
+        inv, k = ctx.integral((ctx.s, e(p))), power(p)
+        return _breakdown(ctx, [(name, inv.value**k / divisor(p))], k * inv.rel_error)
+
+    return build
+
+
+_build_half_inv = _build_inv("(int 1/s)/2", lambda p: -1.0, lambda p: 1.0, lambda p: 2.0)
+_build_m1 = _build_inv("(int (1/s)^(p-1))^(2/p)/2", lambda p: -(p - 1.0), lambda p: 2.0 / p,
+                       lambda p: 2.0)
+_build_ag = _build_inv("(int s^(-1/p))^p/(p+1)", lambda p: -1.0 / p, lambda p: p,
+                       lambda p: p + 1.0)
+
+
+def _build_h1(ctx: _Ctx):
+    p = ctx.exps["p"]
+    return _breakdown(ctx, [("(b-a)^p/(p+1)", ctx.width()**p / (p + 1.0))], 0.0)
+
+
+def _build_bw1(ctx: _Ctx):
+    p = ctx.exps["p"]
+    res = eigen.solve_smallest(eigen.EigenProblem(
+        ctx.s, eigen._derivative_fn(ctx.r, ctx.interval), p, ctx.interval, "both"),
+        tol=1e-8)
+    return _breakdown(ctx, [("1/((p+1) lambda0)", 1.0 / (res.value * (p + 1.0)))],
+                      res.rel_error)
+
+
+def _build_y1(ctx: _Ctx):
+    p, q = ctx.exps["p"], ctx.exps["q"]
+    return _breakdown(ctx, [("q/(p+q)", q / (p + q)), ("(b-a)^p", ctx.width()**p)], 0.0)
+
+
+def _build_boyd(ctx: _Ctx):
+    p = ctx.exps["p"]
+    n_val, n_rel = special.boyd_N_result(special.BoydParams(p, ctx.exps["q"],
+                                                            ctx.exps["k"]))
+    return _breakdown(ctx, [("N(nu,eta,s)", n_val), ("(b-a)^nu", ctx.width()**p)], n_rel)
+
+
+def _build_l0(ctx: _Ctx):
+    p = ctx.exps["p"]
+    return _breakdown(ctx, [("L(nu,eta)", special.boyd_L(p, ctx.exps["q"], mode=ctx.mode)),
+                            ("(b-a)^nu", ctx.width()**p)], 0.0)
+
+
+def _build_z(ctx: _Ctx):
+    e = ExponentSet(p=ctx.exps["p"], q=ctx.exps["q"], conjugate_check=False)
+    side = "head" if ctx.side == "left" else "tail"
+    value, rel = _beesack_das_core(e, ctx.r, ctx.s, ctx.interval, ctx.interval, side,
+                                   ctx.tol)
+    return _breakdown(ctx, [("K1(a,b,p,q)" if side == "head" else "K2(a,b,p,q)", value)],
+                      rel)
+
+
+def _build_bs(ctx: _Ctx):
+    e = ExponentSet(**ctx.exps, conjugate_check=False)
+    value, rel = beesack_K(e, ctx.r, ctx.s, ctx.interval, side=ctx.side,
+                           substituted=False, tol=ctx.tol)
+    return _breakdown(ctx, [("K1(p,q,k)" if ctx.side == "left" else "K2(p,q,k)", value)],
+                      rel)
+
+
 # -- parameter checks --------------------------------------------------------
 
 
-def _check_none(e: ExponentSet):
-    return {}
+def _require(holds, message):
+    if not holds:
+        raise PreconditionFailed(message)
+
+
+def _reads(*names, require=None):
+    """The check of a row that reads the exponents p, q, k, in that order,
+    as many as it names (``names`` are their names in messages); each one
+    it reads is required, and ``require(x)`` checks the rest of its
+    hypotheses."""
+    def check(e: ExponentSet):
+        x = {}
+        for attr, name in zip("pqk", names):
+            value = getattr(e, attr)
+            _require(value is not None, f"{name} required")
+            x[attr] = float(value)
+        if require is not None:
+            require(x)
+        return x
+
+    return check
+
+
+def _check_pint(minimum):
+    """p an integer >= minimum."""
+    return _reads("p", require=lambda x: _require(
+        x["p"] >= minimum and x["p"].is_integer(),
+        f"p must be an integer >= {minimum}, got {x['p']}"))
+
+
+_check_p_above_1 = _reads("p", require=lambda x: _require(
+    x["p"] > 1, f"p > 1 required, got {x['p']}"))
 
 
 def _check_conjugate(e: ExponentSet):
@@ -560,56 +682,32 @@ def _check_conjugate(e: ExponentSet):
     return {"p": p, "q": q}
 
 
-def _check_pint(minimum=1):
-    def check(e: ExponentSet):
-        return {"p": _positive_integer_p(e, minimum)}
-
-    return check
-
-
 def _check_conj_int(e: ExponentSet):
     p, q = _conjugate_pair(e)
-    if not float(p).is_integer():
-        raise PreconditionFailed(f"p must be an integer > 1, got {p}")
+    _require(float(p).is_integer(), f"p must be an integer > 1, got {p}")
     return {"p": p, "q": q}
 
 
 def _check_boyd(e: ExponentSet):
     p, q = _conjugate_pair(e)
-    if e.k is None:
-        raise PreconditionFailed("the Boyd integrability exponent (k) is required")
+    _require(e.k is not None, "the Boyd integrability exponent (k) is required")
     s_exp = float(e.k)
-    if not (s_exp > 1 and 0 <= q < s_exp):
-        raise PreconditionFailed(
-            f"s > 1 and 0 <= q < s required (q={q}, s={s_exp})"
-        )
+    _require(s_exp > 1 and 0 <= q < s_exp, f"s > 1 and 0 <= q < s required (q={q}, s={s_exp})")
     return {"p": p, "q": q, "k": s_exp}
 
 
 def _check_beesack_k(e: ExponentSet):
-    p, q = _conjugate_pair(e)
-    if not (p > 1 and q > 1):
-        raise PreconditionFailed("p, q > 1 required")
-    if e.k is None:
-        raise PreconditionFailed("the integrability exponent k is required")
-    k = float(e.k)
-    if not (k > 1 and 0 < q < k):
-        raise PreconditionFailed(f"k > 1 and 0 < q < k required (q={q}, k={k})")
-    return {"p": p, "q": q, "k": k}
+    x = _check_pq_gt1(e)
+    _require(e.k is not None, "the integrability exponent k is required")
+    k, q = float(e.k), x["q"]
+    _require(k > 1 and 0 < q < k, f"k > 1 and 0 < q < k required (q={q}, k={k})")
+    return {**x, "k": k}
 
 
 def _check_pq_gt1(e: ExponentSet):
     p, q = _conjugate_pair(e)
-    if not (p > 1 and q > 1):
-        raise PreconditionFailed("p, q > 1 required")
+    _require(p > 1 and q > 1, "p, q > 1 required")
     return {"p": p, "q": q}
-
-
-def _check_hardy(e: ExponentSet):
-    p = _need_p(e, "p > 1 required")
-    if p <= 1:
-        raise PreconditionFailed(f"p > 1 required, got {p}")
-    return {"p": p}
 
 
 # -- registry ----------------------------------------------------------------
@@ -617,7 +715,7 @@ def _check_hardy(e: ExponentSet):
 
 def _pair(left, right, build, check, lhs, rhs, **fields):
     """The rows of a theorem and its mirror (None: no mirror)."""
-    return {ident: TheoremInfo(ident, side, build, check, lhs, rhs, **fields)
+    return {ident: Row(ident, (side,), build, check, lhs, rhs, **fields)
             for ident, side in ((left, "left"), (right, "right")) if ident}
 
 
@@ -636,13 +734,13 @@ def _f_pp1(outer):
 
 
 THEOREMS: dict = {
-    **_pair("T2.1", "T2.2", _build_t2_1, _check_none, lambda x: (1.0, 2.0), _f2,
+    **_pair("T2.1", "T2.2", _build_t2_1, _reads(), lambda x: (1.0, 2.0), _f2,
             rhs_weight="s"),
-    **_pair("T2.3", "T2.4", _build_t2_3, _check_none, _F2, _f2),
-    **_pair("T2.5", "T2.6", _build_t2_5, _check_none, _F2, _f2, rhs_weight="s"),
+    **_pair("T2.3", "T2.4", _build_t2_3, _reads(), _F2, _f2),
+    **_pair("T2.5", "T2.6", _build_t2_5, _reads(), _F2, _f2, rhs_weight="s"),
     **_pair("T2.7", "T2.8", _build_t2_7, _check_conjugate, _F2,
             lambda x: (x["q"], 2.0 / x["q"]), rhs_weight="s"),
-    **_pair("T2.9", "T2.10", _build_t2_9, _check_none, _F2, _f2, rhs_weight="R*s"),
+    **_pair("T2.9", "T2.10", _build_t2_9, _reads(), _F2, _f2, rhs_weight="R*s"),
     **_pair("T2.11", "T2.12", _build_t2_11, _check_pint(1), _FP1, _fp1),
     **_pair("T2.13", None, _build_t2_13, _check_pint(1), _FP1, _fp1,
             rhs_weight="s"),
@@ -672,13 +770,74 @@ THEOREMS: dict = {
             _f_pp1(lambda p: (p - 1.0) / (p * (p + 1.0)))),
     **_pair("C2.2a", "C2.2b", _build_c2_1, _check_conj_int, _ROOT_FP1,
             _f_pp1(lambda p: (p - 1.0) / (p * (p + 1.0)))),
-    **_pair("HARDY", None, _build_hardy, _check_hardy, lambda x: (x["p"], x["p"]),
-            lambda x: (x["p"], None), needs_r=False),
+    **_pair("HARDY", None, _build_hardy, _check_p_above_1, lambda x: (x["p"], x["p"]),
+            lambda x: (x["p"], None), lhs_weight="x-a"),
 }
+
+
+def _lemma(ident, sides, build, check=_reads(), P=lambda x: 1.0, E=lambda x: 2.0,
+           outer=None, Q=lambda x: 1.0, lhs_weight="", **fields):
+    """A lemma's row: int [r] |y|^P |y'|^Q <= C (int [weights] |y'|^E)^outer."""
+    return Row(ident, sides, build, check, lambda x: (P(x), None),
+               lambda x: (E(x), None if outer is None else outer(x)), Q=Q,
+               lhs_weight=lhs_weight, **fields)
+
+
+_ONE_END = ("left", "right")
+_BOYD_NAMES = ("nu (pass as p)", "eta (pass as q)", "s (pass as k)")
+_P, _Q = (lambda x: x["p"]), (lambda x: x["q"])
+
+
+def _y(ident, **fields):
+    """Y1, and Y2 with the weight r."""
+    return _lemma(ident, _ONE_END, _build_y1,
+                  _reads("p", "q", require=lambda x: _require(
+                      x["p"] >= 0 and x["q"] >= 1,
+                      f"p >= 0 and q >= 1 required (p={x['p']}, q={x['q']})")),
+                  P=_P, Q=_Q, E=lambda x: x["p"] + x["q"], **fields)
+
+
+def _z(ident, side):
+    return _lemma(ident, (side,), _build_z, _reads("p", "q"), P=_P, Q=_Q,
+                  E=lambda x: x["p"] + x["q"], lhs_weight="r", rhs_weight="s")
+
+
+def _bs(ident, side):
+    return _lemma(ident, (side,), _build_bs, _reads("p", "q", "k"), P=_P, Q=_Q,
+                  E=lambda x: x["k"], outer=lambda x: (x["p"] + x["q"]) / x["k"],
+                  lhs_weight="r", rhs_weight="s")
+
+
+LEMMAS: dict = {row.ident: row for row in (
+    _lemma("OPIAL", ("both",), _build_opial),
+    _lemma("B1", _ONE_END, _build_b1),
+    _lemma("B2", _ONE_END, _build_half_inv, rhs_weight="s"),
+    _lemma("M1", _ONE_END, _build_m1, _check_p_above_1, E=lambda x: x["p"] / (x["p"] - 1.0),
+           outer=lambda x: 2.0 / (x["p"] / (x["p"] - 1.0)), rhs_weight="s"),
+    _lemma("Y", _ONE_END, _build_half_inv, lhs_weight="r", rhs_weight="sr",
+           monotone=True),
+    _lemma("H1", _ONE_END, _build_h1, _check_pint(1), P=_P, E=lambda x: x["p"] + 1.0),
+    _lemma("BW1", _ONE_END + ("both",), _build_bw1, _check_pint(1), P=_P,
+           E=lambda x: x["p"] + 1.0, lhs_weight="r", rhs_weight="s"),
+    _lemma("AG", _ONE_END, _build_ag, _check_pint(1), P=_P, E=lambda x: x["p"] + 1.0,
+           rhs_weight="s"),
+    _y("Y1"),
+    _y("Y2", lhs_weight="r", rhs_weight="r", monotone=True),
+    _lemma("BOYD", _ONE_END, _build_boyd, _reads(*_BOYD_NAMES), P=_P, Q=_Q,
+           E=lambda x: x["k"], outer=lambda x: (x["p"] + x["q"]) / x["k"]),
+    _lemma("L0", _ONE_END, _build_l0, _reads(*_BOYD_NAMES[:2]), P=_P, Q=_Q, E=_Q,
+           outer=lambda x: (x["p"] + x["q"]) / x["q"]),
+    _z("Z1", "left"),
+    _z("Z4", "right"),
+    _bs("BS1", "left"),
+    _bs("BS2", "right"),
+)}
 
 THEOREM_IDS = tuple(sorted(THEOREMS))
 
-DEFAULT_MODES = {ident: THEOREMS[ident].default_mode for ident in THEOREM_IDS}
+# every lemma reads as printed: L0's typeset L is the sound reading, as for
+# the L-based theorems
+DEFAULT_MODES = {ident: row.default_mode for ident, row in {**THEOREMS, **LEMMAS}.items()}
 
 _ALIASES = {"HARDY_CLASSICAL": "HARDY"}
 
@@ -693,25 +852,44 @@ def canonical_id(ident: str) -> str:
     raise DomainError(f"unknown theorem id {ident!r}")
 
 
-def theorem_info(ident: str) -> TheoremInfo:
+def theorem_info(ident: str) -> Row:
     return THEOREMS[canonical_id(ident)]
 
 
+@functools.cache
+def lemma_row(ident: str, side: str) -> Row:
+    """The row of lemma ``ident`` at the boundary ``side``: a row with that
+    one side, made once per (ident, side)."""
+    row = LEMMAS.get(ident)
+    if row is None:
+        raise DomainError(f"unknown variant {ident!r}")
+    if side not in row.sides:
+        raise PreconditionFailed(f"{ident} requires boundary in {row.sides}, got {side!r}")
+    return replace(row, sides=(side,))
+
+
 def resolve_mode(ident: str, mode: str) -> str:
+    """The mode of a theorem id or a lemma id, "default" resolved."""
     if mode in (None, "default"):
-        return DEFAULT_MODES[canonical_id(ident)]
+        return DEFAULT_MODES[ident if ident in LEMMAS else canonical_id(ident)]
     if mode not in ("as_printed", "as_derived"):
         raise DomainError(f"unknown mode {mode!r}")
     return mode
 
 
-def resolve(ident: str, r, s, e: Optional[ExponentSet], mode: str):
+def resolve(ident: str, r, s, e: Optional[ExponentSet], mode: str,
+            side: Optional[str] = None):
     """(ident, row, mode, exponents) of one instance: the canonical id, its
-    row, the resolved mode and the checked exponents.  Raises
-    PreconditionFailed where a weight the theorem takes is missing or the
+    row, the resolved mode and the checked exponents.  A lemma instance
+    names its boundary ``side`` and gets the lemma's row at that side; a
+    theorem instance (side None) gets its theorem's row.  Raises
+    PreconditionFailed where a weight the row takes is missing or the
     exponents violate its hypotheses."""
-    ident = canonical_id(ident)
-    info = THEOREMS[ident]
+    if side is None:
+        ident = canonical_id(ident)
+        info = THEOREMS[ident]
+    else:
+        info = lemma_row(ident, side)
     mode = resolve_mode(ident, mode)
     for name, needed, weight in (("s", info.needs_s, s), ("r", info.needs_r, r)):
         if needed and weight is None:
@@ -719,13 +897,22 @@ def resolve(ident: str, r, s, e: Optional[ExponentSet], mode: str):
     return ident, info, mode, info.check(e if e is not None else ExponentSet())
 
 
-def check_weights(info: TheoremInfo, r, s, interval: fs.Interval) -> None:
+def check_weights(info: Row, r, s, interval: fs.Interval) -> None:
     """Raise the InvalidSpec of a weight spec that is invalid or negative
-    inside the interval: r wherever given, s where the theorem takes it."""
+    inside the interval: r wherever given, s where the row takes it.  A
+    monotone lemma's r must not grow away from its vanishing end."""
     weights = [w for w, read in ((r, True), (s, info.needs_s)) if read and w is not None]
     for error in fs.nonnegativity_errors(weights, interval):
         if error is not None:
             raise error
+    if info.monotone:
+        xs = np.linspace(interval.a, interval.b, 257)
+        vals = fs.evaluate_array(r, xs, interval)
+        slack = 1e-10 * max(1.0, float(np.max(np.abs(vals))))
+        growth = np.diff(vals) if info.side == "left" else -np.diff(vals)
+        direction = "nonincreasing" if info.side == "left" else "nondecreasing"
+        _require(not np.any(growth > slack),
+                 f"the left-side weight must be {direction} for this boundary")
 
 
 def hardy_constant(
@@ -736,15 +923,17 @@ def hardy_constant(
     interval: fs.Interval,
     mode: str = "default",
     tol: Optional[float] = None,
+    side: Optional[str] = None,
 ) -> ConstantBreakdown:
     """The multiplicative constant of one catalog inequality.
 
-    r and s are weight specs; theorems that take no second weight ignore
-    s.  Raises PreconditionFailed when a weight is missing
-    or the exponents violate the stated hypotheses and NonIntegrable when
-    a weight integral in the constant diverges.
+    r and s are weight specs; rows that take no second weight ignore s.
+    A lemma's constant takes the lemma id and its boundary ``side``.
+    Raises PreconditionFailed when a weight is missing or the exponents
+    violate the stated hypotheses and NonIntegrable when a weight integral
+    in the constant diverges.
     """
-    ident, info, mode, exps = resolve(ident, r, s, e, mode)
+    ident, info, mode, exps = resolve(ident, r, s, e, mode, side)
     check_weights(info, r, s, interval)
     ctx = _Ctx(
         r=r,

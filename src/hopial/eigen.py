@@ -527,8 +527,9 @@ def compare_routes(prob: EigenProblem, tol: float = 1e-9) -> dict:
 
 
 def _derivative_fn(s, interval):
-    """Exact derivative spec when the catalog provides it, else central
-    differences; piecewise-linear weights with interior kinks are rejected."""
+    """The derivative of s as a vectorized function: the program of its exact
+    derivative spec when the catalog provides it, else central differences;
+    piecewise-linear weights with interior kinks are rejected."""
     if isinstance(s, fs.PiecewiseLinear) and len(s.knots) > 2:
         raise NonDifferentiableWeight(
             "piecewise-linear weight has interior kinks; its derivative is "
@@ -538,7 +539,7 @@ def _derivative_fn(s, interval):
         raise NonDifferentiableWeight("step weights are not differentiable")
     ds = fs.derivative(s, interval)
     if ds is not None:
-        return fs.compile_program(ds, interval), ds
+        return fs.compile_program(ds, interval)
     fn = fs.compile_program(s, interval)
     h = 1e-6 * interval.width
 
@@ -548,7 +549,7 @@ def _derivative_fn(s, interval):
         xm = np.maximum(xs - h, interval.a)
         return (np.asarray(fn(xp), float) - np.asarray(fn(xm), float)) / (xp - xm)
 
-    return diff, None
+    return diff
 
 
 def t2_13_constant_result(r, s, p, interval: fs.Interval, tol: float = 1e-8):
@@ -559,7 +560,7 @@ def t2_13_constant_result(r, s, p, interval: fs.Interval, tol: float = 1e-8):
     """
     if not (p >= 1 and float(p).is_integer()):
         raise PreconditionFailed(f"p must be a positive integer, got {p}")
-    m_fn, _ = _derivative_fn(s, interval)
+    m_fn = _derivative_fn(s, interval)
     probe = np.linspace(interval.a, interval.b, 513)[1:-1]
     m_vals = np.asarray(m_fn(probe), dtype=float)
     s_fn = _as_fn(s, interval)

@@ -372,7 +372,7 @@ def nonnegativity_errors(specs: Sequence[FunctionSpec], interval: Interval,
                 errors[i] = InvalidSpec("spec is negative inside the interval")
         except InvalidSpec as exc:
             errors[i] = exc
-    xs = np.linspace(interval.a, interval.b, samples + 2)[1:-1]
+    xs = np.linspace(interval.a, interval.b, samples + 2)[1:-1] if probed else None
     for i in probed:
         row = compile_program(specs[i], interval)(xs)
         if np.any(np.isnan(row)):
@@ -472,11 +472,14 @@ def merge_product(specs: Sequence[FunctionSpec]) -> list:
     return merged + rest
 
 
-def _coefficient_power(c: float, exponent: float) -> float:
+def float_power(c: Optional[float], exponent: float) -> float:
+    """c**exponent, or e**exponent (math.exp) where c is None; an overflow,
+    or 0 to a negative power, raises DomainError."""
     try:
-        return c**exponent
-    except OverflowError:
-        raise DomainError(f"coefficient {c:g} to the power {exponent:g} overflows")
+        return math.exp(exponent) if c is None else c**exponent
+    except (OverflowError, ZeroDivisionError):
+        base = "e" if c is None else f"{c:g}"
+        raise DomainError(f"{base} to the power {exponent:g} overflows")
 
 
 def power_of(spec: FunctionSpec, exponent: float) -> FunctionSpec:
@@ -485,13 +488,13 @@ def power_of(spec: FunctionSpec, exponent: float) -> FunctionSpec:
     if exponent == 1.0:
         return spec
     if isinstance(spec, Constant):
-        return Constant(_coefficient_power(spec.c, exponent))
+        return Constant(float_power(spec.c, exponent))
     if isinstance(spec, PowerLaw) and spec.c >= 0:
-        return PowerLaw(_coefficient_power(spec.c, exponent), spec.alpha * exponent)
+        return PowerLaw(float_power(spec.c, exponent), spec.alpha * exponent)
     if isinstance(spec, ShiftedPowerLaw) and spec.c >= 0:
-        return ShiftedPowerLaw(_coefficient_power(spec.c, exponent), spec.alpha * exponent)
+        return ShiftedPowerLaw(float_power(spec.c, exponent), spec.alpha * exponent)
     if isinstance(spec, Exponential) and spec.c >= 0:
-        return Exponential(_coefficient_power(spec.c, exponent), spec.beta * exponent)
+        return Exponential(float_power(spec.c, exponent), spec.beta * exponent)
     if isinstance(spec, Power):
         return Power(spec.base, spec.exponent * exponent)
     return Power(spec, exponent)
@@ -581,7 +584,7 @@ def closed_antiderivative(spec: FunctionSpec, interval: Interval) -> Optional[Fu
         k = spec.c / (spec.alpha + 1.0)
         return Sum(
             [
-                Constant(k * (b - a) ** (spec.alpha + 1.0)),
+                Constant(k * float_power(b - a, spec.alpha + 1.0)),
                 ShiftedPowerLaw(-k, spec.alpha + 1.0),
             ]
         )
@@ -589,7 +592,8 @@ def closed_antiderivative(spec: FunctionSpec, interval: Interval) -> Optional[Fu
         if spec.beta == 0.0:
             return PowerLaw(spec.c, 1.0)
         k = spec.c / spec.beta
-        return Sum([Exponential(k, spec.beta), Constant(-k * math.exp(spec.beta * a))])
+        return Sum([Exponential(k, spec.beta),
+                    Constant(-k * float_power(None, spec.beta * a))])
     if isinstance(spec, PiecewiseLinear):
         xs, vs = np.array(spec.knots).T
         coeffs = _pwl_antiderivative(xs[None], vs[None])[0]

@@ -1,4 +1,4 @@
-"""Direct verification of the Opial-type lemmas on explicit test paths.
+"""The Opial-type lemmas on explicit test paths.
 
 Every Hardy bound in the catalog is an application of one of these
 inequalities to the cumulative F of f, so checking the lemmas on
@@ -12,33 +12,29 @@ entirely.  Weights are passed as {"r": ..., "s": ...} where r multiplies
 the left-hand side and s the right-hand side; single-weight variants use
 "s" (Y2 carries r on both sides).
 
-Each lemma is one row of a table: the left side [r] |y|^P |y'|^Q, the
-right side ([weights] |y'|^E)^outer, and the constant -- a closed form,
-(int s^e)^k over a divisor, the eigenvalue solve, Boyd's N or L, or a
-Beesack constant.  A check integrates both sides, and the integral in the
-constant where it has one, in one ``quad.integrate_many`` call.
-
-The report type and the ratio rule are shared with the theorem verifier:
-Holds when ratio <= 1 + budget, Violated above 1 + 10*budget,
-Inconclusive between, where budget sums the relative errors of the left
-side, the right side and the constant.
+The lemmas are rows of the one catalog table, ``constants.LEMMAS``, of
+the row type the theorems use: a theorem is a lemma with y = F, y' = f
+and no power of y'.  So a lemma check is one pass of ``verify`` on a
+path, with F = |y| and f = |y'|: the same side planner, the same
+``integrate_many`` call, the same constant builders and the same ratio
+rule.  This module holds the paths, their audit (``TestPath.check``),
+the reflection of specs and ``verify_variant``, the lemma front end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from types import SimpleNamespace
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
 from . import constants as ct
-from . import eigen
 from . import funcspace as fs
 from . import quad
-from . import special
-from .errors import DomainError, HopialError, PreconditionFailed
+from . import verify as vf
+from .errors import DomainError, PreconditionFailed
+from .verify import VerificationReport, classify_status, judge
 
 __all__ = [
     "OpialVariant",
@@ -52,152 +48,12 @@ __all__ = [
     "path_from_spec",
     "random_paths",
     "reflect_spec",
-    "opial_lhs",
     "verify_variant",
     "classify_status",
     "judge",
-    "report",
 ]
 
-# ---------------------------------------------------------------------------
-# the lemmas as data
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Lemma:
-    """A lemma: lhs = [r] |y|^P |y'|^Q and rhs = ([weights] |y'|^E)^outer,
-    both integrated on the path, and ``constant(c)`` = (value, relative
-    error).  Exponents, checks and the constant are functions of the
-    check's inputs c (see ``_inputs``).  ``needs`` names the exponents p,
-    q, k the lemma reads, in that order.  With ``inv`` set, the constant
-    reads c.inv, the integral of s^inv(c)."""
-
-    boundaries: tuple
-    constant: Callable
-    needs: tuple = ()
-    check: Optional[Callable] = None
-    left_weight: bool = False
-    P: Callable = lambda c: 1.0
-    Q: Callable = lambda c: 1.0
-    right_weights: str = ""
-    E: Callable = lambda c: 2.0
-    outer: Optional[Callable] = None
-    inv: Optional[Callable] = None
-    monotone: bool = False  # r must not grow away from the vanishing end
-
-
-def _require(holds, message):
-    if not holds:
-        raise PreconditionFailed(message)
-
-
-def _integer_p(c):
-    _require(c.p >= 1 and float(c.p).is_integer(),
-             f"p must be a positive integer, got {c.p}")
-
-
-def _b1_constant(c):
-    constant = (c.iv.b / 2.0) if c.mode == "as_printed" else (c.iv.width / 2.0)
-    _require(constant > 0, "printed constant b/2 is nonpositive on this interval; "
-                           "use as_derived")
-    return constant, 0.0
-
-
-def _half_inv(c):
-    """(int 1/s) / 2."""
-    return c.inv.value / 2.0, c.inv.rel_error
-
-
-def _bw1_constant(c):
-    m_fn, _ = eigen._derivative_fn(c.r, c.iv)
-    res = eigen.solve_smallest(eigen.EigenProblem(c.s, m_fn, c.p, c.iv, "both"),
-                               tol=1e-8)
-    return 1.0 / (res.value * (c.p + 1.0)), res.rel_error
-
-
-def _boyd_constant(c):
-    n_val, n_rel = special.boyd_N_result(special.BoydParams(c.p, c.q, c.k))
-    return n_val * c.iv.width**c.p, n_rel
-
-
-def _beesack_das_constant(c):
-    e = ct.ExponentSet(p=c.p, q=c.q, conjugate_check=False)
-    return ct._beesack_das_core(e, c.r, c.s, c.iv, c.iv,
-                                "head" if c.boundary == "left" else "tail", None)
-
-
-def _beesack_constant(c):
-    e = ct.ExponentSet(p=c.p, q=c.q, k=c.k, conjugate_check=False)
-    return ct.beesack_K(e, c.r, c.s, c.iv, side=c.boundary, substituted=False)
-
-
-_ONE_END = ("left", "right")
-_BOYD_NAMES = ("nu (pass as p)", "eta (pass as q)", "s (pass as k)")
-
-
-def _y(**fields):
-    """Y1, and Y2 with the weight r."""
-    return _Lemma(
-        _ONE_END, lambda c: ((c.q / (c.p + c.q)) * c.iv.width**c.p, 0.0), ("p", "q"),
-        lambda c: _require(c.p >= 0 and c.q >= 1,
-                           f"p >= 0 and q >= 1 required (p={c.p}, q={c.q})"),
-        P=lambda c: c.p, Q=lambda c: c.q, E=lambda c: c.p + c.q, **fields)
-
-
-def _z(boundary):
-    return _Lemma((boundary,), _beesack_das_constant, ("p", "q"), left_weight=True,
-                  P=lambda c: c.p, Q=lambda c: c.q, right_weights="s",
-                  E=lambda c: c.p + c.q)
-
-
-def _bs(boundary):
-    return _Lemma((boundary,), _beesack_constant, ("p", "q", "k"), left_weight=True,
-                  P=lambda c: c.p, Q=lambda c: c.q, right_weights="s",
-                  E=lambda c: c.k, outer=lambda c: (c.p + c.q) / c.k)
-
-
-_LEMMAS = {
-    "OPIAL": _Lemma(("both",), lambda c: (c.iv.width / 4.0, 0.0)),
-    "B1": _Lemma(_ONE_END, _b1_constant),
-    "B2": _Lemma(_ONE_END, _half_inv, right_weights="s", inv=lambda c: -1.0),
-    "M1": _Lemma(
-        _ONE_END,
-        lambda c: (c.inv.value ** (2.0 / c.p) / 2.0, (2.0 / c.p) * c.inv.rel_error),
-        ("p",), lambda c: _require(c.p > 1, f"p > 1 required, got {c.p}"),
-        right_weights="s", E=lambda c: c.p / (c.p - 1.0),
-        outer=lambda c: 2.0 / (c.p / (c.p - 1.0)), inv=lambda c: -(c.p - 1.0),
-    ),
-    "Y": _Lemma(_ONE_END, _half_inv, left_weight=True, right_weights="sr",
-                inv=lambda c: -1.0, monotone=True),
-    "H1": _Lemma(_ONE_END, lambda c: (c.iv.width**c.p / (c.p + 1.0), 0.0), ("p",),
-                 _integer_p, P=lambda c: c.p, E=lambda c: c.p + 1.0),
-    "BW1": _Lemma(_ONE_END + ("both",), _bw1_constant, ("p",), _integer_p,
-                  left_weight=True, P=lambda c: c.p, right_weights="s",
-                  E=lambda c: c.p + 1.0),
-    "AG": _Lemma(_ONE_END, lambda c: (c.inv.value**c.p / (c.p + 1.0),
-                                      c.p * c.inv.rel_error),
-                 ("p",), _integer_p, P=lambda c: c.p, right_weights="s",
-                 E=lambda c: c.p + 1.0, inv=lambda c: -1.0 / c.p),
-    "Y1": _y(),
-    "Y2": _y(left_weight=True, right_weights="r", monotone=True),
-    "BOYD": _Lemma(_ONE_END, _boyd_constant, _BOYD_NAMES, P=lambda c: c.p,
-                   Q=lambda c: c.q, E=lambda c: c.k, outer=lambda c: (c.p + c.q) / c.k),
-    "L0": _Lemma(_ONE_END, lambda c: (special.boyd_L(c.p, c.q, mode=c.mode)
-                                      * c.iv.width**c.p, 0.0),
-                 _BOYD_NAMES[:2], P=lambda c: c.p, Q=lambda c: c.q, E=lambda c: c.q,
-                 outer=lambda c: (c.p + c.q) / c.q),
-    "Z1": _z("left"),
-    "Z4": _z("right"),
-    "BS1": _bs("left"),
-    "BS2": _bs("right"),
-}
-
-VARIANT_IDS = tuple(_LEMMAS)
-
-# L0 included: the typeset L (no Gamma-ratio power) is the sound reading,
-# see the constants module
-DEFAULT_VARIANT_MODES = {ident: "as_printed" for ident in VARIANT_IDS}
+VARIANT_IDS = tuple(ct.LEMMAS)
 
 
 @dataclass(frozen=True)
@@ -206,21 +62,13 @@ class OpialVariant:
     boundary: str
 
     def __post_init__(self):
-        if self.identifier not in VARIANT_IDS:
-            raise DomainError(f"unknown variant {self.identifier!r}")
-        allowed = _LEMMAS[self.identifier].boundaries
-        if self.boundary not in allowed:
-            raise PreconditionFailed(
-                f"{self.identifier} requires boundary in {allowed}, "
-                f"got {self.boundary!r}"
-            )
+        ct.lemma_row(self.identifier, self.boundary)
 
 
 def variant(identifier: str, boundary: Optional[str] = None) -> OpialVariant:
     identifier = identifier.upper()
-    if boundary is None:
-        lemma = _LEMMAS.get(identifier)
-        boundary = lemma.boundaries[0] if lemma is not None else "left"
+    if boundary is None:  # an unknown id keeps "left", for OpialVariant to reject
+        boundary = ct.LEMMAS[identifier].side if identifier in ct.LEMMAS else "left"
     return OpialVariant(identifier, boundary)
 
 
@@ -248,33 +96,33 @@ class TestPath:
             iv,
         )
 
-
-def check_path(path: TestPath, boundary: str, tol_end: float = 1e-12) -> None:
-    """Boundary values and derivative consistency audit."""
-    iv = path.interval
-    y_prog = fs.compile_program(path.y, iv)
-    ya = float(np.asarray(y_prog(np.array([iv.a])))[0])
-    yb = float(np.asarray(y_prog(np.array([iv.b])))[0])
-    scale_ref = max(float(np.max(np.abs(y_prog(np.linspace(iv.a, iv.b, 64))))), 1e-30)
-    if boundary in ("left", "both") and abs(ya) > tol_end * scale_ref:
-        raise PreconditionFailed(f"path must vanish at a (y(a)={ya:g})")
-    if boundary in ("right", "both") and abs(yb) > tol_end * scale_ref:
-        raise PreconditionFailed(f"path must vanish at b (y(b)={yb:g})")
-    anti = fs.closed_antiderivative(path.dy, iv)
-    xs = np.linspace(iv.a, iv.b, 17)
-    if anti is not None:
-        recon = fs.compile_program(anti, iv)(xs) + ya
-    else:
-        recon = np.array(
-            [ya]
-            + [
-                ya + quad.integrate(path.dy, fs.Interval(iv.a, float(x)),
-                                    tol=1e-10, home=iv).value
-                for x in xs[1:]
-            ]
-        )
-    if float(np.max(np.abs(recon - y_prog(xs)))) > 1e-9 * scale_ref:
-        raise PreconditionFailed("derivative is inconsistent with the path")
+    def check(self, boundary: str, tol_end: float = 1e-12) -> None:
+        """Boundary values and derivative consistency audit, which a lemma
+        pass runs on its path."""
+        iv = self.interval
+        y_prog = fs.compile_program(self.y, iv)
+        ya = float(np.asarray(y_prog(np.array([iv.a])))[0])
+        yb = float(np.asarray(y_prog(np.array([iv.b])))[0])
+        scale_ref = max(float(np.max(np.abs(y_prog(np.linspace(iv.a, iv.b, 64))))), 1e-30)
+        if boundary in ("left", "both") and abs(ya) > tol_end * scale_ref:
+            raise PreconditionFailed(f"path must vanish at a (y(a)={ya:g})")
+        if boundary in ("right", "both") and abs(yb) > tol_end * scale_ref:
+            raise PreconditionFailed(f"path must vanish at b (y(b)={yb:g})")
+        anti = fs.closed_antiderivative(self.dy, iv)
+        xs = np.linspace(iv.a, iv.b, 17)
+        if anti is not None:
+            recon = fs.compile_program(anti, iv)(xs) + ya
+        else:
+            recon = np.array(
+                [ya]
+                + [
+                    ya + quad.integrate(self.dy, fs.Interval(iv.a, float(x)),
+                                        tol=1e-10, home=iv).value
+                    for x in xs[1:]
+                ]
+            )
+        if float(np.max(np.abs(recon - y_prog(xs)))) > 1e-9 * scale_ref:
+            raise PreconditionFailed("derivative is inconsistent with the path")
 
 
 def linear_path(interval: fs.Interval, boundary: str = "left") -> TestPath:
@@ -317,10 +165,9 @@ def path_from_spec(y: fs.FunctionSpec, interval: fs.Interval) -> TestPath:
 
 def random_paths(interval: fs.Interval, boundary: str, count: int, seed: int,
                  n_knots: int = 5) -> list:
-    vanish = {"left": "left", "right": "right", "both": "both"}[boundary]
     fam = fs.RandomPiecewiseLinear(
         n_knots=n_knots, value_range=(0.0, 1.0), seed=seed,
-        interval=interval, vanish_at=vanish,
+        interval=interval, vanish_at=boundary,
     )
     return [path_from_spec(y, interval) for y in fs.sample_family(fam, count)]
 
@@ -371,130 +218,8 @@ def reflect_spec(spec: fs.FunctionSpec, interval: fs.Interval) -> fs.FunctionSpe
 
 
 # ---------------------------------------------------------------------------
-# reports and the ratio rule
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """One check of lhs <= constant * rhs_core: a lemma on a path, or a
-    catalog theorem on a test function.  ``error_budget`` is relative;
-    ``breakdown`` is a theorem constant's factor table (None for lemmas)."""
-
-    ident: str
-    mode: str
-    lhs: float
-    rhs_core: float
-    constant: float
-    ratio: float
-    status: str
-    error_budget: float
-    breakdown: Optional[ct.ConstantBreakdown] = None
-    detail: str = ""
-
-
-def classify_status(ratio: float, budget: float) -> str:
-    if not math.isfinite(ratio):
-        return "Violated" if ratio > 0 else "Inconclusive"
-    if ratio <= 1.0 + budget:
-        return "Holds"
-    if ratio > 1.0 + 10.0 * budget:
-        return "Violated"
-    return "Inconclusive"
-
-
-def judge(lhs, rhs_core, constant, budget):
-    """(ratio, status, budget) for lhs <= constant * rhs_core: ratio 0 when
-    lhs = 0, inf when constant * rhs_core <= 0, budget floored at 1e-12."""
-    denom = constant * rhs_core
-    if lhs == 0.0:
-        ratio = 0.0
-    elif denom <= 0.0:
-        ratio = math.inf
-    else:
-        ratio = lhs / denom
-    budget = max(budget, 1e-12)
-    return ratio, classify_status(ratio, budget), budget
-
-
-def report(ident, mode, lhs: quad.QuadResult, rhs: quad.QuadResult, constant,
-           constant_rel, breakdown=None, detail="") -> VerificationReport:
-    """The report of lhs <= constant * rhs from the two sides and the
-    constant's relative error; the budget sums the three relative errors."""
-    ratio, status, budget = judge(lhs.value, rhs.value, constant,
-                                  lhs.rel_error + rhs.rel_error + constant_rel)
-    return VerificationReport(ident, mode, lhs.value, rhs.value, constant, ratio,
-                              status, budget, breakdown, detail)
-
-
-# ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
-
-
-_WEIGHT_NAMES = {"r": "r (the left-side weight)", "s": "s (the right-side weight)"}
-
-
-def _inputs(lemma, boundary, iv, weights, exponents, mode):
-    """The check's inputs c: the exponents p, q, k (None where the lemma
-    reads none; each one it reads is required), the interval iv, the
-    weights r and s, the mode and the boundary.  c.inv is set once the
-    constant's integral is done."""
-    values = dict.fromkeys("pqk")
-    for attr, name in zip("pqk", lemma.needs):
-        value = getattr(exponents, attr, None)
-        if value is None:
-            raise PreconditionFailed(f"{name} required")
-        values[attr] = float(value)
-    weights = weights or {}
-    return SimpleNamespace(**values, iv=iv, r=weights.get("r"), s=weights.get("s"),
-                           mode=mode, boundary=boundary, inv=None)
-
-
-def _weight(c, key):
-    w = getattr(c, key)
-    if w is None:
-        raise PreconditionFailed(f"variant needs weight {_WEIGHT_NAMES[key]!r}")
-    return w
-
-
-def _abs_pow(spec, exponent):
-    if exponent == 0:
-        return fs.Constant(1.0)
-    return fs.power_of(fs.AbsVal(spec), exponent)
-
-
-def _lhs_spec(lemma, path, c):
-    weight = [_weight(c, "r")] if lemma.left_weight else []
-    return fs.Product(weight + [_abs_pow(path.y, lemma.P(c)),
-                                _abs_pow(path.dy, lemma.Q(c))])
-
-
-def _rhs_spec(lemma, path, c):
-    terms = [_weight(c, key) for key in lemma.right_weights]
-    terms.append(_abs_pow(path.dy, lemma.E(c)))
-    return terms[0] if len(terms) == 1 else fs.Product(terms)
-
-
-def opial_lhs(v: OpialVariant, path: TestPath, weights=None, exponents=None,
-              tol: Optional[float] = None) -> quad.QuadResult:
-    """Quadrature of the variant's left-hand side on the path."""
-    check_path(path, v.boundary)
-    lemma = _LEMMAS[v.identifier]
-    c = _inputs(lemma, v.boundary, path.interval, weights, exponents, "default")
-    return quad.integrate(_lhs_spec(lemma, path, c), path.interval, tol=tol)
-
-
-def _monotone_audit(w, interval, boundary):
-    """The left-side weight must not grow away from the vanishing end."""
-    xs = np.linspace(interval.a, interval.b, 257)
-    vals = fs.evaluate_array(w, xs, interval)
-    slack = 1e-10 * max(1.0, float(np.max(np.abs(vals))))
-    growth = np.diff(vals) if boundary == "left" else -np.diff(vals)
-    if np.any(growth > slack):
-        direction = "nonincreasing" if boundary == "left" else "nondecreasing"
-        raise PreconditionFailed(
-            f"the left-side weight must be {direction} for this boundary")
 
 
 def verify_variant(
@@ -505,36 +230,10 @@ def verify_variant(
     mode: str = "default",
     tol: Optional[float] = None,
 ) -> VerificationReport:
-    """Check the variant's inequality on one path.
-
-    The hypotheses are checked first.  Then the left side, the right side
-    and the integral in the constant, where it has one, are integrated in
-    one ``integrate_many`` call.
-    """
-    if mode in (None, "default"):
-        mode = DEFAULT_VARIANT_MODES[v.identifier]
-    lemma = _LEMMAS[v.identifier]
-    iv = path.interval
-    check_path(path, v.boundary)
-    c = _inputs(lemma, v.boundary, iv, weights, exponents, mode)
-    jobs = [quad.Job(_lhs_spec(lemma, path, c), iv, tol)]
-    if lemma.check is not None:
-        lemma.check(c)
-    jobs.append(quad.Job(_rhs_spec(lemma, path, c), iv, tol))
-    if lemma.monotone:
-        _monotone_audit(c.r, iv, v.boundary)
-    if lemma.inv is not None:
-        jobs.append(quad.Job(fs.power_of(c.s, lemma.inv(c)), iv, tol))
-    lhs, rhs, *inv = quad.integrate_many(jobs)
-    # errors surface in the order the sides and the constant are read
-    for res in [lhs] + inv:
-        if isinstance(res, HopialError):
-            raise res
-    c.inv = inv[0] if inv else None
-    constant, constant_rel = lemma.constant(c)
-    if isinstance(rhs, HopialError):
-        raise rhs
-    if lemma.outer is not None:
-        rhs = rhs.raised(lemma.outer(c))
-    return report(v.identifier, mode, lhs, rhs, constant, constant_rel,
-                  detail=f"boundary={v.boundary}")
+    """Check the variant's inequality on one path: one pass of ``verify``,
+    with the path audited (``TestPath.check``), the weights checked
+    (``constants.check_weights``) and the constant built first."""
+    weights = weights or {}
+    inst = vf.TheoremInstance(v.identifier, weights.get("r"), weights.get("s"), path,
+                              exponents, path.interval, mode, v.boundary)
+    return replace(vf.single_pass(inst, tol), detail=f"boundary={v.boundary}")

@@ -191,7 +191,7 @@ class QuadResult:
         outer * rel + f_power * f_rel (first order)."""
         if self.value < 0 and outer != 1.0:
             raise HopialError("negative core under an outer power")
-        value = self.value**outer
+        value = fs.float_power(self.value, outer)
         rel = outer * self.rel_error + f_power * f_rel
         return QuadResult(value, rel * abs(value), self.subdivisions)
 

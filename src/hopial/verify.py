@@ -1,25 +1,27 @@
-"""End-to-end verification of the Hardy-type catalog.
+"""End-to-end verification of the catalog: theorems and lemmas.
 
-An instance binds a theorem id, weights, exponents, an interval and a
-test function f.  The verifier assembles both sides exactly as the bound
-is displayed -- outer powers included -- so ratio <= 1 is literally the
-inequality.  The error budget is the first-order sum of the relative
-quadrature errors of the left side, the constant and the right side;
-statuses are Holds (ratio <= 1 + budget), Violated (> 1 + 10*budget) and
-Inconclusive between.  Reports and the ratio rule are the ones the lemma
-checks of ``opial`` use.
+An instance binds a row id, weights, exponents, an interval and a test
+function f -- or, for a lemma, a path y with its derivative and the
+boundary where it vanishes.  The verifier assembles both sides exactly as
+the bound is displayed -- outer powers included -- so ratio <= 1 is
+literally the inequality.  The error budget is the first-order sum of the
+relative quadrature errors of the left side, the constant and the right
+side; statuses are Holds (ratio <= 1 + budget), Violated (> 1 +
+10*budget) and Inconclusive between.
 
-One driver, ``verify_many``, checks instances that share all but f: it
-validates every f, builds the constant and plans the weight factors the
-sides share once (``funcspace.Part``), groups the instances by the
-structure of f (``funcspace.plan_groups``) and plans each side of a
-group once, as a template plan with a parameter row per member.  The
-sides of all instances are integrated in one ``integrate_many`` call.
-``verify`` is its one-instance case, a group of one, and ``sweep`` and
-the CLI's sharpness curve run through it.  Any Violated instance is re-run
-at 10x tighter quadrature tolerance and in the alternate constant mode
-before being reported, which separates typo-level constant issues from
-numerical noise.
+One pass, ``_passes``, checks instances that share all but f: it builds
+the constant and plans the weight factors the sides share once
+(``funcspace.Part``), groups the instances by the structure of f
+(``funcspace.plan_groups``) and plans each side of a group once, as a
+template plan with a parameter row per member.  The sides of all
+instances are integrated in one ``integrate_many`` call.  A lemma is the
+same row with F = |y| and f = |y'| given: each path is a group of one.
+``verify_many`` validates every f first and re-runs any Violated
+instance at 10x tighter quadrature tolerance and in the alternate
+constant mode before reporting it, which separates typo-level constant
+issues from numerical noise.  ``verify`` is its one-instance case, and
+``sweep``, the CLI's sharpness curve and ``sharpness_search`` run through
+the same pass; ``opial.verify_variant`` is one pass of a lemma.
 """
 
 from __future__ import annotations
@@ -33,14 +35,15 @@ import numpy as np
 
 from . import constants as ct
 from . import funcspace as fs
-from . import opial as op
 from . import quad
 from .errors import HopialError, PreconditionFailed
-from .opial import VerificationReport, report
 
 __all__ = [
     "TheoremInstance",
     "VerificationReport",
+    "classify_status",
+    "judge",
+    "report",
     "SweepReport",
     "SharpnessResult",
     "assemble_lhs",
@@ -54,6 +57,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TheoremInstance:
+    """A theorem on a test function f, or a lemma on a path f (an
+    ``opial.TestPath``: y and y' given) at its boundary ``side``."""
+
     ident: str
     r: Optional[object]
     s: Optional[object]
@@ -61,9 +67,11 @@ class TheoremInstance:
     exponents: ct.ExponentSet
     interval: fs.Interval
     mode: str = "default"
+    side: Optional[str] = None
 
     def resolved(self):
-        return ct.resolve(self.ident, self.r, self.s, self.exponents, self.mode)
+        return ct.resolve(self.ident, self.r, self.s, self.exponents, self.mode,
+                          self.side)
 
 
 @dataclass(frozen=True)
@@ -89,7 +97,64 @@ class SharpnessResult:
     best_ratio: float
     best_params: tuple
     evaluations: int
-    best_report: Optional[VerificationReport]
+    best_report: VerificationReport
+
+
+# ---------------------------------------------------------------------------
+# reports and the ratio rule
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """One check of lhs <= constant * rhs_core: a theorem on a test function,
+    or a lemma on a path.  ``error_budget`` is relative; ``breakdown`` is
+    the constant's factor table."""
+
+    ident: str
+    mode: str
+    lhs: float
+    rhs_core: float
+    constant: float
+    ratio: float
+    status: str
+    error_budget: float
+    breakdown: Optional[ct.ConstantBreakdown] = None
+    detail: str = ""
+
+
+def classify_status(ratio: float, budget: float) -> str:
+    if not math.isfinite(ratio):
+        return "Violated" if ratio > 0 else "Inconclusive"
+    if ratio <= 1.0 + budget:
+        return "Holds"
+    if ratio > 1.0 + 10.0 * budget:
+        return "Violated"
+    return "Inconclusive"
+
+
+def judge(lhs, rhs_core, constant, budget):
+    """(ratio, status, budget) for lhs <= constant * rhs_core: ratio 0 when
+    lhs = 0, inf when constant * rhs_core <= 0, budget floored at 1e-12."""
+    denom = constant * rhs_core
+    if lhs == 0.0:
+        ratio = 0.0
+    elif denom <= 0.0:
+        ratio = math.inf
+    else:
+        ratio = lhs / denom
+    budget = max(budget, 1e-12)
+    return ratio, classify_status(ratio, budget), budget
+
+
+def report(ident, mode, lhs: quad.QuadResult, rhs: quad.QuadResult, constant,
+           constant_rel, breakdown=None, detail="") -> VerificationReport:
+    """The report of lhs <= constant * rhs from the two sides and the
+    constant's relative error; the budget sums the three relative errors."""
+    ratio, status, budget = judge(lhs.value, rhs.value, constant,
+                                  lhs.rel_error + rhs.rel_error + constant_rel)
+    return VerificationReport(ident, mode, lhs.value, rhs.value, constant, ratio,
+                              status, budget, breakdown, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -107,29 +172,44 @@ def _powers(side, exps) -> tuple:
 
 
 def _lhs_weight(inst: TheoremInstance, resolved):
-    """The weight factor of the left side, r or HARDY's (x - a)^-p; it
-    depends on the weights only, so a sweep plans it once."""
+    """The weight factor of the left side, r, HARDY's (x - a)^-p or None;
+    it depends on the weights only, so a sweep plans it once."""
     ident, info, mode, exps = resolved
-    if info.needs_r:
+    if info.lhs_weight == "r":
         return fs.Part(inst.r, inst.interval)
-    power, _ = _powers(info.lhs, exps)
-    return fs.Part(fs.power_of(fs.PowerLaw(1.0, 1.0), -power), inst.interval)
+    if info.lhs_weight == "x-a":
+        power, _ = _powers(info.lhs, exps)
+        return fs.Part(fs.power_of(fs.PowerLaw(1.0, 1.0), -power), inst.interval)
+    return None
+
+
+def _path_group(i, inst):
+    """A lemma's path as a group of one: f = |y'| and F = |y| (exact), or
+    the error of the path's audit (``opial.TestPath.check``) as F."""
+    try:
+        inst.f.check(inst.side)
+    except HopialError as exc:
+        return [i], fs.AbsVal(inst.f.dy), exc
+    return [i], fs.AbsVal(inst.f.dy), (fs.AbsVal(inst.f.y), 0.0)
 
 
 def _groups(insts, resolved, tol) -> list:
     """The instances grouped by the structure of f, with F from the side's
     end built to the pass's tolerance: ``quad.running_integrals``'
-    (members, f, F) per group."""
+    (members, f, F) per group.  Each lemma path is a group of its own."""
+    if insts[0].side is not None:
+        return [_path_group(i, inst) for i, inst in enumerate(insts)]
     side = "head" if resolved[1].side == "left" else "tail"
     return quad.running_integrals([inst.f for inst in insts], insts[0].interval, side, tol)
 
 
 def _lhs_plan(inst: TheoremInstance, resolved, tol, f, running, weight):
-    """(job, powers) for the displayed left side (int w F^P)^(d/P) of a
+    """(job, powers) for the displayed left side (int w F^P f^Q)^(d/P) of a
     group: the side is a member's QuadResult ``raised(*powers)`` (outer
-    power d/P, the power d of F in the side, F's relative error).  ``f``
-    and ``running`` are the group's f and F (``_groups``) and ``weight``
-    the ``_lhs_weight`` factor (or the error they raised)."""
+    power d/P, the power d of F in the side, F's relative error), or the
+    integral itself where powers is None (a lemma's).  ``f`` and
+    ``running`` are the group's f and F (``_groups``) and ``weight`` the
+    ``_lhs_weight`` factor (or the error they raised)."""
     ident, info, mode, exps = resolved
     if isinstance(running, HopialError):
         raise running
@@ -137,15 +217,14 @@ def _lhs_plan(inst: TheoremInstance, resolved, tol, f, running, weight):
     power, degree = _powers(info.lhs, exps)
     if isinstance(weight, HopialError):
         raise weight
-    if info.needs_r:
-        job = quad.product_job([weight, (F, power)], inst.interval, tol)
-    else:  # HARDY's weight (x - a)^-p
-        job = quad.product_job([(F, power), weight], inst.interval, tol)
+    factors = [weight] if weight is not None else []
+    job = quad.product_job(factors + [(F, power), (f, info.Q(exps))], inst.interval, tol)
+    if info.lhs_weight == "x-a":  # HARDY's weight (x - a)^-p
         # F / (x - a) tends to f(a) even where F is a cancelling sum, so the
         # left exponent is p kappa_f(a); F(b) > 0, so the right end is regular
         kappa_f = (f if isinstance(f, fs.Part) else fs.Part(f, inst.interval)).ends[0][0]
         job = replace(job, endpoint_exponents=(power * kappa_f, 0.0))
-    return job, (degree / power, degree, F_rel)
+    return job, None if degree is None else (degree / power, degree, F_rel)
 
 
 def _rhs_weights(inst, resolved, tol):
@@ -155,13 +234,14 @@ def _rhs_weights(inst, resolved, tol):
     tolerance."""
     ident, info, mode, exps = resolved
     parts, rel = [], 0.0
-    if "R" in info.rhs_weight:
-        R = quad.RunningIntegral(inst.r, inst.interval,
-                                 "tail" if info.side == "left" else "head", tol)
-        parts.append(fs.Part(R.spec, inst.interval))
-        rel = R.rel_error
-    if "s" in info.rhs_weight:
-        parts.append(fs.Part(inst.s, inst.interval))
+    for letter in info.rhs_weight.replace("*", ""):
+        if letter == "R":
+            R = quad.RunningIntegral(inst.r, inst.interval,
+                                     "tail" if info.side == "left" else "head", tol)
+            parts.append(fs.Part(R.spec, inst.interval))
+            rel = R.rel_error
+        else:
+            parts.append(fs.Part(inst.s if letter == "s" else inst.r, inst.interval))
     return parts, rel
 
 
@@ -246,7 +326,8 @@ def _passes(insts, tol, breakdown=None):
     if breakdown is None:  # hardy_constant checks the weights
         resolved = first.resolved()
         breakdown = ct.hardy_constant(first.ident, first.r, first.s, first.exponents,
-                                      first.interval, mode=resolved[2], tol=tol)
+                                      first.interval, mode=resolved[2], tol=tol,
+                                      side=first.side)
     else:
         resolved = _checked(first)
     ident, info, mode, exps = resolved
@@ -284,7 +365,10 @@ def _passes(insts, tol, breakdown=None):
     return out
 
 
-def _single_pass(inst, tol, breakdown=None):
+def single_pass(inst: TheoremInstance, tol: Optional[float] = None,
+                breakdown: Optional[ct.ConstantBreakdown] = None) -> VerificationReport:
+    """One pass of one instance, whose Violated report is not re-examined
+    (``verify`` re-examines it); an error is raised."""
     rep = _passes([inst], tol, breakdown)[0]
     if isinstance(rep, HopialError):
         raise rep
@@ -301,12 +385,12 @@ def _retest(inst, tol):
     entries with divergent printed/derived readings, in the other mode."""
     ident, info, mode, exps = inst.resolved()
     tight = _tighter(tol)
-    confirmed = _single_pass(inst, tight)
+    confirmed = single_pass(inst, tight)
     detail = f"retested at tol={tight:g}: ratio={confirmed.ratio:.9g}"
     if info.modes_differ:
         other = "as_derived" if mode == "as_printed" else "as_printed"
         try:
-            alt = _single_pass(replace(inst, mode=other), tol)
+            alt = single_pass(replace(inst, mode=other), tol)
             detail += f"; {other} ratio={alt.ratio:.9g} ({alt.status})"
         except HopialError as exc:
             detail += f"; {other} unavailable ({type(exc).__name__})"
@@ -331,7 +415,8 @@ def verify_many(
     group.  The sides of all instances are integrated together, and every
     Violated report is re-examined.
     """
-    out = fs.nonnegativity_errors([inst.f for inst in insts], insts[0].interval)
+    out = ([None] * len(insts) if insts[0].side else  # a path is audited in the pass
+           fs.nonnegativity_errors([inst.f for inst in insts], insts[0].interval))
     todo = [i for i, res in enumerate(out) if res is None]
     if not todo:
         return out
@@ -516,66 +601,34 @@ def sharpness_search(
     """Probe how close the constant is to sharp over a parametric family.
 
     builder maps a parameter vector (at most 3 entries) to a test
-    function.  The search is a simplex-style ascent on the ratio; a best
-    ratio above 1 + budget is never reported as found without a re-run at
-    10x tighter quadrature tolerance.
+    function, or, for a lemma id, to a path (``opial.TestPath``) checked
+    at the lemma's first boundary.  The search is a simplex-style ascent
+    on the ratio; a best ratio above 1 + budget is never reported as found
+    without a re-run at 10x tighter quadrature tolerance.
     """
     if len(bounds) > 3:
         raise PreconditionFailed("parametric families are limited to 3 parameters")
     if budget < 50:
         raise PreconditionFailed("search budget must be at least 50 evaluations")
-    ident = ct.canonical_id(ident)
+    side = ct.LEMMAS[ident].side if ident in ct.LEMMAS else None
+    ident = ident if side else ct.canonical_id(ident)
     resolved_mode = ct.resolve_mode(ident, mode)
     breakdown = ct.hardy_constant(ident, r, s, exponents, interval,
-                                  mode=resolved_mode, tol=tol)
+                                  mode=resolved_mode, tol=tol, side=side)
 
-    def ratio_at(params):
-        f = builder(params)
-        inst = TheoremInstance(ident, r, s, f, exponents, interval, resolved_mode)
-        return _single_pass(inst, tol, breakdown).ratio
+    def instance(params):
+        return TheoremInstance(ident, r, s, builder(params), exponents, interval,
+                               resolved_mode, side)
 
     if not bounds:  # degenerate: constant family
-        f = builder(())
-        inst = TheoremInstance(ident, r, s, f, exponents, interval, resolved_mode)
-        rep = verify(inst, tol=tol, breakdown=breakdown)
+        rep = verify(instance(()), tol=tol, breakdown=breakdown)
         return SharpnessResult(ident, rep.ratio, (), 1, rep)
 
-    best_x, best_val, evals = _nelder_mead_max(ratio_at, bounds, budget)
-    f = builder(best_x)
-    inst = TheoremInstance(ident, r, s, f, exponents, interval, resolved_mode)
-    rep = _single_pass(inst, tol, breakdown)
+    best_x, best_val, evals = _nelder_mead_max(
+        lambda params: single_pass(instance(params), tol, breakdown).ratio, bounds, budget)
+    inst = instance(best_x)
+    rep = single_pass(inst, tol, breakdown)
     if rep.ratio > 1.0 + rep.error_budget:
-        rep = _single_pass(inst, _tighter(tol))
+        rep = single_pass(inst, _tighter(tol))
     return SharpnessResult(ident, rep.ratio, tuple(float(v) for v in best_x),
                            evals, rep)
-
-
-def lemma_sharpness(
-    v,
-    builder: Callable,
-    bounds: Sequence,
-    weights=None,
-    exponents=None,
-    budget: int = 200,
-    mode: str = "default",
-    tol: Optional[float] = None,
-) -> SharpnessResult:
-    """Sharpness probe on the lemma layer: ascend the variant ratio over a
-    parametric path family (e.g. hat-peak position)."""
-    if budget < 50:
-        raise PreconditionFailed("search budget must be at least 50 evaluations")
-
-    def ratio_at(params):
-        path = builder(params)
-        return op.verify_variant(v, path, weights, exponents, mode=mode,
-                                 tol=tol).ratio
-
-    if not bounds:
-        rec = op.verify_variant(v, builder(()), weights, exponents, mode=mode,
-                                tol=tol)
-        return SharpnessResult(v.identifier, rec.ratio, (), 1, None)
-    best_x, _, evals = _nelder_mead_max(ratio_at, bounds, budget)
-    rec = op.verify_variant(v, builder(best_x), weights, exponents, mode=mode,
-                            tol=tol)
-    return SharpnessResult(v.identifier, rec.ratio,
-                           tuple(float(x) for x in best_x), evals, None)

@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hopial import constants as ct
 from hopial import funcspace as fs
 from hopial import opial
 from hopial.constants import ExponentSet as E
-from hopial.errors import DomainError, PreconditionFailed
+from hopial.errors import DomainError, InvalidSpec, PreconditionFailed
 
 ONE = fs.Constant(1.0)
 
@@ -18,12 +19,12 @@ class TestPaths:
         # symmetric hat with |y'| = 1: the integrand is the hat itself and
         # the two triangle halves contribute 1/8 each
         hat = opial.hat_path(unit)
-        res = opial.opial_lhs(opial.variant("OPIAL"), hat)
-        assert res.value == pytest.approx(0.25, abs=1e-14)
+        rec = opial.verify_variant(opial.variant("OPIAL"), hat)
+        assert rec.lhs == pytest.approx(0.25, abs=1e-14)
 
     def test_linear_path_lhs(self, unit):
-        res = opial.opial_lhs(opial.variant("B1"), opial.linear_path(unit))
-        assert res.value == pytest.approx(0.5, abs=1e-13)
+        rec = opial.verify_variant(opial.variant("B1"), opial.linear_path(unit))
+        assert rec.lhs == pytest.approx(0.5, abs=1e-13)
 
     def test_zero_path(self, unit):
         zero = opial.path_from_spec(fs.PiecewiseLinear([(0, 0), (1, 0)]), unit)
@@ -214,6 +215,26 @@ class TestVariants:
         assert rec.constant > 0
 
 
+DIP = fs.PiecewiseLinear([(0, 1), (0.5, -0.5), (1, 1)])  # negative on (1/3, 2/3)
+
+
+class TestWeightSigns:
+    """Lemma weights pass the theorems' weight check: a weight that is
+    negative inside the interval is InvalidSpec, never a status."""
+
+    @pytest.mark.parametrize("ident,path,weights,exps", [
+        ("Z1", "hat", {"r": DIP, "s": ONE}, E(p=1.0, q=1.0, conjugate_check=False)),
+        ("Y2", "linear", {"r": fs.Constant(-1.0)}, E(p=1.0, q=2.0, conjugate_check=False)),
+        ("B2", "hat", {"s": DIP}, None),
+    ])
+    def test_negative_weight_is_invalid(self, unit, ident, path, weights, exps):
+        # they used to Hold (ratio 0.0453), be Violated and exhaust the
+        # panel budget, in that order
+        path = opial.hat_path(unit, 0.6) if path == "hat" else opial.linear_path(unit)
+        with pytest.raises(InvalidSpec, match="negative"):
+            opial.verify_variant(opial.variant(ident), path, weights, exps)
+
+
 class TestInvariants:
     @pytest.mark.parametrize(
         "ident,weights,exps",
@@ -328,7 +349,7 @@ def _grid_paths(iv, boundary):
 def grid_cases(ident):
     """(label, thunk) per grid case of the variant; the thunk runs it."""
     out = []
-    for boundary in opial._LEMMAS[ident].boundaries:
+    for boundary in ct.LEMMAS[ident].sides:
         v = opial.variant(ident, boundary)
         weights = _grid_weights(ident, boundary)
         for a, b in GRID_INTERVALS:
@@ -383,8 +404,9 @@ class TestOneIntegrateCall:
                                                  else "both"),
                                    opial.hat_path(unit, 0.4), weights, exps)
         assert rec.status == "Holds"
-        # lhs and rhs, plus the integral of s^e where the constant has one
-        assert calls == [3 if ident in ("B2", "M1", "AG", "Y") else 2]
+        # lhs and rhs in one call; the integral of s^e, where the constant
+        # has one, is the constant builder's own call before them
+        assert calls == ([1, 2] if ident in ("B2", "M1", "AG", "Y") else [2])
 
 
 if __name__ == "__main__":

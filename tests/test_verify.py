@@ -14,7 +14,7 @@ from hopial import quad
 from hopial import verify as vf
 from hopial import cli
 from hopial.cli import SUITE_EXPONENTS, suite_weights
-from hopial.errors import HopialError, InvalidSpec, PreconditionFailed
+from hopial.errors import DomainError, HopialError, InvalidSpec, PreconditionFailed
 
 E = ct.ExponentSet
 ONE = fs.Constant(1.0)
@@ -264,6 +264,26 @@ class TestNotASpec:
             call(_identity)
         assert str(exc.value) == str(fs._not_a_spec(_identity))
         assert str(exc.value).startswith("function is not a function spec")
+
+
+class TestOverflowIsDomainError:
+    """A float overflow, or 0 to a negative power, in a constant, a closed
+    running integral or a side's outer power ends in DomainError, not in a
+    Python exception outside HopialError."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: ct.hardy_constant("T2.5", ONE, fs.Constant(0.0), E(), UNIT),
+        lambda: fs.closed_antiderivative(fs.ShiftedPowerLaw(1.0, 400.0),
+                                         fs.Interval(0.0, 1000.0)),
+        lambda: vf.verify(inst("T2.3", ONE, None, fs.Exponential(1.0, 2.0), E(),
+                               fs.Interval(500.0, 501.0))),
+        lambda: vf.verify(inst("T2.2", ONE, ONE, fs.Constant(1e300), E(), UNIT)),
+        lambda: ct.ConstantBreakdown(1j, (("c", 1j),), "as_printed", 0.0),
+    ], ids=["zero-to-negative-power", "shifted-power-antiderivative",
+            "exponential-antiderivative", "outer-power", "complex-constant"])
+    def test_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
 
 
 class TestSweep:
@@ -707,10 +727,9 @@ class TestSharpness:
     def test_lemma_hat_search_finds_symmetric_peak(self, unit):
         from hopial import opial
 
-        res = vf.lemma_sharpness(
-            opial.variant("OPIAL"),
-            lambda prm: opial.hat_path(unit, float(prm[0])),
-            [(0.2, 0.8)], budget=80,
+        res = vf.sharpness_search(
+            "OPIAL", lambda prm: opial.hat_path(unit, float(prm[0])), [(0.2, 0.8)],
+            None, None, E(), unit, budget=80,
         )
         assert res.best_ratio == pytest.approx(1.0, abs=1e-6)
         assert res.best_params[0] == pytest.approx(0.5, abs=1e-3)
