@@ -842,14 +842,19 @@ DEFAULT_MODES = {ident: row.default_mode for ident, row in {**THEOREMS, **LEMMAS
 _ALIASES = {"HARDY_CLASSICAL": "HARDY"}
 
 
+# every accepted spelling of each theorem id, upper case: its dot (an id
+# has one at most) may be an underscore
+_SPELLED = {spelling: known for known in THEOREMS
+            for spelling in (known.upper(), known.upper().replace(".", "_"))}
+
+
 def canonical_id(ident: str) -> str:
     ident = ident.strip()
     ident = _ALIASES.get(ident.upper(), ident)
-    norm = ident.upper().replace("_", ".")
-    for known in THEOREMS:
-        if known.upper() == norm or known.upper().replace(".", "_") == ident.upper():
-            return known
-    raise DomainError(f"unknown theorem id {ident!r}")
+    known = _SPELLED.get(ident.upper())
+    if known is None:
+        raise DomainError(f"unknown theorem id {ident!r}")
+    return known
 
 
 def theorem_info(ident: str) -> Row:

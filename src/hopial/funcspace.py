@@ -16,6 +16,7 @@ round-trip through JSON like everything else.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -225,6 +226,11 @@ FunctionSpec = Union[
 # ---------------------------------------------------------------------------
 
 
+# validate's checks of a piecewise-linear spec's knots, in their order
+_PWL_CHECKS = ("piecewise linear knots must be strictly increasing",
+               "piecewise linear knots must cover the interval")
+
+
 def validate(spec: FunctionSpec, interval: Interval) -> None:
     """Check structural invariants of ``spec`` on ``interval``.
 
@@ -247,10 +253,10 @@ def validate(spec: FunctionSpec, interval: Interval) -> None:
         if len(xs) < 2:
             raise InvalidSpec("piecewise linear needs at least two knots")
         if any(x1 <= x0 for x0, x1 in zip(xs, xs[1:])):
-            raise InvalidSpec("piecewise linear knots must be strictly increasing")
+            raise InvalidSpec(_PWL_CHECKS[0])
         tol = 1e-9 * max(interval.width, 1.0)
         if xs[0] > interval.a + tol or xs[-1] < interval.b - tol:
-            raise InvalidSpec("piecewise linear knots must cover the interval")
+            raise InvalidSpec(_PWL_CHECKS[1])
         return
     if isinstance(spec, Step):
         if not spec.values:
@@ -354,32 +360,125 @@ def _structural_sign(spec: FunctionSpec, interval: Interval) -> Optional[bool]:
     return None
 
 
+_NEGATIVE = "spec is negative inside the interval"
+
+
 def nonnegativity_errors(specs: Sequence[FunctionSpec], interval: Interval,
                          samples: int = 64) -> list:
     """``validate_nonnegative`` of every spec: None, or the InvalidSpec it
     raises, per spec.  The sign is decided by the structure where it can
-    be (``_structural_sign``); the rest are probed at ``samples`` interior
-    points."""
+    be: piecewise-linear specs with as many knots as one array
+    (``_pwl_signs``), any other spec by ``_structural_sign``.  The rest
+    are evaluated at both ends and on both sides of each interior
+    breakpoint, and probed at ``samples`` interior points."""
     errors: list = [None] * len(specs)
     probed = []
-    for i, spec in enumerate(specs):
+    for i in _pwl_signs(specs, interval, errors):
         try:
-            validate(spec, interval)
-            sign = _structural_sign(spec, interval)
+            validate(specs[i], interval)
+            sign = _structural_sign(specs[i], interval)
             if sign is None:
                 probed.append(i)
             elif not sign:
-                errors[i] = InvalidSpec("spec is negative inside the interval")
+                errors[i] = InvalidSpec(_NEGATIVE)
         except InvalidSpec as exc:
             errors[i] = exc
-    xs = np.linspace(interval.a, interval.b, samples + 2)[1:-1] if probed else None
+    grid = np.linspace(interval.a, interval.b, samples + 2)[1:-1] if probed else None
     for i in probed:
-        row = compile_program(specs[i], interval)(xs)
-        if np.any(np.isnan(row)):
+        part = Part(specs[i], interval)
+        sides = np.nextafter(np.repeat(part.breaks, 2),
+                             np.tile([-math.inf, math.inf], len(part.breaks)))
+        inside = np.concatenate([grid, sides])
+        row = Program(*part.code)(np.concatenate([inside, [interval.a, interval.b]]))
+        values = row[np.isfinite(row)].tolist()  # an end may be singular
+        if np.any(np.isnan(row[:len(inside)])):
             errors[i] = InvalidSpec("spec evaluates to NaN inside the interval")
-        elif _negative(row.tolist()):
-            errors[i] = InvalidSpec("spec is negative inside the interval")
+        elif values and _negative(values):
+            errors[i] = InvalidSpec(_NEGATIVE)
     return errors
+
+
+def _pwl_signs(specs: Sequence[FunctionSpec], interval: Interval, errors: list) -> list:
+    """The checks of ``nonnegativity_errors`` on the piecewise-linear specs
+    with as many knots as another, as one array per knot count: validate's
+    order and cover checks, then ``_sign_values``' values (the knot values
+    inside the interval and, at an end that is no knot, ``np.interp``'s
+    value) against ``_negative``'s tolerance.  Fills in ``errors`` and
+    returns the indices of the other specs, and of any whose knots or end
+    values are not finite."""
+    groups, rest = _knot_groups(specs)
+    a, b = interval.a, interval.b
+    tol = 1e-9 * max(interval.width, 1.0)
+    for at in groups:
+        knots = _knot_array([specs[i] for i in at])
+        xs, vs = knots[..., 0], knots[..., 1]
+        inside = (xs >= a) & (xs <= b)
+        least = np.where(inside, vs, math.inf).min(axis=1)
+        largest = np.where(inside, np.abs(vs), 0.0).max(axis=1)
+        finite = np.isfinite(knots).all(axis=(1, 2))
+        for end in (a, b):
+            off = ~(xs == end).any(axis=1)  # an end that is no knot
+            if off.any():
+                with np.errstate(all="ignore"):
+                    value = np.where(off, _interp_rows(end, xs, vs), math.inf)
+                least = np.minimum(least, value)
+                largest = np.maximum(largest, np.where(off, np.abs(value), 0.0))
+                finite &= np.isfinite(value) | ~off
+        unordered = (xs[:, 1:] <= xs[:, :-1]).any(axis=1)
+        uncovered = (xs[:, 0] > a + tol) | (xs[:, -1] < b - tol)
+        negative = least < -1e-12 * np.maximum(largest, 1.0)
+        for r in np.flatnonzero(unordered | uncovered | ~finite | negative).tolist():
+            if unordered[r] or uncovered[r]:
+                errors[at[r]] = InvalidSpec(_PWL_CHECKS[0 if unordered[r] else 1])
+            elif finite[r]:
+                errors[at[r]] = InvalidSpec(_NEGATIVE)
+            else:
+                rest.append(at[r])
+    return rest
+
+
+def _interp_rows(x: float, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xs[r], vs[r])`` of every row r of increasing knots
+    where x is no knot, in its arithmetic: slope (v1 - v0) / (x1 - x0)
+    times (x - x0) plus v0 on the segment holding x, the first or last
+    value outside the knots."""
+    k, n = xs.shape
+    at = np.count_nonzero(xs <= x, axis=1) - 1
+    seg = np.arange(k) * n + np.clip(at, 0, n - 2)
+    x0, v0, x1, v1 = xs.flat[seg], vs.flat[seg], xs.flat[seg + 1], vs.flat[seg + 1]
+    out = (v1 - v0) / (x1 - x0) * (x - x0) + v0
+    return np.where(at < 0, vs[:, 0], np.where(at >= n - 1, vs[:, -1], out))
+
+
+def _knot_groups(specs: Sequence[FunctionSpec]) -> tuple:
+    """(groups, rest): the indices of the piecewise-linear specs with as
+    many knots (at least two) as another, a list per knot count, and the
+    indices of the other specs."""
+    sizes = [len(spec.knots) if type(spec) is PiecewiseLinear else 0 for spec in specs]
+    if len(sizes) > 1 and sizes[0] > 1 and sizes.count(sizes[0]) == len(sizes):
+        return [list(range(len(sizes)))], []  # a family: one knot count
+    counts: dict = {}
+    rest = []
+    for i, size in enumerate(sizes):
+        if size > 1:
+            counts.setdefault(size, []).append(i)
+        else:
+            rest.append(i)
+    groups = []
+    for at in counts.values():
+        if len(at) > 1:
+            groups.append(at)
+        else:
+            rest += at
+    return groups, rest
+
+
+def _knot_array(specs: Sequence[PiecewiseLinear]) -> np.ndarray:
+    """The knots of piecewise-linear specs with as many knots, k x n x 2."""
+    n = len(specs[0].knots)
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(
+        spec.knots for spec in specs))
+    return np.fromiter(flat, dtype=float, count=2 * n * len(specs)).reshape(len(specs), n, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +693,13 @@ def closed_antiderivative(spec: FunctionSpec, interval: Interval) -> Optional[Fu
         k = spec.c / spec.beta
         return Sum([Exponential(k, spec.beta),
                     Constant(-k * float_power(None, spec.beta * a))])
-    if isinstance(spec, PiecewiseLinear):
-        xs, vs = np.array(spec.knots).T
-        coeffs = _pwl_antiderivative(xs[None], vs[None])[0]
-        return _zero_at_left_end(PiecewisePolynomial(xs.tolist(), coeffs.tolist()), interval)
+    if isinstance(spec, PiecewiseLinear):  # _pwl_antiderivative's arithmetic, for one spec
+        rows, acc = [], 0.0
+        for (x0, v0), (x1, v1) in zip(spec.knots, spec.knots[1:]):
+            rows.append((acc, v0, (v1 - v0) / (x1 - x0) / 2.0))
+            acc += (v0 + v1) / 2.0 * (x1 - x0)
+        return _zero_at_left_end(PiecewisePolynomial([x for x, _ in spec.knots], rows),
+                                 interval)
     if isinstance(spec, Step):
         xs = list(spec.breaks)
         vals = [0.0]
@@ -709,9 +811,8 @@ def _ppoly_ends(breaks, coeffs, interval: Interval) -> tuple:
     of its zero at a and at b."""
     left_piece, right_piece = _pieces_at_ends(breaks, interval)
     first, d = coeffs[left_piece], interval.a - breaks[left_piece]
-    if d:  # the row in powers of (x - a)
-        first = [sum([first[k] * math.comb(k, j) * d ** (k - j) for k in range(j, len(first))])
-                 for j in range(len(first))]
+    if d:
+        first = _shifted_row(first, d)
     tiny = 1e-14 * max(max(map(abs, first), default=0.0), 1.0)
     left = _VANISHING_END
     for j, c in enumerate(first):
@@ -729,6 +830,13 @@ def _ppoly_ends(breaks, coeffs, interval: Interval) -> tuple:
         if abs(val) > tiny:
             return left, (float(j), math.inf)
     return left, _VANISHING_END
+
+
+def _shifted_row(row, d: float) -> list:
+    """A polynomial row in powers of (x - x0), rewritten in powers of
+    (x - x0 - d)."""
+    return [sum([row[k] * math.comb(k, j) * d ** (k - j) for k in range(j, len(row))])
+            for j in range(len(row))]
 
 
 def _sum_end(ends: list) -> tuple:
@@ -891,8 +999,10 @@ def _member_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & 0x7FFFFFFF, index])
 
 
-def _random_pwl(fam: RandomPiecewiseLinear, index: int) -> PiecewiseLinear:
-    rng = _member_rng(fam.seed, index)
+def _random_pwls(fam: RandomPiecewiseLinear, count: int) -> list:
+    """Members 0 to count - 1 of the family, one row of arrays each: member
+    i's uniforms are one draw of its own generator, its knots' then its
+    values', with the arithmetic of a loop over its knots."""
     a, b = fam.interval.a, fam.interval.b
     lo, hi = fam.value_range
     if not (hi > lo >= 0.0):
@@ -900,28 +1010,33 @@ def _random_pwl(fam: RandomPiecewiseLinear, index: int) -> PiecewiseLinear:
     n = fam.n_knots
     if n < 2:
         raise InvalidSpec("need at least 2 knots")
-    # rng.uniform(lo, hi) draws lo + (hi - lo) u, here in Python floats
-    xs = [a, b]
+    draws = np.array([_member_rng(fam.seed, i).random(2 * n - 2) for i in range(count)])
+    # rng.uniform(lo, hi) draws lo + (hi - lo) u
+    xs = np.empty((count, n))
+    xs[:, 0], xs[:, -1] = a, b
     if n > 2:
-        inner = sorted([a + (b - a) * u for u in rng.random(n - 2).tolist()])
+        inner = np.sort(a + (b - a) * draws[:, :n - 2], axis=1)
         # keep knots separated so slopes stay bounded
         min_gap = 1e-3 * (b - a) / n
-        for i in range(1, len(inner)):
-            if inner[i] - inner[i - 1] < min_gap:
-                inner[i] = inner[i - 1] + min_gap
-        xs = [a] + [min(max(x, a + min_gap), b - min_gap) for x in inner] + [b]
+        for i in range(1, n - 2):
+            inner[:, i] = np.where(inner[:, i] - inner[:, i - 1] < min_gap,
+                                   inner[:, i - 1] + min_gap, inner[:, i])
+        xs[:, 1:-1] = np.minimum(np.maximum(inner, a + min_gap), b - min_gap)
         # knots clipped together near an end (rounding aside): space them
         # down from b - min_gap, then up from a + min_gap
-        if any(y - x < (1.0 - 1e-9) * min_gap for x, y in zip(xs, xs[1:])):
+        close = (np.diff(xs, axis=1) < (1.0 - 1e-9) * min_gap).any(axis=1)
+        if close.any():
+            rows = xs[close]
             for i in range(n - 2, 0, -1):
-                xs[i] = min(xs[i], xs[i + 1] - min_gap)
+                rows[:, i] = np.minimum(rows[:, i], rows[:, i + 1] - min_gap)
             for i in range(1, n - 1):
-                xs[i] = max(xs[i], xs[i - 1] + min_gap)
-    vals = [lo + (hi - lo) * u for u in rng.random(n).tolist()]
+                rows[:, i] = np.maximum(rows[:, i], rows[:, i - 1] + min_gap)
+            xs[close] = rows
+    vals = lo + (hi - lo) * draws[:, n - 2:]
     floor = lo + 0.1 * (hi - lo)
-    vals[0] = 0.0 if fam.vanish_at in ("left", "both") else max(vals[0], floor)
-    vals[-1] = 0.0 if fam.vanish_at in ("right", "both") else max(vals[-1], floor)
-    return PiecewiseLinear(list(zip(xs, vals)))
+    vals[:, 0] = 0.0 if fam.vanish_at in ("left", "both") else np.maximum(vals[:, 0], floor)
+    vals[:, -1] = 0.0 if fam.vanish_at in ("right", "both") else np.maximum(vals[:, -1], floor)
+    return [PiecewiseLinear(zip(x, v)) for x, v in zip(xs.tolist(), vals.tolist())]
 
 
 def sample_family(family: FamilySpec, count: int) -> list:
@@ -949,7 +1064,7 @@ def sample_family(family: FamilySpec, count: int) -> list:
             out.append(PowerLaw(float(rng.uniform(lo_c, hi_c)), float(rng.uniform(lo_a, hi_a))))
         return out
     if isinstance(family, RandomPiecewiseLinear):
-        return [_random_pwl(family, i) for i in range(count)]
+        return _random_pwls(family, count)
     raise InvalidSpec(f"unknown family {type(family).__name__}")
 
 
@@ -1130,8 +1245,8 @@ class Part:
     The part of a group (``plan_groups``) stands for specs of one
     structure, its spec the first of them: ``rows`` holds every member's
     parameter rows (fargs k x ops x 3, None where they are the first's,
-    and data k x n arrays) and breakpoints, and the members share its
-    ends.  It is None for one spec."""
+    and data k x n arrays) and breakpoints (a row each, ``_break_rows``),
+    and the members share its ends.  It is None for one spec."""
 
     __slots__ = ("spec", "code", "ends", "breaks", "rows")
 
@@ -1150,7 +1265,8 @@ def product(factors: Sequence, interval: Interval) -> tuple:
     Where one factor is a group's part, the product is the group's: the
     walk joins the first member's code, and fargs and data become arrays
     with a parameter row per member, the part's rows in its place; rows
-    holds each member's breakpoints.  Otherwise rows is None."""
+    holds each member's breakpoints, a row per member (``_break_rows``).
+    Otherwise rows is None."""
     code, pts, joined = ([], [], [], []), [], []
     ends = _walk(factors[0] if len(factors) == 1 else Product(factors), interval, code,
                  pts, joined)
@@ -1169,8 +1285,9 @@ def product(factors: Sequence, interval: Interval) -> tuple:
     data[:, data_at:data_at + p_data.shape[1]] = p_data
     # the other factors' breakpoints join each member's
     shared = pts[:pts_at] + pts[pts_at + len(part.breaks):]
-    rows = p_breaks if not shared else [sorted([x for x in set(shared + b) if lo < x < hi])
-                                        for b in p_breaks]
+    rows = p_breaks if not shared else _break_rows(
+        np.concatenate([np.broadcast_to(shared, (len(p_breaks), len(shared))), p_breaks], axis=1),
+        lo, hi)
     return (ops, fargs, iargs, data), ends, breaks, rows
 
 
@@ -1194,6 +1311,18 @@ def _pwl_antiderivative(xs, vs) -> np.ndarray:
     return out
 
 
+def _break_rows(xs: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The breakpoints of a group's members, a row per row of ``xs``: its
+    distinct values inside (lo, hi) in increasing order, then nan."""
+    rows = np.where((xs > lo) & (xs < hi), xs, math.nan)
+    rows.sort(axis=1)
+    repeated = rows[:, 1:] == rows[:, :-1]
+    if repeated.any():
+        rows[:, 1:][repeated] = math.nan
+        rows.sort(axis=1)
+    return rows
+
+
 def _rows_part(spec, interval: Interval, data, breaks, totals=None) -> Part:
     """The part of a group whose first member is ``spec``, with every
     member's data row and breakpoints; ``totals`` (a tail's) is the first
@@ -1207,46 +1336,106 @@ def _rows_part(spec, interval: Interval, data, breaks, totals=None) -> Part:
     return part
 
 
+# a group key's codes: _value_end's (kappa, rho) of a piecewise-linear end
+# as 0, 1 or 2, and _ppoly_ends' of a degree-2 row as the order 0, 1 or 2 of
+# its zero, or 3: the first of its three values above the row's tiny, read
+# off their flags as bits 4, 2 and 1
+_END_CODES, _ROW_CODES = 3, 4
+_FIRST_OF_THREE = np.array([3, 2, 1, 1, 0, 0, 0, 0])
+_BITS = np.array([4, 2, 1])
+_F_KEY = np.array([_END_CODES, 1]) * _ROW_CODES ** 2  # f's codes at a and b in a key
+# per end (a, b): the direction into the interval, and the knot of its
+# piece nearer to it and farther from it
+_INWARD, _NEAR, _FAR = np.array([1.0, -1.0]), np.array([0, 1]), np.array([1, 0])
+
+
+def _pwl_keys(knots, coeffs, totals, interval: Interval) -> np.ndarray:
+    """The group key of every member, as one integer: the (kappa, rho) of f
+    at a and at b (``_pwl_ends``), of its antiderivative G (coefficient
+    rows ``coeffs``, ``_ppoly_ends``) and, in a tail, whether G(b) is 0.
+    Both ends are read at once, with the scalar rules' arithmetic on the
+    pieces holding a and b.  A member whose knots do not increase, or
+    whose arrays do not sum to a finite value, has a key of its own."""
+    k, n, _ = knots.shape
+    xs = knots[..., 0]
+    a, b = interval.a, interval.b
+    if (xs[:, 0] == a).all() and (xs[:, -1] == b).all():
+        # a and b are knots: the first and last pieces hold them, and f
+        # there is the knot value (the rule of a family's members)
+        near, far = knots[:, [0, -1]], knots[:, [1, -2]]
+        xn, vn, xf, vf = near[..., 0], near[..., 1], far[..., 0], far[..., 1]
+        G, value = coeffs[:, [0, -1]], vn
+    else:
+        # the pieces holding a and b (_pieces_at_ends): x <= a, and x < b
+        # as x <= the float below b
+        piece = (xs[:, :, None] <= np.array([a, np.nextafter(b, -math.inf)])).sum(axis=1) - 1
+        piece = np.minimum(np.maximum(piece, 0), n - 2) + np.arange(0, k * n, n)[:, None]
+        # f at each end from the knot of its piece nearer the end, toward
+        # the far one
+        pairs = knots.reshape(-1, 2)
+        xn, vn = pairs[piece + _NEAR].transpose(2, 0, 1)
+        xf, vf = pairs[piece + _FAR].transpose(2, 0, 1)
+        reach = (np.array([a, b]) - xn) * _INWARD  # a - x0, or y1 - b (exactly -(b - y1))
+        value = np.where(reach > 0.0, vn + (vf - vn) * reach / ((xf - xn) * _INWARD), vn)
+        G = coeffs.reshape(-1, 3)[piece - np.arange(k)[:, None]]
+    key = (np.where(value != 0.0, 0, np.where(vf != 0.0, 1, 2)) @ _F_KEY)
+    # G at a in powers of (x - a) where a lies inside its piece, and G and
+    # its derivatives at b from the left, the value first (_ppoly_ends)
+    first = G[:, 0]
+    for m in np.flatnonzero(xn[:, 0] != a).tolist():
+        first[m] = _shifted_row(first[m].tolist(), float(a - xn[m, 0]))
+    c0, c1, c2 = G[:, 1].T
+    w = b - xf[:, 1]
+    w2 = np.array([x ** 2 for x in w.tolist()])  # Python's power, as _ppoly_ends
+    tiny = 1e-10 * np.maximum(np.abs([c0, c1 * w, c2 * w2]).max(axis=0), 1e-300)
+    at_b = np.abs([0.0 + c0 + c1 * w + c2 * w2, 0.0 + c1 + c2 * 2.0 * w, 0.0 + c2 * 2.0]) > tiny
+    at_a = np.abs(first) > 1e-14 * np.maximum(np.abs(first).max(axis=1), 1.0)[:, None]
+    key += _FIRST_OF_THREE[at_a @ _BITS] * _ROW_CODES + _FIRST_OF_THREE[_BITS @ at_b]
+    valid = np.isfinite(knots.sum(axis=(1, 2)) + coeffs.sum(axis=(1, 2))) & (
+        xs[:, 1:] > xs[:, :-1]).all(axis=1)
+    if totals is not None:
+        key = 2 * key + (totals == 0.0)
+        valid &= np.isfinite(totals)
+    return np.where(valid, key, -1 - np.arange(k))
+
+
 def _pwl_groups(specs: Sequence[PiecewiseLinear], interval: Interval, side: str) -> list:
     """``plan_groups`` of piecewise-linear specs with as many knots, with
     indices into ``specs``.  The data rows take the walk's layouts: knots
     then values, and G's breaks then its coefficient rows."""
     k = len(specs)
-    knots = np.array([spec.knots for spec in specs])
+    knots = _knot_array(specs)
     xs, vs = knots[..., 0], knots[..., 1]
-    coeffs, x_rows = _pwl_antiderivative(xs, vs), xs.tolist()
-    for i, row in enumerate(x_rows):
-        if row[0] < interval.a:  # a knot left of a
-            coeffs[i] = _zero_at_left_end(PiecewisePolynomial(row, coeffs[i].tolist()),
-                                          interval).coeffs
+    coeffs = _pwl_antiderivative(xs, vs)
+    for i in np.flatnonzero(xs[:, 0] < interval.a).tolist():  # a knot left of a
+        coeffs[i] = _zero_at_left_end(PiecewisePolynomial(xs[i].tolist(), coeffs[i].tolist()),
+                                      interval).coeffs
     eps = 1e-12 * interval.width
-    breaks = [sorted([x for x in set(row) if interval.a + eps < x < interval.b - eps])
-              for row in x_rows]
+    breaks = _break_rows(xs, interval.a + eps, interval.b - eps)
     F_data, totals = np.concatenate([xs, coeffs.reshape(k, -1)], axis=1), None
     if side == "tail":  # F = G(b) - G, G(b) from one kernel call on G's rows
         G = Program([OP_PPOLY], np.tile([2.0, 0.0, 0.0], k), [(0, len(coeffs[0]))], F_data)
-        totals = G(np.full(k, interval.b), np.arange(k)).tolist()
+        totals = G(np.full(k, interval.b), np.arange(k))
+    # a group shares the ends of f and of G and, in a tail, whether G(b) is 0
+    with np.errstate(all="ignore"):
+        keys = _pwl_keys(knots, coeffs, totals, interval)
+    if (keys == keys[0]).all():
+        groups = [np.arange(k)]
+    else:  # in the order of their first members
+        _, first, member_key = np.unique(keys, return_index=True, return_inverse=True)
+        groups = [np.flatnonzero(member_key == key) for key in np.argsort(first).tolist()]
+    if totals is not None:
         coeffs = -1.0 * coeffs
         F_data[:, xs.shape[1]:] *= -1.0
-    # a group shares the ends of f and of G and, in a tail, whether G(b) is 0
-    groups: dict = {}
-    if k == 1:  # nothing to tell apart
-        groups[None] = [0]
-    else:
-        for i, (x, v, c) in enumerate(zip(x_rows, vs.tolist(), coeffs.tolist())):
-            key = (_pwl_ends(x, v, interval), _ppoly_ends(x, c, interval),
-                   totals is not None and totals[i] == 0.0)
-            groups.setdefault(key, []).append(i)
     f_data, out = np.concatenate([xs, vs], axis=1), []
-    for at in groups.values():
-        i, rows = at[0], slice(None) if len(at) == k else at
-        F = PiecewisePolynomial(x_rows[i], coeffs[i].tolist())
+    for at in groups:
+        i, rows = int(at[0]), slice(None) if len(at) == k else at
+        F = PiecewisePolynomial(xs[i].tolist(), coeffs[i].tolist())
         if totals is not None:
-            F = Sum([Constant(totals[i]), F])
-        at_breaks = [breaks[j] for j in at]
-        out.append((at, _rows_part(specs[i], interval, f_data[rows], at_breaks),
-                    _rows_part(F, interval, F_data[rows], at_breaks,
-                               None if totals is None else [totals[j] for j in at])))
+            F = Sum([Constant(float(totals[i])), F])
+        out.append((at.tolist(), _rows_part(specs[i], interval, f_data[rows], breaks[rows]),
+                    _rows_part(F, interval, F_data[rows], breaks[rows],
+                               None if totals is None else totals[rows])))
     return out
 
 
@@ -1257,20 +1446,20 @@ def plan_groups(specs: Sequence, interval: Interval, side: str) -> list:
     same ends form a group: f and F are group parts (``Part.rows``) of the
     specs and of their closed running integrals from ``side`` ("head":
     F(a, x), "tail": F(x, b)), computed for all as row arrays, and only
-    the first member is walked.  Any other spec is a group of one, f the
-    spec and F its closed running integral, None where it has none, or the
+    the first member is walked.  Any other spec, and a piecewise-linear
+    spec without another of as many knots, is a group of one, f the spec
+    and F its closed running integral, None where it has none, or the
     HopialError computing it raised."""
-    out, pwl = [], {}
-    for i, spec in enumerate(specs):
-        if type(spec) is PiecewiseLinear:
-            pwl.setdefault(len(spec.knots), []).append(i)
-            continue
+    groups, alone = _knot_groups(specs)
+    out = []
+    for i in sorted(alone):
         try:
-            F = (tail_integral_spec if side == "tail" else closed_antiderivative)(spec, interval)
+            F = (tail_integral_spec if side == "tail" else closed_antiderivative)(
+                specs[i], interval)
         except HopialError as exc:
             F = exc
-        out.append(([i], spec, F))
-    for members in pwl.values():
+        out.append(([i], specs[i], F))
+    for members in groups:
         out += [([members[j] for j in at], f, F)
                 for at, f, F in _pwl_groups([specs[i] for i in members], interval, side)]
     return out

@@ -75,8 +75,10 @@ from .errors import BudgetExceeded, DomainError, HopialError, NonIntegrable
 
 __all__ = [
     "QuadResult",
+    "Integrals",
     "Job",
     "integrate_many",
+    "integrate_arrays",
     "integrate_job",
     "product_job",
     "RunningIntegral",
@@ -197,6 +199,28 @@ class QuadResult:
 
 
 @dataclass(frozen=True)
+class Integrals:
+    """The integrals of a batch as columns, an entry per integral: its
+    value, error estimate and panels used (nan, nan and 0 where it
+    failed), and the HopialError of each one that failed, by its index."""
+
+    value: list
+    error: list
+    subdivisions: list
+    failures: dict
+
+    def __getitem__(self, i: int):
+        """The QuadResult of integral i, or its HopialError."""
+        return self.failures.get(i) or QuadResult(self.value[i], self.error[i],
+                                                  self.subdivisions[i])
+
+    def results(self) -> list:
+        """Every integral's QuadResult or HopialError, in order."""
+        return [self.failures.get(i) or QuadResult(*row)
+                for i, row in enumerate(zip(self.value, self.error, self.subdivisions))]
+
+
+@dataclass(frozen=True)
 class SupResult:
     """Location and value of a supremum over the interval."""
 
@@ -214,8 +238,9 @@ class Job:
     breakpoints, merged with any given.  A template plan (the job of a
     group's part) is the integrals of the group's members: f, code and
     breakpoints are its first member's, but fargs and data hold a row per
-    member and ``rows`` holds each one's breakpoints; they share the
-    rest."""
+    member and ``rows`` holds each one's breakpoints inside the interval
+    (an array, a row per member: ``funcspace._break_rows``); they share
+    the rest."""
 
     f: fs.FunctionSpec
     interval: fs.Interval
@@ -302,15 +327,16 @@ def _prepare(job: Job, cuts: list) -> tuple:
     """Validate a planned job and cut each of its members into pieces
     (endpoint substitutions and breakpoint splits).  It walks no spec: the
     code, breakpoints and (kappa, rho) come with the job, and a group's
-    members differ only in their breakpoints.
+    members differ only in their breakpoints, which are cut as arrays
+    (``_cut_rows``).
 
-    Appends a row per piece to the flat list ``cuts``: the first eight
-    columns of the row of its first panel in ``_integrate`` (its ends in
-    the piece's own variable, the piece's index in ``cuts`` and its
-    substitution x = anchor + sign u^m; sign 0, anchor nan and m 1 for
-    none), then the piece's span (lo, hi) in x.  Returns the job's plan:
-    (code, tol, max_panels, the (kappa, rho) at each end, each member's
-    number of pieces)."""
+    Appends to ``cuts`` the job's block of rows, a row per piece: the
+    first eight columns of the row of its first panel in ``_integrate``
+    (its ends in the piece's own variable, its index, which
+    ``_integrate`` fills in, and its substitution x = anchor + sign u^m;
+    sign 0, anchor nan and m 1 for none), then the piece's span (lo, hi)
+    in x.  Returns the job's plan: (code, tol, max_panels, the (kappa,
+    rho) at each end, each member's number of pieces)."""
     a, b = job.interval.a, job.interval.b
     home = job.home or job.interval
 
@@ -333,30 +359,67 @@ def _prepare(job: Job, cuts: list) -> tuple:
     if not (1e-14 < tol < 1e-2):
         raise DomainError(f"tolerance {tol} outside accepted range (1e-14, 1e-2)")
 
-    eps = 1e-12 * (b - a)
     m_l, m_r = _grading(*ends[0]), _grading(*ends[1])
-    counts = []
-    for breaks in job.rows or (job.breakpoints,):
-        edges = [a] + [x for x in breaks if a + eps < x < b - eps] + [b]
-        before = len(cuts)
-        last = len(edges) - 2
-        for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
-            m_lo = m_l if i == 0 else None
-            m_hi = m_r if i == last else None
-            p = len(cuts) // _CUT
-            if m_lo is not None and m_hi is not None:
-                mid = 0.5 * (lo + hi)
-                cuts += (0.0, (mid - lo) ** (1.0 / m_lo), 0.0, 0.0, p, 1.0, lo, m_lo, lo, mid,
-                         0.0, (hi - mid) ** (1.0 / m_hi), 0.0, 0.0, p + 1, -1.0, hi, m_hi, mid,
-                         hi)
-            elif m_lo is not None:
-                cuts += (0.0, (hi - lo) ** (1.0 / m_lo), 0.0, 0.0, p, 1.0, lo, m_lo, lo, hi)
-            elif m_hi is not None:
-                cuts += (0.0, (hi - lo) ** (1.0 / m_hi), 0.0, 0.0, p, -1.0, hi, m_hi, lo, hi)
-            else:
-                cuts += (lo, hi, 0.0, 0.0, p, 0.0, math.nan, 1.0, lo, hi)
-        counts.append((len(cuts) - before) // _CUT)
-    return job.code, tol, job.max_panels, ends, counts
+    if job.rows is not None:
+        block, counts = _cut_rows(job.rows, a, b, m_l, m_r)
+        cuts.append(block)
+        return job.code, tol, job.max_panels, ends, counts.tolist()
+    eps = 1e-12 * (b - a)
+    edges = [a] + [x for x in job.breakpoints if a + eps < x < b - eps] + [b]
+    block = []
+    last = len(edges) - 2
+    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        m_lo = m_l if i == 0 else None
+        m_hi = m_r if i == last else None
+        if m_lo is not None and m_hi is not None:
+            mid = 0.5 * (lo + hi)
+            block += (0.0, (mid - lo) ** (1.0 / m_lo), 0.0, 0.0, 0.0, 1.0, lo, m_lo, lo, mid,
+                      0.0, (hi - mid) ** (1.0 / m_hi), 0.0, 0.0, 0.0, -1.0, hi, m_hi, mid, hi)
+        elif m_lo is not None:
+            block += (0.0, (hi - lo) ** (1.0 / m_lo), 0.0, 0.0, 0.0, 1.0, lo, m_lo, lo, hi)
+        elif m_hi is not None:
+            block += (0.0, (hi - lo) ** (1.0 / m_hi), 0.0, 0.0, 0.0, -1.0, hi, m_hi, lo, hi)
+        else:
+            block += (lo, hi, 0.0, 0.0, 0.0, 0.0, math.nan, 1.0, lo, hi)
+    cuts.append(block)
+    return job.code, tol, job.max_panels, ends, [len(block) // _CUT]
+
+
+def _cut_rows(breaks, a, b, m_l, m_r) -> tuple:
+    """``_prepare``'s cuts of a group's members, member after member, from
+    their breakpoint rows (``funcspace._break_rows``, inside the interval),
+    with the arithmetic of its loop: a member's first piece is graded at
+    a by m_l and its last at b by m_r (None: not graded), and a member of
+    one piece graded at both ends is cut at its midpoint.  Returns the
+    rows (an array) and each member's number of pieces."""
+    k, n = breaks.shape
+    inner = (breaks == breaks).sum(axis=1)  # breakpoints per member
+    edges = np.full((k, n + 2), math.nan)
+    edges[:, 0], edges[:, 1:-1] = a, breaks
+    edges[np.arange(k), inner + 1] = b
+    keep = edges[:, 1:] == edges[:, 1:]
+    lo, hi = edges[:, :-1][keep], edges[:, 1:][keep]
+    counts = inner + 1
+    if m_l is not None and m_r is not None and not inner.all():
+        one = (np.cumsum(counts) - counts)[inner == 0]  # [lo, mid] at lo, [mid, hi] at hi
+        mid = 0.5 * (lo[one] + hi[one])
+        lo, hi, counts = np.insert(lo, one + 1, mid), np.insert(hi, one, mid), counts + (inner == 0)
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    cut = np.zeros((len(lo), _CUT))
+    cut[:, 0] = cut[:, 8] = lo
+    cut[:, 1] = cut[:, 9] = hi
+    cut[:, _ANCHOR:_M + 1] = math.nan, 1.0
+    for at, sign, m, anchor in ((first, 1.0, m_l, lo), (last, -1.0, m_r, hi)):
+        if m is None:
+            continue
+        if sign < 0 and m_l is not None:  # a piece that is first and last is graded at a
+            at = at[at != first]
+        span = hi[at] - lo[at]
+        cut[at, 0], cut[at, _SIGN], cut[at, _ANCHOR], cut[at, _M] = 0.0, sign, anchor[at], m
+        # Python's power, as the loop: numpy's may differ in the last bit
+        cut[at, 1] = [w ** (1.0 / m) for w in span.tolist()]
+    return cut, counts
 
 
 def _group_values(prog, m_values, panels, us):
@@ -436,12 +499,18 @@ def _evaluate(progs, m_values, panels, rule):
 
 def integrate_many(jobs: Sequence[Job]) -> list:
     """Integrate every job; returns one QuadResult or HopialError per
-    integral: per job, or per member of a group's job, in order.
+    integral: per job, or per member of a group's job, in order
+    (``integrate_arrays`` returns them as arrays).
 
     One adaptive loop runs all jobs at once, and an integral gets the
     same result, bit for bit, as alone (see the module docstring).  One
     that fails does not stop the others.
     """
+    return integrate_arrays(jobs).results()
+
+
+def integrate_arrays(jobs: Sequence[Job]) -> Integrals:
+    """``integrate_many``'s integrals as arrays: the one batch call."""
     return _integrate(jobs)[0]
 
 
@@ -457,7 +526,7 @@ _ID, _RUN, _HALF_TOL, _FLOOR, _TOTAL, _TOTAL_ERR, _USED, _LAST = range(8)
 
 
 def _integrate(jobs, rule=None):
-    """``integrate_many``'s results, the runs' ends, the pieces' cuts (see
+    """``integrate_arrays``' integrals, the jobs' ends, the pieces' cuts (see
     ``_prepare``) and, with a ``rule``, every final panel's piece, lo, hi,
     value and node values, judged by that rule.
 
@@ -471,28 +540,32 @@ def _integrate(jobs, rule=None):
     a node, stops its run there: the pieces after it cannot change the
     run's result.
     """
-    results: list = []
-    plans, cuts, index = [], [], []  # index: each run's slot in results
+    plans, cuts, index, failures = [], [], [], {}  # index: each run's integral
+    slots = 0
     for job in jobs:
-        members = len(job.rows) if job.rows else 1
+        members = 1 if job.rows is None else len(job.rows)
         try:
             plans.append(_prepare(job, cuts))
+            index += range(slots, slots + members)
         except HopialError as exc:
-            results += [exc] * members
-            continue
-        index += range(len(results), len(results) + members)
-        results += [None] * members
+            failures.update(dict.fromkeys(range(slots, slots + members), exc))
+        slots += members
     if not plans:
-        return results, [], None, None
-    # a run per member: its job's kernel group and its parameter row
-    runs = [(g, row, tol, max_panels, ends, n)
-            for g, (_, tol, max_panels, ends, counts) in enumerate(plans)
-            for row, n in enumerate(counts)]
-    group, row, tol, max_panels, ends, count = zip(*runs)
-    cut = np.array(cuts, dtype=float).reshape(-1, _CUT)
+        return Integrals([math.nan] * slots, [math.nan] * slots, [0] * slots, failures), [], None, None
+    cuts = [np.asarray(block, dtype=float).reshape(-1, _CUT) for block in cuts]
+    cut = cuts[0] if len(cuts) == 1 else np.concatenate(cuts)
     pieces = len(cut)
+    cut[:, _PIECE] = np.arange(pieces)
+    # a run per member: its job's kernel group, its parameter row and its pieces
+    # (lists: a few runs are read in Python, many as arrays)
+    members = [len(counts) for *_, counts in plans]
+    count = list(itertools.chain.from_iterable(counts for *_, counts in plans))
     first = list(itertools.accumulate(count, initial=0))  # and the end of the last run
-    run = np.arange(len(runs)).repeat(count)
+    tol, max_panels = ([plan[k] for plan, m in zip(plans, members) for _ in range(m)]
+                       if len(count) > len(plans) else [plan[k] for plan in plans]
+                       for k in (1, 2))
+    run = np.arange(len(count)).repeat(count)
+    ends = [plan[3] for plan in plans]
     progs = [fs.Program(*code) for code, *_ in plans]  # a kernel group per job
     m_values = sorted(set(cut[:, _M].tolist()))
     keep_nodes = rule is not None
@@ -505,25 +578,32 @@ def _integrate(jobs, rule=None):
         if sum(m != 1.0 for m in m_values) > 1:  # _group_values tells them apart
             panel[:, _M_CODE] = np.searchsorted(m_values, cut[:, _M])
         if len(progs) > 1:
-            panel[:, _GROUP] = np.array(group)[run]
-        if len(runs) > len(progs):
-            panel[:, _ROW] = np.array(row)[run]
+            panel[:, _GROUP] = np.arange(len(plans)).repeat(members)[run]
+        if len(count) > len(progs):
+            panel[:, _ROW] = np.concatenate([np.arange(m) for m in members])[run]
         panel[:, _VAL], panel[:, _ERR], nodes, failed = _evaluate(progs, m_values, panel, rule)
         stop = np.array(first[1:])  # a run's pieces from stop[r] on no longer step
         for p in sorted(failed):
             if stop[run[p]] > first[run[p]]:
                 stop[run[p]] = first[run[p]]
-                results[index[run[p]]] = failed[p]
-        scale = []  # per run half its tolerance and its absolute floor
-        size = np.abs(panel[:, _VAL]).tolist()
-        for t, start, n in zip(tol, first, count):
-            rough = 0.0
-            for x in size[start:start + n]:
-                rough += x
-            scale.append((0.5 * t, max(t * rough, 1e-300) / (2 * n)))
+                failures[index[run[p]]] = failed[p]
         piece = np.empty((pieces, 8))
         piece[:, _ID], piece[:, _RUN] = panel[:, _PIECE], run
-        piece[:, _HALF_TOL:_FLOOR + 1] = np.array(scale)[run]
+        # per run half its tolerance and its absolute floor; a few runs in
+        # Python, where numpy's fixed cost would outweigh the work
+        if len(count) <= _FEW:
+            size, scale = np.abs(panel[:, _VAL]).tolist(), []
+            for t, start, n in zip(tol, first, count):
+                rough = 0.0
+                for x in size[start:start + n]:
+                    rough += x
+                scale.append((0.5 * t, max(t * rough, 1e-300) / (2 * n)))
+            piece[:, _HALF_TOL:_FLOOR + 1] = np.array(scale)[run]
+        else:
+            tols, counts = np.array(tol), np.array(count)
+            rough = _run_sums(np.abs(panel[:, _VAL]), np.array(first), counts)
+            piece[:, _HALF_TOL] = (0.5 * tols)[run]
+            piece[:, _FLOOR] = (np.maximum(tols * rough, 1e-300) / (2 * counts))[run]
         piece[:, _USED:] = 1.0, -1.0
         owner = np.arange(pieces)
         if not keep_nodes:
@@ -629,19 +709,21 @@ def _integrate(jobs, rule=None):
                 errors[p] = exc
                 stop[run[p]] = min(stop[run[p]], p)
 
-    state = np.empty((pieces, 8))
+    state = np.zeros((pieces, 8))
     rows = np.concatenate(retired)
     state[rows[:, _ID].astype(np.intp)] = rows
-    _results(results, index, runs, first, state, errors)
+    integrals = _results(slots, index, failures, tol, max_panels, first, count, state, errors)
     panels = None
     if kept:
         rows, values = map(np.concatenate, zip(*kept))
         panels = (rows[:, _PIECE].astype(np.intp), rows[:, _LO], rows[:, _HI], rows[:, _VAL],
                   values)
-    return results, ends, cut, panels
+    return integrals, ends, cut, panels
 
 
-_FEW = 8  # live pieces up to which a round runs in Python (numpy costs about 1 us a call)
+# live pieces up to which a round runs in Python, and runs up to which a
+# batch's run table is read in Python (numpy costs about 1 us a call)
+_FEW = 8
 
 
 def _few_round(piece, panel, n):
@@ -699,29 +781,74 @@ def _within_budget(piece, step, retired, max_panels, first, stop):
     return step & (ids < stop[run])
 
 
-def _results(results, index, runs, first, state, errors):
-    """Fill in each run's QuadResult, or the error it raises alone: its
-    pieces in order, each with the budget the earlier pieces left."""
-    total, total_err, used, last_split = state[:, _TOTAL:].T.tolist()
-    for r, (i, (_, _, tol, max_panels, _, count)) in enumerate(zip(index, runs)):
-        if results[i] is not None:
-            continue
-        value = error = 0.0
-        spent = 0
-        for p in range(first[r], first[r] + count):
-            budget = max_panels - spent
-            if last_split[p] >= budget:
-                results[i] = BudgetExceeded(f"needed more than {budget} panels "
-                                            f"for tolerance {0.5 * tol:g}")
-                break
-            if p in errors:
-                results[i] = errors[p]
-                break
-            value += total[p]
-            error += total_err[p]
-            spent += int(used[p])
-        else:
-            results[i] = QuadResult(value, error, spent)
+def _run_sums(xs, first, count, inclusive=False):
+    """Per run, the sums of its pieces' entries of ``xs`` (a column or
+    several) added left to right from 0.0, as a Python loop adds them:
+    the rows of a zero-padded block, accumulated along each row.  With
+    ``inclusive``, also each piece's running sum within its run."""
+    run = np.repeat(np.arange(len(count)), count)
+    at = run, np.arange(len(xs)) - first[run]
+    block = np.zeros((len(count), int(count.max())) + xs.shape[1:])
+    block[at] = xs
+    block[:, 0] += 0.0
+    sums = np.add.accumulate(block, axis=1)
+    return (sums[:, -1], sums[at]) if inclusive else sums[:, -1]
+
+
+def _results(slots, index, failures, tol, max_panels, first, count, state, errors):
+    """The batch's ``Integrals``: each run's value, error and panels, or
+    the error it raises alone: its pieces in order, each with the budget
+    the earlier pieces left; the first piece over its budget, or whose
+    integrand failed, ends the run with that error.  A few runs are read
+    in Python, where numpy's fixed cost would outweigh the work."""
+    if len(count) <= _FEW:
+        value, error, subdivisions = [math.nan] * slots, [math.nan] * slots, [0] * slots
+        total, total_err, used, last_split = state[:, _TOTAL:].T.tolist()
+        for r, (i, t, max_p) in enumerate(zip(index, tol, max_panels)):
+            if i in failures:
+                continue
+            value_r = error_r = 0.0
+            spent = 0
+            for p in range(first[r], first[r + 1]):
+                if last_split[p] >= max_p - spent:
+                    failures[i] = _over_budget(max_p - spent, t)
+                    break
+                if p in errors:
+                    failures[i] = errors[p]
+                    break
+                value_r += total[p]
+                error_r += total_err[p]
+                spent += int(used[p])
+            else:
+                value[i], error[i], subdivisions[i] = value_r, error_r, spent
+        return Integrals(value, error, subdivisions, failures)
+    value, error = np.full(slots, math.nan), np.full(slots, math.nan)
+    subdivisions = np.zeros(slots, dtype=np.intp)
+    first, count = np.array(first), np.array(count)
+    rows = state[:, _TOTAL:_USED + 1]
+    sums, running = _run_sums(rows, first, count, inclusive=True)
+    # the budget each piece's run left it: its panel budget less the
+    # panels of the run's earlier pieces
+    budget = np.array(max_panels)[np.repeat(np.arange(len(count)), count)] - (
+        running[:, 2] - rows[:, 2])
+    over = state[:, _LAST] >= budget
+    bad = over.copy()
+    bad[list(errors)] = True
+    ends = np.minimum.reduceat(np.where(bad, np.arange(len(bad)), len(bad)), first[:-1])
+    index = np.array(index)
+    value[index], error[index], subdivisions[index] = sums.T
+    for r in np.flatnonzero(ends < first[1:]).tolist():  # the runs that fail
+        i, p = int(index[r]), int(ends[r])
+        if i not in failures:
+            failures[i] = _over_budget(int(budget[p]), tol[r]) if over[p] else errors[p]
+    for i in failures:
+        value[i] = error[i] = math.nan
+        subdivisions[i] = 0
+    return Integrals(value.tolist(), error.tolist(), subdivisions.tolist(), failures)
+
+
+def _over_budget(budget, tol):
+    return BudgetExceeded(f"needed more than {budget} panels for tolerance {0.5 * tol:g}")
 
 
 def integrate_job(job: Job) -> QuadResult:
@@ -807,9 +934,9 @@ def cumulative(f: fs.FunctionSpec, interval: fs.Interval, side: str = "head",
     so F is 0 there exactly.  The error adds the panel errors and the
     rounding of the running sum, the coefficients and Clenshaw's rule.
     """
-    results, ends, cut, panels = _integrate([Job(f, interval, tol)], _running_rule)
-    if isinstance(results[0], HopialError):
-        raise results[0]
+    integrals, ends, cut, panels = _integrate([Job(f, interval, tol)], _running_rule)
+    if 0 in integrals.failures:
+        raise integrals.failures[0]
     head = side == "head"
     piece, p_lo, p_hi, p_val, p_nodes = panels
     pieces = []
@@ -849,7 +976,7 @@ def cumulative(f: fs.FunctionSpec, interval: fs.Interval, side: str = "head",
         ends[head] = (0.0, ends[head][1])
     spec = fs.PiecewisePolynomial(cut[:, _M + 1].tolist() + [interval.b],
                                   rows, [frame for frame, *_ in pieces], ends)
-    return spec, QuadResult(total, results[0].abs_error_estimate + rounding, len(in_x))
+    return spec, QuadResult(total, integrals.error[0] + rounding, len(in_x))
 
 
 def running_integrals(fns: Sequence[fs.FunctionSpec], interval: fs.Interval, side: str,

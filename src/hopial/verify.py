@@ -183,24 +183,25 @@ def _lhs_weight(inst: TheoremInstance, resolved):
     return None
 
 
-def _path_group(i, inst):
+def _path_group(i, path, side):
     """A lemma's path as a group of one: f = |y'| and F = |y| (exact), or
     the error of the path's audit (``opial.TestPath.check``) as F."""
     try:
-        inst.f.check(inst.side)
+        path.check(side)
     except HopialError as exc:
-        return [i], fs.AbsVal(inst.f.dy), exc
-    return [i], fs.AbsVal(inst.f.dy), (fs.AbsVal(inst.f.y), 0.0)
+        return [i], fs.AbsVal(path.dy), exc
+    return [i], fs.AbsVal(path.dy), (fs.AbsVal(path.y), 0.0)
 
 
-def _groups(insts, resolved, tol) -> list:
-    """The instances grouped by the structure of f, with F from the side's
-    end built to the pass's tolerance: ``quad.running_integrals``'
-    (members, f, F) per group.  Each lemma path is a group of its own."""
-    if insts[0].side is not None:
-        return [_path_group(i, inst) for i, inst in enumerate(insts)]
+def _groups(inst, fns, resolved, tol) -> list:
+    """The test functions ``fns`` of instances like ``inst`` grouped by
+    structure, with F from the side's end built to the pass's tolerance:
+    ``quad.running_integrals``' (members, f, F) per group.  Each lemma
+    path is a group of its own."""
+    if inst.side is not None:
+        return [_path_group(i, path, inst.side) for i, path in enumerate(fns)]
     side = "head" if resolved[1].side == "left" else "tail"
-    return quad.running_integrals([inst.f for inst in insts], insts[0].interval, side, tol)
+    return quad.running_integrals(fns, inst.interval, side, tol)
 
 
 def _lhs_plan(inst: TheoremInstance, resolved, tol, f, running, weight):
@@ -294,7 +295,7 @@ def assemble_lhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.Qua
     """The displayed left-hand side, outer powers applied."""
     resolved = _checked(inst)
     (weight,) = _shared(inst, resolved, _lhs_weight)
-    ((_, f, running),) = _groups([inst], resolved, tol)
+    ((_, f, running),) = _groups(inst, [inst.f], resolved, tol)
     plan = _lhs_plan(inst, resolved, tol, f, running, weight)
     return _finished(plan, quad.integrate_job(plan[0]))
 
@@ -302,7 +303,7 @@ def assemble_lhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.Qua
 def assemble_rhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.QuadResult:
     """The displayed right-hand side core (the constant excluded)."""
     resolved = _checked(inst)
-    ((_, f, _),) = _groups([inst], resolved, tol)
+    ((_, f, _),) = _groups(inst, [inst.f], resolved, tol)
     plan = _rhs_plan(inst, resolved, tol, f,
                      *_shared(inst, resolved, partial(_rhs_weights, tol=tol)))
     return _finished(plan, quad.integrate_job(plan[0]))
@@ -313,16 +314,15 @@ def assemble_rhs(inst: TheoremInstance, tol: Optional[float] = None) -> quad.Qua
 # ---------------------------------------------------------------------------
 
 
-def _passes(insts, tol, breakdown=None):
-    """One pass (both sides and the ratio) of every instance, which share
-    all but f.  The theorem is resolved, the weights checked once, the
-    constant built (unless given) and the shared factors planned once;
-    the instances are grouped by the structure of f, each side of a group
-    is planned once with a parameter row per member, and all sides are
-    integrated in one ``integrate_many`` call.  Returns a report, or the
-    HopialError that ends the instance's pass alone, per instance; an
+def _passes(first, fns, tol, breakdown=None):
+    """One pass (both sides and the ratio) of the instance ``first`` on
+    every test function (or path) in ``fns``.  The theorem is resolved,
+    the weights checked once, the constant built (unless given) and the
+    shared factors planned once; the members are grouped by the structure
+    of f, each side of a group is planned once with a parameter row per
+    member, and all sides are integrated in one batch.  Returns a report,
+    or the HopialError that ends the member's pass alone, per member; an
     error of the shared steps is raised."""
-    first = insts[0]
     if breakdown is None:  # hardy_constant checks the weights
         resolved = first.resolved()
         breakdown = ct.hardy_constant(first.ident, first.r, first.s, first.exponents,
@@ -335,9 +335,9 @@ def _passes(insts, tol, breakdown=None):
                                       partial(_rhs_weights, tol=tol))
     # per group: its members, the lhs plan, and the rhs plan or the error
     # that ends the pass once the lhs is done
-    out: list = [None] * len(insts)
+    out: list = [None] * len(fns)
     plans, jobs = [], []
-    for members, f, running in _groups(insts, resolved, tol):
+    for members, f, running in _groups(first, fns, resolved, tol):
         try:
             lhs = _lhs_plan(first, resolved, tol, f, running, lhs_weight)
         except HopialError as exc:
@@ -350,26 +350,115 @@ def _passes(insts, tol, breakdown=None):
             rhs = exc
         plans.append((members, lhs, rhs))
         jobs += [lhs[0]] if isinstance(rhs, HopialError) else [lhs[0], rhs[0]]
-    results = iter(quad.integrate_many(jobs))
+    integrals = quad.integrate_arrays(jobs)
+    at = 0
     for members, lhs, rhs in plans:
-        lhs_res = [next(results) for _ in members]
-        rhs_res = ([rhs] * len(members) if isinstance(rhs, HopialError)
-                   else [next(results) for _ in members])
-        for i, lhs_i, rhs_i in zip(members, lhs_res, rhs_res):
+        k = len(members)
+        sides = [(lhs, range(at, at + k))]
+        at += k
+        if not isinstance(rhs, HopialError):
+            sides.append((rhs, range(at, at + k)))
+            at += k
+        if k == 1:  # a group of one: the scalar rule, which costs less
             try:
-                lhs_side = _finished(lhs, lhs_i)
-                out[i] = report(ident, mode, lhs_side, _finished(rhs, rhs_i),
-                                breakdown.value, breakdown.error_estimate, breakdown)
+                rhs_side = rhs if isinstance(rhs, HopialError) else integrals[sides[1][1][0]]
+                out[members[0]] = report(ident, mode, _finished(lhs, integrals[sides[0][1][0]]),
+                                         _finished(rhs, rhs_side), breakdown.value,
+                                         breakdown.error_estimate, breakdown)
             except HopialError as exc:
-                out[i] = exc
+                out[members[0]] = exc
+            continue
+        for i, rep in zip(members, _group_reports(ident, mode, breakdown, integrals, sides,
+                                                  rhs)):
+            out[i] = rep
     return out
+
+
+_STATUSES = ("Holds", "Violated", "Inconclusive")
+
+
+def _group_reports(ident, mode, breakdown, integrals, sides, rhs) -> list:
+    """The ``report`` of every member of a group from the plans of its
+    sides and their integrals' slots in ``integrals`` (the lhs only where
+    the rhs plan ``rhs`` is the error that failed it), or the HopialError
+    that ``_finished`` of a side raises first, judged as arrays with the
+    IEEE operations of ``QuadResult.raised``, ``rel_error`` and
+    ``judge``."""
+    out = [None] * len(sides[0][1])
+    lhs_value, lhs_rel = _side_arrays(*sides[0], integrals, out)
+    if isinstance(rhs, HopialError):
+        return [rep or rhs for rep in out]
+    rhs_value, rhs_rel = _side_arrays(*sides[1], integrals, out)
+    with np.errstate(all="ignore"):
+        denom = breakdown.value * rhs_value
+        divided = (lhs_value != 0.0) & ~(denom <= 0.0)
+        ratio = np.where(divided, lhs_value / denom, np.where(lhs_value == 0.0, 0.0, math.inf))
+        total = lhs_rel + rhs_rel + breakdown.error_estimate
+        budget = np.maximum(total, 1e-12)
+        status = np.where(np.isfinite(ratio),
+                          np.where(ratio <= 1.0 + budget, 0,
+                                   np.where(ratio > 1.0 + 10.0 * budget, 1, 2)),
+                          np.where(ratio > 0, 1, 2))
+    ratios, budgets = ratio.tolist(), budget.tolist()
+    # judge's ratio and budget are numpy scalars where the constant's value
+    # or error is one and enters them (the budget floor is a float)
+    for values, kind, kept in ((ratios, type(breakdown.value * 1.0), divided),
+                               (budgets, type(0.0 + breakdown.error_estimate), ~(1e-12 > total))):
+        if kind is not float:
+            for i in np.flatnonzero(kept).tolist():
+                values[i] = kind(values[i])
+    constant = breakdown.value
+    return [rep or VerificationReport(ident, mode, lhs_i, rhs_i, constant, ratio_i,
+                                      _STATUSES[code], budget_i, breakdown)
+            for rep, lhs_i, rhs_i, ratio_i, code, budget_i in zip(
+                out, lhs_value.tolist(), rhs_value.tolist(), ratios, status.tolist(), budgets)]
+
+
+def _rel_errors(value, error):
+    """``QuadResult.rel_error`` of every (value, error)."""
+    scale = np.abs(value)
+    return np.where(scale == 0.0, np.where(error == 0.0, 0.0, math.inf), error / scale)
+
+
+def _side_arrays(plan, slots, integrals, out) -> tuple:
+    """The side of every member, ``_finished`` of its plan and integral (at
+    ``slots`` of ``integrals``) as arrays: its values and relative errors.
+    A member whose integral failed, or whose side raises, gets that error
+    in ``out`` unless an earlier one is there."""
+    value = np.array(integrals.value[slots.start:slots.stop])
+    error = np.array(integrals.error[slots.start:slots.stop])
+    for i in integrals.failures.keys() & slots if integrals.failures else ():
+        out[i - slots.start] = out[i - slots.start] or integrals.failures[i]
+    with np.errstate(all="ignore"):
+        rel = _rel_errors(value, error)
+        if plan[1] is None:
+            return value, rel
+        outer, f_power, f_rel = plan[1]
+        rel = outer * rel + f_power * f_rel
+    if outer != 1.0:
+        for i in np.flatnonzero(value < 0).tolist():
+            out[i] = out[i] or HopialError("negative core under an outer power")
+            value[i] = math.nan
+    try:  # Python's power, as QuadResult.raised: numpy's may differ in the last bit
+        value = np.array([v ** outer for v in value.tolist()])
+    except (OverflowError, ZeroDivisionError):
+        powered = []
+        for i, v in enumerate(value.tolist()):
+            try:
+                powered.append(fs.float_power(v, outer))
+            except HopialError as exc:
+                out[i] = out[i] or exc
+                powered.append(math.nan)
+        value = np.array(powered)
+    with np.errstate(all="ignore"):
+        return value, _rel_errors(value, rel * np.abs(value))
 
 
 def single_pass(inst: TheoremInstance, tol: Optional[float] = None,
                 breakdown: Optional[ct.ConstantBreakdown] = None) -> VerificationReport:
     """One pass of one instance, whose Violated report is not re-examined
     (``verify`` re-examines it); an error is raised."""
-    rep = _passes([inst], tol, breakdown)[0]
+    rep = _passes(inst, [inst.f], tol, breakdown)[0]
     if isinstance(rep, HopialError):
         raise rep
     return rep
@@ -415,19 +504,26 @@ def verify_many(
     group.  The sides of all instances are integrated together, and every
     Violated report is re-examined.
     """
-    out = ([None] * len(insts) if insts[0].side else  # a path is audited in the pass
-           fs.nonnegativity_errors([inst.f for inst in insts], insts[0].interval))
+    return _verify_members(insts[0], [inst.f for inst in insts], tol, breakdown)
+
+
+def _verify_members(inst, fns, tol, breakdown) -> list:
+    """``verify_many`` of the instances ``inst`` with each test function
+    (or path) in ``fns`` as its f."""
+    out = ([None] * len(fns) if inst.side else  # a path is audited in the pass
+           fs.nonnegativity_errors(fns, inst.interval))
     todo = [i for i, res in enumerate(out) if res is None]
     if not todo:
         return out
     try:
-        passes = _passes([insts[i] for i in todo], tol, breakdown)
+        passes = _passes(inst, fns if len(todo) == len(fns) else [fns[i] for i in todo], tol,
+                         breakdown)
     except HopialError as exc:
         passes = [exc] * len(todo)
     for i, rep in zip(todo, passes):
         if not isinstance(rep, HopialError) and rep.status == "Violated":
             try:
-                rep = _retest(insts[i], tol)
+                rep = _retest(replace(inst, f=fns[i]), tol)
             except HopialError as exc:
                 rep = exc
         out[i] = rep
@@ -484,10 +580,10 @@ def sweep(
     resolved_mode = ct.resolve_mode(ident, mode)
     breakdown = ct.hardy_constant(ident, r, s, exponents, interval,
                                   mode=resolved_mode, tol=tol)
-    insts = [TheoremInstance(ident, r, s, f, exponents, interval, resolved_mode)
-             for f in fs.sample_family(family, count)]
+    inst = TheoremInstance(ident, r, s, None, exponents, interval, resolved_mode)
     reports = [_inconclusive(ident, resolved_mode, rep) if isinstance(rep, HopialError)
-               else rep for rep in verify_many(insts, tol, breakdown)]
+               else rep for rep in _verify_members(inst, fs.sample_family(family, count), tol,
+                                                   breakdown)]
     finite = [
         (i, rep.ratio) for i, rep in enumerate(reports) if math.isfinite(rep.ratio)
     ]
@@ -602,9 +698,13 @@ def sharpness_search(
 
     builder maps a parameter vector (at most 3 entries) to a test
     function, or, for a lemma id, to a path (``opial.TestPath``) checked
-    at the lemma's first boundary.  The search is a simplex-style ascent
-    on the ratio; a best ratio above 1 + budget is never reported as found
-    without a re-run at 10x tighter quadrature tolerance.
+    at the lemma's first boundary.  Each test function is validated as
+    ``verify_many`` validates it: an invalid or negative one counts as no
+    ratio, and is never reported (its InvalidSpec is raised where it is
+    the best one found, as where no evaluated f is valid).  The search is
+    a simplex-style ascent on the ratio; a best ratio above 1 + budget is
+    never reported as found without a re-run at 10x tighter quadrature
+    tolerance.
     """
     if len(bounds) > 3:
         raise PreconditionFailed("parametric families are limited to 3 parameters")
@@ -617,8 +717,11 @@ def sharpness_search(
                                   mode=resolved_mode, tol=tol, side=side)
 
     def instance(params):
-        return TheoremInstance(ident, r, s, builder(params), exponents, interval,
+        inst = TheoremInstance(ident, r, s, builder(params), exponents, interval,
                                resolved_mode, side)
+        if side is None:  # a path is audited in the pass
+            fs.validate_nonnegative(inst.f, interval)
+        return inst
 
     if not bounds:  # degenerate: constant family
         rep = verify(instance(()), tol=tol, breakdown=breakdown)

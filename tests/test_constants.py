@@ -8,7 +8,7 @@ from hopial import funcspace as fs
 from hopial import quad
 from hopial import special as sp
 from hopial.cli import SUITE_EXPONENTS
-from hopial.errors import InvalidSpec, NonIntegrable, PreconditionFailed
+from hopial.errors import DomainError, InvalidSpec, NonIntegrable, PreconditionFailed
 
 E = ct.ExponentSet
 
@@ -188,6 +188,12 @@ class TestHardyConstants:
         assert ct.canonical_id("HARDY_CLASSICAL") == "HARDY"
         assert ct.canonical_id("C2.1a") == "C2.1a"
         assert len(ct.THEOREM_IDS) == 32
+        for known in ct.THEOREM_IDS:  # any case, a dot or an underscore
+            for spelling in (known, f" {known.lower()} ", known.replace(".", "_").upper()):
+                assert ct.canonical_id(spelling) == known
+        for unknown in ("T2.24", "T2__1", "T2.1.", "OPIAL"):
+            with pytest.raises(DomainError, match="unknown theorem id"):
+                ct.canonical_id(unknown)
 
 
 class TestSupFactor:

@@ -308,6 +308,34 @@ class TestValidation:
             fs.validate(spec, unit)
 
 
+def _loop_member(fam, index):
+    """Member ``index`` of a piecewise-linear family by a loop over its
+    knots, with its knots' and its values' uniforms drawn one after the
+    other: the reference of ``sample_family``'s bits."""
+    rng = np.random.default_rng([int(fam.seed) & 0x7FFFFFFF, index])
+    a, b = fam.interval.a, fam.interval.b
+    lo, hi = fam.value_range
+    n = fam.n_knots
+    xs = [a, b]
+    if n > 2:
+        inner = sorted([a + (b - a) * u for u in rng.random(n - 2).tolist()])
+        min_gap = 1e-3 * (b - a) / n
+        for i in range(1, len(inner)):
+            if inner[i] - inner[i - 1] < min_gap:
+                inner[i] = inner[i - 1] + min_gap
+        xs = [a] + [min(max(x, a + min_gap), b - min_gap) for x in inner] + [b]
+        if any(y - x < (1.0 - 1e-9) * min_gap for x, y in zip(xs, xs[1:])):
+            for i in range(n - 2, 0, -1):
+                xs[i] = min(xs[i], xs[i + 1] - min_gap)
+            for i in range(1, n - 1):
+                xs[i] = max(xs[i], xs[i - 1] + min_gap)
+    vals = [lo + (hi - lo) * u for u in rng.random(n).tolist()]
+    floor = lo + 0.1 * (hi - lo)
+    vals[0] = 0.0 if fam.vanish_at in ("left", "both") else max(vals[0], floor)
+    vals[-1] = 0.0 if fam.vanish_at in ("right", "both") else max(vals[-1], floor)
+    return fs.PiecewiseLinear(list(zip(xs, vals)))
+
+
 def _loop_antiderivative(knots, iv):
     """The antiderivative of a piecewise-linear spec by the per-piece loop
     that the row arrays replaced: the reference of its bits."""
@@ -326,15 +354,22 @@ class TestTemplatePlans:
     """``plan_groups`` plans piecewise-linear specs of one structure as
     parameter rows of their first member's walk: every row holds the code
     of its member's own walk, bit for bit (``repr`` tells -0.0 from 0.0),
-    and the members of a group share ends."""
+    and the members of a group share ends.  A spec without another of as
+    many knots is planned as any other spec: f is the spec, F its closed
+    running integral."""
 
     @staticmethod
-    def row(part, i):
-        """The code, ends and breakpoints of member i of a group's part."""
+    def row(part, i, iv):
+        """The code, ends and breakpoints of member i of a group's part (of
+        a spec alone: of its walk)."""
+        if not isinstance(part, fs.Part):
+            part = fs.Part(part, iv)
+            return part.code, part.ends, part.breaks
         fargs, data, breaks = part.rows
         ops, first, iargs, _ = part.code
         fargs = [tuple(args) for args in (first if fargs is None else fargs[i].tolist())]
-        return (ops, fargs, iargs, data[i].tolist()), part.ends, breaks[i]
+        return ((ops, fargs, iargs, data[i].tolist()), part.ends,
+                [x for x in breaks[i].tolist() if not math.isnan(x)])
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -358,7 +393,8 @@ class TestTemplatePlans:
                     anti = fs.Sum([fs.Constant(fs.evaluate(anti, iv.b, iv)),
                                    fs.scale(anti, -1.0)])
                 for part, ref in ((f, fs.Part(spec, iv)), (F, fs.Part(anti, iv))):
-                    assert repr(self.row(part, row)) == repr((ref.code, ref.ends, ref.breaks))
+                    assert repr(self.row(part, row, iv)) == repr(
+                        (ref.code, ref.ends, ref.breaks))
         # the closed antiderivative of one spec is the same computation
         for spec in specs:
             assert repr(fs.closed_antiderivative(spec, iv)) == repr(
@@ -506,6 +542,21 @@ class TestFamilies:
                                       rel=0.0, abs=1e-15)
         rep = cli._sweep_case("T2.30", 121800639, 50).reports[29]
         assert rep.status == "Holds"
+
+    @pytest.mark.parametrize("n_knots", [2, 3, 4, 7])
+    def test_pwl_members_match_the_member_loop(self, n_knots):
+        # the members are drawn as arrays from one draw each; the loop over
+        # one member's knots, with a draw for its knots and one for its
+        # values, is the reference of their bits
+        for seed, (iv, vanish) in enumerate([(fs.Interval(0.0, 1.0), "none"),
+                                             (fs.Interval(100.0, 100.3), "left"),
+                                             (fs.Interval(-3.0, -1.0), "both"),
+                                             (fs.Interval(0.0, 25.0), "right")]):
+            fam = fs.RandomPiecewiseLinear(n_knots, (0.2, 1.7), seed=seed, interval=iv,
+                                           vanish_at=vanish)
+            assert fs.sample_family(fam, 300) == [_loop_member(fam, i) for i in range(300)]
+        fam = fs.RandomPiecewiseLinear(4, (0.0, 1.0), seed=121659850)  # clipped knots
+        assert fs.sample_family(fam, 30)[29] == _loop_member(fam, 29)
 
     @pytest.mark.parametrize("n_knots", [3, 4, 7])
     def test_pwl_knots_keep_min_gap(self, n_knots):

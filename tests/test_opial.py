@@ -393,13 +393,13 @@ class TestOneIntegrateCall:
     def test_sides_and_constant_integral_in_one_call(self, unit, monkeypatch,
                                                      ident, weights, exps):
         calls = []
-        real = opial.quad.integrate_many
+        real = opial.quad.integrate_arrays  # integrate_many's batch call too
 
         def counting(jobs):
             calls.append(len(jobs))
             return real(jobs)
 
-        monkeypatch.setattr(opial.quad, "integrate_many", counting)
+        monkeypatch.setattr(opial.quad, "integrate_arrays", counting)
         rec = opial.verify_variant(opial.variant(ident, "left" if ident != "OPIAL"
                                                  else "both"),
                                    opial.hat_path(unit, 0.4), weights, exps)

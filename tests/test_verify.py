@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopial import _kernel
 from hopial import constants as ct
@@ -18,6 +20,8 @@ from hopial.errors import DomainError, HopialError, InvalidSpec, PreconditionFai
 
 E = ct.ExponentSet
 ONE = fs.Constant(1.0)
+# negative on (0.5, 0.506), between two samples of the 64-point probe
+DIP = fs.PiecewiseLinear([(0, 1), (0.5, 1), (0.503, -50), (0.506, 1), (1, 1)])
 
 
 def inst(ident, r, s, f, e, iv, mode="default"):
@@ -106,8 +110,8 @@ class TestRhsWeight:
                         fs.Exponential(1.0, 2.0)])
         case = inst("T2.3", fs.PowerLaw(1.0, 0.5), None, f, E(), unit)
         resolved = case.resolved()
-        ((_, _, (_, loose)),) = vf._groups([case], resolved, None)
-        ((_, _, (_, tight)),) = vf._groups([case], resolved, 1e-12)
+        ((_, _, (_, loose)),) = vf._groups(case, [case.f], resolved, None)
+        ((_, _, (_, tight)),) = vf._groups(case, [case.f], resolved, 1e-12)
         assert 0.0 < tight < loose
 
 
@@ -155,6 +159,18 @@ class TestVerify:
         f = fs.PiecewiseLinear([(0, 1), (0.503, 1), (0.5031, -5), (0.5032, 1), (1, 1)])
         with pytest.raises(InvalidSpec, match="negative"):
             vf.verify(inst(ident, one, one, f, e, unit))
+
+    @pytest.mark.parametrize("ident,r,f,e", [
+        ("HARDY", None, fs.Sum([DIP, fs.Constant(0.0)]), E(p=2.0)),
+        ("HARDY", None, fs.Product([DIP, fs.Constant(1.0)]), E(p=2.0)),
+        ("T2.3", fs.Sum([DIP]), ONE, E()),
+    ], ids=["sum-f", "product-f", "sum-weight"])
+    def test_negative_dip_inside_a_composite_rejected(self, unit, ident, r, f, e):
+        # a sum or product whose term dips below 0 between two samples of
+        # the probe: its values on both sides of each breakpoint decide it
+        # (each of these Held, ratio 0.0345, 0.0345 and 0.348)
+        with pytest.raises(InvalidSpec, match="negative"):
+            vf.verify(inst(ident, r, None, f, e, unit))
 
     @pytest.mark.parametrize("r,message", [
         (fs.PowerLaw(-1.0, 0.5), "spec is negative inside the interval"),
@@ -439,6 +455,17 @@ class TestBatchedSweep:
                 assert repr(rep) == repr(ref)
 
 
+    def test_failed_rhs_plan_fails_each_member_alone(self, unit, monkeypatch):
+        # the rhs plan of every group fails after its lhs is planned: a
+        # group's members get the error each gets alone
+        def failing(*args):
+            raise PreconditionFailed("no right side")
+
+        monkeypatch.setattr(vf, "_rhs_plan", failing)
+        family = fs.RandomPiecewiseLinear(4, (0.0, 1.0), seed=9, interval=unit)
+        sw = self.assert_alone("T2.3", family, fs.PowerLaw(1.2, 0.5), None, E(), unit, 6)
+        assert {rep.detail for rep in sw.reports} == {"PreconditionFailed: no right side"}
+
     def test_overflowing_member_fails_alone(self, unit, monkeypatch):
         members = [fs.PowerLaw(1.0, 0.5), fs.PowerLaw(1e200, 0.5), fs.PowerLaw(2.0, 0.25)]
         monkeypatch.setattr(fs, "sample_family", lambda family, count: members)
@@ -490,6 +517,134 @@ class TestBatchedSweep:
             "VerificationReport",
         ]
         assert "NaN" in str(got[3])
+
+
+def _batches(monkeypatch, run):
+    """Every (jobs, integrals) batch that ``run`` integrates, and its
+    result."""
+    seen = []
+    real = quad.integrate_arrays
+
+    def recording(jobs):
+        out = real(jobs)
+        seen.append((list(jobs), out))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quad, "integrate_arrays", recording)
+        return seen, run()
+
+
+def _outcome(res):
+    return repr(res) if not isinstance(res, HopialError) else (type(res).__name__, str(res))
+
+
+def _member_row(part, row, iv):
+    """The code, ends and breakpoints of member ``row`` of a group's part
+    (of a spec alone: of its walk)."""
+    if not isinstance(part, fs.Part):
+        part = fs.Part(part, iv)
+        return part.code, part.ends, part.breaks
+    fargs, data, breaks = part.rows
+    ops, first, iargs, _ = part.code
+    fargs = [tuple(args) for args in (first if fargs is None else fargs[row].tolist())]
+    return ((ops, fargs, iargs, data[row].tolist()), part.ends,
+            [x for x in breaks[row].tolist() if not math.isnan(x)])
+
+
+def _cut_rows_of(job):
+    """``_prepare``'s cuts of a job, a list of rows per member, the piece
+    index (a position in its batch) left out."""
+    cuts = []
+    counts = quad._prepare(job, cuts)[4]
+    rows = np.asarray(cuts[0], dtype=float).reshape(-1, quad._CUT)
+    rows[:, quad._PIECE] = 0.0
+    rows = rows.tolist()
+    return [rows[sum(counts[:m]):sum(counts[:m + 1])] for m in range(len(counts))]
+
+
+class TestMembersAsArrays:
+    """The members of a sweep are signed, grouped, cut, integrated and
+    judged as arrays; every step gives each member the bits of the same
+    step for it alone (``verify_many`` of one instance): the sign check's
+    message, its group's parameter row, its cuts, the ``repr`` of each
+    side's QuadResult and its report."""
+
+    @staticmethod
+    def draw_members(draw, iv):
+        n = draw(st.integers(2, 4))
+        members = []
+        for _ in range(draw(st.integers(2, 7))):
+            kind = draw(st.sampled_from(["fresh", "fresh", "fresh", "repeat", "invalid"]))
+            if kind == "repeat" and members:
+                members.append(draw(st.sampled_from(members)))
+                continue
+            lo = iv.a - draw(st.sampled_from([0.0, 0.0, 0.5]))  # a knot left of a
+            xs = [lo] + sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=n - 2,
+                                             max_size=n - 2, unique=True)))
+            xs = [lo] + [iv.a + t * iv.width for t in xs[1:]] + [iv.b]
+            vs = [draw(st.sampled_from([0.0, 1e-17])) if draw(st.booleans())
+                  else draw(st.floats(0.1, 2.0)) for _ in xs]
+            if kind == "invalid":
+                bad = draw(st.sampled_from(["decreasing", "negative", "nan"]))
+                if bad == "decreasing":
+                    xs[0], xs[1] = xs[1], xs[0]
+                else:
+                    vs[draw(st.integers(0, n - 1))] = -0.25 if bad == "negative" else math.nan
+            members.append(fs.PiecewiseLinear(zip(xs, vs)))
+        return members
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_each_member_gets_its_bits_alone(self, data):
+        draw = data.draw
+        a = draw(st.sampled_from([-3.0, 0.0, 100.0]))
+        iv = fs.Interval(a, a + draw(st.sampled_from([0.5, 1.0, 2.5])))
+        ident = draw(st.sampled_from(["T2.3", "T2.4", "T2.22", "HARDY"]))
+        r, s = (None, None) if ident == "HARDY" else (fs.PowerLaw(1.3, 0.4), fs.Sum(
+            [ONE, fs.PowerLaw(0.5, 1.5)]))
+        exps = E(p=2.0) if ident == "HARDY" else SUITE_EXPONENTS.get(ident, E())
+        fns = self.draw_members(draw, iv)
+        base = inst(ident, r, s, None, exps, iv)
+        bd = ct.hardy_constant(ident, r, s, exps, iv)
+        # the sign checks
+        errors = fs.nonnegativity_errors(fns, iv)
+        assert [_outcome(e) for e in errors] == [
+            _outcome(fs.nonnegativity_errors([f], iv)[0]) for f in fns]
+        valid = [f for f, e in zip(fns, errors) if e is None]
+        # the reports, and the batches they integrate
+        with pytest.MonkeyPatch.context() as patch:
+            together, reports = _batches(patch, lambda: vf.verify_many(
+                [vf.replace(base, f=f) for f in fns], breakdown=bd))
+            alone = [_batches(patch, lambda f=f: vf.verify_many(
+                [vf.replace(base, f=f)], breakdown=bd)) for f in fns]
+        assert [_outcome(rep) for rep in reports] == [_outcome(rep[0]) for _, rep in alone]
+        if not valid:
+            return
+        # the pass's groups: each member's parameter rows, side jobs, cuts
+        # and integrals
+        resolved = base.resolved()
+        groups = vf._groups(base, valid, resolved, None)
+        for members, f, (F, _) in groups:
+            for row, m in enumerate(members):
+                ((_, f_alone, (F_alone, _)),) = vf._groups(base, [valid[m]], resolved, None)
+                for part, spec in ((f, f_alone), (F, F_alone)):
+                    ref = fs.Part(spec, iv)
+                    assert repr(_member_row(part, row, iv)) == repr(
+                        (ref.code, ref.ends, ref.breaks))
+        jobs, integrals = together[0]
+        assert len(jobs) == 2 * len(groups)
+        batches = [seen[0] for (seen, _), e in zip(alone, errors) if e is None]
+        slot = 0
+        for g, (members, _, _) in enumerate(groups):
+            for side in range(2):
+                job = jobs[2 * g + side]
+                cuts = _cut_rows_of(job)
+                for row, m in enumerate(members):
+                    alone_jobs, alone_integrals = batches[m]
+                    assert repr(cuts[row]) == repr(_cut_rows_of(alone_jobs[side])[0])
+                    assert repr(integrals[slot + row]) == repr(alone_integrals[side])
+                slot += len(members)
 
 
 class TestStructureWalks:
@@ -553,6 +708,41 @@ class TestStructureWalks:
             self.sweep(ident, count, (r, s))
         return calls[0]
 
+    @pytest.mark.parametrize("ident", ["T2.1", "T2.4", "T2.27", "HARDY"])
+    def test_member_helpers_run_once_per_group(self, monkeypatch, ident):
+        """While a 50-member sweep signs and plans its members, the scalar
+        end, validity and sign rules run at most once per group (the walk
+        of its first member): the members are read as arrays."""
+        counts = dict.fromkeys(("_pwl_ends", "_ppoly_ends", "validate", "_sign_values"), 0)
+        inside, groups = [False], []
+
+        def counting(name, real):
+            def wrapper(*args):
+                counts[name] += inside[0]
+                return real(*args)
+            return wrapper
+
+        def members(name, real):
+            def wrapper(specs, *args):
+                inside[0] = len(specs) == 50
+                try:
+                    out = real(specs, *args)
+                finally:
+                    inside[0] = False
+                if name == "plan_groups" and len(specs) == 50:
+                    groups.append(len(out))
+                return out
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for name in counts:
+                patch.setattr(fs, name, counting(name, getattr(fs, name)))
+            for name in ("nonnegativity_errors", "plan_groups"):
+                patch.setattr(fs, name, members(name, getattr(fs, name)))
+            self.sweep(ident, 50)
+        assert groups == [1]
+        assert all(n <= groups[0] for n in counts.values()), counts
+
     @pytest.mark.parametrize("ident", ["T2.1", "T2.4", "T2.9", "T2.27"])
     def test_shared_weights_walked_once_per_sweep(self, monkeypatch, ident):
         small = self.shared_walks(monkeypatch, ident, 10)
@@ -601,14 +791,14 @@ class TestStructureWalks:
     def jobs(monkeypatch, run):
         """The jobs ``run`` integrates, and its result."""
         jobs = []
-        real = quad.integrate_many
+        real = quad.integrate_arrays  # integrate_many's batch call too
 
         def recording(batch):
             jobs.extend(batch)
             return real(batch)
 
         with monkeypatch.context() as patch:
-            patch.setattr(quad, "integrate_many", recording)
+            patch.setattr(quad, "integrate_arrays", recording)
             return jobs, run()
 
     def test_prepare_walks_nothing(self, monkeypatch):
@@ -639,7 +829,9 @@ class TestStructureWalks:
                 len(fargs), -1).tolist()
 
         assert rows_of(job.code) == rows_of(code)
-        assert (job.ends, job.breakpoints, job.rows) == (ends, breaks, rows)
+        assert (job.ends, job.breakpoints, job.rows is None) == (ends, breaks, rows is None)
+        if rows is not None:  # a row of breakpoints per member
+            assert np.array_equal(job.rows, rows, equal_nan=True)
 
     @pytest.mark.parametrize("ident", ct.THEOREM_IDS)
     def test_assembled_jobs_match_the_walks(self, monkeypatch, ident):
@@ -733,6 +925,22 @@ class TestSharpness:
         )
         assert res.best_ratio == pytest.approx(1.0, abs=1e-6)
         assert res.best_params[0] == pytest.approx(0.5, abs=1e-3)
+
+    def test_negative_f_is_never_reported(self, unit, one):
+        # every f of the family is negative at 0.5: none is evaluated, and
+        # the search raises verify's InvalidSpec (it reported Holds, ratio
+        # 0.0708, at t = -0.5)
+        def hat(prm):
+            return fs.PiecewiseLinear([(0, 1), (0.5, float(prm[0])), (1, 1)])
+
+        with pytest.raises(InvalidSpec, match="negative"):
+            vf.sharpness_search("T2.3", hat, [(-1.0, -0.5)], one, None, E(), unit,
+                                budget=60)
+        # where part of the family is valid, the best f is one of those
+        res = vf.sharpness_search("T2.3", hat, [(-1.0, 1.0)], one, None, E(), unit,
+                                  budget=60)
+        assert res.best_params[0] >= 0.0
+        assert res.best_report.status == "Holds"
 
     def test_non_finite_ratios_skipped(self, unit, one):
         # family members outside the integrable range are skipped, not fatal
