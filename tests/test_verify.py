@@ -580,9 +580,9 @@ class TestMembersAsArrays:
                 members.append(draw(st.sampled_from(members)))
                 continue
             lo = iv.a - draw(st.sampled_from([0.0, 0.0, 0.5]))  # a knot left of a
-            xs = [lo] + sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=n - 2,
-                                             max_size=n - 2, unique=True)))
-            xs = [lo] + [iv.a + t * iv.width for t in xs[1:]] + [iv.b]
+            ts = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=n - 2, max_size=n - 2,
+                                      unique=True)))
+            xs = [lo] + [iv.a + t * iv.width for t in ts] + [iv.b]
             vs = [draw(st.sampled_from([0.0, 1e-17])) if draw(st.booleans())
                   else draw(st.floats(0.1, 2.0)) for _ in xs]
             if kind == "invalid":
