@@ -454,23 +454,15 @@ def _knot_groups(specs: Sequence[FunctionSpec]) -> tuple:
     """(groups, rest): the indices of the piecewise-linear specs with as
     many knots (at least two) as another, a list per knot count, and the
     indices of the other specs."""
-    sizes = [len(spec.knots) if type(spec) is PiecewiseLinear else 0 for spec in specs]
-    if len(sizes) > 1 and sizes[0] > 1 and sizes.count(sizes[0]) == len(sizes):
-        return [list(range(len(sizes)))], []  # a family: one knot count
     counts: dict = {}
     rest = []
-    for i, size in enumerate(sizes):
-        if size > 1:
-            counts.setdefault(size, []).append(i)
+    for i, spec in enumerate(specs):
+        if type(spec) is PiecewiseLinear and len(spec.knots) > 1:
+            counts.setdefault(len(spec.knots), []).append(i)
         else:
             rest.append(i)
-    groups = []
-    for at in counts.values():
-        if len(at) > 1:
-            groups.append(at)
-        else:
-            rest += at
-    return groups, rest
+    return ([at for at in counts.values() if len(at) > 1],
+            rest + [at[0] for at in counts.values() if len(at) == 1])
 
 
 def _knot_array(specs: Sequence[PiecewiseLinear]) -> np.ndarray:
@@ -1359,25 +1351,18 @@ def _pwl_keys(knots, coeffs, totals, interval: Interval) -> np.ndarray:
     k, n, _ = knots.shape
     xs = knots[..., 0]
     a, b = interval.a, interval.b
-    if (xs[:, 0] == a).all() and (xs[:, -1] == b).all():
-        # a and b are knots: the first and last pieces hold them, and f
-        # there is the knot value (the rule of a family's members)
-        near, far = knots[:, [0, -1]], knots[:, [1, -2]]
-        xn, vn, xf, vf = near[..., 0], near[..., 1], far[..., 0], far[..., 1]
-        G, value = coeffs[:, [0, -1]], vn
-    else:
-        # the pieces holding a and b (_pieces_at_ends): x <= a, and x < b
-        # as x <= the float below b
-        piece = (xs[:, :, None] <= np.array([a, np.nextafter(b, -math.inf)])).sum(axis=1) - 1
-        piece = np.minimum(np.maximum(piece, 0), n - 2) + np.arange(0, k * n, n)[:, None]
-        # f at each end from the knot of its piece nearer the end, toward
-        # the far one
-        pairs = knots.reshape(-1, 2)
-        xn, vn = pairs[piece + _NEAR].transpose(2, 0, 1)
-        xf, vf = pairs[piece + _FAR].transpose(2, 0, 1)
-        reach = (np.array([a, b]) - xn) * _INWARD  # a - x0, or y1 - b (exactly -(b - y1))
-        value = np.where(reach > 0.0, vn + (vf - vn) * reach / ((xf - xn) * _INWARD), vn)
-        G = coeffs.reshape(-1, 3)[piece - np.arange(k)[:, None]]
+    # the pieces holding a and b (_pieces_at_ends): x <= a, and x < b as
+    # x <= the float below b
+    piece = (xs[:, :, None] <= np.array([a, np.nextafter(b, -math.inf)])).sum(axis=1) - 1
+    piece = np.minimum(np.maximum(piece, 0), n - 2) + np.arange(0, k * n, n)[:, None]
+    # f at each end from the knot of its piece nearer the end, toward the
+    # far one
+    pairs = knots.reshape(-1, 2)
+    xn, vn = pairs[piece + _NEAR].transpose(2, 0, 1)
+    xf, vf = pairs[piece + _FAR].transpose(2, 0, 1)
+    reach = (np.array([a, b]) - xn) * _INWARD  # a - x0, or y1 - b (exactly -(b - y1))
+    value = np.where(reach > 0.0, vn + (vf - vn) * reach / ((xf - xn) * _INWARD), vn)
+    G = coeffs.reshape(-1, 3)[piece - np.arange(k)[:, None]]
     key = (np.where(value != 0.0, 0, np.where(vf != 0.0, 1, 2)) @ _F_KEY)
     # G at a in powers of (x - a) where a lies inside its piece, and G and
     # its derivatives at b from the left, the value first (_ppoly_ends)
@@ -1419,21 +1404,19 @@ def _pwl_groups(specs: Sequence[PiecewiseLinear], interval: Interval, side: str)
     # a group shares the ends of f and of G and, in a tail, whether G(b) is 0
     with np.errstate(all="ignore"):
         keys = _pwl_keys(knots, coeffs, totals, interval)
-    if (keys == keys[0]).all():
-        groups = [np.arange(k)]
-    else:  # in the order of their first members
-        _, first, member_key = np.unique(keys, return_index=True, return_inverse=True)
-        groups = [np.flatnonzero(member_key == key) for key in np.argsort(first).tolist()]
+    groups: dict = {}
+    for i, key in enumerate(keys.tolist()):
+        groups.setdefault(key, []).append(i)
     if totals is not None:
         coeffs = -1.0 * coeffs
         F_data[:, xs.shape[1]:] *= -1.0
     f_data, out = np.concatenate([xs, vs], axis=1), []
-    for at in groups:
-        i, rows = int(at[0]), slice(None) if len(at) == k else at
+    for at in groups.values():
+        i, rows = at[0], slice(None) if len(at) == k else at
         F = PiecewisePolynomial(xs[i].tolist(), coeffs[i].tolist())
         if totals is not None:
             F = Sum([Constant(float(totals[i])), F])
-        out.append((at.tolist(), _rows_part(specs[i], interval, f_data[rows], breaks[rows]),
+        out.append((at, _rows_part(specs[i], interval, f_data[rows], breaks[rows]),
                     _rows_part(F, interval, F_data[rows], breaks[rows],
                                None if totals is None else totals[rows])))
     return out

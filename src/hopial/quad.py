@@ -562,7 +562,6 @@ def _integrate(jobs, rule=None):
     count = list(itertools.chain.from_iterable(counts for *_, counts in plans))
     first = list(itertools.accumulate(count, initial=0))  # and the end of the last run
     tol, max_panels = ([plan[k] for plan, m in zip(plans, members) for _ in range(m)]
-                       if len(count) > len(plans) else [plan[k] for plan in plans]
                        for k in (1, 2))
     run = np.arange(len(count)).repeat(count)
     ends = [plan[3] for plan in plans]
@@ -589,9 +588,8 @@ def _integrate(jobs, rule=None):
                 failures[index[run[p]]] = failed[p]
         piece = np.empty((pieces, 8))
         piece[:, _ID], piece[:, _RUN] = panel[:, _PIECE], run
-        # per run half its tolerance and its absolute floor; a few runs in
-        # Python, where numpy's fixed cost would outweigh the work
-        if len(count) <= _FEW:
+        # per run half its tolerance and its absolute floor
+        if len(count) <= _FEW_RUNS:
             size, scale = np.abs(panel[:, _VAL]).tolist(), []
             for t, start, n in zip(tol, first, count):
                 rough = 0.0
@@ -721,9 +719,12 @@ def _integrate(jobs, rule=None):
     return integrals, ends, cut, panels
 
 
-# live pieces up to which a round runs in Python, and runs up to which a
-# batch's run table is read in Python (numpy costs about 1 us a call)
+# live pieces up to which a round runs in Python (numpy costs about 1 us a call)
 _FEW = 8
+# runs up to which a batch's run table is read in Python: where the arrays
+# stop costing more (sweep batches of 2 to 100 runs, median of 21: about
+# 1.2x Python's time at 2 runs, 1.0x at 48, 0.96x at 100)
+_FEW_RUNS = 48
 
 
 def _few_round(piece, panel, n):
@@ -801,7 +802,7 @@ def _results(slots, index, failures, tol, max_panels, first, count, state, error
     the earlier pieces left; the first piece over its budget, or whose
     integrand failed, ends the run with that error.  A few runs are read
     in Python, where numpy's fixed cost would outweigh the work."""
-    if len(count) <= _FEW:
+    if len(count) <= _FEW_RUNS:
         value, error, subdivisions = [math.nan] * slots, [math.nan] * slots, [0] * slots
         total, total_err, used, last_split = state[:, _TOTAL:].T.tolist()
         for r, (i, t, max_p) in enumerate(zip(index, tol, max_panels)):

@@ -297,6 +297,19 @@ def _alone(job):
     return quad.integrate_many([job])[0]
 
 
+def _batch(jobs):
+    """``integrate_many`` of jobs, whose run table a batch of a few runs
+    reads in Python and a larger one as arrays: both give the same
+    results."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quad, "_FEW_RUNS", 0)
+        arrays = quad.integrate_many(jobs)
+    batch = quad.integrate_many(jobs)
+    assert len(batch) == len(arrays)
+    assert all(_same(x, y) for x, y in zip(batch, arrays))
+    return batch
+
+
 class TestIntegrateMany:
     def test_jobs_in_a_mixed_batch_match_each_alone(self, unit):
         fam = fs.RandomPiecewiseLinear(4, (0.0, 1.0), seed=3, interval=unit)
@@ -312,7 +325,7 @@ class TestIntegrateMany:
                      breakpoints=[0.4]),
             quad.Job(fs.PowerLaw(1.0, -1.5), unit),
         ]
-        batch = quad.integrate_many(jobs)
+        batch = _batch(jobs)
         assert isinstance(batch[-1], NonIntegrable)
         for job, res in zip(jobs, batch):
             assert _same(res, _alone(job))
@@ -322,7 +335,7 @@ class TestIntegrateMany:
                 quad.Job(fs.Exponential(2.0, -40.0), unit),
                 quad.Job(fs.PowerLaw(1.3, 1.5), unit),
                 quad.Job(fs.Exponential(1.0, 25.0), unit)]
-        for job, res in zip(jobs, quad.integrate_many(jobs)):
+        for job, res in zip(jobs, _batch(jobs)):
             assert _same(res, _alone(job))
 
     def test_a_failing_job_leaves_the_others_unchanged(self, unit):
@@ -334,7 +347,7 @@ class TestIntegrateMany:
         jobs = [good[0], quad.Job(wiggly, unit, 1e-12, max_panels=3),
                 quad.Job(early, unit, breakpoints=[0.25, 0.5]),
                 quad.Job(late, unit), good[1]]
-        batch = quad.integrate_many(jobs)
+        batch = _batch(jobs)
         assert isinstance(batch[1], BudgetExceeded)
         assert isinstance(batch[2], DomainError)
         assert isinstance(batch[3], DomainError)
@@ -409,7 +422,7 @@ class TestIntegrateMany:
         for f in (spec, fs.Power(fs.Sum([fs.Constant(2.0), fs.PowerLaw(1.0, 1.5)]), 0.7)):
             jobs = [quad.Job(f, fs.Interval(float(lo), float(hi)), home=unit)
                     for lo, hi in zip(grid, grid[1:])]
-            for job, res in zip(jobs, quad.integrate_many(jobs)):
+            for job, res in zip(jobs, _batch(jobs)):
                 assert _same(res, quad.integrate(job.f, job.interval, home=unit))
 
     def test_empty(self):
@@ -421,8 +434,8 @@ class TestIntegrateMany:
         """Every job of a mixed batch gets the bits, or the error type and
         message, of ``integrate_job`` of that job alone.  A batch of more
         than a few pieces refines them with array rounds, a job alone with
-        rounds in Python."""
-        for job, res in zip(jobs, quad.integrate_many(jobs)):
+        rounds in Python; the batch's run table is read both ways."""
+        for job, res in zip(jobs, _batch(jobs)):
             try:
                 alone = quad.integrate_job(job)
             except HopialError as exc:

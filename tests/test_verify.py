@@ -579,10 +579,12 @@ class TestMembersAsArrays:
             if kind == "repeat" and members:
                 members.append(draw(st.sampled_from(members)))
                 continue
-            lo = iv.a - draw(st.sampled_from([0.0, 0.0, 0.5]))  # a knot left of a
+            # knots left of a and past b
+            lo, hi = (end + draw(st.sampled_from([0.0, 0.0, 0.5])) * out
+                      for end, out in ((iv.a, -1.0), (iv.b, 1.0)))
             ts = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=n - 2, max_size=n - 2,
                                       unique=True)))
-            xs = [lo] + [iv.a + t * iv.width for t in ts] + [iv.b]
+            xs = [lo] + [iv.a + t * iv.width for t in ts] + [hi]
             vs = [draw(st.sampled_from([0.0, 1e-17])) if draw(st.booleans())
                   else draw(st.floats(0.1, 2.0)) for _ in xs]
             if kind == "invalid":
@@ -614,10 +616,11 @@ class TestMembersAsArrays:
         valid = [f for f, e in zip(fns, errors) if e is None]
         # the reports, and the batches they integrate
         with pytest.MonkeyPatch.context() as patch:
-            together, reports = _batches(patch, lambda: vf.verify_many(
-                [vf.replace(base, f=f) for f in fns], breakdown=bd))
             alone = [_batches(patch, lambda f=f: vf.verify_many(
                 [vf.replace(base, f=f)], breakdown=bd)) for f in fns]
+            patch.setattr(quad, "_FEW_RUNS", 0)  # the run table as arrays, as in a sweep
+            together, reports = _batches(patch, lambda: vf.verify_many(
+                [vf.replace(base, f=f) for f in fns], breakdown=bd))
         assert [_outcome(rep) for rep in reports] == [_outcome(rep[0]) for _, rep in alone]
         if not valid:
             return
