@@ -1308,10 +1308,8 @@ def _break_rows(xs: np.ndarray, lo: float, hi: float) -> np.ndarray:
     distinct values inside (lo, hi) in increasing order, then nan."""
     rows = np.where((xs > lo) & (xs < hi), xs, math.nan)
     rows.sort(axis=1)
-    repeated = rows[:, 1:] == rows[:, :-1]
-    if repeated.any():
-        rows[:, 1:][repeated] = math.nan
-        rows.sort(axis=1)
+    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = math.nan
+    rows.sort(axis=1)
     return rows
 
 

@@ -553,7 +553,7 @@ def _integrate(jobs, rule=None):
     if not plans:
         return Integrals([math.nan] * slots, [math.nan] * slots, [0] * slots, failures), [], None, None
     cuts = [np.asarray(block, dtype=float).reshape(-1, _CUT) for block in cuts]
-    cut = cuts[0] if len(cuts) == 1 else np.concatenate(cuts)
+    cut = np.concatenate(cuts)
     pieces = len(cut)
     cut[:, _PIECE] = np.arange(pieces)
     # a run per member: its job's kernel group, its parameter row and its pieces
@@ -721,10 +721,11 @@ def _integrate(jobs, rule=None):
 
 # live pieces up to which a round runs in Python (numpy costs about 1 us a call)
 _FEW = 8
-# runs up to which a batch's run table is read in Python: where the arrays
-# stop costing more (sweep batches of 2 to 100 runs, median of 21: about
-# 1.2x Python's time at 2 runs, 1.0x at 48, 0.96x at 100)
-_FEW_RUNS = 48
+# runs up to which a batch's run table (its runs' scales and results) is
+# read in Python: the crossover of the two steps' summed time, measured on
+# sweep batches cut to n runs (median of 12 batches): Python takes 0.22x
+# the arrays' time at 2 runs, 0.7x at 16, 1.0x at 28 and 2.0x at 100
+_FEW_RUNS = 28
 
 
 def _few_round(piece, panel, n):

@@ -427,7 +427,7 @@ def _side_arrays(plan, slots, integrals, out) -> tuple:
     in ``out`` unless an earlier one is there."""
     value = np.array(integrals.value[slots.start:slots.stop])
     error = np.array(integrals.error[slots.start:slots.stop])
-    for i in integrals.failures.keys() & slots if integrals.failures else ():
+    for i in integrals.failures.keys() & slots:
         out[i - slots.start] = out[i - slots.start] or integrals.failures[i]
     with np.errstate(all="ignore"):
         rel = _rel_errors(value, error)
