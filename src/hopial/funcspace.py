@@ -1017,13 +1017,12 @@ def _random_pwls(fam: RandomPiecewiseLinear, count: int) -> list:
         # knots clipped together near an end (rounding aside): space them
         # down from b - min_gap, then up from a + min_gap
         close = (np.diff(xs, axis=1) < (1.0 - 1e-9) * min_gap).any(axis=1)
-        if close.any():
-            rows = xs[close]
-            for i in range(n - 2, 0, -1):
-                rows[:, i] = np.minimum(rows[:, i], rows[:, i + 1] - min_gap)
-            for i in range(1, n - 1):
-                rows[:, i] = np.maximum(rows[:, i], rows[:, i - 1] + min_gap)
-            xs[close] = rows
+        rows = xs[close]
+        for i in range(n - 2, 0, -1):
+            rows[:, i] = np.minimum(rows[:, i], rows[:, i + 1] - min_gap)
+        for i in range(1, n - 1):
+            rows[:, i] = np.maximum(rows[:, i], rows[:, i - 1] + min_gap)
+        xs[close] = rows
     vals = lo + (hi - lo) * draws[:, n - 2:]
     floor = lo + 0.1 * (hi - lo)
     vals[:, 0] = 0.0 if fam.vanish_at in ("left", "both") else np.maximum(vals[:, 0], floor)

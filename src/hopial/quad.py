@@ -400,7 +400,7 @@ def _cut_rows(breaks, a, b, m_l, m_r) -> tuple:
     keep = edges[:, 1:] == edges[:, 1:]
     lo, hi = edges[:, :-1][keep], edges[:, 1:][keep]
     counts = inner + 1
-    if m_l is not None and m_r is not None and not inner.all():
+    if m_l is not None and m_r is not None:
         one = (np.cumsum(counts) - counts)[inner == 0]  # [lo, mid] at lo, [mid, hi] at hi
         mid = 0.5 * (lo[one] + hi[one])
         lo, hi, counts = np.insert(lo, one + 1, mid), np.insert(hi, one, mid), counts + (inner == 0)

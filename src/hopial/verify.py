@@ -516,8 +516,7 @@ def _verify_members(inst, fns, tol, breakdown) -> list:
     if not todo:
         return out
     try:
-        passes = _passes(inst, fns if len(todo) == len(fns) else [fns[i] for i in todo], tol,
-                         breakdown)
+        passes = _passes(inst, [fns[i] for i in todo], tol, breakdown)
     except HopialError as exc:
         passes = [exc] * len(todo)
     for i, rep in zip(todo, passes):
