@@ -36,12 +36,19 @@ contract is that of a sign bisection; it takes a fraction of the marches.
 A search with a reference value at hand starts from a bracket around it
 and climbs its own ladder only when that bracket misses.  At p = 1 the
 reference is the finite-element value and the bracket 1e-4 (relative).
-At p > 1 the search runs coarse to fine: the ladder and Illinois run once,
-on a march of 256 steps; its root seeds the 1024-step search, and that
-root the 2048-step one, whose root is the value.  These brackets start at
-1e-6 and widen x100 up to 1e-4 on a miss, keeping the end that missed.
-The two finer roots differ by the discretization part of the error
-estimate.
+
+At p > 1 the value is the 2048-step root, predicted and certified: the
+ladder and Illinois run once, on a march of 256 steps, and the secant
+through the last probe on each side of that root lam_c is the slope of the
+value.  One 2048-step march at lam_c predicts the root (lam_c less its
+value over the slope); marches rtol/4 below and above the prediction
+certify it, a bracket of the bisection's stop width whose midpoint is the
+value.  On a miss, Illinois refines between the nearest probes on each
+side of the root (lam_c is one); with all of them on one side, one chord
+step from the nearest is certified the same way, and the ladder on 2048
+steps is the last resort.  One 1024-step march at the value, linearised
+with the secant of the certifying marches, gives the 1024-step root; the
+two roots differ by the discretization part of the error estimate.
 
 A leading coefficient that vanishes at an endpoint -- the tail integral
 R(x, b) always does at b -- is handled by truncating to b - delta for
@@ -94,11 +101,9 @@ _BRACKET_HI = 1e8
 _FD_NODES = 2048
 _SHOOT_STEPS = 2048
 # half-width (relative) of the bracket around a reference value that a
-# shooting search tries last before the full ladder: the only one around
-# the finite-element value at p = 1; at p > 1 a level's bracket around the
-# root one level coarser starts at _REFINE_BRACKET and widens x100 to it
+# shooting search tries before the ladder: around the finite-element value
+# at p = 1
 _SEED_BRACKET = 1e-4
-_REFINE_BRACKET = 1e-6
 
 
 @dataclass(frozen=True)
@@ -301,20 +306,23 @@ def _ladder_start(floor):
     return rung
 
 
-def _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left=None, wall_right=None,
-                    n_steps=_SHOOT_STEPS, seed=None, half_width=_SEED_BRACKET,
-                    boundary="both"):
-    legs_data = _prepare_legs(R_fn, m_fn, lo, hi, p, wall_left, wall_right,
-                              n_steps)
-    length = sum(_leg_length(R_vals, h) for R_vals, _, h in legs_data)
+class _Probe:
+    """The signed value of a march over prepared legs, lam -> (crossed,
+    value): value changes sign with crossed (value <= 0 exactly when the
+    march crosses) and varies smoothly with lam; nan where no such value is
+    at hand.  The last probe on each side of the root is kept: their secant
+    is the slope of the value there."""
 
-    def probe(lam):
-        """(crossed, value): value changes sign with crossed (value <= 0
-        exactly when crossed) and varies smoothly with lam; nan where no
-        such value is at hand."""
-        u, w, hit, t, R = _march(legs_data, lam, p)
-        crossed = hit or (u if boundary == "both" else w) <= 0.0
-        if boundary == "both":
+    def __init__(self, legs_data, p, boundary):
+        self.legs_data, self.p, self.boundary = legs_data, p, boundary
+        self.length = sum(_leg_length(R_vals, h) for R_vals, _, h in legs_data)
+        self.last = {False: (math.nan, math.nan), True: (math.nan, math.nan)}
+
+    def __call__(self, lam):
+        p = self.p
+        u, w, hit, t, R = _march(self.legs_data, lam, p)
+        crossed = hit or (u if self.boundary == "both" else w) <= 0.0
+        if self.boundary == "both":
             # t_zero: where the tangent at the stop meets u = 0.  The zero
             # moves like lam^(-1/(p+1)) (exactly so for constant
             # coefficients), so value is close to linear in lam; the cap
@@ -322,57 +330,56 @@ def _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left=None, wall_right=None,
             slope = math.copysign(abs(w / R) ** (1.0 / p), w)
             t_zero = t - u / slope if slope else math.nan
             if t_zero > 0.0:
-                value = 1.0 - min(length / t_zero, 2.0) ** (p + 1.0)
+                value = 1.0 - min(self.length / t_zero, 2.0) ** (p + 1.0)
             else:
                 value = math.nan
         else:  # left_zero: the free-end slope changes sign at the eigenvalue
             value = w
         if (value <= 0.0) != crossed:
             value = math.nan
+        self.last[crossed] = (lam, value)
         return crossed, value
 
-    f_lo = f_hi = math.nan
-    if seed is None:
-        # the ladder starts a factor 4 below the Rayleigh floor; a start that
-        # already crosses falls back to the full ladder from _BRACKET_LO
-        lo_l, hi_l = _BRACKET_LO, _BRACKET_LO
-        start = _ladder_start(_rayleigh_floor(legs_data, p, boundary))
-        if start > _BRACKET_LO:
-            crossed, f = probe(start)
-            if not crossed:
-                lo_l, hi_l, f_lo = start, 4.0 * start, f
-        while hi_l < _BRACKET_HI:
-            crossed, f_hi = probe(hi_l)
-            if crossed:
-                break
-            lo_l, f_lo = hi_l, f_hi
-            hi_l *= 4.0
-        else:
-            raise NoEigenvalueInBracket(
-                f"no sign change for lambda in [{_BRACKET_LO}, {_BRACKET_HI}]"
-            )
-    else:
-        # a bracket half_width (relative) around the seed, widened x100 on a
-        # miss; one that still misses at _SEED_BRACKET takes the full ladder.
-        # The end that missed is certified on the root's side, so a widening
-        # keeps it as the other end and probes only the new far end
+    def slope(self):
+        (lo, f_lo), (hi, f_hi) = self.last[False], self.last[True]
+        return (f_hi - f_lo) / (hi - lo)
+
+
+def _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left=None, wall_right=None,
+                    n_steps=_SHOOT_STEPS, seed=None, half_width=_SEED_BRACKET,
+                    boundary="both"):
+    legs_data = _prepare_legs(R_fn, m_fn, lo, hi, p, wall_left, wall_right,
+                              n_steps)
+    return _search(_Probe(legs_data, p, boundary), max(tol, 1e-12), seed, half_width)
+
+
+def _search(probe, rtol, seed=None, half_width=_SEED_BRACKET):
+    """The root of probe to rtol: from a bracket half_width (relative)
+    around seed when that bracket holds it, else from the ladder."""
+    if seed is not None:
         lo_l, hi_l = seed * (1.0 - half_width), seed * (1.0 + half_width)
         (crossed_lo, f_lo), (crossed_hi, f_hi) = probe(lo_l), probe(hi_l)
-        while crossed_lo or not crossed_hi:
-            if half_width >= _SEED_BRACKET:
-                return _shoot_smallest(R_fn, m_fn, lo, hi, p, tol, wall_left,
-                                       wall_right, n_steps, boundary=boundary)
-            half_width = min(100.0 * half_width, _SEED_BRACKET)
-            if crossed_lo:  # the root lies below lo_l
-                hi_l, f_hi, crossed_hi = lo_l, f_lo, True
-                lo_l = seed * (1.0 - half_width)
-                crossed_lo, f_lo = probe(lo_l)
-            else:  # above hi_l
-                lo_l, f_lo = hi_l, f_hi
-                hi_l = seed * (1.0 + half_width)
-                crossed_hi, f_hi = probe(hi_l)
-
-    return _illinois(probe, lo_l, f_lo, hi_l, f_hi, max(tol, 1e-12))
+        if not crossed_lo and crossed_hi:
+            return _illinois(probe, lo_l, f_lo, hi_l, f_hi, rtol)
+    # the ladder starts a factor 4 below the Rayleigh floor; a start that
+    # already crosses falls back to the full ladder from _BRACKET_LO
+    lo_l, hi_l, f_lo = _BRACKET_LO, _BRACKET_LO, math.nan
+    start = _ladder_start(_rayleigh_floor(probe.legs_data, probe.p, probe.boundary))
+    if start > _BRACKET_LO:
+        crossed, f = probe(start)
+        if not crossed:
+            lo_l, hi_l, f_lo = start, 4.0 * start, f
+    while hi_l < _BRACKET_HI:
+        crossed, f_hi = probe(hi_l)
+        if crossed:
+            break
+        lo_l, f_lo = hi_l, f_hi
+        hi_l *= 4.0
+    else:
+        raise NoEigenvalueInBracket(
+            f"no sign change for lambda in [{_BRACKET_LO}, {_BRACKET_HI}]"
+        )
+    return _illinois(probe, lo_l, f_lo, hi_l, f_hi, rtol)
 
 
 def _illinois(probe, lo, f_lo, hi, f_hi, rtol):
@@ -405,6 +412,59 @@ def _illinois(probe, lo, f_lo, hi, f_hi, rtol):
             kept = "hi"
         slow = slow + 1 if hi - lo > 0.5 * width else 0
     return 0.5 * (lo + hi)
+
+
+def _certified(probe, lam_c, slope, rtol):
+    """The root of probe to rtol, predicted from lam_c and the slope of the
+    value: a march at lam_c gives the prediction, and marches rtol/4 below
+    and above it certify it.  On a miss, the nearest probes on each side
+    bound the Illinois search; with all of them on one side, one chord step
+    from the nearest (its value over slope) is certified the same way, and
+    the ladder is the last resort."""
+    ends = {}  # crossed -> the (lam, value) nearest the root on that side
+
+    def hold(lam):
+        crossed, f = probe(lam)
+        near = ends.get(crossed)
+        if near is None or (lam < near[0]) == crossed:
+            ends[crossed] = (lam, f)
+
+    hold(lam_c)
+    for _ in range(2):  # the prediction, then one chord step
+        if len(ends) == 2:
+            break
+        ((lam, f),) = ends.values()
+        guess = lam - f / slope
+        if not guess > 0.0:
+            break
+        hold(guess * (1.0 - 0.25 * rtol))
+        hold(guess * (1.0 + 0.25 * rtol))
+    if len(ends) < 2:
+        return _search(probe, rtol)
+    (lo, f_lo), (hi, f_hi) = ends[False], ends[True]
+    return _illinois(probe, lo, f_lo, hi, f_hi, rtol)
+
+
+def _shoot_predicted(R_fn, m_fn, lo, hi, p, tol, wall_left=None, wall_right=None,
+                     boundary="both"):
+    """(lam, lam_half) at p > 1: the 2048-step root, predicted from the
+    256-step root and certified, and the 1024-step root, linearised from
+    one march at lam (searched for when that march gives no value)."""
+    def probe(n_steps):
+        legs_data = _prepare_legs(R_fn, m_fn, lo, hi, p, wall_left, wall_right,
+                                  n_steps)
+        return _Probe(legs_data, p, boundary)
+
+    rtol = max(tol, 1e-12)
+    coarse = probe(_SHOOT_STEPS // 8)
+    lam_c = _search(coarse, rtol)
+    fine = probe(_SHOOT_STEPS)
+    lam = _certified(fine, lam_c, coarse.slope(), rtol)
+    half = probe(_SHOOT_STEPS // 2)
+    lam_half = lam - half(lam)[1] / fine.slope()
+    if not math.isfinite(lam_half):
+        lam_half = _search(half, rtol, seed=lam)
+    return lam, lam_half
 
 
 def _fem_and_shooting(R_fn, m_fn, lo, hi, wall_left, wall_right, boundary, tol):
@@ -476,11 +536,8 @@ def solve_smallest(prob: EigenProblem, tol: float = 1e-8) -> EigenResult:
                     f"eigenvalue routes disagree: fem={lam_fd!r} shooting={lam_sh!r}"
                 )
             return lam_fd, err_fd + gap
-        lam_half = lam = None
-        for n_steps in (_SHOOT_STEPS // 8, _SHOOT_STEPS // 2, _SHOOT_STEPS):
-            lam_half, lam = lam, _shoot_smallest(
-                R_fn, m_fn, lo, hi, prob.p, min(tol, 1e-9), wall_left, wall_right,
-                n_steps, lam, _REFINE_BRACKET, prob.boundary)
+        lam, lam_half = _shoot_predicted(R_fn, m_fn, lo, hi, prob.p, min(tol, 1e-9),
+                                         wall_left, wall_right, prob.boundary)
         return lam, abs(lam - lam_half) + tol * abs(lam)
 
     if not (sing_left or sing_right):

@@ -179,10 +179,35 @@ class TestQuasilinear:
         assert wall.value < lifted.value
 
 
+def _fns(R, m, interval):
+    return eigen._as_fn(R, interval), eigen._as_fn(m, interval)
+
+
+def _crosses(R_fn, m_fn, p, boundary, lam, n_steps=2048):
+    legs = eigen._prepare_legs(R_fn, m_fn, 0.0, 1.0, p, None, None, n_steps)
+    return eigen._Probe(legs, p, boundary)(lam)[0]
+
+
+@pytest.fixture
+def spied(monkeypatch) -> list:
+    """(steps, lam, crossed) of each shooting march a `both` solve makes."""
+    seen = []
+    real = eigen._march
+
+    def spy(legs_data, lam, p):
+        u, w, hit, t, R = out = real(legs_data, lam, p)
+        steps = sum((len(R_vals) - 1) // 2 for R_vals, _, _ in legs_data)
+        seen.append((steps, lam, hit or u <= 0.0))
+        return out
+
+    monkeypatch.setattr(eigen, "_march", spy)
+    return seen
+
+
 class TestCoarseSearch:
-    """At p > 1 the ladder runs once, on a coarse march; the 1024- and
-    2048-step searches start from a bracket around the root one level
-    coarser."""
+    """At p > 1 the ladder runs once, on a coarse march; one 2048-step
+    march at its root predicts the 2048-step root, two more certify it,
+    and one 1024-step march at the value gives the 1024-step root."""
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("boundary", ["both", "left_zero"])
@@ -201,44 +226,103 @@ class TestCoarseSearch:
         assert bracketed == pytest.approx(ladder, rel=2e-9)
         assert len(marches) <= 6 < ladder_marches
 
-    def test_solve_searches_coarse_to_fine(self, unit, one, monkeypatch):
-        calls = []
-        real = eigen._shoot_smallest
-
-        def spy(*args):
-            lam = real(*args)
-            calls.append((args[8:11], lam))
-            return lam
-
-        monkeypatch.setattr(eigen, "_shoot_smallest", spy)
-        res = eigen.solve_smallest(eigen.EigenProblem(one, fs.Exponential(1.0, 0.5),
-                                                      2.0, unit))
-        (coarse_args, coarse), (half_args, half), (fine_args, fine) = calls
-        assert coarse_args == (256, None, eigen._REFINE_BRACKET)
-        assert half_args == (1024, coarse, eigen._REFINE_BRACKET)
-        assert fine_args == (2048, half, eigen._REFINE_BRACKET)
-        assert res.value == fine
-        assert res.error_estimate == abs(fine - half) + 1e-8 * fine
+    def test_solve_predicts_and_certifies(self, unit, one, spied):
+        m = fs.Exponential(1.0, 0.5)
+        res = eigen.solve_smallest(eigen.EigenProblem(one, m, 2.0, unit))
+        steps = [n for n, _, _ in spied]
+        n_coarse = steps.count(256)
+        assert steps == [256] * n_coarse + [2048, 2048, 2048, 1024]
+        (_, lam_c, _), (_, lo, lo_crossed), (_, hi, hi_crossed), (_, at, _) = spied[n_coarse:]
+        R_fn, m_fn = _fns(one, m, unit)
+        # the prediction march runs at the root of the 256-step search
+        assert lam_c == eigen._shoot_smallest(R_fn, m_fn, 0.0, 1.0, 2.0, 1e-9, n_steps=256)
+        # a certified bracket of the bisection's stop width, and its midpoint
+        assert not lo_crossed and hi_crossed
+        assert 0.0 < hi - lo <= 1e-9 * hi
+        assert res.value == 0.5 * (lo + hi) == at
+        lam, lam_half = eigen._shoot_predicted(R_fn, m_fn, 0.0, 1.0, 2.0, 1e-9)
+        assert lam == res.value
+        assert res.error_estimate == abs(lam - lam_half) + 1e-8 * lam
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("boundary", ["both", "left_zero"])
     def test_few_fine_marches_and_the_ladder_value(self, unit, marches, p, boundary):
-        # the 2048-step root comes from a bracket around the 1024-step one:
-        # two certified ends and a few Illinois steps, where the ladder
-        # on 2048 steps takes 8 or more, and the same root.  At p = 3 five
-        # `both` solves miss the 1e-6 bracket at 1024 steps; the widening
-        # keeps the end that missed and probes one new end (6-7 marches of
-        # 1024 steps when it probed both)
+        # the 2048-step root comes from one prediction march and two that
+        # certify it, where the ladder on 2048 steps takes 8 or more, and
+        # it is the ladder's root.  At p = 3 seven `both` predictions miss
+        # the root by 3.9e-10 to 3.8e-9 (relative), more than the rtol/4
+        # that certifies, and two more marches (Illinois steps, or a chord
+        # step certified) close the bracket
         for R in COEFFS:
             for m in DENSITIES:
                 del marches[:]
                 prob = eigen.EigenProblem(R, m, p, unit, boundary)
                 value = eigen.solve_smallest(prob).value
-                assert marches.count(2048) <= 5, (R, m)
-                assert marches.count(1024) <= 5, (R, m)
+                assert marches.count(2048) <= (5 if p == 3.0 else 3), (R, m)
+                assert marches.count(1024) <= 1, (R, m)
                 ladder = eigen._shoot_smallest(eigen._as_fn(R, unit), eigen._as_fn(m, unit),
                                                0.0, 1.0, p, 1e-9, boundary=boundary)
                 assert value == pytest.approx(ladder, rel=2e-9), (R, m)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("boundary", ["both", "left_zero"])
+    def test_error_estimate_is_honest(self, unit, p, boundary):
+        # the 1024-step root linearised from one march is the root a
+        # certified search finds, and the value is the 2048-step root
+        for R in COEFFS:
+            for m in DENSITIES:
+                R_fn, m_fn = _fns(R, m, unit)
+                lam, lam_half = eigen._shoot_predicted(R_fn, m_fn, 0.0, 1.0, p, 1e-9,
+                                                       boundary=boundary)
+                searched = eigen._shoot_smallest(R_fn, m_fn, 0.0, 1.0, p, 1e-9,
+                                                 n_steps=1024, seed=lam, boundary=boundary)
+                assert abs(lam_half - searched) <= 1e-9 * lam, (R, m)
+                assert not _crosses(R_fn, m_fn, p, boundary, lam * (1.0 - 1e-9)), (R, m)
+                assert _crosses(R_fn, m_fn, p, boundary, lam * (1.0 + 1e-9)), (R, m)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("boundary", ["both", "left_zero"])
+    def test_a_miss_never_restarts(self, unit, one, monkeypatch, p, boundary):
+        # every 2048-step march after the prediction sees the root moved
+        # 1e-7 away from the coarse root lam_c, so the prediction misses:
+        # the solve refines next to the ends it holds and never climbs a
+        # ladder or a bracket 1e-4 around lam_c again
+        fine = []
+        real = eigen._march
+
+        def shifted(legs_data, lam, p_):
+            if len(legs_data[0][0]) != 2 * 2048 + 1:
+                return real(legs_data, lam, p_)
+            if fine:
+                lam_c, above = fine[0]
+                lam *= 1.0 + 1e-7 if above else 1.0 - 1e-7
+            u, w, hit, t, R = out = real(legs_data, lam, p_)
+            fine.append((lam, hit or (u if boundary == "both" else w) <= 0.0))
+            return out
+
+        monkeypatch.setattr(eigen, "_march", shifted)
+        m = fs.Exponential(1.0, 0.5)
+        value = eigen.solve_smallest(eigen.EigenProblem(one, m, p, unit, boundary)).value
+        lam_c = fine[0][0]
+        assert 3 < len(fine) <= 5
+        assert all(abs(lam - lam_c) <= 1e-4 * lam_c for lam, _ in fine)
+        R_fn, m_fn = _fns(one, m, unit)
+        assert not _crosses(R_fn, m_fn, p, boundary, value * (1.0 - 1e-9))
+        assert _crosses(R_fn, m_fn, p, boundary, value * (1.0 + 1e-9))
+
+    def test_no_slope_falls_back_to_searches(self, unit, monkeypatch):
+        # without a slope there is nothing to predict or linearise: the
+        # 2048-step root comes from the ladder, the 1024-step one from a
+        # search around it
+        R_fn, m_fn = _fns(COEFFS[1], DENSITIES[1], unit)
+        lam, lam_half = eigen._shoot_predicted(R_fn, m_fn, 0.0, 1.0, 2.0, 1e-9)
+        monkeypatch.setattr(eigen._Probe, "slope", lambda self: math.nan)
+        lam_f, lam_half_f = eigen._shoot_predicted(R_fn, m_fn, 0.0, 1.0, 2.0, 1e-9)
+        assert lam_f == eigen._shoot_smallest(R_fn, m_fn, 0.0, 1.0, 2.0, 1e-9)
+        assert lam_half_f == eigen._shoot_smallest(R_fn, m_fn, 0.0, 1.0, 2.0, 1e-9,
+                                                   n_steps=1024, seed=lam_f)
+        assert lam_f == pytest.approx(lam, rel=1e-9)
+        assert lam_half_f == pytest.approx(lam_half, rel=1e-9)
 
     def test_wall_solve_steps(self, unit, one, marches):
         # R = x vanishes at 0: three truncated solves, whose ladders climb
